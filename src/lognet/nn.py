@@ -1,18 +1,23 @@
 """Layer kernels and the quantized forward pass.
 
-Convolutions are lowered with im2col and computed by one of three kernels:
+Convolutions are lowered with im2col and computed by one of these kernels:
 
 * a plain float64 matmul (reference path, also used for unquantized inputs),
 * shift-weights: real weights held as fixed-point words, each term a single
   bitshift by the activation's exponent,
 * exponent-sum: both operands log-coded, term exponents are integer adds
-  and each term is a shifted power of two.
+  and each term is a shifted power of two,
+* exponent-sum with log-domain accumulation: the same terms folded into
+  running log-domain sums, one per sign.
 
 The quantized kernels reproduce the scalar fixed-point semantics bit for
 bit: term magnitudes are truncated to the accumulator's fractional
-precision before summation.  They vectorize by decomposing one operand into
-its (at most 2**bitwidth) exponent levels, one masked matmul per level, so
-all arithmetic stays on integers below 2**53 where float64 is exact.
+precision before summation.  The linear-accumulation kernels vectorize by
+decomposing one operand into its (at most 2**bitwidth) exponent levels, one
+masked matmul per level, so all arithmetic stays on integers below 2**53
+where float64 is exact.  Log-domain accumulation is order dependent, so its
+kernel walks the index sequentially, vectorized over every output and both
+signs at once, with each step one table lookup on int64 exponents.
 """
 
 from __future__ import annotations
@@ -456,14 +461,40 @@ def _trunc_halfexp_raw(s_raw: np.ndarray, f: int, frac_bits: int) -> np.ndarray:
     return np.floor(np.ldexp(mant, (pf + frac_bits - f).astype(np.int64)))
 
 
+# Exponent of a log-domain running sum before its first term, and of a
+# zero-coded term.  They lie far enough apart, and below every real exponent,
+# that the step's correction vanishes between any two of them; a sum of two
+# still fits int64.
+_LOG_EMPTY = -(1 << 50)
+_LOG_ZERO = -(1 << 60)
+_LOG_BLOCK = 1 << 16  # running-sum elements per row block: three arrays fit L2
+
+
+def _sign_planes(op: QuantizedOperand, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """Raw term exponents of the positive and the negative codes, zero-filled."""
+    e = op.esteps << shift
+    return (np.where(op.nonzero & (op.sign > 0), e, _LOG_ZERO),
+            np.where(op.nonzero & (op.sign < 0), e, _LOG_ZERO))
+
+
 def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
                             int_bits: int = 32, frac_bits: int = 8,
                             exp_frac_bits: int = 4) -> np.ndarray:
     """Like ``method2_matmul`` but accumulating in the log domain.
 
     Keeps two running log-domain sums per output (one per term sign),
-    updated sequentially in index order, and converts both to linear at the
-    end.  Zero-coded terms leave the running sums untouched.
+    updated sequentially in index order k = 0, 1, ... as
+    ``lognum.dot_method2(..., "log")`` does, and converts both to linear at
+    the end; each converted sum is range-checked against the accumulator
+    word, as the scalar walk checks it.  An empty sum is 0.
+
+    Both sums live side by side in one (n, 2o) int64 array, walked in row
+    blocks.  A sum starts at a sentinel far below any real exponent, and
+    zero-coded terms enter at a lower one, so the first real term replaces
+    the sentinel and a zero term changes nothing, with no masks.  The step
+    ``max(s, p) + corr(|s - p|)`` is one lookup in a table that one call of
+    ``lognum.log_accumulate_raw`` fills for every difference up to
+    (f+1) * 2**f raw, f being ``exp_frac_bits``; ``corr`` is 0 beyond it.
     """
     f = exp_frac_bits
     if f < x.fb:
@@ -471,22 +502,39 @@ def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
     n, k = x.esteps.shape
     o = w.esteps.shape[1]
     shift = f - x.fb
-    s = {1: np.zeros((n, o), dtype=np.int64), -1: np.zeros((n, o), dtype=np.int64)}
-    has = {1: np.zeros((n, o), dtype=bool), -1: np.zeros((n, o), dtype=bool)}
-    for ki in range(k):
-        p = (x.esteps[:, ki, None] + w.esteps[None, ki, :]) << shift
-        valid = x.nonzero[:, ki, None] & w.nonzero[None, ki, :]
-        sgn = x.sign[:, ki, None] * w.sign[None, ki, :]
-        for term_sign in (1, -1):
-            upd = valid & (sgn == term_sign)
-            if not upd.any():
-                continue
-            stepped = log_accumulate_raw(s[term_sign], p, f)
-            s[term_sign] = np.where(upd, np.where(has[term_sign], stepped, p), s[term_sign])
-            has[term_sign] |= upd
-    out = np.where(has[1], _trunc_halfexp_raw(s[1], f, frac_bits), 0.0)
-    out -= np.where(has[-1], _trunc_halfexp_raw(s[-1], f, frac_bits), 0.0)
-    return _check_out(out, int_bits, frac_bits)
+    # g[t + cap] = step(t, 0) + cap = max(t, 0) + corr(|t|) + cap, so with
+    # q = p - cap, step(s, p) = q + g[s - q].  corr(cap) = 0, so a clipped
+    # index is still exact: t = s - p < -cap gives p, and t > cap gives
+    # p + cap < s, which the max with s discards.
+    cap = (f + 1) << f
+    t = np.arange(-cap, cap + 1)
+    g = log_accumulate_raw(t, np.zeros_like(t), f) + cap
+    xp, xn = _sign_planes(x, shift)
+    wp, wn = _sign_planes(w, shift)
+    # columns [0, o) sum the positive terms, [o, 2o) the negative ones;
+    # q = x + w2 is the term exponent p - cap
+    w2 = np.concatenate([wp, wn], axis=1) - cap
+    signed = bool((x.sign[x.nonzero] < 0).any())
+    if signed:
+        w2_mirror = np.concatenate([wn, wp], axis=1) - cap
+        xnT = np.ascontiguousarray(xn.T)
+    xpT = np.ascontiguousarray(xp.T)
+    s_all = np.full((n, 2 * o), _LOG_EMPTY, dtype=np.int64)
+    rows = max(1, _LOG_BLOCK // max(2 * o, 1))
+    for lo in range(0, n, rows):
+        s = s_all[lo:lo + rows]
+        q = np.empty_like(s)
+        h = np.empty_like(s)
+        for ki in range(k):
+            np.add(xpT[ki, lo:lo + rows, None], w2[ki], out=q)
+            if signed:
+                np.maximum(q, xnT[ki, lo:lo + rows, None] + w2_mirror[ki], out=q)
+            np.subtract(s, q, out=h)
+            np.take(g, h, mode="clip", out=h)
+            h += q
+            np.maximum(s, h, out=s)
+    planes = _check_out(_trunc_halfexp_raw(s_all, f, frac_bits), int_bits, frac_bits)
+    return planes[:, :o] - planes[:, o:]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from lognet import QuantizerConfig, Tensor, dot_method1, dot_method2, LogCode
 from lognet import lognum
@@ -200,6 +201,7 @@ def test_criterion_5_sqrt2_improvement():
 # 6. quantized training tracks the float baseline
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_6_quantized_training_convergence():
     t0 = time.time()
     tx, ty = make_pattern_dataset(10000, classes=10, size=12, seed=100,

@@ -27,8 +27,10 @@ from lognet import (
 )
 from lognet.lognum import (
     ROUND_FLOOR,
+    _log_accumulate_step,
     dequantize_array,
     linquant_array,
+    log_accumulate_raw,
     logquant_array,
 )
 
@@ -368,6 +370,16 @@ def test_log_accumulate_pair_error_bound():
         exact = log2_sum_ref([int(a) / (1 << f), int(b) / (1 << f)])
         worst = max(worst, abs(s.value - exact))
     assert worst <= 0.15
+
+
+def test_log_accumulate_raw_matches_scalar_step():
+    # every difference up to one octave past where the correction vanishes
+    for f in range(7):
+        lim = (f + 2) << f
+        d = np.arange(-lim, lim + 1)
+        for p in (0, -37, 1000):
+            got = log_accumulate_raw(d + p, np.full_like(d, p), f)
+            assert got.tolist() == [_log_accumulate_step(int(v) + p, p, f) for v in d]
 
 
 def test_log_accumulate_order_sensitivity_is_bounded():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lognet import ConfigError, QuantizerConfig, Tensor
+from lognet import AccumulatorOverflow, ConfigError, QuantizerConfig, Tensor
 from lognet.lognum import dot_method2, logquant_array, LogCode, dequantize_array
 from lognet import nn
 from lognet.nn import (
@@ -114,6 +114,12 @@ def test_method2_matmul_matches_scalar_dot():
                 assert raw[i, j] == want.raw
 
 
+def _scalar_logaccum(xc, wc, cx, cw, i, j, int_bits=32, frac_bits=8, f=4):
+    return dot_method2([LogCode.from_wire(int(c), cw) for c in wc[:, j]],
+                       [LogCode.from_wire(int(c), cx) for c in xc[i]],
+                       cw, cx, "log", int_bits, frac_bits, f).raw
+
+
 def test_method2_logaccum_matches_scalar_dot():
     rng = np.random.default_rng(47)
     for _ in range(15):
@@ -125,11 +131,53 @@ def test_method2_logaccum_matches_scalar_dot():
                                       QuantizedOperand(wc, W5, 0))
         for i in range(2):
             for j in range(3):
-                want = dot_method2(
-                    [LogCode.from_wire(int(c), W5) for c in wc[:, j]],
-                    [LogCode.from_wire(int(c), ACT4) for c in xc[i]],
-                    W5, ACT4, "log")
-                assert raw[i, j] == want.raw
+                assert raw[i, j] == _scalar_logaccum(xc, wc, ACT4, W5, i, j)
+
+    # long sums over terms spread across more octaves than the correction
+    # reaches, signed activations, the sqrt2 grid (also lifted from base 2
+    # activations), every exponent word from the grid step up, all-zero
+    # rows and columns, and more rows than one block of the kernel
+    act5s = QuantizerConfig("log", 5, True, 4)
+    act4_sqrt2 = QuantizerConfig("log", 4, False, 5, 1)
+    w5_sqrt2 = QuantizerConfig("log", 5, True, 1, 1)
+    n, k, o = 1100, 48, 64
+    rows = nn._LOG_BLOCK // (2 * o)
+    assert n > 2 * rows
+    for cx, cw in ((ACT4, W5), (act5s, W5), (act4_sqrt2, w5_sqrt2), (ACT4, w5_sqrt2)):
+        sign = rng.choice([-1.0, 1.0], size=(n, k)) if cx.signed else 1.0
+        x = sign * 2.0 ** rng.uniform(-12, 6, size=(n, k))
+        x[rng.random((n, k)) < 0.3] = 0.0
+        x[3] = 0.0
+        x[:, 7] = 0.0
+        w = rng.normal(0, 1.5, size=(k, o))
+        w[:, 5] = 0.0
+        xc, wc = codes_from(x, cx), codes_from(w, cw)
+        fb = max(cx.base_frac_bits, cw.base_frac_bits)
+        sample_i = [0, 3, rows - 1, rows, 2 * rows - 1, 2 * rows, n - 1,
+                    *rng.integers(0, n, size=3)]
+        sample_j = [0, 5, o - 1, int(rng.integers(0, o))]
+        for f in (fb, 2, 5):
+            raw = method2_matmul_logaccum(QuantizedOperand(xc, cx, fb),
+                                          QuantizedOperand(wc, cw, fb),
+                                          exp_frac_bits=f)
+            assert (raw[3] == 0).all() and (raw[:, 5] == 0).all()
+            for i in sample_i:
+                for j in sample_j:
+                    want = _scalar_logaccum(xc, wc, cx, cw, i, j, f=f)
+                    assert raw[i, j] == want, (cx, cw, f, i, j)
+
+
+def test_method2_logaccum_range_checks_each_sign_plane():
+    # the planes cancel to 0, but each converts to 2048 = 2**(3+8) raw
+    cx = QuantizerConfig("log", 4, False, 3)
+    cw = QuantizerConfig("log", 5, True, 2)
+    xc = codes_from([[4.0, 4.0]], cx)
+    wc = codes_from([[2.0], [-2.0]], cw)
+    with pytest.raises(AccumulatorOverflow):
+        _scalar_logaccum(xc, wc, cx, cw, 0, 0, int_bits=3, frac_bits=8)
+    with pytest.raises(AccumulatorOverflow):
+        method2_matmul_logaccum(QuantizedOperand(xc, cx, 0),
+                                QuantizedOperand(wc, cw, 0), 3, 8)
 
 
 def test_method1_matmul_matches_scalar_dot():
