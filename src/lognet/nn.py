@@ -12,12 +12,16 @@ Convolutions are lowered with im2col and computed by one of these kernels:
 
 The quantized kernels reproduce the scalar fixed-point semantics bit for
 bit: term magnitudes are truncated to the accumulator's fractional
-precision before summation.  The linear-accumulation kernels vectorize by
-decomposing one operand into its (at most 2**bitwidth) exponent levels, one
-masked matmul per level, so all arithmetic stays on integers below 2**53
-where float64 is exact.  Log-domain accumulation is order dependent, so its
-kernel walks the index sequentially, vectorized over every output and both
-signs at once, with each step one table lookup on int64 exponents.
+precision before summation.  The linear-accumulation kernels work from the
+activation's code table: a b-bit operand has at most 2**b codes, so every
+term a code can produce against a weight is known up front.  Codes whose
+terms never truncate fold into one float64 matmul; every other live code
+gets a (k, o) table of its truncated integer terms, and one GEMM of one-hot
+code indicators against the stacked tables sums them.  All arithmetic stays
+on integers below 2**53, where float64 is exact in any summation order.
+Log-domain accumulation is order dependent, so its kernel walks the index
+sequentially, vectorized over every output and both signs at once, with
+each step one table lookup on int64 exponents.
 """
 
 from __future__ import annotations
@@ -303,14 +307,15 @@ def softmax_array(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _pow2_steps(p_steps: np.ndarray, fb: int, scale: int = 0) -> np.ndarray:
+    """2**(p_steps * 2**-fb + scale), a half step as the 1.5 shift-add mantissa."""
+    mant = np.where((p_steps & 1).astype(bool), 1.5, 1.0) if fb else 1.0
+    return np.ldexp(mant, (p_steps >> fb) + scale)
+
+
 def _trunc_pow2_raw(p_steps: np.ndarray, fb: int, frac_bits: int) -> np.ndarray:
     """floor(2**(p_steps * 2**-fb) * 2**frac_bits) as exact float64 integers."""
-    pf = p_steps >> fb
-    if fb:
-        mant = np.where((p_steps & 1).astype(bool), 1.5, 1.0)
-    else:
-        mant = np.ones(p_steps.shape)
-    return np.floor(np.ldexp(mant, pf + frac_bits))
+    return np.floor(_pow2_steps(p_steps, fb, frac_bits))
 
 
 def _check_exact_range(max_term_bits: int, n_terms: int,
@@ -342,14 +347,19 @@ class QuantizedOperand:
     ``bias_steps`` subtracts a fixed exponent (in lifted grid steps) from
     every level, letting a caller hold the accumulator's binary point
     relative to the operands' full scale instead of at an absolute
-    position; the caller rescales the raw result by the same amount.
+    position; the caller rescales the raw result by the same amount.  The
+    wire ``codes``, their ``cfg`` and ``bias_steps`` are kept so a kernel
+    can decompose every code of the config the same way (``code_table``).
     """
 
     def __init__(self, codes: np.ndarray, cfg: QuantizerConfig, lift_fb: int,
                  bias_steps: int = 0):
         if cfg.kind != KIND_LOG:
             raise ConfigError("quantized matmul operands must be log codes")
-        sign, esteps, nonzero = exponents_array(codes, cfg)
+        self.codes = np.asarray(codes)
+        self.cfg = cfg
+        self.bias_steps = bias_steps
+        sign, esteps, nonzero = exponents_array(self.codes, cfg)
         self.sign = sign.astype(np.int64)
         self.esteps = (esteps.astype(np.int64) << (lift_fb - cfg.base_frac_bits)) - bias_steps
         self.nonzero = nonzero
@@ -361,42 +371,107 @@ class QuantizedOperand:
     def signed_levels(self) -> np.ndarray:
         return np.unique(self.esteps[self.nonzero])
 
+    def code_table(self) -> "QuantizedOperand":
+        """The same decomposition of every wire code, indexed by the code."""
+        return QuantizedOperand(np.arange(1 << self.cfg.bitwidth), self.cfg,
+                                self.fb, self.bias_steps)
+
 
 def lift_grid(cfg_a: QuantizerConfig, cfg_b: QuantizerConfig) -> int:
     return max(cfg_a.base_frac_bits, cfg_b.base_frac_bits)
+
+
+# float64 elements in one one-hot block and in one block of term tables: a
+# block fits L2, which measured faster than blocks of 2**20
+_TABLE_BLOCK = 1 << 16
+
+
+def _code_table_matmul(codes: np.ndarray, exact_val: np.ndarray,
+                       w_exact: np.ndarray, trunc_codes: np.ndarray,
+                       term_tables, o: int) -> np.ndarray:
+    """exact_val[codes] @ w_exact plus the terms of the truncating codes.
+
+    ``codes`` is (n, k); ``exact_val`` maps every code to its factor in the
+    single matmul (0 for the others).  ``term_tables(ks)`` returns the
+    (len(ks), L, o) terms of the L ``trunc_codes`` against rows ks of the
+    other operand; a one-hot (rows, k*L) block, gathered from an
+    identity-like (codes, L) table, picks them in one GEMM.  Rows and k are
+    blocked so each one-hot and term block holds about ``_TABLE_BLOCK``
+    elements.
+    """
+    n, k = codes.shape
+    out = np.zeros((n, o))
+    if exact_val.any():
+        out += exact_val[codes] @ w_exact
+    n_t = trunc_codes.size
+    if n_t == 0 or o == 0:
+        return out
+    onehot = np.zeros((exact_val.size, n_t))
+    onehot[trunc_codes, np.arange(n_t)] = 1.0
+    k_step = max(1, min(k, _TABLE_BLOCK // (n_t * o)))
+    rows = max(1, min(n, _TABLE_BLOCK // (k_step * n_t)))
+    buf = np.empty(rows * k_step * n_t)
+    for k0 in range(0, k, k_step):
+        ks = slice(k0, k0 + k_step)
+        table = term_tables(ks).reshape(-1, o)
+        for lo in range(0, n, rows):
+            c = codes[lo:lo + rows, ks]
+            hot = buf[:c.size * n_t].reshape(*c.shape, n_t)
+            np.take(onehot, c, axis=0, out=hot, mode="clip")
+            out[lo:lo + rows] += hot.reshape(c.shape[0], -1) @ table
+    return out
 
 
 def method2_matmul(x: QuantizedOperand, w: QuantizedOperand,
                    int_bits: int = 32, frac_bits: int = 8) -> np.ndarray:
     """Raw accumulator values of x @ w with both operands log-coded.
 
-    x has shape (n, k), w has shape (k, o).  Terms whose exponent sum
-    clears -frac_bits are exact powers of two, so every x level that cannot
-    truncate against any w level folds into a single matmul; only the
-    lowest levels (and the half-step grid, whose 1.5 mantissa does not
-    factor) take the per-level masked path.
+    x has shape (n, k), w has shape (k, o).  Both operands are read through
+    their code tables.  Each nonzero x code c, at exponent e_c in lifted
+    grid steps, falls into one of three classes, decided from w's lowest
+    and highest levels:
+
+    * exact: e_c is on the base-2 grid and every term 2**(e_c + e_w) clears
+      the accumulator's last fractional bit (a 1.5 mantissa one bit
+      above it), so no term truncates.  All exact codes fold into one
+      matmul of per-code powers of two against w's values.
+    * dead: every term truncates to 0, even against w's top level; these
+      codes are skipped.
+    * truncating: the rest.  Each gets a (k, o) table of its exact
+      truncated integer terms, sign_c * sign_w * floor(2**(e_c + e_w)
+      * 2**frac_bits), gathered by w's codes from the code's terms against
+      every w code; one one-hot GEMM over all of them sums them.
+
+    One-hot entries are 0 or 1 and every table entry and every exact-class
+    product is an integer term, so under the ``_check_exact_range`` bound
+    every partial sum, in any BLAS order, is an integer below 2**53: the
+    result equals the scalar ``lognum.dot_method2`` bit for bit.
     """
     n, k = x.esteps.shape
     o = w.esteps.shape[1]
     _check_exact_range(
         max_term_bits=int(math.ceil(x.max_exp + w.max_exp)) + frac_bits + 1,
         n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
-    out = np.zeros((n, o))
-    levels = x.signed_levels
-    if x.fb == 0 and levels.size:
-        w_low = int(w.esteps[w.nonzero].min()) if w.nonzero.any() else 0
-        cut = -frac_bits - w_low  # x levels at or above never truncate
-        high = x.nonzero & (x.esteps >= cut)
-        if high.any():
-            vx = np.where(high, x.sign * np.ldexp(1.0, x.esteps + frac_bits), 0.0)
-            vw = np.where(w.nonzero, w.sign * np.ldexp(1.0, w.esteps), 0.0)
-            out += vx @ vw
-        levels = levels[levels < cut]
-    wmag = np.where(w.nonzero, w.sign, 0)
-    for e in levels:
-        ind = np.where((x.esteps == e) & x.nonzero, x.sign, 0).astype(np.float64)
-        t = _trunc_pow2_raw(w.esteps + e, x.fb, frac_bits)
-        out += ind @ (wmag * t)
+    if not w.nonzero.any():
+        return np.zeros((n, o))
+    fb = x.fb
+    w_low = int(w.esteps[w.nonzero].min())
+    w_high = int(w.esteps[w.nonzero].max())
+    xt, wt = x.code_table(), w.code_table()
+    live = xt.nonzero & (((xt.esteps + w_high) >> fb) + frac_bits >= 0)
+    exact = (live & ((xt.esteps & ((1 << fb) - 1)) == 0)
+             & ((xt.esteps >> fb) + (w_low >> fb) + frac_bits >= fb))
+    exact_val = np.where(exact, xt.sign * _pow2_steps(xt.esteps, fb, frac_bits), 0.0)
+    w_val = np.where(wt.nonzero, wt.sign * _pow2_steps(wt.esteps, fb), 0.0)
+    trunc = np.flatnonzero(live & ~exact)
+    # terms[l, v]: truncating x code trunc[l] against w code v
+    terms = np.where(wt.nonzero, xt.sign[trunc, None] * wt.sign, 0) * _trunc_pow2_raw(
+        xt.esteps[trunc, None] + wt.esteps, fb, frac_bits)
+
+    def term_tables(ks):
+        return np.take(terms, w.codes[ks], axis=1).transpose(1, 0, 2)
+
+    out = _code_table_matmul(x.codes, exact_val, w_val[w.codes], trunc, term_tables, o)
     return _check_out(out, int_bits, frac_bits)
 
 
@@ -406,7 +481,13 @@ def method1_matmul(x: QuantizedOperand, w_real: np.ndarray,
 
     Each term is a bitshift of the fixed-point weight word by the
     activation exponent, truncating toward minus infinity like a two's
-    complement shifter.
+    complement shifter.  As in ``method2_matmul``, the kernel works per
+    activation code: codes with e >= 0 shift left, never truncate, and fold
+    into one matmul of 2**e against the weight words; each code with e < 0
+    gets a (k, o) table floor(w_raw * 2**e) summed by one one-hot GEMM.
+    Every entry is an integer and ``_check_exact_range`` keeps every partial
+    sum below 2**53, so the result equals the scalar ``lognum.dot_method1``
+    bit for bit.
     """
     if x.fb != 0:
         raise ConfigError("integer shifts require the base-2 exponent grid")
@@ -418,15 +499,16 @@ def method1_matmul(x: QuantizedOperand, w_real: np.ndarray,
     _check_exact_range(
         max_term_bits=wbits.bit_length() + max(int(x.max_exp), 0),
         n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
-    out = np.zeros((n, w_real.shape[1]))
-    levels = x.signed_levels
-    high = x.nonzero & (x.esteps >= 0)  # left shifts never truncate
-    if high.any():
-        out += np.where(high, np.ldexp(1.0, x.esteps), 0.0) @ w_raw
-        levels = levels[levels < 0]
-    for e in levels:
-        ind = ((x.esteps == e) & x.nonzero).astype(np.float64)
-        out += ind @ np.floor(np.ldexp(w_raw, int(e)))
+    xt = x.code_table()
+    exact_val = np.where(xt.nonzero & (xt.esteps >= 0), np.ldexp(1.0, xt.esteps), 0.0)
+    trunc = np.flatnonzero(xt.nonzero & (xt.esteps < 0))
+    t_exp = xt.esteps[trunc, None].astype(np.intc)  # numpy's native ldexp loop
+
+    def term_tables(ks):
+        return np.floor(np.ldexp(w_raw[ks, None, :], t_exp))
+
+    out = _code_table_matmul(x.codes, exact_val, w_raw, trunc, term_tables,
+                             w_real.shape[1])
     return _check_out(out, int_bits, frac_bits)
 
 
@@ -486,7 +568,9 @@ def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
     updated sequentially in index order k = 0, 1, ... as
     ``lognum.dot_method2(..., "log")`` does, and converts both to linear at
     the end; each converted sum is range-checked against the accumulator
-    word, as the scalar walk checks it.  An empty sum is 0.
+    word, as the scalar walk checks it, and refused with ``ConfigError`` if
+    it reaches 2**53, where the float64 difference of the two could round.
+    An empty sum is 0.
 
     Both sums live side by side in one (n, 2o) int64 array, walked in row
     blocks.  A sum starts at a sentinel far below any real exponent, and
@@ -534,6 +618,8 @@ def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
             h += q
             np.maximum(s, h, out=s)
     planes = _check_out(_trunc_halfexp_raw(s_all, f, frac_bits), int_bits, frac_bits)
+    if planes.size and planes.max() >= math.ldexp(1.0, _EXACT_RAW_BITS + 1):
+        raise ConfigError("a converted log-domain sum exceeds the exact float64 range")
     return planes[:, :o] - planes[:, o:]
 
 

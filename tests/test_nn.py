@@ -94,6 +94,21 @@ def codes_from(vals, cfg):
     return logquant_array(np.asarray(vals, dtype=np.float64), cfg)
 
 
+def _scalar_linear(xc, wc, cx, cw, i, j, int_bits=32, frac_bits=8):
+    return dot_method2([LogCode.from_wire(int(c), cw) for c in wc[:, j]],
+                       [LogCode.from_wire(int(c), cx) for c in xc[i]],
+                       cw, cx, "linear", int_bits, frac_bits).raw
+
+
+def _code_classes(xo, wo, frac_bits):
+    """Counts of the x levels that are exact, dead and truncating (base 2)."""
+    lv = np.unique(xo.esteps[xo.nonzero])
+    w_lo, w_hi = wo.esteps[wo.nonzero].min(), wo.esteps[wo.nonzero].max()
+    dead = lv + w_hi + frac_bits < 0
+    exact = lv + w_lo + frac_bits >= 0
+    return int(exact.sum()), int(dead.sum()), int((~dead & ~exact).sum())
+
+
 def test_method2_matmul_matches_scalar_dot():
     rng = np.random.default_rng(43)
     for _ in range(30):
@@ -107,11 +122,62 @@ def test_method2_matmul_matches_scalar_dot():
         raw = method2_matmul(xo, wo)
         for i in range(n):
             for j in range(o):
-                want = dot_method2(
-                    [LogCode.from_wire(int(c), W5) for c in wc[:, j]],
-                    [LogCode.from_wire(int(c), ACT4) for c in xc[i]],
-                    W5, ACT4, "linear")
-                assert raw[i, j] == want.raw
+                assert raw[i, j] == _scalar_linear(xc, wc, ACT4, W5, i, j)
+
+    # the code classes of the kernel: activations over more octaves than the
+    # weights span, so one call has exact, dead and truncating codes; signed
+    # activations (the gradient operand of training); the sqrt2 grid, also
+    # lifted from base 2 activations; the trainer's 24+28 word, also with
+    # its block bias, whose oracle is the scalar dot of the same codes under
+    # fsr-zeroed configs; all-zero rows and columns, and all-zero weights
+    from dataclasses import replace as rep
+    act5s = QuantizerConfig("log", 5, True, 2)
+    act4_sqrt2 = QuantizerConfig("log", 4, False, 5, 1)
+    w5_sqrt2 = QuantizerConfig("log", 5, True, 1, 1)
+    n, k, o = 40, 30, 6
+    for cx, cw in ((ACT4, W5), (act5s, W5), (act4_sqrt2, w5_sqrt2), (ACT4, w5_sqrt2)):
+        sign = rng.choice([-1.0, 1.0], size=(n, k)) if cx.signed else 1.0
+        x = sign * 2.0 ** rng.uniform(cx.fsr - 16, cx.fsr, size=(n, k))
+        x[rng.random((n, k)) < 0.2] = 0.0
+        x[3] = 0.0
+        x[:, 7] = 0.0
+        w = rng.choice([-1.0, 1.0], size=(k, o)) * 2.0 ** rng.uniform(-3, 0.5, size=(k, o))
+        w[:, 2] = 0.0
+        xc, wc = codes_from(x, cx), codes_from(w, cw)
+        fb = max(cx.base_frac_bits, cw.base_frac_bits)
+        cases = [(0, 0, cx, cw, 32, 8), (0, 0, cx, cw, 24, 28), (0, 0, cx, cw, 32, 3),
+                 (cx.fsr << fb, cw.fsr << fb, rep(cx, fsr=0), rep(cw, fsr=0), 24, 28)]
+        for bx, bw, ocx, ocw, ib, frac in cases:
+            xo, wo = QuantizedOperand(xc, cx, fb, bx), QuantizedOperand(wc, cw, fb, bw)
+            if fb == 0 and (bx, frac) == (0, 8):
+                assert min(_code_classes(xo, wo, frac)) > 0
+            raw = method2_matmul(xo, wo, ib, frac)
+            assert (raw[3] == 0).all() and (raw[:, 2] == 0).all()
+            for i in (0, 3, n - 1, *rng.integers(0, n, size=4)):
+                for j in range(o):
+                    want = _scalar_linear(xc, wc, ocx, ocw, i, j, ib, frac)
+                    assert raw[i, j] == want, (cx, cw, bx, frac, i, j)
+        zero_w = QuantizedOperand(np.zeros_like(wc), cw, fb)
+        assert (method2_matmul(QuantizedOperand(xc, cx, fb), zero_w) == 0).all()
+
+    # 14 truncating codes against 40 outputs need more than one k block of
+    # term tables and several row blocks of the one-hot matrix
+    cx = QuantizerConfig("log", 6, False, 5)
+    cw = QuantizerConfig("log", 5, True, 3)
+    n, k, o, frac = 100, 300, 40, 28
+    x = 2.0 ** rng.uniform(-58, 5, size=(n, k))
+    x[rng.random((n, k)) < 0.2] = 0.0
+    w = rng.choice([-1.0, 1.0], size=(k, o)) * 2.0 ** rng.uniform(-12, 3, size=(k, o))
+    xc, wc = codes_from(x, cx), codes_from(w, cw)
+    xo, wo = QuantizedOperand(xc, cx, 0), QuantizedOperand(wc, cw, 0)
+    n_exact, n_dead, n_trunc = _code_classes(xo, wo, frac)
+    assert min(n_exact, n_dead) > 0 and n_trunc == 14
+    k_step = nn._TABLE_BLOCK // (n_trunc * o)
+    assert k > k_step and n > 2 * (nn._TABLE_BLOCK // (k_step * n_trunc))
+    raw = method2_matmul(xo, wo, 24, frac)
+    for i in (0, 39, 40, 41, n - 1, *rng.integers(0, n, size=2)):
+        for j in (0, o - 1, int(rng.integers(0, o))):
+            assert raw[i, j] == _scalar_linear(xc, wc, cx, cw, i, j, 24, frac)
 
 
 def _scalar_logaccum(xc, wc, cx, cw, i, j, int_bits=32, frac_bits=8, f=4):
@@ -180,8 +246,29 @@ def test_method2_logaccum_range_checks_each_sign_plane():
                                 QuantizedOperand(wc, cw, 0), 3, 8)
 
 
-def test_method1_matmul_matches_scalar_dot():
+def test_method2_logaccum_refuses_planes_past_exact_float64():
+    # the positive plane converts to 2**58 raw and the negative one to 1; the
+    # float64 difference of the two would round to 2**58
+    cx = QuantizerConfig("log", 7, False, 52)
+    cw = QuantizerConfig("log", 5, True, 2)
+    xc = codes_from([[2.0 ** 50, 2.0 ** -8]], cx)
+    wc = codes_from([[1.0], [-1.0]], cw)
+    assert _scalar_logaccum(xc, wc, cx, cw, 0, 0, 60, 8) == 2 ** 58 - 1
+    xo, wo = QuantizedOperand(xc, cx, 0), QuantizedOperand(wc, cw, 0)
+    with pytest.raises(ConfigError):
+        method2_matmul_logaccum(xo, wo, 60, 8)
+    with pytest.raises(ConfigError):
+        method2_matmul(xo, wo, 60, 8)
+
+
+def _scalar_method1(xc, w, cx, i, j, int_bits=32, frac_bits=8):
     from lognet.lognum import dot_method1
+    return dot_method1([float(v) for v in w[:, j]],
+                       [LogCode.from_wire(int(c), cx) for c in xc[i]],
+                       cx, int_bits, frac_bits).raw
+
+
+def test_method1_matmul_matches_scalar_dot():
     rng = np.random.default_rng(53)
     for _ in range(20):
         k = int(rng.integers(1, 24))
@@ -191,11 +278,34 @@ def test_method1_matmul_matches_scalar_dot():
         raw = method1_matmul(QuantizedOperand(xc, ACT4, 0), w)
         for i in range(3):
             for j in range(2):
-                want = dot_method1(
-                    [float(v) for v in w[:, j]],
-                    [LogCode.from_wire(int(c), ACT4) for c in xc[i]],
-                    ACT4)
-                assert raw[i, j] == want.raw
+                assert raw[i, j] == _scalar_method1(xc, w, ACT4, i, j)
+
+    # left shifts (exact) and right shifts (truncating) in one call, several
+    # words, all-zero weights, rows and columns, and enough truncating codes
+    # (levels -57..-1 of a 6-bit activation) to cross the kernel's row and
+    # k blocks
+    cx = QuantizerConfig("log", 6, False, 5)
+    n, k, o = 80, 200, 32
+    x = 2.0 ** rng.uniform(-58, 5, size=(n, k))
+    x[rng.random((n, k)) < 0.2] = 0.0
+    x[3] = 0.0
+    x[:, 7] = 0.0
+    w = rng.normal(0, 2.0, size=(k, o))
+    w[:, 2] = 0.0
+    xc = codes_from(x, cx)
+    xo = QuantizedOperand(xc, cx, 0)
+    lv = np.unique(xo.esteps[xo.nonzero])
+    n_trunc = int((lv < 0).sum())
+    assert (lv >= 0).any() and n_trunc > 50
+    k_step = nn._TABLE_BLOCK // (n_trunc * o)
+    assert k > k_step and n > 2 * (nn._TABLE_BLOCK // (k_step * n_trunc))
+    for ib, frac in ((32, 8), (24, 20)):
+        raw = method1_matmul(xo, w, ib, frac)
+        assert (raw[3] == 0).all() and (raw[:, 2] == 0).all()
+        for i in (0, 3, 40, n - 1, *rng.integers(0, n, size=2)):
+            for j in (0, 2, o - 1, int(rng.integers(0, o))):
+                assert raw[i, j] == _scalar_method1(xc, w, cx, i, j, ib, frac)
+    assert (method1_matmul(xo, np.zeros((k, o))) == 0).all()
 
 
 def test_shifted_input_matmul_base2_and_sqrt2():

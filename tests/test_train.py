@@ -1,19 +1,23 @@
 """Training-loop tests: optimizers, gradients, quantized steps, convergence."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lognet import QuantizerConfig
+from lognet.lognum import LogCode, dot_method2, logquant_array
 from lognet.nn import ModelGraph, batchnorm_layer, conv, fc, maxpool_layer, relu_layer
 from lognet.nn import act_quant_layer
 from lognet.train import (
     OptimizerSpec,
+    QTensor,
     TrainConfig,
     TrainingDiverged,
     _backward_train,
     _forward_train,
+    _qdot,
     ceil_log2,
     dynamic_gradient_fsr,
     fit,
@@ -297,3 +301,30 @@ def test_quantized_training_learns_separable_toyset():
         state, history = fit(state, cfg, (x, y))
         best = max(row["train_acc"] for row in history[-5:])
         assert best >= 0.99, f"seed {seed}: {history[-3:]}"
+
+
+def test_qdot_block_biased_product_matches_scalar_dot():
+    # the trainer's product holds the accumulator's binary point at the
+    # operands' full scale: it is the scalar dot of the same codes under
+    # fsr-zeroed configs, rescaled by 2**(fsr_x + fsr_w - frac_bits)
+    cfg = TrainConfig(weight_q=W5, activation_q=A4, gradient_q=G5)
+    rng = np.random.default_rng(71)
+
+    def coded(a, q, fsr):
+        c = replace(q, fsr=fsr)
+        return QTensor(None, logquant_array(a, c), c)
+
+    acts = np.maximum(rng.normal(0, 2.0, size=(40, 36)), 0.0)
+    weights = rng.normal(0, 0.3, size=(36, 8))
+    grads = rng.normal(0, 2.0 ** -12, size=(8, 40))
+    for x, w in ((coded(acts, A4, 3), coded(weights, W5, 0)),
+                 (coded(grads, G5, -9), coded(acts, A4, 3))):
+        got = _qdot(x, w, cfg)
+        cx0, cw0 = replace(x.cfg, fsr=0), replace(w.cfg, fsr=0)
+        for i in (0, *rng.integers(0, x.codes.shape[0], size=3)):
+            for j in range(w.codes.shape[1]):
+                raw = dot_method2([LogCode.from_wire(int(c), cw0) for c in w.codes[:, j]],
+                                  [LogCode.from_wire(int(c), cx0) for c in x.codes[i]],
+                                  cw0, cx0, "linear", cfg.int_bits, cfg.frac_bits).raw
+                want = math.ldexp(raw, x.cfg.fsr + w.cfg.fsr - cfg.frac_bits)
+                assert got[i, j] == want
