@@ -31,7 +31,7 @@ from .lognum import (
     quantize_value,
     shift_mul_halfexp,
 )
-from .tensor import Tensor, im2col, quantize_tensor
+from .tensor import Tensor, quantize_tensor
 
 __all__ = [
     "KIND_LINEAR",
@@ -51,7 +51,6 @@ __all__ = [
     "dequantize",
     "dot_method1",
     "dot_method2",
-    "im2col",
     "linquant",
     "log2_floor",
     "log2_round",

@@ -1,6 +1,16 @@
-"""Layer kernels and the quantized forward pass.
+"""Layer kernels and the one layer walker.
 
-Convolutions are lowered with im2col and computed by one of these kernels:
+``walk`` runs a layer graph for inference (``forward``), FSR calibration
+(``collect_quantizer_inputs``) and training (``train._forward_train``).  The
+three differ only in the data they hand it: the weight operands, the
+activation quantizer, the batchnorm parameters (and whether batch
+statistics replace them), the ``Arithmetic`` of the conv/fc products, and
+an optional backward cache or capture of the quantizer inputs.  A log-coded
+tensor, activation or weight, is a ``QuantizedOperand``: wire codes, their
+config, and values dequantized on first use.
+
+Convolutions are lowered with im2col to (output positions, C*kh*kw) rows,
+and every conv/fc product is rows @ W^T, computed by one of these kernels:
 
 * a plain float64 matmul (reference path, also used for unquantized inputs),
 * shift-weights: real weights held as fixed-point words, each term a single
@@ -10,25 +20,32 @@ Convolutions are lowered with im2col and computed by one of these kernels:
 * exponent-sum with log-domain accumulation: the same terms folded into
   running log-domain sums, one per sign.
 
+``Arithmetic`` has two binary-point rules.  Absolute (inference): the
+accumulator's last fractional bit is a fixed 2**-frac_bits, and every
+product with a coded operand runs its shift kernel.  Block-biased
+(training): the binary point moves with the operands' full scale, only
+coded x coded products run the exponent-sum kernel, and products with a
+real operand are exact float64 products of the values.
+
 The quantized kernels reproduce the scalar fixed-point semantics bit for
 bit: term magnitudes are truncated to the accumulator's fractional
-precision before summation.  The linear-accumulation kernels work from the
-activation's code table: a b-bit operand has at most 2**b codes, so every
-term a code can produce against a weight is known up front.  Codes whose
-terms never truncate fold into one float64 matmul; every other live code
-gets a (k, o) table of its truncated integer terms, and one GEMM of one-hot
-code indicators against the stacked tables sums them.  All arithmetic stays
-on integers below 2**53, where float64 is exact in any summation order.
-Log-domain accumulation is order dependent, so its kernel walks the index
-sequentially, vectorized over every output and both signs at once, with
-each step one table lookup on int64 exponents.
+precision before summation.  The kernels read an operand through its code
+table: a b-bit operand has at most 2**b codes, so every term a code can
+produce against a weight is known up front.  In the linear-accumulation
+kernels, codes whose terms never truncate fold into one float64 matmul;
+every other live code gets a (k, o) table of its truncated integer terms,
+and one GEMM of one-hot code indicators against the stacked tables sums
+them.  All arithmetic stays on integers below 2**53, where float64 is exact
+in any summation order.  Log-domain accumulation is order dependent, so its
+kernel walks the index sequentially, vectorized over every output and both
+signs at once, with each step one table lookup on int64 exponents.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -37,7 +54,6 @@ from .lognum import (
     KIND_LOG,
     AccumulatorOverflow,
     ConfigError,
-    DomainError,
     QuantizerConfig,
     dequantize_array,
     exponents_array,
@@ -190,6 +206,10 @@ class ModelGraph:
             return s
         return s
 
+    def act_config(self, layer: LayerSpec) -> QuantizerConfig:
+        """A quantizer layer's activation config at its effective fsr."""
+        return replace(layer.qconfig, fsr=self.fsr + layer.fsr_offset)
+
     def _check_weight_shape(self, i: int, want: tuple[int, ...]) -> None:
         if i not in self.weights:
             raise ConfigError(f"layer {i} is missing its weight tensor")
@@ -201,13 +221,6 @@ class ModelGraph:
 # ---------------------------------------------------------------------------
 # elementwise layers
 # ---------------------------------------------------------------------------
-
-
-def relu(t: Tensor) -> Tensor:
-    """Elementwise max(0, x) on a real tensor."""
-    if t.is_quantized:
-        raise DomainError("relu operates on real tensors")
-    return Tensor.from_real(np.maximum(t.data, 0))
 
 
 def relu_array(x: np.ndarray) -> np.ndarray:
@@ -229,20 +242,6 @@ def maxpool_array(x: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, np.nd
     return out, idx
 
 
-def maxpool(t: Tensor, k: int, stride: int = 0) -> Tensor:
-    stride = stride or k
-    if t.is_quantized:
-        # codes order like their values, so pooling the dequantized view and
-        # gathering codes keeps the payload quantized
-        vals = t.real()
-        _, idx = maxpool_array(vals, k, stride)
-        win = _code_windows(t.data, k, stride)
-        codes = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-        return Tensor.from_codes(codes, t.qconfig)
-    out, _ = maxpool_array(t.data.astype(np.float64), k, stride)
-    return Tensor.from_real(out)
-
-
 def _code_windows(codes: np.ndarray, k: int, stride: int) -> np.ndarray:
     n, c, h, w = codes.shape
     oh = conv_output_size(h, k, stride, 0)
@@ -251,49 +250,41 @@ def _code_windows(codes: np.ndarray, k: int, stride: int) -> np.ndarray:
     return win[:, :, ::stride, ::stride].reshape(n, c, oh, ow, k * k)
 
 
-@dataclass(frozen=True)
+@dataclass
 class BatchNormParams:
+    """Scale, shift and the statistics a batchnorm layer normalizes with.
+
+    Inference reads them from the stored (4, C) array; the trainer updates
+    ``gamma``/``beta`` by its optimizer and ``mean``/``var`` as running
+    statistics.
+    """
+
     gamma: np.ndarray
     beta: np.ndarray
     mean: np.ndarray
     var: np.ndarray
 
     @staticmethod
-    def identity(channels: int) -> "BatchNormParams":
-        return BatchNormParams(np.ones(channels), np.zeros(channels),
-                               np.zeros(channels), np.ones(channels))
-
-    @staticmethod
     def from_array(a: np.ndarray) -> "BatchNormParams":
         return BatchNormParams(a[0].copy(), a[1].copy(), a[2].copy(), a[3].copy())
 
-    def to_array(self) -> np.ndarray:
-        return np.stack([self.gamma, self.beta, self.mean, self.var]).astype(np.float64)
+
+def channel_axes(x: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Reduction axes and per-channel broadcast shape: channels are axis 1
+    of rank-4 activations and the last axis of rank-2 ones."""
+    return ((0, 2, 3), (1, -1, 1, 1)) if x.ndim == 4 else ((0,), (1, -1))
 
 
-def batchnorm_array(x: np.ndarray, p: BatchNormParams,
-                    use_batch_stats: bool = False) -> np.ndarray:
-    """Per-channel normalization in real arithmetic.
-
-    Channel axis is 1 for rank-4 activations and the last axis for rank-2.
-    """
-    axes = (0, 2, 3) if x.ndim == 4 else (0,)
-    if use_batch_stats:
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
-    else:
-        mean, var = p.mean, p.var
-    shape = (1, -1, 1, 1) if x.ndim == 4 else (1, -1)
-    xhat = (x - mean.reshape(shape)) / np.sqrt(var.reshape(shape) + BN_EPS)
-    return p.gamma.reshape(shape) * xhat + p.beta.reshape(shape)
+def bn_normalize(x: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """(x - mean) / sqrt(var + eps) per channel: batchnorm before its affine map."""
+    shape = channel_axes(x)[1]
+    return (x - mean.reshape(shape)) / np.sqrt(var.reshape(shape) + BN_EPS)
 
 
-def batchnorm_forward(t: Tensor, params: BatchNormParams,
-                      use_batch_stats: bool = False) -> Tensor:
-    if t.is_quantized:
-        raise DomainError("batchnorm operates on real tensors")
-    return Tensor.from_real(batchnorm_array(t.data.astype(np.float64), params,
-                                            use_batch_stats))
+def batchnorm_array(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
+    """Per-channel normalization by ``p``'s statistics, in real arithmetic."""
+    shape = channel_axes(x)[1]
+    return p.gamma.reshape(shape) * bn_normalize(x, p.mean, p.var) + p.beta.reshape(shape)
 
 
 def softmax_array(x: np.ndarray) -> np.ndarray:
@@ -341,15 +332,28 @@ def _check_out(out_raw: np.ndarray, int_bits: int, frac_bits: int) -> np.ndarray
     return out_raw
 
 
-class QuantizedOperand:
-    """Sign/exponent decomposition of a wire-code array, grid-aligned.
+class CodeTable(NamedTuple):
+    """Sign, exponent (lifted grid steps, bias applied) and nonzero flag of
+    every wire code of a config, indexed by the code."""
 
+    sign: np.ndarray
+    esteps: np.ndarray
+    nonzero: np.ndarray
+
+
+class QuantizedOperand:
+    """Log wire codes with their config, grid-aligned for the shift kernels.
+
+    The codes decompose through ``table``, which holds the sign/exponent
+    decomposition of each of the at most 2**bitwidth wire codes; the kernels
+    read the codes through it, and the per-element ``sign``, ``esteps`` and
+    ``nonzero`` arrays are gathers from it on demand.  ``lift_fb`` is the
+    exponent grid (fractional bits) the exponents are expressed on.
     ``bias_steps`` subtracts a fixed exponent (in lifted grid steps) from
     every level, letting a caller hold the accumulator's binary point
     relative to the operands' full scale instead of at an absolute
-    position; the caller rescales the raw result by the same amount.  The
-    wire ``codes``, their ``cfg`` and ``bias_steps`` are kept so a kernel
-    can decompose every code of the config the same way (``code_table``).
+    position; the caller rescales the raw result by the same amount.
+    ``values`` dequantizes the codes on first use.
     """
 
     def __init__(self, codes: np.ndarray, cfg: QuantizerConfig, lift_fb: int,
@@ -358,23 +362,56 @@ class QuantizedOperand:
             raise ConfigError("quantized matmul operands must be log codes")
         self.codes = np.asarray(codes)
         self.cfg = cfg
-        self.bias_steps = bias_steps
-        sign, esteps, nonzero = exponents_array(self.codes, cfg)
-        self.sign = sign.astype(np.int64)
-        self.esteps = (esteps.astype(np.int64) << (lift_fb - cfg.base_frac_bits)) - bias_steps
-        self.nonzero = nonzero
         self.fb = lift_fb
+        self.bias_steps = bias_steps
+        sign, esteps, nonzero = exponents_array(np.arange(1 << cfg.bitwidth), cfg)
+        self.table = CodeTable(
+            sign.astype(np.int64),
+            (esteps.astype(np.int64) << (lift_fb - cfg.base_frac_bits)) - bias_steps,
+            nonzero)
         # one step above the top representable level, after the bias
         self.max_exp = cfg.fsr - math.ldexp(bias_steps, -lift_fb)
+        self._values: Optional[np.ndarray] = None
+        self._transpose_of: Optional[QuantizedOperand] = None
 
     @property
-    def signed_levels(self) -> np.ndarray:
-        return np.unique(self.esteps[self.nonzero])
+    def shape(self) -> tuple[int, ...]:
+        return self.codes.shape
 
-    def code_table(self) -> "QuantizedOperand":
-        """The same decomposition of every wire code, indexed by the code."""
-        return QuantizedOperand(np.arange(1 << self.cfg.bitwidth), self.cfg,
-                                self.fb, self.bias_steps)
+    @property
+    def sign(self) -> np.ndarray:
+        return self.table.sign[self.codes]
+
+    @property
+    def esteps(self) -> np.ndarray:
+        return self.table.esteps[self.codes]
+
+    @property
+    def nonzero(self) -> np.ndarray:
+        return self.table.nonzero[self.codes]
+
+    @property
+    def values(self) -> np.ndarray:
+        """Float64 values of the codes; a transpose's are a view of its source's."""
+        if self._values is None:
+            self._values = (dequantize_array(self.codes, self.cfg)
+                            if self._transpose_of is None else self._transpose_of.values.T)
+        return self._values
+
+    @property
+    def T(self) -> "QuantizedOperand":
+        op = QuantizedOperand(np.ascontiguousarray(self.codes.T), self.cfg, self.fb,
+                              self.bias_steps)
+        op._transpose_of = self
+        return op
+
+    def lifted(self, lift_fb: int, bias_steps: int = 0) -> "QuantizedOperand":
+        """The same codes on another exponent grid and binary point."""
+        return QuantizedOperand(self.codes, self.cfg, lift_fb, bias_steps)
+
+    def present(self) -> np.ndarray:
+        """Which wire codes occur in the operand, indexed by the code."""
+        return np.bincount(self.codes.ravel(), minlength=self.table.sign.size) > 0
 
 
 def lift_grid(cfg_a: QuantizerConfig, cfg_b: QuantizerConfig) -> int:
@@ -447,17 +484,17 @@ def method2_matmul(x: QuantizedOperand, w: QuantizedOperand,
     every partial sum, in any BLAS order, is an integer below 2**53: the
     result equals the scalar ``lognum.dot_method2`` bit for bit.
     """
-    n, k = x.esteps.shape
-    o = w.esteps.shape[1]
+    n, k = x.shape
+    o = w.shape[1]
     _check_exact_range(
         max_term_bits=int(math.ceil(x.max_exp + w.max_exp)) + frac_bits + 1,
         n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
-    if not w.nonzero.any():
+    xt, wt = x.table, w.table
+    w_levels = wt.esteps[w.present() & wt.nonzero]
+    if not w_levels.size:
         return np.zeros((n, o))
     fb = x.fb
-    w_low = int(w.esteps[w.nonzero].min())
-    w_high = int(w.esteps[w.nonzero].max())
-    xt, wt = x.code_table(), w.code_table()
+    w_low, w_high = int(w_levels.min()), int(w_levels.max())
     live = xt.nonzero & (((xt.esteps + w_high) >> fb) + frac_bits >= 0)
     exact = (live & ((xt.esteps & ((1 << fb) - 1)) == 0)
              & ((xt.esteps >> fb) + (w_low >> fb) + frac_bits >= fb))
@@ -491,15 +528,15 @@ def method1_matmul(x: QuantizedOperand, w_real: np.ndarray,
     """
     if x.fb != 0:
         raise ConfigError("integer shifts require the base-2 exponent grid")
-    if (x.sign[x.nonzero] < 0).any():
+    xt = x.table
+    if x.cfg.signed and (xt.nonzero & (xt.sign < 0))[x.codes].any():
         raise ConfigError("activation codes must be unsigned")
-    n, k = x.esteps.shape
+    n, k = x.shape
     w_raw = np.rint(np.ldexp(w_real, frac_bits))
     wbits = int(np.abs(w_raw).max()) if w_raw.size else 0
     _check_exact_range(
         max_term_bits=wbits.bit_length() + max(int(x.max_exp), 0),
         n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
-    xt = x.code_table()
     exact_val = np.where(xt.nonzero & (xt.esteps >= 0), np.ldexp(1.0, xt.esteps), 0.0)
     trunc = np.flatnonzero(xt.nonzero & (xt.esteps < 0))
     t_exp = xt.esteps[trunc, None].astype(np.intc)  # numpy's native ldexp loop
@@ -527,9 +564,10 @@ def shifted_input_matmul(x_real: np.ndarray, w: QuantizedOperand,
     _check_exact_range(
         max_term_bits=xbits.bit_length() + max(int(math.ceil(w.max_exp)), 0) + 1,
         n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
-    out = np.zeros((n, w.esteps.shape[1]))
-    for e in w.signed_levels:
-        ind = np.where((w.esteps == e) & w.nonzero, w.sign, 0).astype(np.float64)
+    out = np.zeros((n, w.shape[1]))
+    wt = w.table
+    for e in np.unique(wt.esteps[w.present() & wt.nonzero]):
+        ind = np.where(wt.nonzero & (wt.esteps == e), wt.sign, 0).astype(np.float64)[w.codes]
         pf = int(e) >> w.fb
         mant = 1.5 if w.fb and (int(e) & 1) else 1.0
         out += np.floor(np.ldexp(x_raw * mant, pf)) @ ind
@@ -554,9 +592,10 @@ _LOG_BLOCK = 1 << 16  # running-sum elements per row block: three arrays fit L2
 
 def _sign_planes(op: QuantizedOperand, shift: int) -> tuple[np.ndarray, np.ndarray]:
     """Raw term exponents of the positive and the negative codes, zero-filled."""
-    e = op.esteps << shift
-    return (np.where(op.nonzero & (op.sign > 0), e, _LOG_ZERO),
-            np.where(op.nonzero & (op.sign < 0), e, _LOG_ZERO))
+    t = op.table
+    e = t.esteps << shift
+    return (np.where(t.nonzero & (t.sign > 0), e, _LOG_ZERO)[op.codes],
+            np.where(t.nonzero & (t.sign < 0), e, _LOG_ZERO)[op.codes])
 
 
 def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
@@ -583,8 +622,8 @@ def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
     f = exp_frac_bits
     if f < x.fb:
         raise ConfigError("exponent word cannot hold the grid step")
-    n, k = x.esteps.shape
-    o = w.esteps.shape[1]
+    n, k = x.shape
+    o = w.shape[1]
     shift = f - x.fb
     # g[t + cap] = step(t, 0) + cap = max(t, 0) + corr(|t|) + cap, so with
     # q = p - cap, step(s, p) = q + g[s - q].  corr(cap) = 0, so a clipped
@@ -598,7 +637,7 @@ def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
     # columns [0, o) sum the positive terms, [o, 2o) the negative ones;
     # q = x + w2 is the term exponent p - cap
     w2 = np.concatenate([wp, wn], axis=1) - cap
-    signed = bool((x.sign[x.nonzero] < 0).any())
+    signed = bool((xn != _LOG_ZERO).any())
     if signed:
         w2_mirror = np.concatenate([wn, wp], axis=1) - cap
         xnT = np.ascontiguousarray(xn.T)
@@ -624,22 +663,177 @@ def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
 
 
 # ---------------------------------------------------------------------------
-# the forward pass
+# the layer walker
 # ---------------------------------------------------------------------------
 
 
-def _mode_weight_config(layer: LayerSpec, mode: str) -> QuantizerConfig:
+def _real(a):
+    """The float64 values of an activation or operand, coded or not."""
+    return a.values if isinstance(a, QuantizedOperand) else a
+
+
+@dataclass(frozen=True)
+class Arithmetic:
+    """How the conv/fc products of a walk compute.
+
+    ``int_bits``/``frac_bits`` size the accumulator word and ``accum``
+    selects linear or log-domain accumulation.  The binary point is
+    absolute unless ``block_bias`` is set:
+
+    * absolute: raw values count units of 2**-frac_bits and every product
+      with a coded operand runs its shift kernel: coded activations against
+      coded weights through ``method2_matmul`` (or
+      ``method2_matmul_logaccum``), against real weights through
+      ``method1_matmul``, and real inputs against coded weights through
+      ``shifted_input_matmul``.  This is inference's arithmetic.
+    * block-biased: the binary point floats with the operands' full scale
+      (each operand's exponents biased by its config's fsr), so gradient
+      tensors with very negative exponents keep their significant terms.
+      Only coded x coded products run a kernel.  A product with a real
+      operand is the float64 product of the values: the coded side is a
+      dyadic value set, so that is the exact wide-accumulator sum, and
+      truncating at the fractional width would only drop bits far below the
+      smallest representable operand product.  This is training's
+      arithmetic.
+    """
+
+    int_bits: int = 32
+    frac_bits: int = 8
+    accum: str = ACCUM_LINEAR
+    block_bias: bool = False
+
+    def dot(self, x, w) -> np.ndarray:
+        """x (n, k) times w (k, o); either is float64 or a ``QuantizedOperand``."""
+        ib, fb = self.int_bits, self.frac_bits
+        coded_x = isinstance(x, QuantizedOperand)
+        coded_w = isinstance(w, QuantizedOperand)
+        if coded_x and coded_w:
+            kernel = method2_matmul_logaccum if self.accum == ACCUM_LOG else method2_matmul
+            grid = lift_grid(x.cfg, w.cfg)
+            bx, bw = (x.cfg.fsr, w.cfg.fsr) if self.block_bias else (0, 0)
+            raw = kernel(x.lifted(grid, bx << grid), w.lifted(grid, bw << grid), ib, fb)
+            return np.ldexp(raw, bx + bw - fb)
+        if self.block_bias or not (coded_x or coded_w):
+            return _real(x) @ _real(w)
+        if coded_x:
+            return np.ldexp(method1_matmul(x, w, ib, fb), -fb)
+        return np.ldexp(shifted_input_matmul(x, w, ib, fb), -fb)
+
+
+def walk(graph: ModelGraph, x: np.ndarray, weights: dict, act_config,
+         bn: dict[int, BatchNormParams], arith: Arithmetic,
+         batch_stats: Optional[dict] = None, cache: Optional[dict] = None,
+         capture: Optional[dict] = None):
+    """Run every layer of ``graph`` on the float64 input ``x``.
+
+    Returns the last layer's output.  An activation is a float64 array or,
+    after a log quantizer, a ``QuantizedOperand`` whose values dequantize
+    on first use; maxpool pools the values and keeps the matching codes.
+
+    * ``weights[i]``: the (out, in) weight matrix of conv/fc layer i,
+      float64 or a ``QuantizedOperand``; a conv's in is C*kh*kw.
+    * ``act_config(layer)``: the config a quantizer layer applies.  When
+      ``act_config`` is None, or returns None, the layer passes its input
+      through.
+    * ``bn[i]``: batchnorm layer i's parameters.
+    * ``arith``: the arithmetic of every conv/fc product.
+    * ``batch_stats``: when given, batchnorm normalizes with each batch's
+      moments and records them here as {i: (mean, var)}.
+    * ``cache``: when given, receives per layer what backward needs.
+    * ``capture``: when given, receives the float64 input of each quantizer
+      layer, keyed by layer index.
+    """
+    act = x
+    for i, layer in enumerate(graph.layers):
+        kind = layer.kind
+        if kind in (CONV, FC):
+            # the left operand is (rows, k): a conv lowers with im2col (codes
+            # pad with the zero code) and its rows are the output positions
+            coded = isinstance(act, QuantizedOperand)
+            a = act.codes if coded else act
+            if kind == CONV:
+                cols, oh, ow = im2col_array(a, (layer.kernel,) * 2, layer.stride,
+                                            layer.pad, fill=0 if coded else 0.0)
+                rows = cols.T
+            else:
+                rows = a.reshape(a.shape[0], -1)
+            if coded:
+                rows = QuantizedOperand(rows, act.cfg, act.fb)
+            out = arith.dot(rows, weights[i].T)
+            if cache is not None:
+                cache[i] = {"x": rows, "in_shape": a.shape}
+            if kind == CONV:
+                out = out.reshape(a.shape[0], oh, ow, -1).transpose(0, 3, 1, 2)
+            act = out
+        elif kind == RELU:
+            v = _real(act)
+            if cache is not None:
+                cache[i] = {"mask": v > 0}
+            act = relu_array(v)
+        elif kind == MAXPOOL:
+            pooled, idx = maxpool_array(_real(act), layer.pool, layer.stride)
+            if cache is not None:
+                cache[i] = {"idx": idx, "in_shape": act.shape}
+            if isinstance(act, QuantizedOperand):
+                win = _code_windows(act.codes, layer.pool, layer.stride)
+                codes = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+                act = QuantizedOperand(codes, act.cfg, act.fb)
+                act._values = pooled  # already dequantized
+            else:
+                act = pooled
+        elif kind == BATCHNORM:
+            v, p = _real(act), bn[i]
+            if batch_stats is not None:
+                axes = channel_axes(v)[0]
+                p = replace(p, mean=v.mean(axis=axes), var=v.var(axis=axes))
+                batch_stats[i] = (p.mean, p.var)
+            if cache is not None:
+                cache[i] = {"x": v, "mean": p.mean, "var": p.var}
+            act = batchnorm_array(v, p)
+        elif kind in (LOGQUANT, LINQUANT):
+            v = _real(act)
+            if capture is not None:
+                capture[i] = v
+            cfg = act_config(layer) if act_config is not None else None
+            if cfg is None:
+                continue
+            if cfg.kind == KIND_LOG:
+                act = QuantizedOperand(logquant_array(v, cfg), cfg, cfg.base_frac_bits)
+            else:
+                act = dequantize_array(linquant_array(v, cfg), cfg)
+        elif kind == SOFTMAX:
+            act = softmax_array(_real(act))
+        else:
+            raise ConfigError(f"unknown layer kind {kind!r}")
+    return act
+
+
+def _mode_weight(layer: LayerSpec, w: np.ndarray, mode: str):
+    """A stored weight matrix as ``mode`` computes with it."""
+    if mode in (MODE_FLOAT, MODE_METHOD1):
+        return w
     if layer.qconfig is None:
         raise ConfigError(
             f"{layer.kind} layer needs a weight quantizer config for {mode}")
     if layer.qconfig.kind == KIND_LINEAR:
-        return layer.qconfig
-    fb = 1 if mode == MODE_METHOD2_SQRT2 else 0
-    return replace(layer.qconfig, base_frac_bits=fb)
+        # linear weight reference: the values quantize, but a product needs
+        # multipliers, so coded activations use the shift-weights kernel
+        return dequantize_array(linquant_array(w, layer.qconfig), layer.qconfig)
+    cfg = replace(layer.qconfig, base_frac_bits=1 if mode == MODE_METHOD2_SQRT2 else 0)
+    return QuantizedOperand(logquant_array(w, cfg), cfg, cfg.base_frac_bits)
 
 
-def _resolved_act_config(layer: LayerSpec, global_fsr: int) -> QuantizerConfig:
-    return replace(layer.qconfig, fsr=global_fsr + layer.fsr_offset)
+def _stored_operands(graph: ModelGraph, mode: str) -> tuple[dict, dict]:
+    """The weight matrices (as ``mode`` computes with them) and batchnorm
+    parameters of a stored graph."""
+    weights, bn = {}, {}
+    for i, layer in enumerate(graph.layers):
+        if layer.kind in (CONV, FC):
+            w = graph.weight_array(i)
+            weights[i] = _mode_weight(layer, w.reshape(w.shape[0], -1), mode)
+        elif layer.kind == BATCHNORM:
+            bn[i] = BatchNormParams.from_array(graph.weight_array(i))
+    return weights, bn
 
 
 def forward(graph: ModelGraph, x: Tensor, mode: str = MODE_FLOAT,
@@ -650,7 +844,8 @@ def forward(graph: ModelGraph, x: Tensor, mode: str = MODE_FLOAT,
     ``float32`` bypasses every quantizer.  ``method1`` consumes log-coded
     activations with real weights; the method2 modes quantize weights too
     (base 2 or sqrt(2)).  ``accum`` selects linear or log-domain
-    accumulation inside the quantized dot products.
+    accumulation inside the quantized dot products, which hold an absolute
+    binary point (``Arithmetic``).
     """
     if mode not in FORWARD_MODES:
         raise ConfigError(f"unknown forward mode {mode!r}")
@@ -659,104 +854,11 @@ def forward(graph: ModelGraph, x: Tensor, mode: str = MODE_FLOAT,
     if accum == ACCUM_LOG and mode in (MODE_FLOAT, MODE_METHOD1):
         raise ConfigError("log accumulation applies to the method2 modes")
     graph.output_shapes(x.shape)
-
-    value = x.real()
-    codes: Optional[np.ndarray] = None
-    qcfg: Optional[QuantizerConfig] = None
-
-    for i, layer in enumerate(graph.layers):
-        kind = layer.kind
-        if kind == RELU:
-            value, codes, qcfg = relu_array(value), None, None
-        elif kind == SOFTMAX:
-            value, codes, qcfg = softmax_array(value), None, None
-        elif kind == MAXPOOL:
-            pooled, idx = maxpool_array(value, layer.pool, layer.stride)
-            if codes is not None:
-                win = _code_windows(codes, layer.pool, layer.stride)
-                codes = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-            value = pooled
-        elif kind == BATCHNORM:
-            params = BatchNormParams.from_array(graph.weight_array(i))
-            value, codes, qcfg = batchnorm_array(value, params), None, None
-        elif kind in (LOGQUANT, LINQUANT):
-            if mode == MODE_FLOAT:
-                continue
-            cfg = _resolved_act_config(layer, graph.fsr)
-            if kind == LINQUANT:
-                wire = linquant_array(value, cfg)
-                value = dequantize_array(wire, cfg)
-                codes, qcfg = None, None  # linear codes do not feed shift kernels
-            else:
-                codes = logquant_array(value, cfg)
-                qcfg = cfg
-                value = dequantize_array(codes, cfg)
-        elif kind in (CONV, FC):
-            value, codes, qcfg = _dot_layer(graph, i, layer, value, codes, qcfg,
-                                            mode, accum, int_bits, frac_bits)
-        else:
-            raise ConfigError(f"unknown layer kind {kind!r}")
-    return Tensor.from_real(value)
-
-
-def _dot_layer(graph, i, layer, value, codes, qcfg, mode, accum, int_bits, frac_bits):
-    if layer.kind == CONV:
-        n = value.shape[0]
-        if codes is not None:
-            cols, oh, ow = im2col_array(codes, (layer.kernel,) * 2, layer.stride,
-                                        layer.pad, fill=0)
-        else:
-            cols, oh, ow = im2col_array(value, (layer.kernel,) * 2, layer.stride,
-                                        layer.pad, fill=0.0)
-        w = graph.weight_array(i).reshape(layer.out_channels, -1).T  # (k, o)
-        out2d = _dot_dispatch(graph, layer, cols.T, codes is not None, qcfg, w,
-                              mode, accum, int_bits, frac_bits)
-        out = out2d.reshape(n, oh, ow, layer.out_channels).transpose(0, 3, 1, 2)
-    else:
-        flat = value.reshape(value.shape[0], -1)
-        wire = codes.reshape(codes.shape[0], -1) if codes is not None else None
-        w = graph.weight_array(i).T  # (in, out)
-        out = _dot_dispatch(graph, layer, wire if wire is not None else flat,
-                            codes is not None, qcfg, w, mode, accum,
-                            int_bits, frac_bits)
-    return out, None, None
-
-
-def _dot_dispatch(graph, layer, x2d, x_is_coded, qcfg, w_real, mode, accum,
-                  int_bits, frac_bits):
-    """x2d: (n, k) codes or reals; w_real: (k, o) float64.  Returns float64."""
-    if mode == MODE_FLOAT:
-        return x2d @ w_real
-    if mode == MODE_METHOD1:
-        if not x_is_coded:  # nothing quantized ahead of this layer yet
-            return x2d @ w_real
-        xo = QuantizedOperand(x2d, qcfg, lift_fb=0)
-        return np.ldexp(method1_matmul(xo, w_real, int_bits, frac_bits), -frac_bits)
-
-    # method2 modes quantize the weights as well
-    wcfg = _mode_weight_config(layer, mode)
-    if wcfg.kind == KIND_LINEAR:
-        # linear weight reference: values quantize but dots need multipliers,
-        # so coded activations fall back to the shift-weights kernel
-        wq = dequantize_array(linquant_array(w_real, wcfg), wcfg)
-        if not x_is_coded:
-            return x2d @ wq
-        xo = QuantizedOperand(x2d, qcfg, lift_fb=0)
-        return np.ldexp(method1_matmul(xo, wq, int_bits, frac_bits), -frac_bits)
-
-    w_codes = logquant_array(w_real, wcfg)
-    if not x_is_coded:
-        wo = QuantizedOperand(w_codes, wcfg, lift_fb=wcfg.base_frac_bits)
-        raw = shifted_input_matmul(x2d, wo, int_bits, frac_bits)
-        return np.ldexp(raw, -frac_bits)
-    fb = lift_grid(qcfg, wcfg)
-    xo = QuantizedOperand(x2d, qcfg, lift_fb=fb)
-    wo = QuantizedOperand(w_codes, wcfg, lift_fb=fb)
-    if accum == ACCUM_LOG:
-        raw = method2_matmul_logaccum(xo, wo, int_bits, frac_bits)
-    else:
-        raw = method2_matmul(xo, wo, int_bits, frac_bits)
-    return np.ldexp(raw, -frac_bits)
+    weights, bn = _stored_operands(graph, mode)
+    act_config = None if mode == MODE_FLOAT else graph.act_config
+    out = walk(graph, x.real(), weights, act_config, bn,
+               Arithmetic(int_bits, frac_bits, accum))
+    return Tensor.from_real(_real(out))
 
 
 def collect_quantizer_inputs(graph: ModelGraph, x: Tensor) -> dict[int, np.ndarray]:
@@ -764,26 +866,7 @@ def collect_quantizer_inputs(graph: ModelGraph, x: Tensor) -> dict[int, np.ndarr
 
     Used for FSR calibration: returns {layer index: float64 activations}.
     """
-    value = x.real()
     captured: dict[int, np.ndarray] = {}
-    for i, layer in enumerate(graph.layers):
-        kind = layer.kind
-        if kind == RELU:
-            value = relu_array(value)
-        elif kind == SOFTMAX:
-            value = softmax_array(value)
-        elif kind == MAXPOOL:
-            value, _ = maxpool_array(value, layer.pool, layer.stride)
-        elif kind == BATCHNORM:
-            value = batchnorm_array(value, BatchNormParams.from_array(graph.weight_array(i)))
-        elif kind in (LOGQUANT, LINQUANT):
-            captured[i] = value.copy()
-        elif kind == CONV:
-            cols, oh, ow = im2col_array(value, (layer.kernel,) * 2, layer.stride,
-                                        layer.pad, fill=0.0)
-            w = graph.weight_array(i).reshape(layer.out_channels, -1)
-            value = (w @ cols).reshape(layer.out_channels, value.shape[0], oh, ow)
-            value = value.transpose(1, 0, 2, 3)
-        elif kind == FC:
-            value = value.reshape(value.shape[0], -1) @ graph.weight_array(i).T
+    weights, bn = _stored_operands(graph, MODE_FLOAT)
+    walk(graph, x.real(), weights, None, bn, Arithmetic(), capture=captured)
     return captured

@@ -125,13 +125,3 @@ def im2col_array(x: np.ndarray, kernel: tuple[int, int], stride: int = 1,
     cols = win.reshape(n * oh * ow, -1).T
     return np.ascontiguousarray(cols), oh, ow
 
-
-def im2col(t: Tensor, kernel: tuple[int, int], stride: int = 1, pad: int = 0) -> Tensor:
-    """``im2col_array`` on a Tensor; quantized inputs pad with the zero code."""
-    if t.data.ndim != 4:
-        raise DomainError(f"im2col expects a rank-4 activation tensor, got {t.data.ndim}")
-    if t.is_quantized:
-        cols, _, _ = im2col_array(t.data, kernel, stride, pad, fill=0)
-        return Tensor.from_codes(cols, t.qconfig)
-    cols, _, _ = im2col_array(t.data.astype(np.float64), kernel, stride, pad, fill=0.0)
-    return Tensor.from_real(cols)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -39,20 +40,23 @@ from .nn import (
     MAXPOOL,
     RELU,
     SOFTMAX,
+    Arithmetic,
+    BatchNormParams,
     LayerSpec,
     ModelGraph,
     QuantizedOperand,
     act_quant_layer,
     batchnorm_layer,
+    bn_normalize,
+    channel_axes,
     conv,
     fc,
-    lift_grid,
     maxpool_layer,
-    method2_matmul,
     relu_layer,
     softmax_array,
+    walk,
 )
-from .tensor import Tensor, conv_output_size, im2col_array
+from .tensor import Tensor, conv_output_size
 
 
 class TrainingDiverged(ArithmeticError):
@@ -129,20 +133,12 @@ class TrainConfig:
 
 
 @dataclass
-class BNState:
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-
-
-@dataclass
 class TrainState:
     """Full-precision master parameters plus optimizer and loop state."""
 
     graph: ModelGraph
     params: dict[int, np.ndarray]
-    bn: dict[int, BNState]
+    bn: dict[int, BatchNormParams]
     moments: dict[str, dict] = field(default_factory=dict)
     weight_fsr: dict[int, int] = field(default_factory=dict)
     step: int = 0
@@ -159,7 +155,7 @@ def init_state(graph: ModelGraph, cfg: TrainConfig) -> TrainState:
     """Seeded He-style uniform init for conv/fc, identity batchnorm."""
     rng = np.random.default_rng(cfg.seed)
     params: dict[int, np.ndarray] = {}
-    bn: dict[int, BNState] = {}
+    bn: dict[int, BatchNormParams] = {}
     for i, layer in enumerate(graph.layers):
         if layer.kind == CONV:
             fan = layer.in_channels * layer.kernel * layer.kernel
@@ -170,7 +166,7 @@ def init_state(graph: ModelGraph, cfg: TrainConfig) -> TrainState:
                                    layer.in_features)
         elif layer.kind == BATCHNORM:
             c = layer.channels
-            bn[i] = BNState(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c))
+            bn[i] = BatchNormParams(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c))
     state = TrainState(graph=graph, params=params, bn=bn, rng=rng)
     recalibrate_weight_fsr(state, cfg)
     return state
@@ -216,12 +212,10 @@ def ceil_log2(x: float) -> int:
     return e - 1 if m == 0.5 else e
 
 
-def dynamic_gradient_fsr(g: np.ndarray, bitwidth: int = 0, floor: int = -20) -> int:
+def dynamic_gradient_fsr(g: np.ndarray, floor: int = -20) -> int:
     """Per-tensor full-scale exponent: ceil(log2(max |g|)).
 
-    All-zero tensors return the configured floor.  ``bitwidth`` is accepted
-    for interface symmetry with the quantizer configs; the policy does not
-    depend on it.
+    All-zero tensors return the configured floor.
     """
     if g.size == 0:
         raise DomainError("cannot derive an fsr from an empty tensor")
@@ -237,8 +231,7 @@ def recalibrate_weight_fsr(state: TrainState, cfg: TrainConfig) -> None:
         state.weight_fsr = {}
         return
     for i, w in state.params.items():
-        state.weight_fsr[i] = dynamic_gradient_fsr(w, cfg.weight_q.bitwidth,
-                                                   cfg.grad_fsr_floor)
+        state.weight_fsr[i] = dynamic_gradient_fsr(w, cfg.grad_fsr_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -272,74 +265,30 @@ def optimizer_step(w: np.ndarray, g: np.ndarray, moments: dict,
 # ---------------------------------------------------------------------------
 
 
-class QTensor:
-    """A tensor alongside its (optional) log codes, for the dot kernels."""
+def _quantize_signed(x: np.ndarray, q: Optional[QuantizerConfig], fsr: int):
+    """Weight/gradient quantization at the given full-scale exponent.
 
-    def __init__(self, values: Optional[np.ndarray], codes: Optional[np.ndarray] = None,
-                 cfg: Optional[QuantizerConfig] = None):
-        self._values = values
-        self.codes = codes
-        self.cfg = cfg
-
-    @property
-    def values(self) -> np.ndarray:
-        if self._values is None:
-            self._values = dequantize_array(self.codes, self.cfg)
-        return self._values
-
-    @property
-    def is_coded(self) -> bool:
-        return self.codes is not None
-
-
-def _quantize_signed(x: np.ndarray, q: Optional[QuantizerConfig], fsr: int) -> QTensor:
-    """Weight/gradient quantization at the given full-scale exponent."""
+    Log codes stay coded for the kernels; linear codes (which feed no shift
+    kernel) and unquantized tensors stay float64.
+    """
     if q is None:
-        return QTensor(x)
+        return x
     cfg = replace(q, fsr=fsr)
     if cfg.kind == KIND_LINEAR:
-        codes = linquant_array(x, cfg)
-        return QTensor(dequantize_array(codes, cfg))  # values only: no shift codes
-    codes = logquant_array(x, cfg)
-    return QTensor(dequantize_array(codes, cfg), codes, cfg)
+        return dequantize_array(linquant_array(x, cfg), cfg)
+    return QuantizedOperand(logquant_array(x, cfg), cfg, cfg.base_frac_bits)
 
 
-def _quantize_acts(x: np.ndarray, q: Optional[QuantizerConfig],
-                   layer: LayerSpec, graph_fsr: int) -> QTensor:
-    if q is None:
-        return QTensor(x)
+def _act_config(graph: ModelGraph, q: QuantizerConfig, layer: LayerSpec) -> QuantizerConfig:
+    """The trainer's activation quantizer on a quantizer layer's grid and fsr."""
     base = q if layer.qconfig is None else replace(
         q, base_frac_bits=layer.qconfig.base_frac_bits)
-    cfg = replace(base, fsr=q.fsr + layer.fsr_offset + graph_fsr)
-    if cfg.kind == KIND_LINEAR:
-        codes = linquant_array(x, cfg)
-        return QTensor(dequantize_array(codes, cfg))
-    codes = logquant_array(x, cfg)
-    return QTensor(dequantize_array(codes, cfg), codes, cfg)
+    return replace(base, fsr=q.fsr + layer.fsr_offset + graph.fsr)
 
 
-def _qdot(x: QTensor, w: QTensor, cfg: TrainConfig) -> np.ndarray:
-    """x (n, k) times w (k, o) using the cheapest exact kernel available.
-
-    Both coded: exponent-sum kernel.  One coded: bitshift kernel.  Neither:
-    float matmul.  The accumulator's binary point floats with the operands'
-    full scale (block bias by each config's fsr), so gradient tensors with
-    very negative exponents keep their significant terms.
-    """
-    ib, fb = cfg.int_bits, cfg.frac_bits
-    if x.is_coded and w.is_coded:
-        grid = lift_grid(x.cfg, w.cfg)
-        bx, bw = x.cfg.fsr << grid, w.cfg.fsr << grid
-        raw = method2_matmul(QuantizedOperand(x.codes, x.cfg, grid, bx),
-                             QuantizedOperand(w.codes, w.cfg, grid, bw), ib, fb)
-        return np.ldexp(raw, -fb + x.cfg.fsr + w.cfg.fsr)
-    # mixed real x coded products (the unquantized input against quantized
-    # weights, or float gradients against codes): the coded side is a dyadic
-    # value set, so the float64 product against its dequantized values is
-    # the exact wide-accumulator sum.  Truncating at the trainer's
-    # fractional width would only drop bits far below the smallest
-    # representable operand product.
-    return x.values @ w.values
+def _arithmetic(cfg: TrainConfig) -> Arithmetic:
+    """Block-biased products on the configured accumulator word."""
+    return Arithmetic(cfg.int_bits, cfg.frac_bits, block_bias=True)
 
 
 def col2im_array(g_cols: np.ndarray, in_shape: tuple[int, ...], kernel: int,
@@ -368,110 +317,35 @@ def col2im_array(g_cols: np.ndarray, in_shape: tuple[int, ...], kernel: int,
 
 def _forward_train(state: TrainState, x: np.ndarray, cfg: TrainConfig,
                    training: bool, bn_collect: Optional[dict] = None) -> tuple[np.ndarray, dict]:
-    """Layer walk returning logits and the caches backward needs."""
+    """Layer walk returning logits and the caches backward needs.
+
+    Training normalizes by batch statistics and folds them into the running
+    ones, or, with ``bn_collect``, appends them there instead.
+    """
     g = state.graph
-    caches: dict[int, dict] = {}
-    act = QTensor(x.astype(np.float64))
-    wq: dict[int, QTensor] = {
-        i: _quantize_signed(w, cfg.weight_q, state.weight_fsr.get(i, 0))
-        for i, w in state.params.items()
-    }
-    for i, layer in enumerate(g.layers):
-        kind = layer.kind
-        if kind == CONV:
-            cols_codes = None
-            if act.is_coded:
-                cols, oh, ow = im2col_array(act.codes, (layer.kernel,) * 2,
-                                            layer.stride, layer.pad, fill=0)
-                cols_codes = cols.T
-                cols_vals = None
-            else:
-                cols, oh, ow = im2col_array(act.values, (layer.kernel,) * 2,
-                                            layer.stride, layer.pad)
-                cols_vals = cols.T
-            xt = QTensor(cols_vals, cols_codes, act.cfg)
-            wt = wq[i]
-            wmat = QTensor(wt.values.reshape(layer.out_channels, -1).T,
-                           None if wt.codes is None
-                           else wt.codes.reshape(layer.out_channels, -1).T,
-                           wt.cfg)
-            out2d = _qdot(xt, wmat, cfg)
-            n = x.shape[0] if act.values is None else act.values.shape[0]
-            caches[i] = {"x": xt, "in_shape": (act.values if not act.is_coded
-                                               else act.codes).shape,
-                         "oh": oh, "ow": ow}
-            act = QTensor(out2d.reshape(n, oh, ow, layer.out_channels)
-                          .transpose(0, 3, 1, 2))
-        elif kind == FC:
-            flat_vals = act.values.reshape(act.values.shape[0], -1)
-            flat_codes = (act.codes.reshape(act.codes.shape[0], -1)
-                          if act.is_coded else None)
-            xt = QTensor(flat_vals, flat_codes, act.cfg)
-            wt = wq[i]
-            caches[i] = {"x": xt, "in_shape": act.values.shape}
-            act = QTensor(_qdot(xt, QTensor(wt.values.T,
-                                            None if wt.codes is None else wt.codes.T,
-                                            wt.cfg), cfg))
-        elif kind == BATCHNORM:
-            act = QTensor(_bn_forward(state.bn[i], act.values, caches.setdefault(i, {}),
-                                      training, cfg.bn_momentum, bn_collect, i))
-        elif kind == RELU:
-            mask = act.values > 0
-            caches[i] = {"mask": mask}
-            act = QTensor(act.values * mask)
-        elif kind in (LOGQUANT, LINQUANT):
-            q = _quantize_acts(act.values, cfg.activation_q, layer, g.fsr)
-            caches[i] = {}
-            act = q
-        elif kind == MAXPOOL:
-            pooled, idx = _maxpool_cached(act.values, layer.pool, layer.stride)
-            caches[i] = {"idx": idx, "in_shape": act.values.shape}
-            if act.is_coded:
-                from .nn import _code_windows
-                win = _code_windows(act.codes, layer.pool, layer.stride)
-                codes = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-                act = QTensor(pooled, codes, act.cfg)
-            else:
-                act = QTensor(pooled)
-        elif kind == SOFTMAX:
-            act = QTensor(softmax_array(act.values))
+    wq = {i: _quantize_signed(w.reshape(w.shape[0], -1), cfg.weight_q,
+                              state.weight_fsr.get(i, 0))
+          for i, w in state.params.items()}
+    q = cfg.activation_q
+    act_config = None if q is None else partial(_act_config, g, q)
+    stats: Optional[dict] = {} if training else None
+    caches: dict = {"wq": wq}
+    logits = walk(g, x.astype(np.float64), wq, act_config, state.bn, _arithmetic(cfg),
+                  batch_stats=stats, cache=caches)
+    for i, (mean, var) in (stats or {}).items():
+        if bn_collect is not None:
+            bn_collect.setdefault(i, []).append((mean, var))
         else:
-            raise ConfigError(f"unknown layer kind {kind!r}")
-    caches["wq"] = wq
-    return act.values, caches
+            p, m = state.bn[i], cfg.bn_momentum
+            p.mean = (1 - m) * p.mean + m * mean
+            p.var = (1 - m) * p.var + m * var
+    return logits, caches
 
 
-def _maxpool_cached(x: np.ndarray, k: int, stride: int):
-    from .nn import maxpool_array
-    return maxpool_array(x, k, stride)
-
-
-def _bn_forward(bns: BNState, x: np.ndarray, cache: dict, training: bool,
-                momentum: float, collect: Optional[dict] = None,
-                layer_idx: int = -1) -> np.ndarray:
-    axes = (0, 2, 3) if x.ndim == 4 else (0,)
-    shape = (1, -1, 1, 1) if x.ndim == 4 else (1, -1)
-    if training:
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
-        if collect is not None:
-            collect.setdefault(layer_idx, []).append((mean, var))
-        else:
-            bns.running_mean = (1 - momentum) * bns.running_mean + momentum * mean
-            bns.running_var = (1 - momentum) * bns.running_var + momentum * var
-    else:
-        mean, var = bns.running_mean, bns.running_var
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
-    cache.update(xhat=xhat, inv_std=inv_std, shape=shape, axes=axes)
-    return bns.gamma.reshape(shape) * xhat + bns.beta.reshape(shape)
-
-
-def _quantize_grad(g: np.ndarray, cfg: TrainConfig) -> QTensor:
+def _quantize_grad(g: np.ndarray, cfg: TrainConfig):
     if cfg.gradient_q is None:
-        return QTensor(g)
-    fsr = dynamic_gradient_fsr(g, cfg.gradient_q.bitwidth, cfg.grad_fsr_floor)
-    return _quantize_signed(g, cfg.gradient_q, fsr)
+        return g
+    return _quantize_signed(g, cfg.gradient_q, dynamic_gradient_fsr(g, cfg.grad_fsr_floor))
 
 
 def _backward_train(state: TrainState, caches: dict, g_out: np.ndarray,
@@ -479,52 +353,38 @@ def _backward_train(state: TrainState, caches: dict, g_out: np.ndarray,
     """Walk the layers in reverse; returns (weight grads, bn grads)."""
     g = state.graph
     wq = caches["wq"]
+    arith = _arithmetic(cfg)
     grads: dict[int, np.ndarray] = {}
     bn_grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    first_dot = min((i for i, l in enumerate(g.layers) if l.kind in (CONV, FC)),
-                    default=-1)
+    # below the first layer with parameters no gradient is needed
+    first = min((i for i, l in enumerate(g.layers) if l.has_weights()),
+                default=len(g.layers))
     gt = g_out
-    for i in range(len(g.layers) - 1, -1, -1):
+    for i in range(len(g.layers) - 1, first - 1, -1):
         layer = g.layers[i]
         kind = layer.kind
-        if kind == FC:
+        if kind in (CONV, FC):
+            # the forward product was rows (NP, K) times W^T (K, O); with the
+            # output gradient g as (NP, O): g_W = g^T rows and g_rows = g W,
+            # both with quantized operands
             cache = caches[i]
+            if kind == CONV:
+                gt = gt.transpose(0, 2, 3, 1).reshape(-1, layer.out_channels)
             gq = _quantize_grad(gt, cfg)
-            xt: QTensor = cache["x"]
-            # g_W = g^T a, g_in = g W, both with quantized operands
-            gT = QTensor(None if gq.values is None else gq.values.T,
-                         None if gq.codes is None else np.ascontiguousarray(gq.codes.T),
-                         gq.cfg)
-            xT = QTensor(xt.values, xt.codes, xt.cfg)
-            grads[i] = _qdot(gT, xT, cfg)
-            wt: QTensor = wq[i]
-            g_in = _qdot(gq, QTensor(wt.values, wt.codes, wt.cfg), cfg)
-            gt = g_in.reshape(cache["in_shape"])
-        elif kind == CONV:
-            cache = caches[i]
-            n, _, oh, ow = gt.shape
-            g2d = gt.transpose(0, 2, 3, 1).reshape(-1, layer.out_channels)
-            gq = _quantize_grad(g2d, cfg)
-            xt = cache["x"]  # (NP, K) columns of the conv input
-            gT = QTensor(None if gq.values is None else gq.values.T,
-                         None if gq.codes is None else np.ascontiguousarray(gq.codes.T),
-                         gq.cfg)
-            gw2d = _qdot(gT, xt, cfg)  # (O, K)
-            grads[i] = gw2d.reshape(state.params[i].shape)
-            if i == first_dot:
-                continue  # nothing upstream consumes the input gradient
-            wt = wq[i]
-            wmatT = QTensor(wt.values.reshape(layer.out_channels, -1),
-                            None if wt.codes is None
-                            else wt.codes.reshape(layer.out_channels, -1),
-                            wt.cfg)
-            g_cols = _qdot(gq, wmatT, cfg)  # (NP, K)
-            gt = col2im_array(g_cols, cache["in_shape"], layer.kernel,
-                              layer.stride, layer.pad)
+            grads[i] = arith.dot(gq.T, cache["x"]).reshape(state.params[i].shape)
+            if i == first:
+                continue
+            g_rows = arith.dot(gq, wq[i])
+            if kind == CONV:
+                gt = col2im_array(g_rows, cache["in_shape"], layer.kernel,
+                                  layer.stride, layer.pad)
+            else:
+                gt = g_rows.reshape(cache["in_shape"])
         elif kind == BATCHNORM:
             cache = caches[i]
-            xhat, inv_std = cache["xhat"], cache["inv_std"]
-            shape, axes = cache["shape"], cache["axes"]
+            axes, shape = channel_axes(cache["x"])
+            xhat = bn_normalize(cache["x"], cache["mean"], cache["var"])
+            inv_std = 1.0 / np.sqrt(cache["var"] + BN_EPS)
             bns = state.bn[i]
             dgamma = (gt * xhat).sum(axis=axes)
             dbeta = gt.sum(axis=axes)
@@ -593,14 +453,14 @@ def train_minibatch(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
     for i, gw in grads.items():
         if not np.isfinite(gw).all():
             raise TrainingDiverged(f"non-finite gradient in layer {i} at step {state.step}")
-        moments = _moments_for(state, f"w{i}", state.params[i])
+        moments = _moments_for(state, f"w{i}")
         state.params[i] = optimizer_step(state.params[i], gw, moments, rule)
     for i, (dgamma, dbeta) in bn_grads.items():
         bns = state.bn[i]
         bns.gamma = optimizer_step(bns.gamma, dgamma,
-                                   _moments_for(state, f"g{i}", bns.gamma), rule)
+                                   _moments_for(state, f"g{i}"), rule)
         bns.beta = optimizer_step(bns.beta, dbeta,
-                                  _moments_for(state, f"b{i}", bns.beta), rule)
+                                  _moments_for(state, f"b{i}"), rule)
     for i, w in state.params.items():
         if not np.isfinite(w).all():
             raise TrainingDiverged(f"non-finite weights in layer {i} at step {state.step}")
@@ -609,9 +469,8 @@ def train_minibatch(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
     return state, {"loss": loss, "correct": correct, "count": len(targets)}
 
 
-def _moments_for(state: TrainState, key: str, like: np.ndarray) -> dict:
-    store = state.moments.setdefault(key, {})
-    return store
+def _moments_for(state: TrainState, key: str) -> dict:
+    return state.moments.setdefault(key, {})
 
 
 def evaluate(state: TrainState, cfg: TrainConfig, inputs: np.ndarray,
@@ -645,8 +504,8 @@ def reestimate_bn_stats(state: TrainState, cfg: TrainConfig, inputs: np.ndarray,
                        training=True, bn_collect=collect)
     for i, stats in collect.items():
         bns = state.bn[i]
-        bns.running_mean = np.mean([m for m, _ in stats], axis=0)
-        bns.running_var = np.mean([v for _, v in stats], axis=0)
+        bns.mean = np.mean([m for m, _ in stats], axis=0)
+        bns.var = np.mean([v for _, v in stats], axis=0)
 
 
 def fit(state: TrainState, cfg: TrainConfig, train_data: tuple[np.ndarray, np.ndarray],
@@ -701,5 +560,5 @@ def sync_graph_weights(state: TrainState, cfg: Optional[TrainConfig] = None) -> 
                                     qconfig=replace(cfg.weight_q, fsr=state.weight_fsr[i]))
     for i, bns in state.bn.items():
         out.weights[i] = Tensor.from_real(np.stack(
-            [bns.gamma, bns.beta, bns.running_mean, bns.running_var]))
+            [bns.gamma, bns.beta, bns.mean, bns.var]))
     return out

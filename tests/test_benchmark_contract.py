@@ -1,0 +1,67 @@
+"""The benchmark's span tracer against the package it traces.
+
+``benchmarks/spans.py`` names the functions it wraps and counts kernel
+terms from the operands it sees.  A renamed function or a changed operand
+type would otherwise only break ``benchmarks/run.py --trace 1``; here it
+fails the test suite.
+"""
+
+import os
+import sys
+
+import numpy as np
+
+from lognet import QuantizerConfig, Tensor, io, nn, train
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks"))
+import spans  # noqa: E402
+
+
+def test_traced_names_resolve():
+    for mod, attr in (*spans.TRACED, *spans.TRACED_INIT):
+        assert callable(getattr(spans.MODULES[mod], attr, None)), f"{mod}.{attr}"
+
+
+def test_count_functions_on_walker_operands(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 4
+    x = np.abs(rng.normal(0, 1, size=(n, 1, 8, 8)))
+    data = (x, np.arange(n) % 3)
+    cfg = train.TrainConfig(weight_q=QuantizerConfig("log", 5, True, 0),
+                            activation_q=QuantizerConfig("log", 4, False, 0),
+                            gradient_q=QuantizerConfig("log", 5, True, 0),
+                            batch_size=n, epochs=1)
+    state = train.init_state(train.build_small_cnn((1, 8, 8), (2, 3), 4, 3), cfg)
+    graph = train.sync_graph_weights(state, cfg)
+    forward = nn.forward
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for mode, accum in (("method1", "linear"), ("method2_base2", "linear"),
+                            ("method2_base2", "log")):
+            nn.forward(graph, Tensor.from_real(x), mode, accum)
+        nn.collect_quantizer_inputs(graph, Tensor.from_real(x))
+        io.write_model(str(tmp_path / "net.lgn"), graph)
+        train.fit(state, cfg, data, data)
+    finally:
+        tracer.uninstall()
+    assert nn.forward is forward
+    # per pass: conv1 on the real input runs the shifted-input kernel
+    # (n*64 rows, k=9, o=2), conv2 (n*16, 18, 3), fc1 (n, 12, 4) and fc2
+    # (n, 4, 3) run on log-coded activations
+    coded_terms = n * 16 * 18 * 3 + n * 12 * 4 + n * 4 * 3
+    counts = tracer.counts
+    assert counts["nn.shifted_input_matmul.terms"] == 2 * n * 64 * 9 * 2
+    assert counts["nn.method1_matmul.terms"] == coded_terms
+    # method2_base2 and every training product with two coded operands
+    assert counts["nn.method2_matmul.terms"] > coded_terms
+    assert counts["lognum.log_accumulate_raw.calls"] == 3
+    assert counts["io.write_model.bytes"] == os.path.getsize(tmp_path / "net.lgn")
+    assert counts["tensor.im2col_array.bytes"] > 0
+    assert counts["lognum.logquant_array.values"] > 0
+    names = {span[1] for span in tracer.spans}
+    for want in ("nn.QuantizedOperand", "nn.method2_matmul_logaccum", "nn.batchnorm_array",
+                 "nn.maxpool_array", "nn.collect_quantizer_inputs", "train.train_minibatch",
+                 "train.col2im_array", "train.optimizer_step", "train.evaluate",
+                 "train.reestimate_bn_stats", "lognum.dequantize_array"):
+        assert want in names, want

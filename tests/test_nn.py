@@ -7,21 +7,25 @@ from lognet import AccumulatorOverflow, ConfigError, QuantizerConfig, Tensor
 from lognet.lognum import dot_method2, logquant_array, LogCode, dequantize_array
 from lognet import nn
 from lognet.nn import (
+    Arithmetic,
     BatchNormParams,
     ModelGraph,
     QuantizedOperand,
     act_quant_layer,
-    batchnorm_forward,
+    batchnorm_array,
+    batchnorm_layer,
     conv,
     fc,
     forward,
-    maxpool,
+    maxpool_array,
+    maxpool_layer,
     method1_matmul,
     method2_matmul,
     method2_matmul_logaccum,
-    relu,
+    relu_array,
     relu_layer,
     shifted_input_matmul,
+    walk,
 )
 
 ACT4 = QuantizerConfig("log", 4, False, 5)
@@ -40,50 +44,56 @@ def simple_graph(weights, layers, fsr=0):
 # ---------------------------------------------------------------------------
 
 def test_relu_examples():
-    t = Tensor.from_real(np.array([-1.0, 2.0]))
-    assert relu(t).data.tolist() == [0.0, 2.0]
-    allneg = Tensor.from_real(-np.ones(4))
-    assert (relu(allneg).data == 0).all()
-    x = Tensor.from_real(np.array([-3.0, 0.5]))
-    assert np.array_equal(relu(relu(x)).data, relu(x).data)
+    assert relu_array(np.array([-1.0, 2.0])).tolist() == [0.0, 2.0]
+    assert (relu_array(-np.ones(4)) == 0).all()
+    x = np.array([-3.0, 0.5])
+    assert np.array_equal(relu_array(relu_array(x)), relu_array(x))
 
 
 def test_maxpool_examples():
-    const = Tensor.from_real(np.full((1, 1, 4, 4), 2.5))
-    assert (maxpool(const, 2).data == 2.5).all()
-    t = Tensor.from_real(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
-    assert maxpool(t, 2).data.item() == 4.0
-    big = Tensor.from_real(np.zeros((2, 3, 8, 6)))
-    assert maxpool(big, 2).shape == (2, 3, 4, 3)
+    const = np.full((1, 1, 4, 4), 2.5)
+    assert (maxpool_array(const, 2, 2)[0] == 2.5).all()
+    t = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
+    out, idx = maxpool_array(t, 2, 2)
+    assert out.item() == 4.0 and idx.item() == 3
+    assert maxpool_array(np.zeros((2, 3, 8, 6)), 2, 2)[0].shape == (2, 3, 4, 3)
+    # ties break to the first index in window scan order
+    assert maxpool_array(np.zeros((1, 1, 2, 2)), 2, 2)[1].item() == 0
 
 
 def test_maxpool_keeps_codes():
-    vals = np.array([0.0, 1.0, 4.0, 16.0]).reshape(1, 1, 2, 2)
-    q = Tensor.from_real(vals)
-    from lognet import quantize_tensor
-    qt = quantize_tensor(q, ACT4)
-    pooled = maxpool(qt, 2)
-    assert pooled.is_quantized
-    assert pooled.real().item() == 16.0
+    # the walker pools a quantized activation by its codes and keeps them
+    vals = np.array([0.0, 1.0, 4.0, 16.0, 2.0, 8.0, 1.0, 0.5, 0.0]).reshape(1, 1, 3, 3)
+    g = ModelGraph(layers=[act_quant_layer("log", 4), maxpool_layer(2, 1)], fsr=5)
+    assert g.act_config(g.layers[0]) == ACT4
+    pooled = walk(g, vals, {}, g.act_config, {}, Arithmetic())
+    assert isinstance(pooled, QuantizedOperand) and pooled.cfg == ACT4
+    assert np.array_equal(pooled.codes, codes_from([[[[16.0, 8.0], [16.0, 8.0]]]], ACT4))
+    assert np.array_equal(pooled.values, [[[[16.0, 8.0], [16.0, 8.0]]]])
 
 
 def test_batchnorm_examples():
     rng = np.random.default_rng(41)
-    x = Tensor.from_real(rng.normal(3.0, 2.0, size=(8, 4, 5, 5)))
-    p = BatchNormParams.identity(4)
-    out = batchnorm_forward(x, p, use_batch_stats=True).data.astype(np.float64)
+    x = rng.normal(3.0, 2.0, size=(8, 4, 5, 5))
+    identity = BatchNormParams(np.ones(4), np.zeros(4), np.zeros(4), np.ones(4))
+    # with batch statistics, the walker normalizes each channel of the batch
+    # and reports the moments it used
+    g = ModelGraph(layers=[batchnorm_layer(4)])
+    stats: dict = {}
+    out = walk(g, x, {}, None, {0: identity}, Arithmetic(), batch_stats=stats)
     assert np.allclose(out.mean(axis=(0, 2, 3)), 0, atol=1e-6)
     assert np.allclose(out.var(axis=(0, 2, 3)), 1, atol=1e-3)
+    assert np.array_equal(stats[0][0], x.mean(axis=(0, 2, 3)))
+    assert np.array_equal(stats[0][1], x.var(axis=(0, 2, 3)))
 
     zero_gamma = BatchNormParams(np.zeros(4), np.full(4, 0.75), np.zeros(4), np.ones(4))
-    out2 = batchnorm_forward(x, zero_gamma).data
-    assert np.allclose(out2, 0.75)
+    assert np.allclose(batchnorm_array(x, zero_gamma), 0.75)
 
     # inference mode is a fixed affine map of the stored stats
     p3 = BatchNormParams(np.ones(4), np.zeros(4), np.full(4, 1.0), np.full(4, 4.0))
-    out3 = batchnorm_forward(x, p3).data.astype(np.float64)
-    want = (x.data.astype(np.float64) - 1.0) / np.sqrt(4.0 + nn.BN_EPS)
-    assert np.allclose(out3, want, atol=1e-6)
+    want = (x - 1.0) / np.sqrt(4.0 + nn.BN_EPS)
+    assert np.allclose(batchnorm_array(x, p3), want, atol=1e-6)
+    assert np.allclose(walk(g, x, {}, None, {0: p3}, Arithmetic()), want, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +318,30 @@ def test_method1_matmul_matches_scalar_dot():
     assert (method1_matmul(xo, np.zeros((k, o))) == 0).all()
 
 
+def test_method1_matmul_refusals():
+    # integer shifts need the base-2 grid and unsigned activation codes; a
+    # signed config is accepted as long as no code is negative
+    x = np.array([[1.0, 4.0, 0.0]])
+    w = np.array([[1.0], [-2.0], [3.0]])
+    sqrt2 = QuantizerConfig("log", 4, False, 3, 1)
+    with pytest.raises(ConfigError):
+        method1_matmul(QuantizedOperand(codes_from(x, sqrt2), sqrt2, 1), w)
+    signed = QuantizerConfig("log", 5, True, 3)
+    with pytest.raises(ConfigError):
+        method1_matmul(QuantizedOperand(codes_from(-x, signed), signed, 0), w)
+    raw = method1_matmul(QuantizedOperand(codes_from(x, signed), signed, 0), w)
+    # the scalar op takes unsigned configs only; 4 magnitude bits either way
+    unsigned = QuantizerConfig("log", 4, False, 3)
+    assert raw[0, 0] == _scalar_method1(codes_from(x, unsigned), w, unsigned, 0, 0) == -7 * 2 ** 8
+
+    # a method1 forward pass over sqrt2-grid activations is refused, not
+    # computed with every exponent read on the base-2 grid
+    g = simple_graph({1: w.T}, [act_quant_layer("log", 4, base_frac_bits=1), fc(1, 3)],
+                     fsr=3)
+    with pytest.raises(ConfigError):
+        forward(g, Tensor.from_real(x), "method1")
+
+
 def test_shifted_input_matmul_base2_and_sqrt2():
     rng = np.random.default_rng(59)
     x = rng.normal(0, 4.0, size=(4, 10))
@@ -415,6 +449,85 @@ def test_forward_pipeline_matches_manual_kernel_walk():
     # final fc
     w6 = logquant_array(g.weight_array(6).T, wq)
     raw = method2_matmul(QuantizedOperand(codes, acfg, 0), QuantizedOperand(w6, wq, 0))
+    want = np.ldexp(raw, -8)
+    assert np.array_equal(got, want.astype(np.float32).astype(np.float64))
+
+
+def test_forward_linear_activation_layer_matches_manual_kernel_walk():
+    # a linear activation quantizer hands on dequantized values, so the conv
+    # after it runs the shifted-input kernel as on the real network input
+    from lognet.lognum import linquant_array
+    from lognet.tensor import im2col_array
+
+    rng = np.random.default_rng(63)
+    wq = QuantizerConfig("log", 5, True, 1)
+    layers = [
+        conv(3, 2, 3, pad=1, wq=wq),
+        relu_layer(),
+        act_quant_layer("linear", 4, fsr_offset=1),
+        conv(2, 3, 3, pad=1, wq=wq),
+        relu_layer(),
+        act_quant_layer("log", 4, fsr_offset=2),
+        fc(4, 2 * 4 * 4, wq=wq),
+    ]
+    g = ModelGraph(layers=layers, fsr=2)
+    g.weights[0] = Tensor.from_real(rng.normal(0, 0.5, size=(3, 2, 3, 3)))
+    g.weights[3] = Tensor.from_real(rng.normal(0, 0.4, size=(2, 3, 3, 3)))
+    g.weights[6] = Tensor.from_real(rng.normal(0, 0.3, size=(4, 32)))
+    x = Tensor.from_real(np.abs(rng.normal(0, 2, size=(3, 2, 4, 4))))
+
+    got = forward(g, x, "method2_base2").data.astype(np.float64)
+
+    n = 3
+    value = x.real()
+    for i, cout in ((0, 3), (3, 2)):
+        wc = logquant_array(g.weight_array(i).reshape(cout, -1).T, wq)
+        cols, oh, ow = im2col_array(value, (3, 3), 1, 1)
+        raw = shifted_input_matmul(cols.T, QuantizedOperand(wc, wq, 0))
+        value = np.maximum(np.ldexp(raw, -8).reshape(n, oh, ow, cout).transpose(0, 3, 1, 2), 0)
+        if i == 0:
+            lcfg = QuantizerConfig("linear", 4, False, 3)
+            assert g.act_config(layers[2]) == lcfg
+            value = dequantize_array(linquant_array(value, lcfg), lcfg)
+    acfg = g.act_config(layers[5])
+    codes = logquant_array(value, acfg).reshape(n, -1)
+    w6 = logquant_array(g.weight_array(6).T, wq)
+    raw = method2_matmul(QuantizedOperand(codes, acfg, 0), QuantizedOperand(w6, wq, 0))
+    want = np.ldexp(raw, -8)
+    assert np.array_equal(got, want.astype(np.float32).astype(np.float64))
+
+
+def test_forward_linear_weight_quantizer_matches_manual_kernel_walk():
+    # method2 with a linear weight quantizer: the weights are the dequantized
+    # linear codes, a float product against the real input and the
+    # shift-weights kernel against log-coded activations
+    from lognet.lognum import linquant_array
+    from lognet.tensor import im2col_array
+
+    rng = np.random.default_rng(64)
+    lq = QuantizerConfig("linear", 6, True, 1)
+    layers = [
+        conv(3, 2, 3, pad=1, wq=lq),
+        relu_layer(),
+        act_quant_layer("log", 4, fsr_offset=2),
+        fc(4, 3 * 4 * 4, wq=lq),
+    ]
+    g = ModelGraph(layers=layers, fsr=1)
+    g.weights[0] = Tensor.from_real(rng.normal(0, 0.5, size=(3, 2, 3, 3)))
+    g.weights[3] = Tensor.from_real(rng.normal(0, 0.3, size=(4, 48)))
+    x = Tensor.from_real(np.abs(rng.normal(0, 2, size=(3, 2, 4, 4))))
+
+    got = forward(g, x, "method2_base2").data.astype(np.float64)
+
+    def linear_weights(i, cout):
+        w = g.weight_array(i).reshape(cout, -1)
+        return dequantize_array(linquant_array(w, lq), lq).T
+
+    cols, oh, ow = im2col_array(x.real(), (3, 3), 1, 1)
+    value = (cols.T @ linear_weights(0, 3)).reshape(3, oh, ow, 3).transpose(0, 3, 1, 2)
+    acfg = g.act_config(layers[2])
+    codes = logquant_array(np.maximum(value, 0), acfg).reshape(3, -1)
+    raw = method1_matmul(QuantizedOperand(codes, acfg, 0), linear_weights(3, 4))
     want = np.ldexp(raw, -8)
     assert np.array_equal(got, want.astype(np.float32).astype(np.float64))
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lognet import ConfigError, DomainError, QuantizerConfig, Tensor, im2col, quantize_tensor
+from lognet import ConfigError, DomainError, QuantizerConfig, Tensor, quantize_tensor
 from lognet.lognum import dequantize, logquant
 from lognet.tensor import im2col_array
 
@@ -83,11 +83,12 @@ def test_im2col_3x3_geometry():
 
 def test_im2col_zero_pad_uses_zero_codes():
     q = quantize_tensor(Tensor.from_real(np.full((1, 1, 2, 2), 4.0)), U3F5)
-    cols = im2col(q, (3, 3), stride=1, pad=1)
-    assert cols.is_quantized
-    corner = cols.data[:, 0]  # receptive field centered at (0, 0)
+    cols, _, _ = im2col_array(q.data, (3, 3), stride=1, pad=1, fill=0)
+    assert cols.dtype == np.uint8
+    corner = cols[:, 0]  # receptive field centered at (0, 0)
     assert corner[0] == 0  # padded position carries the zero code
-    assert (cols.real() >= 0).all()
+    assert corner[4] == q.data.flat[0]
+    assert (Tensor.from_codes(cols, U3F5).real() >= 0).all()
 
 
 def test_im2col_conv_equals_bruteforce():
@@ -102,6 +103,6 @@ def test_im2col_conv_equals_bruteforce():
 
 
 def test_im2col_incompatible_geometry():
-    x = Tensor.from_real(np.zeros((1, 1, 4, 4)))
+    x = np.zeros((1, 1, 4, 4))
     with pytest.raises(DomainError):
-        im2col(x, (3, 3), stride=2, pad=0)  # 4 - 3 = 1 not divisible by 2
+        im2col_array(x, (3, 3), stride=2, pad=0)  # 4 - 3 = 1 not divisible by 2

@@ -8,16 +8,16 @@ import pytest
 
 from lognet import QuantizerConfig
 from lognet.lognum import LogCode, dot_method2, logquant_array
-from lognet.nn import ModelGraph, batchnorm_layer, conv, fc, maxpool_layer, relu_layer
+from lognet.nn import (ModelGraph, QuantizedOperand, batchnorm_layer, conv, fc,
+                       maxpool_layer, relu_layer)
 from lognet.nn import act_quant_layer
 from lognet.train import (
     OptimizerSpec,
-    QTensor,
     TrainConfig,
     TrainingDiverged,
+    _arithmetic,
     _backward_train,
     _forward_train,
-    _qdot,
     ceil_log2,
     dynamic_gradient_fsr,
     fit,
@@ -312,14 +312,14 @@ def test_qdot_block_biased_product_matches_scalar_dot():
 
     def coded(a, q, fsr):
         c = replace(q, fsr=fsr)
-        return QTensor(None, logquant_array(a, c), c)
+        return QuantizedOperand(logquant_array(a, c), c, c.base_frac_bits)
 
     acts = np.maximum(rng.normal(0, 2.0, size=(40, 36)), 0.0)
     weights = rng.normal(0, 0.3, size=(36, 8))
     grads = rng.normal(0, 2.0 ** -12, size=(8, 40))
     for x, w in ((coded(acts, A4, 3), coded(weights, W5, 0)),
                  (coded(grads, G5, -9), coded(acts, A4, 3))):
-        got = _qdot(x, w, cfg)
+        got = _arithmetic(cfg).dot(x, w)
         cx0, cw0 = replace(x.cfg, fsr=0), replace(w.cfg, fsr=0)
         for i in (0, *rng.integers(0, x.codes.shape[0], size=3)):
             for j in range(w.codes.shape[1]):
