@@ -12,27 +12,16 @@ from typing import Iterable
 
 import numpy as np
 
-from .lognum import (
-    KIND_LOG,
-    DomainError,
-    QuantizerConfig,
-    dequantize_array,
-    linquant_array,
-    logquant_array,
-)
-from .tensor import Tensor
+from .lognum import KIND_LOG, DomainError, QuantizerConfig, dequantize_array, quantize_array
 
 DEFAULT_FSR_GRID = range(-10, 21)
 
 
 def _quantized_values(x: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
-    quant = logquant_array if cfg.kind == KIND_LOG else linquant_array
-    return dequantize_array(quant(x, cfg), cfg)
+    return dequantize_array(quantize_array(x, cfg), cfg)
 
 
 def _as_array(x) -> np.ndarray:
-    if isinstance(x, Tensor):
-        x = x.real()
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.size == 0:
         raise DomainError("cannot analyze an empty sample")
@@ -58,15 +47,16 @@ def fsr_error_profile(x, cfg_template: QuantizerConfig,
     return profile
 
 
+def _best_fsr(profile: list[tuple[int, float]]) -> int:
+    """The fsr of least error in an ascending profile; ``min`` keeps the
+    first of equal errors, so ties go to the smaller fsr."""
+    return min(profile, key=lambda fe: fe[1])[0]
+
+
 def calibrate_fsr(sample, cfg_template: QuantizerConfig,
                   fsr_grid: Iterable[int] = DEFAULT_FSR_GRID) -> int:
     """The grid fsr minimizing mean L1 error, ties toward smaller fsr."""
-    profile = fsr_error_profile(sample, cfg_template, sorted(fsr_grid))
-    best_fsr, best_err = profile[0]
-    for f, err in profile[1:]:
-        if err < best_err:
-            best_fsr, best_err = f, err
-    return best_fsr
+    return _best_fsr(fsr_error_profile(sample, cfg_template, sorted(fsr_grid)))
 
 
 def error_histogram(x, cfg: QuantizerConfig, bins: int = 256) -> tuple[np.ndarray, np.ndarray]:
@@ -139,10 +129,7 @@ def calibrate_layers(samples: dict[int, np.ndarray], cfg_template: QuantizerConf
     for idx in sorted(samples):
         acts = samples[idx]
         profile = fsr_error_profile(acts, cfg_template, grid)
-        chosen, best_err = profile[0]
-        for f, err in profile[1:]:  # strict <: ties keep the smaller fsr
-            if err < best_err:
-                chosen, best_err = f, err
+        chosen = _best_fsr(profile)
         if cfg_template.kind == KIND_LOG:
             log_cfg = replace(cfg_template, fsr=chosen)
             lin_cfg = QuantizerConfig("linear", cfg_template.bitwidth,

@@ -30,7 +30,7 @@ from .lognum import (
     QuantizerConfig,
 )
 from .nn import CONV, FC, LINQUANT, LOGQUANT, ModelGraph, forward
-from .tensor import Tensor
+from .tensor import Tensor, quantize_tensor
 
 
 def worker_threads() -> int:
@@ -289,7 +289,6 @@ def cmd_pack(args) -> int:
     fb = 1 if args.base == "sqrt2" else 0
     rounding = ROUND_FLOOR if args.rounding == "floor" else ROUND_NEAREST
     template = QuantizerConfig(KIND_LOG, args.bits, True, 0, fb, rounding)
-    from .tensor import quantize_tensor
     n_packed = 0
     for i, layer in enumerate(graph.layers):
         if layer.kind not in (CONV, FC):

@@ -123,11 +123,6 @@ class QuantizerConfig:
             raise DomainError(f"code {code} outside 1..{self.max_code}")
         return (self.fsr * (1 << self.base_frac_bits) - (self.num_codes - code)) * self.step
 
-    def level_exponents(self) -> np.ndarray:
-        """All representable exponents, ascending (codes 1..max_code)."""
-        codes = np.arange(1, self.num_codes)
-        return (self.fsr * (1 << self.base_frac_bits) - (self.num_codes - codes)) * self.step
-
 
 # ---------------------------------------------------------------------------
 # scalar log codes
@@ -413,41 +408,51 @@ def linquant_array(x: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
     return (np.abs(code).astype(np.uint8) | (neg << cfg.bitwidth_mag).astype(np.uint8))
 
 
-def split_wire(codes: np.ndarray, cfg: QuantizerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Wire codes -> (sign array in {-1, +1}, magnitude code array)."""
-    codes = np.asarray(codes)
+def quantize_array(x: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
+    """Elementwise quantization by ``cfg``'s kind; returns wire codes as uint8."""
+    return (logquant_array if cfg.kind == KIND_LOG else linquant_array)(x, cfg)
+
+
+class CodeTable(NamedTuple):
+    """What every wire code of a config means, indexed by the code.
+
+    ``sign`` is -1 or +1, ``esteps`` the log exponent in grid steps (0 for
+    linear codes), ``nonzero`` flags a nonzero magnitude and ``value`` is
+    the dequantized float64 value.
+    """
+
+    sign: np.ndarray
+    esteps: np.ndarray
+    nonzero: np.ndarray
+    value: np.ndarray
+
+
+@lru_cache(maxsize=256)
+def code_table(cfg: QuantizerConfig) -> CodeTable:
+    """The read-only table of all 2**bitwidth wire codes of ``cfg``."""
+    codes = np.arange(1 << cfg.bitwidth)
     mag = codes & cfg.max_code
-    if cfg.signed:
-        sign = np.where(codes >> cfg.bitwidth_mag, -1, 1).astype(np.int8)
+    sign = np.where(codes >> cfg.bitwidth_mag, -1, 1) if cfg.signed else np.ones_like(codes)
+    if cfg.kind == KIND_LINEAR:
+        esteps = np.zeros_like(codes)
+        value = np.ldexp(sign * mag.astype(np.float64), cfg.fsr - cfg.bitwidth)
     else:
-        sign = np.ones(codes.shape, dtype=np.int8)
-    return sign, mag.astype(np.int64)
+        fb = cfg.base_frac_bits
+        esteps = cfg.fsr * (1 << fb) - (cfg.num_codes - mag)
+        frac = (esteps & 1).astype(bool) if fb else np.zeros(mag.shape, dtype=bool)
+        value = np.where(mag == 0, 0.0, sign * np.ldexp(np.where(frac, SQRT2, 1.0), esteps >> fb))
+    table = CodeTable(sign, esteps, mag != 0, value)
+    for column in table:
+        column.setflags(write=False)
+    return table
 
 
 def dequantize_array(codes: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
-    """Elementwise dequantization of wire codes to float64."""
-    sign, mag = split_wire(codes, cfg)
-    if cfg.kind == KIND_LINEAR:
-        return np.ldexp(sign * mag.astype(np.float64), cfg.fsr - cfg.bitwidth)
-    fb = cfg.base_frac_bits
-    esteps = cfg.fsr * (1 << fb) - (cfg.num_codes - mag)  # exponent in grid steps
-    eint = esteps >> fb
-    frac = (esteps & 1).astype(bool) if fb else np.zeros(mag.shape, dtype=bool)
-    val = np.ldexp(np.where(frac, SQRT2, 1.0), eint)
-    return np.where(mag == 0, 0.0, sign * val)
-
-
-def exponents_array(codes: np.ndarray, cfg: QuantizerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Wire codes -> (sign, exponent in units of cfg.step, nonzero mask).
-
-    Exponents are returned as integers in grid steps so that adding two of
-    them (after lifting to a common grid) is exact integer arithmetic.
-    """
-    if cfg.kind != KIND_LOG:
-        raise ConfigError("exponents are defined for log codes only")
-    sign, mag = split_wire(codes, cfg)
-    esteps = cfg.fsr * (1 << cfg.base_frac_bits) - (cfg.num_codes - mag)
-    return sign, esteps, mag != 0
+    """Elementwise dequantization of wire codes to float64, by table lookup."""
+    try:
+        return code_table(cfg).value[codes]
+    except IndexError:
+        raise DomainError(f"wire code outside the {cfg.bitwidth}-bit range") from None
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ activation quantizer, the batchnorm parameters (and whether batch
 statistics replace them), the ``Arithmetic`` of the conv/fc products, and
 an optional backward cache or capture of the quantizer inputs.  A log-coded
 tensor, activation or weight, is a ``QuantizedOperand``: wire codes, their
-config, and values dequantized on first use.
+config, and values dequantized on first use.  What a code means comes from
+one table per config, ``lognum.code_table``: the kernels read signs and
+exponents from it, dequantizing is a gather from it, and maxpool compares
+the codes themselves (or, when signed, their value rank from the table), so
+a pooled activation stays coded.
 
 Convolutions are lowered with im2col to (output positions, C*kh*kw) rows,
 and every conv/fc product is rows @ W^T, computed by one of these kernels:
@@ -45,21 +49,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .lognum import (
-    KIND_LINEAR,
     KIND_LOG,
     AccumulatorOverflow,
     ConfigError,
     QuantizerConfig,
+    code_table,
     dequantize_array,
-    exponents_array,
-    linquant_array,
     log_accumulate_raw,
-    logquant_array,
+    quantize_array,
 )
 from .tensor import Tensor, conv_output_size, im2col_array
 
@@ -150,10 +152,6 @@ def act_quant_layer(kind: str, bitwidth: int, fsr_offset: int = 0,
     return LayerSpec(layer_kind, qconfig=cfg, fsr_offset=fsr_offset)
 
 
-def softmax_layer() -> LayerSpec:
-    return LayerSpec(SOFTMAX)
-
-
 @dataclass
 class ModelGraph:
     """Ordered layers plus the global fsr and a per-layer weight store."""
@@ -242,12 +240,24 @@ def maxpool_array(x: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, np.nd
     return out, idx
 
 
-def _code_windows(codes: np.ndarray, k: int, stride: int) -> np.ndarray:
-    n, c, h, w = codes.shape
-    oh = conv_output_size(h, k, stride, 0)
-    ow = conv_output_size(w, k, stride, 0)
-    win = np.lib.stride_tricks.sliding_window_view(codes, (k, k), axis=(2, 3))
-    return win[:, :, ::stride, ::stride].reshape(n, c, oh, ow, k * k)
+def _maxpool_codes(op: QuantizedOperand, k: int,
+                   stride: int) -> tuple[QuantizedOperand, np.ndarray]:
+    """``maxpool_array`` of a log-coded activation's values, run on its codes.
+
+    Unsigned log wire codes order like their values, so they pool as they
+    are.  Signed codes pool their dense value rank, read off the code table,
+    and map back to the first code of each rank.  Equal values get equal
+    keys, so the argmax indices and their first-index ties are those of
+    pooling the values.
+    """
+    if not op.cfg.signed:
+        codes, idx = maxpool_array(op.codes, k, stride)
+    else:
+        _, first, rank = np.unique(code_table(op.cfg).value, return_index=True,
+                                   return_inverse=True)
+        ranks, idx = maxpool_array(rank[op.codes], k, stride)
+        codes = first.astype(op.codes.dtype)[ranks]
+    return QuantizedOperand(codes, op.cfg, op.fb), idx
 
 
 @dataclass
@@ -332,28 +342,18 @@ def _check_out(out_raw: np.ndarray, int_bits: int, frac_bits: int) -> np.ndarray
     return out_raw
 
 
-class CodeTable(NamedTuple):
-    """Sign, exponent (lifted grid steps, bias applied) and nonzero flag of
-    every wire code of a config, indexed by the code."""
-
-    sign: np.ndarray
-    esteps: np.ndarray
-    nonzero: np.ndarray
-
-
 class QuantizedOperand:
     """Log wire codes with their config, grid-aligned for the shift kernels.
 
-    The codes decompose through ``table``, which holds the sign/exponent
-    decomposition of each of the at most 2**bitwidth wire codes; the kernels
-    read the codes through it, and the per-element ``sign``, ``esteps`` and
-    ``nonzero`` arrays are gathers from it on demand.  ``lift_fb`` is the
-    exponent grid (fractional bits) the exponents are expressed on.
-    ``bias_steps`` subtracts a fixed exponent (in lifted grid steps) from
-    every level, letting a caller hold the accumulator's binary point
-    relative to the operands' full scale instead of at an absolute
-    position; the caller rescales the raw result by the same amount.
-    ``values`` dequantizes the codes on first use.
+    ``table`` is the config's ``lognum.code_table`` with the exponent
+    column lifted and biased; the kernels read the codes through it, and the
+    per-element ``sign``, ``esteps`` and ``nonzero`` arrays are gathers from
+    it on demand.  ``lift_fb`` is the exponent grid (fractional bits) the
+    exponents are expressed on.  ``bias_steps`` subtracts a fixed exponent
+    (in lifted grid steps) from every level, letting a caller hold the
+    accumulator's binary point relative to the operands' full scale instead
+    of at an absolute position; the caller rescales the raw result by the
+    same amount.  ``values`` dequantizes the codes on first use.
     """
 
     def __init__(self, codes: np.ndarray, cfg: QuantizerConfig, lift_fb: int,
@@ -364,15 +364,12 @@ class QuantizedOperand:
         self.cfg = cfg
         self.fb = lift_fb
         self.bias_steps = bias_steps
-        sign, esteps, nonzero = exponents_array(np.arange(1 << cfg.bitwidth), cfg)
-        self.table = CodeTable(
-            sign.astype(np.int64),
-            (esteps.astype(np.int64) << (lift_fb - cfg.base_frac_bits)) - bias_steps,
-            nonzero)
+        table = code_table(cfg)
+        self.table = table._replace(
+            esteps=(table.esteps << (lift_fb - cfg.base_frac_bits)) - bias_steps)
         # one step above the top representable level, after the bias
         self.max_exp = cfg.fsr - math.ldexp(bias_steps, -lift_fb)
         self._values: Optional[np.ndarray] = None
-        self._transpose_of: Optional[QuantizedOperand] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -392,18 +389,17 @@ class QuantizedOperand:
 
     @property
     def values(self) -> np.ndarray:
-        """Float64 values of the codes; a transpose's are a view of its source's."""
+        """Float64 values of the codes, dequantized on first use."""
         if self._values is None:
-            self._values = (dequantize_array(self.codes, self.cfg)
-                            if self._transpose_of is None else self._transpose_of.values.T)
+            self._values = dequantize_array(self.codes, self.cfg)
         return self._values
 
     @property
     def T(self) -> "QuantizedOperand":
-        op = QuantizedOperand(np.ascontiguousarray(self.codes.T), self.cfg, self.fb,
-                              self.bias_steps)
-        op._transpose_of = self
-        return op
+        """The transpose, over a view of the codes: its values gather in the
+        transposed layout, so a float64 product with them sums in the same
+        order as with the transposed values of ``self``."""
+        return QuantizedOperand(self.codes.T, self.cfg, self.fb, self.bias_steps)
 
     def lifted(self, lift_fb: int, bias_steps: int = 0) -> "QuantizedOperand":
         """The same codes on another exponent grid and binary point."""
@@ -412,6 +408,19 @@ class QuantizedOperand:
     def present(self) -> np.ndarray:
         """Which wire codes occur in the operand, indexed by the code."""
         return np.bincount(self.codes.ravel(), minlength=self.table.sign.size) > 0
+
+
+def quantize_operand(x: np.ndarray, cfg: QuantizerConfig):
+    """``x`` quantized by ``cfg``, as the walker computes with it.
+
+    Log codes become a ``QuantizedOperand`` on their own grid.  Linear codes
+    come back as their float64 values: a product with them needs
+    multipliers, so they enter every product as a real operand.
+    """
+    codes = quantize_array(x, cfg)
+    if cfg.kind == KIND_LOG:
+        return QuantizedOperand(codes, cfg, cfg.base_frac_bits)
+    return dequantize_array(codes, cfg)
 
 
 def lift_grid(cfg_a: QuantizerConfig, cfg_b: QuantizerConfig) -> int:
@@ -728,7 +737,8 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, act_config,
 
     Returns the last layer's output.  An activation is a float64 array or,
     after a log quantizer, a ``QuantizedOperand`` whose values dequantize
-    on first use; maxpool pools the values and keeps the matching codes.
+    on first use; maxpool pools such an activation on its codes
+    (``_maxpool_codes``) without dequantizing it.
 
     * ``weights[i]``: the (out, in) weight matrix of conv/fc layer i,
       float64 or a ``QuantizedOperand``; a conv's in is C*kh*kw.
@@ -771,16 +781,11 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, act_config,
                 cache[i] = {"mask": v > 0}
             act = relu_array(v)
         elif kind == MAXPOOL:
-            pooled, idx = maxpool_array(_real(act), layer.pool, layer.stride)
+            pool = _maxpool_codes if isinstance(act, QuantizedOperand) else maxpool_array
+            pooled, idx = pool(act, layer.pool, layer.stride)
             if cache is not None:
                 cache[i] = {"idx": idx, "in_shape": act.shape}
-            if isinstance(act, QuantizedOperand):
-                win = _code_windows(act.codes, layer.pool, layer.stride)
-                codes = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-                act = QuantizedOperand(codes, act.cfg, act.fb)
-                act._values = pooled  # already dequantized
-            else:
-                act = pooled
+            act = pooled
         elif kind == BATCHNORM:
             v, p = _real(act), bn[i]
             if batch_stats is not None:
@@ -797,10 +802,7 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, act_config,
             cfg = act_config(layer) if act_config is not None else None
             if cfg is None:
                 continue
-            if cfg.kind == KIND_LOG:
-                act = QuantizedOperand(logquant_array(v, cfg), cfg, cfg.base_frac_bits)
-            else:
-                act = dequantize_array(linquant_array(v, cfg), cfg)
+            act = quantize_operand(v, cfg)
         elif kind == SOFTMAX:
             act = softmax_array(_real(act))
         else:
@@ -815,12 +817,10 @@ def _mode_weight(layer: LayerSpec, w: np.ndarray, mode: str):
     if layer.qconfig is None:
         raise ConfigError(
             f"{layer.kind} layer needs a weight quantizer config for {mode}")
-    if layer.qconfig.kind == KIND_LINEAR:
-        # linear weight reference: the values quantize, but a product needs
-        # multipliers, so coded activations use the shift-weights kernel
-        return dequantize_array(linquant_array(w, layer.qconfig), layer.qconfig)
-    cfg = replace(layer.qconfig, base_frac_bits=1 if mode == MODE_METHOD2_SQRT2 else 0)
-    return QuantizedOperand(logquant_array(w, cfg), cfg, cfg.base_frac_bits)
+    cfg = layer.qconfig
+    if cfg.kind == KIND_LOG:
+        cfg = replace(cfg, base_frac_bits=1 if mode == MODE_METHOD2_SQRT2 else 0)
+    return quantize_operand(w, cfg)
 
 
 def _stored_operands(graph: ModelGraph, mode: str) -> tuple[dict, dict]:

@@ -13,15 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lognum import (
-    KIND_LOG,
-    ConfigError,
-    DomainError,
-    QuantizerConfig,
-    dequantize_array,
-    linquant_array,
-    logquant_array,
-)
+from .lognum import ConfigError, DomainError, QuantizerConfig, dequantize_array, quantize_array
 
 
 @dataclass(frozen=True)
@@ -29,7 +21,8 @@ class Tensor:
     """Immutable shaped array.
 
     Real tensors store float32 data and no quantizer config; quantized
-    tensors store uint8 wire codes plus exactly one config.
+    tensors store uint8 wire codes, each below 2**bitwidth, plus exactly
+    one config.
     """
 
     data: np.ndarray
@@ -41,6 +34,9 @@ class Tensor:
                 raise ConfigError(f"real tensors use float32, got {self.data.dtype}")
         elif self.data.dtype != np.uint8:
             raise ConfigError(f"quantized tensors use uint8 codes, got {self.data.dtype}")
+        elif self.data.size and int(self.data.max()) >= 1 << self.qconfig.bitwidth:
+            raise ConfigError(f"wire code {int(self.data.max())} overflows "
+                              f"{self.qconfig.bitwidth} bits")
         if not self.data.flags["C_CONTIGUOUS"]:
             raise ConfigError("tensor payload must be contiguous row-major")
         self.data.setflags(write=False)
@@ -48,10 +44,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     @property
     def is_quantized(self) -> bool:
@@ -71,11 +63,6 @@ class Tensor:
             return self.data.astype(np.float64)
         return dequantize_array(self.data, self.qconfig)
 
-    def dequantize(self) -> "Tensor":
-        if self.qconfig is None:
-            return self
-        return Tensor.from_real(self.real())
-
 
 def quantize_tensor(t: Tensor, cfg: QuantizerConfig) -> Tensor:
     """Elementwise quantization; shape is preserved.
@@ -84,9 +71,7 @@ def quantize_tensor(t: Tensor, cfg: QuantizerConfig) -> Tensor:
     """
     if t.is_quantized:
         raise ConfigError("tensor is already quantized")
-    quant = logquant_array if cfg.kind == KIND_LOG else linquant_array
-    codes = quant(t.data.astype(np.float64), cfg)
-    return Tensor.from_codes(codes, cfg)
+    return Tensor.from_codes(quantize_array(t.data.astype(np.float64), cfg), cfg)
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:

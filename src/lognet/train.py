@@ -20,16 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lognum import (
-    KIND_LINEAR,
-    KIND_LOG,
-    ConfigError,
-    DomainError,
-    QuantizerConfig,
-    dequantize_array,
-    linquant_array,
-    logquant_array,
-)
+from .lognum import KIND_LOG, ConfigError, DomainError, QuantizerConfig
 from .nn import (
     BATCHNORM,
     BN_EPS,
@@ -44,7 +35,6 @@ from .nn import (
     BatchNormParams,
     LayerSpec,
     ModelGraph,
-    QuantizedOperand,
     act_quant_layer,
     batchnorm_layer,
     bn_normalize,
@@ -52,6 +42,7 @@ from .nn import (
     conv,
     fc,
     maxpool_layer,
+    quantize_operand,
     relu_layer,
     softmax_array,
     walk,
@@ -266,17 +257,9 @@ def optimizer_step(w: np.ndarray, g: np.ndarray, moments: dict,
 
 
 def _quantize_signed(x: np.ndarray, q: Optional[QuantizerConfig], fsr: int):
-    """Weight/gradient quantization at the given full-scale exponent.
-
-    Log codes stay coded for the kernels; linear codes (which feed no shift
-    kernel) and unquantized tensors stay float64.
-    """
-    if q is None:
-        return x
-    cfg = replace(q, fsr=fsr)
-    if cfg.kind == KIND_LINEAR:
-        return dequantize_array(linquant_array(x, cfg), cfg)
-    return QuantizedOperand(logquant_array(x, cfg), cfg, cfg.base_frac_bits)
+    """Weight/gradient quantization at the given full-scale exponent
+    (``nn.quantize_operand``); unquantized tensors stay float64."""
+    return x if q is None else quantize_operand(x, replace(q, fsr=fsr))
 
 
 def _act_config(graph: ModelGraph, q: QuantizerConfig, layer: LayerSpec) -> QuantizerConfig:

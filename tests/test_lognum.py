@@ -1,5 +1,6 @@
 """Unit tests for the log-domain numeric kernel."""
 
+import itertools
 import math
 
 import numpy as np
@@ -27,7 +28,9 @@ from lognet import (
 )
 from lognet.lognum import (
     ROUND_FLOOR,
+    ROUND_NEAREST,
     _log_accumulate_step,
+    code_table,
     dequantize_array,
     linquant_array,
     log_accumulate_raw,
@@ -285,6 +288,44 @@ def test_array_paths_match_scalar_paths():
             vals = dequantize_array(codes, cfg)
             for cw, v, x in zip(codes, vals, xs):
                 assert v == linquant(float(x), cfg).value
+
+    # the code table, which dequantize_array gathers from, row by row
+    # against the scalar decoders, at the lowest and highest fsr accepted
+    def fsr_range(**kw):
+        ok = []
+        for f in range(-960, 961):
+            try:
+                ok.append(QuantizerConfig(fsr=f, **kw).fsr)
+            except ConfigError:
+                pass
+        return ok[0], ok[-1]
+
+    for kind, bw, signed, fb, rounding in itertools.product(
+            ("log", "linear"), (1, 2, 5, 8), (False, True), (0, 1),
+            (ROUND_FLOOR, ROUND_NEAREST)):
+        if (signed and bw == 1) or (kind == "linear" and fb):
+            continue
+        kw = dict(kind=kind, bitwidth=bw, signed=signed, base_frac_bits=fb, rounding=rounding)
+        for fsr in fsr_range(**kw):
+            cfg = QuantizerConfig(fsr=fsr, **kw)
+            t = code_table(cfg)
+            assert all(col.shape == (1 << bw,) and not col.flags.writeable for col in t)
+            for c in range(1 << bw):
+                mag, neg = c & cfg.max_code, signed and c >> cfg.bitwidth_mag
+                if neg and mag == 0:
+                    continue  # negative zero is not a valid wire code
+                if kind == "log":
+                    lc = LogCode.from_wire(c, cfg)
+                    want = dequantize(lc, cfg)
+                    if mag:
+                        assert t.esteps[c] * cfg.step == cfg.level_exponent(mag), (cfg, c)
+                else:
+                    want = (-mag if neg else mag) * cfg.linear_step
+                assert float(t.value[c]).hex() == want.hex(), (cfg, c)
+                assert t.sign[c] == (-1 if neg else 1) and t.nonzero[c] == (mag != 0)
+            assert dequantize_array(np.arange(1 << bw), cfg).tolist() == t.value.tolist()
+            with pytest.raises(DomainError):
+                dequantize_array(np.array([0, 1 << bw]), cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,23 @@ def test_maxpool_keeps_codes():
     assert np.array_equal(pooled.codes, codes_from([[[[16.0, 8.0], [16.0, 8.0]]]], ACT4))
     assert np.array_equal(pooled.values, [[[[16.0, 8.0], [16.0, 8.0]]]])
 
+    # signed codes pool as their values would: windows of negatives, zeros
+    # and positives, with ties kept at the first index
+    windows = [[-4, -1, -2, -0.5], [-2, 0, -1, 0], [1, -8, 2, 2],
+               [0, 0, 0, 0], [-8, 0.5, 0, -0.25], [0.25, 8, -8, 8]]
+    vals = np.array(windows, dtype=np.float64).reshape(2, 3, 2, 2)
+    vals = vals.transpose(0, 2, 1, 3).reshape(1, 1, 4, 6)
+    s4 = QuantizerConfig("log", 4, True, 4)
+    g = ModelGraph(layers=[nn.LayerSpec(nn.LOGQUANT, qconfig=QuantizerConfig("log", 4, True, 0)),
+                           maxpool_layer(2)], fsr=4)
+    cache: dict = {}
+    pooled = walk(g, vals, {}, g.act_config, {}, Arithmetic(), cache=cache)
+    want, want_idx = maxpool_array(dequantize_array(logquant_array(vals, s4), s4), 2, 2)
+    assert want_idx.ravel().tolist() == [3, 1, 2, 0, 1, 1]
+    assert pooled.cfg == s4 and np.array_equal(pooled.codes, logquant_array(want, s4))
+    assert np.array_equal(pooled.values, want)
+    assert np.array_equal(cache[1]["idx"], want_idx)
+
 
 def test_batchnorm_examples():
     rng = np.random.default_rng(41)

@@ -21,6 +21,11 @@ def test_tensor_payload_rules():
     assert q.is_quantized and q.data.dtype == np.uint8
     with pytest.raises(ConfigError):
         quantize_tensor(q, U3F5)  # already quantized
+    with pytest.raises(ConfigError):  # wire code beyond the config's bitwidth
+        Tensor.from_codes(np.array([200], np.uint8), QuantizerConfig("log", 5, True, 0))
+    with pytest.raises(ConfigError):
+        Tensor.from_codes(np.array([0, 8], np.uint8), U3F5)
+    assert Tensor.from_codes(np.array([0, 7], np.uint8), U3F5).real().tolist() == [0.0, 16.0]
 
 
 def test_quantize_tensor_examples():
