@@ -12,7 +12,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .lognum import KIND_LOG, DomainError, QuantizerConfig, dequantize_array, quantize_array
+from .lognum import (KIND_LOG, DomainError, QuantizerConfig, code_table, dequantize_array,
+                     linquant_array, log_codes, log_grid_index, quantize_array)
 
 DEFAULT_FSR_GRID = range(-10, 21)
 
@@ -36,12 +37,19 @@ def quant_error_l1(x, cfg: QuantizerConfig) -> float:
 
 def fsr_error_profile(x, cfg_template: QuantizerConfig,
                       fsr_grid: Iterable[int] = DEFAULT_FSR_GRID) -> list[tuple[int, float]]:
-    """Mean L1 error for every candidate fsr in the grid."""
+    """Mean L1 error for every candidate fsr in the grid.
+
+    A log template's grid index does not depend on fsr, so it is computed
+    once and every fsr's codes are derived from it.
+    """
     vals = _as_array(x)
+    grid = log_grid_index(vals, cfg_template) if cfg_template.kind == KIND_LOG else None
     profile = []
     for f in fsr_grid:
         cfg = replace(cfg_template, fsr=int(f))
-        profile.append((int(f), float(np.abs(_quantized_values(vals, cfg) - vals).mean())))
+        codes = linquant_array(vals, cfg) if grid is None else log_codes(grid, cfg)
+        err = np.abs(code_table(cfg).value[codes] - vals).mean()
+        profile.append((int(f), float(err)))
     if not profile:
         raise DomainError("fsr grid is empty")
     return profile

@@ -5,9 +5,10 @@ exponent on a power-of-two (or power-of-sqrt(2)) grid.  Dot products then
 reduce to bitshifts and integer adds; no multiplier is ever needed.
 
 Everything here is exact: scalar quantization runs on integer arithmetic
-derived from ``float.as_integer_ratio`` and the vectorized paths use
-decision thresholds pre-rounded to the smallest float not below the true
-(irrational) boundary, so scalar and array results agree bit for bit.
+derived from ``float.as_integer_ratio``; the vectorized path reads each
+octave off ``np.frexp`` and compares the mantissa against cuts pre-rounded
+to the smallest float not below the true (irrational) boundary, so scalar
+and array results agree bit for bit.
 """
 
 from __future__ import annotations
@@ -356,50 +357,93 @@ def _ceil_float_pow2(num: int, den_bits: int) -> float:
             return b
 
 
-@lru_cache(maxsize=256)
-def _log_thresholds(cfg: QuantizerConfig) -> np.ndarray:
-    """Ascending magnitude cuts: searchsorted(cuts, |x|, 'right') is the code.
+# steps by which zero's grid index is pushed down: below the bottom
+# fsr * 2**fb - num_codes >= -2 * _MAX_ABS_EXPONENT of every accepted grid,
+# so zero flushes to code 0 at every fsr
+_ZERO_INDEX_DROP = 4 * _MAX_ABS_EXPONENT
 
-    For nearest rounding the cut below level e is 2**(e - step/2); for floor
-    it is 2**e.  Each cut is the smallest float not below the true boundary,
-    so plain float comparison reproduces the exact integer decision.
+
+@lru_cache(maxsize=8)
+def _octave_cuts(base_frac_bits: int, rounding: str) -> tuple[float, ...]:
+    """Cuts on the doubled frexp mantissa 2m in [1, 2) where the grid index
+    steps up within an octave.
+
+    For nearest rounding the cuts are 2**((2i + 1) / 2**(fb + 1)), for floor
+    2**(i / 2**fb), i > 0.  Each is the smallest float not below the true
+    cut, so plain float comparison reproduces the exact decision.
     """
-    fb = cfg.base_frac_bits
-    den_bits = fb + 1
-    cuts = np.empty(cfg.max_code, dtype=np.float64)
-    for code in range(1, cfg.num_codes):
-        j = cfg.fsr * (1 << fb) - (cfg.num_codes - code)  # exponent in steps
-        num = 2 * j - (1 if cfg.rounding == ROUND_NEAREST else 0)
-        cuts[code - 1] = _ceil_float_pow2(num, den_bits)
-    return cuts
+    first = 1 if rounding == ROUND_NEAREST else 2
+    return tuple(_ceil_float_pow2(num, base_frac_bits + 1)
+                 for num in range(first, 2 << base_frac_bits, 2))
 
 
-def logquant_array(x: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
-    """Elementwise ``logquant``; returns wire codes as uint8."""
+class LogGridIndex(NamedTuple):
+    """Where every element of an array falls on a log grid, for any fsr.
+
+    ``index`` is the int32 grid index j of each magnitude (the exponent
+    j * step it rounds to), with zeros far below every grid; ``negative``
+    flags negative elements of a signed config's input (None if unsigned).
+    """
+
+    index: np.ndarray
+    negative: np.ndarray | None
+
+
+def log_grid_index(x: np.ndarray, cfg: QuantizerConfig) -> LogGridIndex:
+    """The unclipped grid index of ``x`` on ``cfg``'s grid and rounding.
+
+    ``np.frexp`` gives each magnitude's octave exactly, subnormals
+    included; the doubled mantissa is compared against the octave's cuts.
+    The result does not depend on ``cfg.fsr``.
+    """
     if cfg.kind != KIND_LOG:
-        raise ConfigError("logquant_array requires a log-kind config")
+        raise ConfigError("log_grid_index requires a log-kind config")
+    x = _checked_array(x, cfg)
+    m, e = np.frexp(np.abs(x))
+    m *= 2.0
+    j = e - 1
+    j <<= cfg.base_frac_bits
+    for cut in _octave_cuts(cfg.base_frac_bits, cfg.rounding):
+        j += m >= cut
+    j -= (m == 0.0) * np.int32(_ZERO_INDEX_DROP)
+    return LogGridIndex(j, x < 0 if cfg.signed else None)
+
+
+def log_codes(grid: LogGridIndex, cfg: QuantizerConfig) -> np.ndarray:
+    """Wire codes (uint8) of a grid index under ``cfg``'s fsr and bitwidth.
+
+    Code c sits num_codes - c steps below fsr: the index less
+    fsr * 2**fb - num_codes, clipped to [0, max_code], so exponents at or
+    below the grid flush to zero and those at or above fsr saturate.
+    """
+    bottom = cfg.fsr * (1 << cfg.base_frac_bits) - cfg.num_codes
+    code = np.clip(grid.index, bottom, bottom + cfg.max_code)
+    code -= bottom
+    code = code.astype(np.uint8)
+    if cfg.signed:
+        code |= (grid.negative & (code != 0)).view(np.uint8) << np.uint8(cfg.bitwidth_mag)
+    return code
+
+
+def _checked_array(x: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise DomainError("cannot quantize non-finite values")
     if not cfg.signed and (x < 0).any():
         raise DomainError("negative input into unsigned quantizer")
-    mag = np.abs(x)
-    code = np.searchsorted(_log_thresholds(cfg), mag, side="right")
-    if not cfg.signed:
-        return code.astype(np.uint8)
-    neg = (x < 0) & (code > 0)
-    return (code | (neg << cfg.bitwidth_mag)).astype(np.uint8)
+    return x
+
+
+def logquant_array(x: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
+    """Elementwise ``logquant``; returns wire codes as uint8."""
+    return log_codes(log_grid_index(x, cfg), cfg)
 
 
 def linquant_array(x: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
     """Elementwise ``linquant``; returns wire codes (sign bit first) as uint8."""
     if cfg.kind != KIND_LINEAR:
         raise ConfigError("linquant_array requires a linear-kind config")
-    x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise DomainError("cannot quantize non-finite values")
-    if not cfg.signed and (x < 0).any():
-        raise DomainError("negative input into unsigned quantizer")
+    x = _checked_array(x, cfg)
     code = np.rint(x / cfg.linear_step)
     code = np.clip(code, -cfg.max_code if cfg.signed else 0, cfg.max_code)
     if not cfg.signed:
@@ -449,7 +493,11 @@ def code_table(cfg: QuantizerConfig) -> CodeTable:
 
 def dequantize_array(codes: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
     """Elementwise dequantization of wire codes to float64, by table lookup."""
+    codes = np.asarray(codes)
     try:
+        # a negative index would count from the end of the table
+        if codes.dtype.kind == "i" and codes.size and codes.min() < 0:
+            raise IndexError
         return code_table(cfg).value[codes]
     except IndexError:
         raise DomainError(f"wire code outside the {cfg.bitwidth}-bit range") from None

@@ -225,14 +225,27 @@ def relu_array(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def maxpool_array(x: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-window max; also returns flat argmax indices for gradient routing.
+def maxpool_array(x: np.ndarray, k: int, stride: int,
+                  argmax: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-window max and, with ``argmax``, the flat index of each window's
+    max for gradient routing (else None).
 
     Ties break to the first index in window scan order.
     """
     n, c, h, w = x.shape
     oh = conv_output_size(h, k, stride, 0)
     ow = conv_output_size(w, k, stride, 0)
+    if not argmax:
+        # a running max over the k*k strided slices copies no window; of
+        # two equal operands (+0 and -0) np.maximum returns the second, so
+        # the max so far goes second and a tie keeps the first index's value
+        out = None
+        for dy in range(k):
+            for dx in range(k):
+                s = x[:, :, dy:dy + stride * (oh - 1) + 1:stride,
+                      dx:dx + stride * (ow - 1) + 1:stride]
+                out = s.copy() if out is None else np.maximum(s, out, out=out)
+        return out, None
     win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
     win = win[:, :, ::stride, ::stride].reshape(n, c, oh, ow, k * k)
     idx = win.argmax(axis=-1)
@@ -240,8 +253,8 @@ def maxpool_array(x: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, np.nd
     return out, idx
 
 
-def _maxpool_codes(op: QuantizedOperand, k: int,
-                   stride: int) -> tuple[QuantizedOperand, np.ndarray]:
+def _maxpool_codes(op: QuantizedOperand, k: int, stride: int,
+                   argmax: bool) -> tuple[QuantizedOperand, np.ndarray | None]:
     """``maxpool_array`` of a log-coded activation's values, run on its codes.
 
     Unsigned log wire codes order like their values, so they pool as they
@@ -251,11 +264,11 @@ def _maxpool_codes(op: QuantizedOperand, k: int,
     pooling the values.
     """
     if not op.cfg.signed:
-        codes, idx = maxpool_array(op.codes, k, stride)
+        codes, idx = maxpool_array(op.codes, k, stride, argmax)
     else:
         _, first, rank = np.unique(code_table(op.cfg).value, return_index=True,
                                    return_inverse=True)
-        ranks, idx = maxpool_array(rank[op.codes], k, stride)
+        ranks, idx = maxpool_array(rank[op.codes], k, stride, argmax)
         codes = first.astype(op.codes.dtype)[ranks]
     return QuantizedOperand(codes, op.cfg, op.fb), idx
 
@@ -782,7 +795,7 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, act_config,
             act = relu_array(v)
         elif kind == MAXPOOL:
             pool = _maxpool_codes if isinstance(act, QuantizedOperand) else maxpool_array
-            pooled, idx = pool(act, layer.pool, layer.stride)
+            pooled, idx = pool(act, layer.pool, layer.stride, cache is not None)
             if cache is not None:
                 cache[i] = {"idx": idx, "in_shape": act.shape}
             act = pooled

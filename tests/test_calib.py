@@ -1,5 +1,7 @@
 """Calibration and error-analysis tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,29 @@ def test_quant_error_l1_examples():
     assert got == 0.5  # 1.5 rounds up to 2 on the sqrt2 cut
     with pytest.raises(DomainError):
         quant_error_l1(np.array([]), LOG3)
+
+
+def test_fsr_error_profile_matches_quant_error_l1():
+    # the sweep derives every fsr's codes from one grid index per array;
+    # each point must equal quantizing at that fsr on its own, bit for bit
+    rng = np.random.default_rng(127)
+    x = rng.lognormal(0.0, 3.0, size=5000) * rng.choice([-1.0, 1.0], size=5000)
+    x[::7] = 0.0
+    x[:4] = [5e-324, -5e-324, 2.0**-1022, -1.5]
+    grid = [-900, *range(-10, 21), 900]
+    for cfg in (QuantizerConfig("log", 4, False, 0), LOG5S,
+                QuantizerConfig("log", 5, True, 0, base_frac_bits=1),
+                QuantizerConfig("log", 3, False, 0, rounding="floor_msb"),
+                QuantizerConfig("linear", 4, False, 0),
+                QuantizerConfig("linear", 5, True, 0)):
+        sample = x if cfg.signed else np.abs(x)
+        profile = fsr_error_profile(sample, cfg, grid)
+        assert [f for f, _ in profile] == grid
+        for f, err in profile:
+            want = quant_error_l1(sample, replace(cfg, fsr=f))
+            assert err.hex() == want.hex(), (cfg, f)
+    with pytest.raises(DomainError):
+        fsr_error_profile(-np.ones(3), LOG3)
 
 
 def test_error_histogram_conservation_and_zero_bin():

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -300,14 +302,42 @@ def test_array_paths_match_scalar_paths():
                 pass
         return ok[0], ok[-1]
 
+    # every decision cut of a log config, from the flush-to-zero cut to the
+    # saturation cut: the float nearest the true cut and its neighbours on
+    # both sides straddle it, whichever way it rounds
+    def cut_points(cfg):
+        den = 1 << (cfg.base_frac_bits + 1)
+        half = 1 if cfg.rounding == ROUND_NEAREST else 0
+        bottom = cfg.fsr * (1 << cfg.base_frac_bits) - cfg.num_codes
+        pts = []
+        for j in range(bottom, bottom + cfg.num_codes + 2):
+            cut = float(mpmath.power(2, mpmath.mpf(2 * j - half) / den))
+            pts += [math.nextafter(cut, 0.0), cut, math.nextafter(cut, math.inf)]
+        return pts
+
+    tiny = math.ldexp(1.0, -1022)
+    specials = [0.0, -0.0, 5e-324, tiny, math.nextafter(tiny, 0.0),
+                math.nextafter(tiny, 1.0), sys.float_info.max]
+
     for kind, bw, signed, fb, rounding in itertools.product(
             ("log", "linear"), (1, 2, 5, 8), (False, True), (0, 1),
             (ROUND_FLOOR, ROUND_NEAREST)):
         if (signed and bw == 1) or (kind == "linear" and fb):
             continue
         kw = dict(kind=kind, bitwidth=bw, signed=signed, base_frac_bits=fb, rounding=rounding)
-        for fsr in fsr_range(**kw):
+        for fsr in (*fsr_range(**kw), 0):
             cfg = QuantizerConfig(fsr=fsr, **kw)
+            if kind == "log":
+                xs = np.array(cut_points(cfg) + specials)
+                if signed:
+                    xs = np.concatenate([xs, -xs])
+                codes = logquant_array(xs, cfg)
+                vals = dequantize_array(codes, cfg)
+                for x, cw, v in zip(xs.tolist(), codes.tolist(), vals.tolist()):
+                    lc = logquant(x, cfg)
+                    ref_code, ref_value = logquant_ref(x, bw, signed, fsr, fb, rounding)
+                    assert cw == lc.wire(cfg) and lc.sign * lc.code == ref_code, (cfg, x)
+                    assert v.hex() == dequantize(lc, cfg).hex() and v == ref_value, (cfg, x)
             t = code_table(cfg)
             assert all(col.shape == (1 << bw,) and not col.flags.writeable for col in t)
             for c in range(1 << bw):
@@ -326,6 +356,8 @@ def test_array_paths_match_scalar_paths():
             assert dequantize_array(np.arange(1 << bw), cfg).tolist() == t.value.tolist()
             with pytest.raises(DomainError):
                 dequantize_array(np.array([0, 1 << bw]), cfg)
+            with pytest.raises(DomainError):
+                dequantize_array(np.array([1, -1]), cfg)  # not the top code
 
 
 # ---------------------------------------------------------------------------

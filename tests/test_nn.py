@@ -60,6 +60,19 @@ def test_maxpool_examples():
     # ties break to the first index in window scan order
     assert maxpool_array(np.zeros((1, 1, 2, 2)), 2, 2)[1].item() == 0
 
+    # without the argmax, the running max keeps the same values bit for
+    # bit, the first of tied +0 and -0 included
+    rng = np.random.default_rng(43)
+    x = rng.choice([-0.0, 0.0, -1.0, 0.5, 2.0], size=(3, 2, 9, 11))
+    x[0, 0, :2, :4] = [[-0.0, 0.0, 0.0, -0.0], [-1.0, -0.0, -1.0, 0.0]]
+    for k, stride, h, w in ((2, 2, 8, 10), (2, 1, 9, 11), (3, 2, 9, 11)):
+        xs = x[:, :, :h, :w]
+        for a in (xs, xs.astype(np.float32), (xs * 2 + 2).astype(np.uint8)):
+            out, idx = maxpool_array(a, k, stride, argmax=False)
+            want = maxpool_array(a, k, stride)[0]
+            assert idx is None and out.dtype == a.dtype
+            assert np.array_equal(out.view(np.uint8), want.view(np.uint8)), (k, stride, a.dtype)
+
 
 def test_maxpool_keeps_codes():
     # the walker pools a quantized activation by its codes and keeps them
@@ -87,6 +100,9 @@ def test_maxpool_keeps_codes():
     assert pooled.cfg == s4 and np.array_equal(pooled.codes, logquant_array(want, s4))
     assert np.array_equal(pooled.values, want)
     assert np.array_equal(cache[1]["idx"], want_idx)
+    # the walk without a cache pools without the argmax, to the same codes
+    uncached = walk(g, vals, {}, g.act_config, {}, Arithmetic())
+    assert np.array_equal(uncached.codes, pooled.codes)
 
 
 def test_batchnorm_examples():
