@@ -12,8 +12,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .lognum import (KIND_LOG, DomainError, QuantizerConfig, code_table, dequantize_array,
-                     linquant_array, log_codes, log_grid_index, quantize_array)
+from .lognum import (KIND_LINEAR, KIND_LOG, DomainError, QuantizerConfig, code_table,
+                     dequantize_array, linquant_array, log_codes, log_grid_index,
+                     quantize_array)
 
 DEFAULT_FSR_GRID = range(-10, 21)
 
@@ -95,7 +96,6 @@ class LayerCalibration:
     l1_log: float
     l1_linear: float
     profile: list[tuple[int, float]]
-    histogram: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -125,12 +125,13 @@ class CalibrationReport:
 
 def calibrate_layers(samples: dict[int, np.ndarray], cfg_template: QuantizerConfig,
                      global_fsr: int,
-                     fsr_grid: Iterable[int] = DEFAULT_FSR_GRID,
-                     bins: int = 256) -> CalibrationReport:
+                     fsr_grid: Iterable[int] = DEFAULT_FSR_GRID) -> CalibrationReport:
     """Calibrate every captured quantizer input and report offsets.
 
     ``samples`` maps layer index to the activations seen entering that
     quantizer (from a float reference forward over calibration images).
+    The template kind's L1 error at the chosen fsr is that fsr's profile
+    entry; only the other kind quantizes the sample again.
     """
     report = CalibrationReport(global_fsr=global_fsr)
     grid = sorted(fsr_grid)
@@ -138,21 +139,16 @@ def calibrate_layers(samples: dict[int, np.ndarray], cfg_template: QuantizerConf
         acts = samples[idx]
         profile = fsr_error_profile(acts, cfg_template, grid)
         chosen = _best_fsr(profile)
-        if cfg_template.kind == KIND_LOG:
-            log_cfg = replace(cfg_template, fsr=chosen)
-            lin_cfg = QuantizerConfig("linear", cfg_template.bitwidth,
-                                      cfg_template.signed, chosen)
-        else:
-            lin_cfg = replace(cfg_template, fsr=chosen)
-            log_cfg = QuantizerConfig("log", cfg_template.bitwidth,
-                                      cfg_template.signed, chosen)
+        l1 = {cfg_template.kind: dict(profile)[chosen]}
+        other = KIND_LINEAR if cfg_template.kind == KIND_LOG else KIND_LOG
+        l1[other] = quant_error_l1(acts, QuantizerConfig(
+            other, cfg_template.bitwidth, cfg_template.signed, chosen))
         report.layers.append(LayerCalibration(
             layer_index=idx,
             chosen_fsr=chosen,
             fsr_offset=chosen - global_fsr,
-            l1_log=quant_error_l1(acts, log_cfg),
-            l1_linear=quant_error_l1(acts, lin_cfg),
+            l1_log=l1[KIND_LOG],
+            l1_linear=l1[KIND_LINEAR],
             profile=profile,
-            histogram=error_histogram(acts, replace(cfg_template, fsr=chosen), bins),
         ))
     return report

@@ -41,8 +41,12 @@ every other live code gets a (k, o) table of its truncated integer terms,
 and one GEMM of one-hot code indicators against the stacked tables sums
 them.  All arithmetic stays on integers below 2**53, where float64 is exact
 in any summation order.  Log-domain accumulation is order dependent, so its
-kernel walks the index sequentially, vectorized over every output and both
-signs at once, with each step one table lookup on int64 exponents.
+kernel keeps the index order within each running sum.  A weight has one
+sign, so with unsigned activations each of the 2o sums (one per output and
+term sign) gets its own k-ordered list of the k's it can receive a term at;
+all sums step through their lists together, each step one table lookup on
+exponents held relative to the operands' lowest levels, in the narrowest
+of int16, int32 and int64 that provably holds every intermediate value.
 """
 
 from __future__ import annotations
@@ -596,28 +600,42 @@ def shifted_input_matmul(x_real: np.ndarray, w: QuantizedOperand,
     return _check_out(out, int_bits, frac_bits)
 
 
-def _trunc_halfexp_raw(s_raw: np.ndarray, f: int, frac_bits: int) -> np.ndarray:
-    """Raw accumulator value of 2**s for fixed-point exponents s (vectorized)."""
-    pf = s_raw >> f
-    mant = ((1 << f) + (s_raw & ((1 << f) - 1))).astype(np.float64)
-    return np.floor(np.ldexp(mant, (pf + frac_bits - f).astype(np.int64)))
+def _trunc_halfexp_raw(s_rel: np.ndarray, base: int, f: int, frac_bits: int) -> np.ndarray:
+    """Raw accumulator value of 2**s for fixed-point exponents s = s_rel + base.
+
+    ``s_rel`` is a narrow integer array with room for ``s_rel + 2**f - 1``;
+    only the exponent of each value is widened to int64.
+    """
+    u = s_rel + (base & ((1 << f) - 1))
+    mant = ((u & ((1 << f) - 1)) + (1 << f)).astype(np.float64)
+    return np.floor(np.ldexp(mant, (u >> f).astype(np.int64) + ((base >> f) + frac_bits - f)))
 
 
-# Exponent of a log-domain running sum before its first term, and of a
-# zero-coded term.  They lie far enough apart, and below every real exponent,
-# that the step's correction vanishes between any two of them; a sum of two
-# still fits int64.
-_LOG_EMPTY = -(1 << 50)
-_LOG_ZERO = -(1 << 60)
-_LOG_BLOCK = 1 << 16  # running-sum elements per row block: three arrays fit L2
+# Running sums per row block of the log-domain walk.  On the benchmark's
+# three products (best of 8 alternating runs), 2**14 to 2**16 ran alike at
+# f = 4 (int16) and f = 10 (int32); 2**12 and 2**13 ran 1.2-1.6x slower
+# (per-step call overhead), and 2**17 ran 1.2x slower at f = 10, where the
+# step's arrays outgrow the L2 cache.
+_LOG_BLOCK = 1 << 16
 
 
-def _sign_planes(op: QuantizedOperand, shift: int) -> tuple[np.ndarray, np.ndarray]:
-    """Raw term exponents of the positive and the negative codes, zero-filled."""
+def _level_span(op: QuantizedOperand, shift: int) -> tuple[np.ndarray, int, int]:
+    """Raw exponents of the operand's levels, its lowest nonzero level and
+    the span from that level to its highest."""
     t = op.table
-    e = t.esteps << shift
-    return (np.where(t.nonzero & (t.sign > 0), e, _LOG_ZERO)[op.codes],
-            np.where(t.nonzero & (t.sign < 0), e, _LOG_ZERO)[op.codes])
+    e = t.esteps.astype(np.int64) << shift
+    live = e[t.nonzero]
+    if live.size == 0:
+        return e, 0, 0
+    return e, int(live.min()), int(live.max() - live.min())
+
+
+def _walk_dtype(lo: int, hi: int):
+    """The narrowest of int16, int32 and int64 holding [lo, hi]."""
+    for dtype in (np.int16, np.int32, np.int64):
+        if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max:
+            return dtype
+    raise ConfigError("log-domain exponents exceed the int64 range")
 
 
 def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
@@ -633,55 +651,107 @@ def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
     it reaches 2**53, where the float64 difference of the two could round.
     An empty sum is 0.
 
-    Both sums live side by side in one (n, 2o) int64 array, walked in row
-    blocks.  A sum starts at a sentinel far below any real exponent, and
-    zero-coded terms enter at a lower one, so the first real term replaces
-    the sentinel and a zero term changes nothing, with no masks.  The step
-    ``max(s, p) + corr(|s - p|)`` is one lookup in a table that one call of
-    ``lognum.log_accumulate_raw`` fills for every difference up to
-    (f+1) * 2**f raw, f being ``exp_frac_bits``; ``corr`` is 0 beyond it.
+    Schedules.  A term reaches the positive sum of output j when the signs
+    of x[i, k] and w[k, j] agree, the negative one when they differ.  With
+    unsigned activations the weight alone decides, so each of the 2o sums
+    gets the k-ordered list of the k's whose weight has its sign.  With
+    signed activations every nonzero-weight k is listed in both sums, and
+    each step takes the larger of the positive- and the negative-activation
+    candidate (the other one is a zero term).  Lists shorter than the
+    longest are padded with zero terms.  Step t gathers, for every sum, the
+    activation row of its t-th k and adds that entry's weight exponent.
+
+    Relative exponents and the dtype bound.  The step
+    ``max(s, p) + corr(|s - p|)`` is unchanged by a common shift of s and p,
+    so exponents are held relative to each operand's lowest nonzero level
+    and shifted back only for the conversion.  With f = ``exp_frac_bits``
+    and cap = (f+1) * 2**f raw, corr(d) = 0 for d >= cap and
+    d + corr(d) <= cap for 0 <= d <= cap, and the step is non-decreasing in
+    both operands.  With Sx, Sw the spans of the two operands' level
+    exponents, every real term lies in [0, P], P = Sx + Sw, so a running
+    sum lies in [0, P + cap] (no higher than a walk of terms all P).
+
+    Sentinels.  An empty sum is -cap, at least cap below every real term,
+    so its first real term replaces it.  A zero activation enters as
+    -(2 cap + Sw) and a zero or pad weight as -(2 cap + Sx), so every term
+    with either lies at or below -2 cap, at least cap below every sum,
+    empty or not, and leaves it unchanged.
+
+    The step is ``q = p - cap``, ``h = g[clip(s - q, 0, 2 cap)] + q``,
+    ``s = max(s, h)``, where one call of ``lognum.log_accumulate_raw``
+    fills g for every difference in [-cap, cap]; a clipped difference is
+    still exact, since corr(cap) = 0.  Every value this computes lies in
+    [-(P + 5 cap), 2P + 6 cap], and the walk runs in the narrowest of
+    int16, int32 and int64 that holds that range.
     """
     f = exp_frac_bits
     if f < x.fb:
         raise ConfigError("exponent word cannot hold the grid step")
-    n, k = x.shape
-    o = w.shape[1]
+    n, o = x.shape[0], w.shape[1]
     shift = f - x.fb
-    # g[t + cap] = step(t, 0) + cap = max(t, 0) + corr(|t|) + cap, so with
-    # q = p - cap, step(s, p) = q + g[s - q].  corr(cap) = 0, so a clipped
-    # index is still exact: t = s - p < -cap gives p, and t > cap gives
-    # p + cap < s, which the max with s discards.
     cap = (f + 1) << f
+    xe, x_lo, x_span = _level_span(x, shift)
+    we, w_lo, w_span = _level_span(w, shift)
+    p_max = x_span + w_span
+    dtype = _walk_dtype(-(p_max + 5 * cap), 2 * p_max + 6 * cap)
+    empty = -cap
+    x_zero = -(2 * cap + w_span)
+    w_zero = -(2 * cap + x_span)
     t = np.arange(-cap, cap + 1)
-    g = log_accumulate_raw(t, np.zeros_like(t), f) + cap
-    xp, xn = _sign_planes(x, shift)
-    wp, wn = _sign_planes(w, shift)
-    # columns [0, o) sum the positive terms, [o, 2o) the negative ones;
-    # q = x + w2 is the term exponent p - cap
-    w2 = np.concatenate([wp, wn], axis=1) - cap
-    signed = bool((xn != _LOG_ZERO).any())
-    if signed:
-        w2_mirror = np.concatenate([wn, wp], axis=1) - cap
-        xnT = np.ascontiguousarray(xn.T)
-    xpT = np.ascontiguousarray(xp.T)
-    s_all = np.full((n, 2 * o), _LOG_EMPTY, dtype=np.int64)
+    g = (log_accumulate_raw(t, np.zeros_like(t), f) + cap).astype(dtype)
+
+    xt, wt = x.table, w.table
+    x_pos = np.where(xt.nonzero & (xt.sign > 0), xe - x_lo, x_zero).astype(dtype)
+    x_neg = np.where(xt.nonzero & (xt.sign < 0), xe - x_lo, x_zero).astype(dtype)
+    signed = bool(x.cfg.signed and (x.present() & xt.nonzero & (xt.sign < 0)).any())
+
+    # sums [0, o) take the positive terms, [o, 2o) the negative ones; "on"
+    # terms come from positive activations, "off" terms from negative ones
+    w_sign = np.where(wt.nonzero, wt.sign, 0)[w.codes].T
+    on = np.concatenate([w_sign > 0, w_sign < 0])
+    off = np.concatenate([w_sign < 0, w_sign > 0])
+    listed = on | off if signed else on
+    steps = int(listed.sum(axis=1).max(initial=0))
+    # each sum's listed k's in order, then unlisted ones as pads: neither
+    # "on" nor "off", a pad's weight enters as a zero term
+    order = np.argsort(~listed, axis=1, kind="stable")[:, :steps]
+    ks = np.ascontiguousarray(order.T)
+    w_rel = np.tile((we - w_lo)[w.codes].T, (2, 1))
+
+    def step_weights(mask):
+        # (steps, 2o, 1): each step's weight exponents less cap
+        e = np.where(mask, w_rel, w_zero) - cap
+        return np.ascontiguousarray(np.take_along_axis(e, order, axis=1).T, dtype=dtype)[:, :, None]
+
+    w_on = step_weights(on)
+    w_off = step_weights(off) if signed else None
+    sums = np.empty((2 * o, n), dtype=dtype)
     rows = max(1, _LOG_BLOCK // max(2 * o, 1))
     for lo in range(0, n, rows):
-        s = s_all[lo:lo + rows]
+        block = x.codes[lo:lo + rows].T
+        xp = x_pos[block]
+        xn = x_neg[block] if signed else None
+        s = np.full((2 * o, block.shape[1]), empty, dtype=dtype)
         q = np.empty_like(s)
         h = np.empty_like(s)
-        for ki in range(k):
-            np.add(xpT[ki, lo:lo + rows, None], w2[ki], out=q)
+        for ti in range(steps):
+            np.take(xp, ks[ti], axis=0, out=q, mode="clip")
+            q += w_on[ti]
             if signed:
-                np.maximum(q, xnT[ki, lo:lo + rows, None] + w2_mirror[ki], out=q)
+                np.take(xn, ks[ti], axis=0, out=h, mode="clip")
+                h += w_off[ti]
+                np.maximum(q, h, out=q)
             np.subtract(s, q, out=h)
+            np.clip(h, 0, 2 * cap, out=h)
             np.take(g, h, mode="clip", out=h)
             h += q
             np.maximum(s, h, out=s)
-    planes = _check_out(_trunc_halfexp_raw(s_all, f, frac_bits), int_bits, frac_bits)
+        sums[:, lo:lo + rows] = s
+    converted = _trunc_halfexp_raw(sums, x_lo + w_lo, f, frac_bits)
+    planes = _check_out(np.where(sums == empty, 0.0, converted), int_bits, frac_bits)
     if planes.size and planes.max() >= math.ldexp(1.0, _EXACT_RAW_BITS + 1):
         raise ConfigError("a converted log-domain sum exceeds the exact float64 range")
-    return planes[:, :o] - planes[:, o:]
+    return np.ascontiguousarray((planes[:o] - planes[o:]).T)
 
 
 # ---------------------------------------------------------------------------

@@ -118,16 +118,19 @@ def test_sqrt2_base_halves_weight_error():
 def test_calibrate_layers_report():
     rng = np.random.default_rng(113)
     samples = {2: rng.exponential(4.0, size=2000), 5: rng.exponential(0.5, size=2000)}
-    report = calibrate_layers(samples, QuantizerConfig("log", 4, False, 0),
-                              global_fsr=3, fsr_grid=range(-6, 10))
+    template = QuantizerConfig("log", 4, False, 0)
+    report = calibrate_layers(samples, template, global_fsr=3, fsr_grid=range(-6, 10))
     assert [lc.layer_index for lc in report.layers] == [2, 5]
     for lc in report.layers:
+        # both errors are those of quantizing the sample at the chosen fsr
+        acts = samples[lc.layer_index]
+        assert lc.l1_log == quant_error_l1(acts, replace(template, fsr=lc.chosen_fsr))
+        assert lc.l1_linear == quant_error_l1(
+            acts, QuantizerConfig("linear", 4, False, lc.chosen_fsr))
         # stored profile re-checks the choice
         best = min(lc.profile, key=lambda t: (t[1], t[0]))
         assert lc.chosen_fsr == best[0]
         assert lc.fsr_offset == lc.chosen_fsr - 3
-        edges, counts = lc.histogram
-        assert counts.sum() == 2000
     # the hotter layer needs a larger full-scale range
     assert report.layers[0].chosen_fsr > report.layers[1].chosen_fsr
     assert "layer 2" in report.summary()

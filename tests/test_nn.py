@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lognet import AccumulatorOverflow, ConfigError, QuantizerConfig, Tensor
-from lognet.lognum import dot_method2, logquant_array, LogCode, dequantize_array
+from lognet.lognum import (dot_method2, logquant_array, LogCode, dequantize_array,
+                           log_accumulate_raw)
 from lognet import nn
 from lognet.nn import (
     Arithmetic,
@@ -229,29 +230,39 @@ def _scalar_logaccum(xc, wc, cx, cw, i, j, int_bits=32, frac_bits=8, f=4):
                        cw, cx, "log", int_bits, frac_bits, f).raw
 
 
+def _check_logaccum(xc, wc, cx, cw, f=4, rows=None, cols=None, int_bits=32, frac_bits=8):
+    fb = max(cx.base_frac_bits, cw.base_frac_bits)
+    raw = method2_matmul_logaccum(QuantizedOperand(xc, cx, fb), QuantizedOperand(wc, cw, fb),
+                                  int_bits, frac_bits, exp_frac_bits=f)
+    assert raw.shape == (xc.shape[0], wc.shape[1])
+    for i in range(xc.shape[0]) if rows is None else rows:
+        for j in range(wc.shape[1]) if cols is None else cols:
+            want = _scalar_logaccum(xc, wc, cx, cw, i, j, int_bits, frac_bits, f)
+            assert raw[i, j] == want, (cx, cw, f, i, j)
+    return raw
+
+
 def test_method2_logaccum_matches_scalar_dot():
     rng = np.random.default_rng(47)
     for _ in range(15):
         k = int(rng.integers(1, 16))
         x = rng.uniform(0, 40, size=(2, k))
         w = rng.normal(0, 1.5, size=(k, 3))
-        xc, wc = codes_from(x, ACT4), codes_from(w, W5)
-        raw = method2_matmul_logaccum(QuantizedOperand(xc, ACT4, 0),
-                                      QuantizedOperand(wc, W5, 0))
-        for i in range(2):
-            for j in range(3):
-                assert raw[i, j] == _scalar_logaccum(xc, wc, ACT4, W5, i, j)
+        _check_logaccum(codes_from(x, ACT4), codes_from(w, W5), ACT4, W5)
 
     # long sums over terms spread across more octaves than the correction
     # reaches, signed activations, the sqrt2 grid (also lifted from base 2
     # activations), every exponent word from the grid step up, all-zero
-    # rows and columns, and more rows than one block of the kernel
+    # rows and columns, and rows over more than three blocks of the kernel
+    # (a block holds _LOG_BLOCK running sums, 2o per row), sampled at every
+    # block edge
     act5s = QuantizerConfig("log", 5, True, 4)
     act4_sqrt2 = QuantizerConfig("log", 4, False, 5, 1)
     w5_sqrt2 = QuantizerConfig("log", 5, True, 1, 1)
-    n, k, o = 1100, 48, 64
+    n, k, o = 1600, 48, 64
     rows = nn._LOG_BLOCK // (2 * o)
-    assert n > 2 * rows
+    assert n > 3 * rows
+    edges = [i for b in range(1, n // rows + 1) for i in (b * rows - 1, b * rows) if i < n]
     for cx, cw in ((ACT4, W5), (act5s, W5), (act4_sqrt2, w5_sqrt2), (ACT4, w5_sqrt2)):
         sign = rng.choice([-1.0, 1.0], size=(n, k)) if cx.signed else 1.0
         x = sign * 2.0 ** rng.uniform(-12, 6, size=(n, k))
@@ -261,19 +272,94 @@ def test_method2_logaccum_matches_scalar_dot():
         w = rng.normal(0, 1.5, size=(k, o))
         w[:, 5] = 0.0
         xc, wc = codes_from(x, cx), codes_from(w, cw)
-        fb = max(cx.base_frac_bits, cw.base_frac_bits)
-        sample_i = [0, 3, rows - 1, rows, 2 * rows - 1, 2 * rows, n - 1,
-                    *rng.integers(0, n, size=3)]
+        sample_i = [0, 3, *edges, n - 1, *rng.integers(0, n, size=3)]
         sample_j = [0, 5, o - 1, int(rng.integers(0, o))]
+        fb = max(cx.base_frac_bits, cw.base_frac_bits)
         for f in (fb, 2, 5):
-            raw = method2_matmul_logaccum(QuantizedOperand(xc, cx, fb),
-                                          QuantizedOperand(wc, cw, fb),
-                                          exp_frac_bits=f)
+            raw = _check_logaccum(xc, wc, cx, cw, f, sample_i, sample_j)
             assert (raw[3] == 0).all() and (raw[:, 5] == 0).all()
-            for i in sample_i:
-                for j in sample_j:
-                    want = _scalar_logaccum(xc, wc, cx, cw, i, j, f=f)
-                    assert raw[i, j] == want, (cx, cw, f, i, j)
+
+
+def test_method2_logaccum_per_sign_lists():
+    # each running sum walks only the k's whose terms it can receive: weight
+    # columns that are all positive, all negative or all zero leave one or
+    # both lists empty, and one positive weight at the last k makes a list of
+    # length 1 next to lists of length k
+    rng = np.random.default_rng(53)
+    act5s = QuantizerConfig("log", 5, True, 4)
+    for cx in (ACT4, act5s):
+        for k in (1, 2, 23):
+            n = 7
+            x = 2.0 ** rng.uniform(-8, 5, size=(n, k))
+            if cx.signed:
+                x *= rng.choice([-1.0, 1.0], size=(n, k))
+            x[rng.random((n, k)) < 0.2] = 0.0
+            w = np.stack([2.0 ** rng.uniform(-10, 0, size=k),
+                          -(2.0 ** rng.uniform(-10, 0, size=k)),
+                          np.zeros(k),
+                          np.r_[np.zeros(k - 1), 0.5],
+                          -np.r_[0.25, np.zeros(k - 1)],
+                          rng.normal(0, 1.5, size=k)], axis=1)
+            raw = _check_logaccum(codes_from(x, cx), codes_from(w, W5), cx, W5)
+            assert (raw[:, 2] == 0).all()
+            if not cx.signed:
+                assert (raw[:, 0] >= 0).all() and (raw[:, 1] <= 0).all()
+
+    # a sum whose only term sits at both operands' lowest level: the empty
+    # sum must lie far enough below it that the step returns the term itself
+    x = np.full((2, 3), 2.0 ** (ACT4.fsr - ACT4.num_codes + 1))
+    w = np.zeros((3, 2))
+    w[0, 0] = 2.0 ** (W5.fsr - W5.num_codes + 1)
+    w[2, 1] = -w[0, 0]
+    for f in (0, 4, 8):
+        raw = _check_logaccum(codes_from(x, ACT4), codes_from(w, W5), ACT4, W5, f,
+                              int_bits=16, frac_bits=30)
+        assert raw[0, 0] == 2 ** (30 - 24) and raw[0, 1] == -(2 ** (30 - 24))
+
+
+def test_method2_logaccum_wide_exponent_words():
+    # 8-bit operands covering their whole level span at exp_frac_bits 8 and
+    # 10: relative term exponents reach (254 + 126) * 2**f raw, more than an
+    # int16 holds, so the walk needs a wider integer type
+    cx = QuantizerConfig("log", 8, False, 6)
+    cw = QuantizerConfig("log", 8, True, 2)
+    span_x, span_w = cx.num_codes - 2, cw.num_codes - 2
+    assert (span_x, span_w) == (254, 126)
+    rng = np.random.default_rng(59)
+    n, k, o = 6, 40, 5
+    x = 2.0 ** rng.uniform(cx.fsr - cx.num_codes, cx.fsr, size=(n, k))
+    x[rng.random((n, k)) < 0.2] = 0.0
+    w = rng.choice([-1.0, 1.0], size=(k, o)) * 2.0 ** rng.uniform(
+        cw.fsr - cw.num_codes, cw.fsr, size=(k, o))
+    x[:, 0] = 2.0 ** (cx.fsr - cx.num_codes + 1)
+    x[:, 1] = 2.0 ** (cx.fsr - 1)
+    w[0] = 2.0 ** (cw.fsr - cw.num_codes + 1)
+    w[1] = -(2.0 ** (cw.fsr - 1))
+    xc, wc = codes_from(x, cx), codes_from(w, cw)
+    # both operands reach their lowest and highest levels
+    assert {1, cx.max_code} <= set(np.unique(xc).tolist())
+    assert {1, cw.num_codes + cw.max_code} <= set(np.unique(wc).tolist())
+    for f in (8, 10):
+        assert (span_x + span_w) << f > np.iinfo(np.int16).max
+        _check_logaccum(xc, wc, cx, cw, f)
+    # signed activations over the same spans
+    xs = np.where(rng.random((n, k)) < 0.5, -x, x)
+    for f in (8, 10):
+        _check_logaccum(codes_from(xs, cw), wc, cw, cw, f)
+
+
+def test_log_step_bounds_behind_the_walk_dtype():
+    # what the kernel's sentinels and integer type rest on: with
+    # cap = (f+1) * 2**f, corr(d) = 0 for d >= cap, d + corr(d) <= cap below
+    # it, and the step is non-decreasing (in s; p is symmetric)
+    for f in range(11):
+        cap = (f + 1) << f
+        d = np.arange(2 * cap)
+        corr = log_accumulate_raw(d, np.zeros_like(d), f) - d
+        assert (corr[cap:] == 0).all()
+        assert (d[:cap + 1] + corr[:cap + 1] <= cap).all()
+        t = np.arange(-2 * cap, 2 * cap)
+        assert (np.diff(log_accumulate_raw(t, np.zeros_like(t), f)) >= 0).all()
 
 
 def test_method2_logaccum_range_checks_each_sign_plane():
