@@ -30,10 +30,15 @@ def _as_array(x) -> np.ndarray:
     return x
 
 
+def quant_errors(x, cfg: QuantizerConfig) -> np.ndarray:
+    """Signed elementwise quantization errors Q(x) - x, flattened."""
+    vals = _as_array(x)
+    return _quantized_values(vals, cfg) - vals
+
+
 def quant_error_l1(x, cfg: QuantizerConfig) -> float:
     """Mean absolute elementwise quantization error (1/N) * sum |Q(x) - x|."""
-    vals = _as_array(x)
-    return float(np.abs(_quantized_values(vals, cfg) - vals).mean())
+    return float(np.abs(quant_errors(x, cfg)).mean())
 
 
 def fsr_error_profile(x, cfg_template: QuantizerConfig,
@@ -69,7 +74,12 @@ def calibrate_fsr(sample, cfg_template: QuantizerConfig,
 
 
 def error_histogram(x, cfg: QuantizerConfig, bins: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram of signed errors Q(x) - x.
+    """Histogram of signed errors Q(x) - x (``signed_error_histogram``)."""
+    return signed_error_histogram(quant_errors(x, cfg), bins)
+
+
+def signed_error_histogram(errs: np.ndarray, bins: int = 256) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram of signed errors, as ``quant_errors`` returns them.
 
     Bins are uniform over [-max|err|, +max|err|]; an all-exact sample
     degenerates to a unit window so everything lands in the zero bin.
@@ -77,8 +87,6 @@ def error_histogram(x, cfg: QuantizerConfig, bins: int = 256) -> tuple[np.ndarra
     """
     if bins < 1:
         raise DomainError("need at least one histogram bin")
-    vals = _as_array(x)
-    errs = _quantized_values(vals, cfg) - vals
     peak = float(np.abs(errs).max())
     if peak == 0.0:
         peak = 0.5

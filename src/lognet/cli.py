@@ -272,8 +272,9 @@ def cmd_quant_analyze(args) -> int:
         layer = graph.layers[idx]
         cfg = replace(layer.qconfig, bitwidth=args.bitwidth,
                       fsr=graph.fsr + layer.fsr_offset)
-        edges, counts = calib.error_histogram(captured[idx], cfg, args.bins)
-        l1_log = calib.quant_error_l1(captured[idx], cfg)
+        errs = calib.quant_errors(captured[idx], cfg)
+        edges, counts = calib.signed_error_histogram(errs, args.bins)
+        l1_log = float(np.abs(errs).mean())  # calib.quant_error_l1 of the sample
         lin = QuantizerConfig(KIND_LINEAR, args.bitwidth, False, cfg.fsr)
         l1_lin = calib.quant_error_l1(captured[idx], lin)
         print(f"layer {idx}: L1 log {l1_log:.6g} vs linear {l1_lin:.6g} at fsr {cfg.fsr}")

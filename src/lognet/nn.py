@@ -13,8 +13,9 @@ exponents from it, dequantizing is a gather from it, and maxpool compares
 the codes themselves (or, when signed, their value rank from the table), so
 a pooled activation stays coded.
 
-Convolutions are lowered with im2col to (output positions, C*kh*kw) rows,
-and every conv/fc product is rows @ W^T, computed by one of these kernels:
+Convolutions are lowered with im2col, in one copy, to row-major (output
+positions, C*kh*kw) rows that the products read as they are, and every
+conv/fc product is rows @ W^T, computed by one of these kernels:
 
 * a plain float64 matmul (reference path, also used for unquantized inputs),
 * shift-weights: real weights held as fixed-point words, each term a single
@@ -728,7 +729,8 @@ def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
     sums = np.empty((2 * o, n), dtype=dtype)
     rows = max(1, _LOG_BLOCK // max(2 * o, 1))
     for lo in range(0, n, rows):
-        block = x.codes[lo:lo + rows].T
+        # the steps gather whole k rows of the block, so it is made k-major
+        block = np.ascontiguousarray(x.codes[lo:lo + rows].T)
         xp = x_pos[block]
         xn = x_neg[block] if signed else None
         s = np.full((2 * o, block.shape[1]), empty, dtype=dtype)
@@ -845,9 +847,8 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, act_config,
             coded = isinstance(act, QuantizedOperand)
             a = act.codes if coded else act
             if kind == CONV:
-                cols, oh, ow = im2col_array(a, (layer.kernel,) * 2, layer.stride,
+                rows, oh, ow = im2col_array(a, (layer.kernel,) * 2, layer.stride,
                                             layer.pad, fill=0 if coded else 0.0)
-                rows = cols.T
             else:
                 rows = a.reshape(a.shape[0], -1)
             if coded:

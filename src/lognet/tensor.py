@@ -98,15 +98,15 @@ def _window_view(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
 
 def im2col_array(x: np.ndarray, kernel: tuple[int, int], stride: int = 1,
                  pad: int = 0, fill: float | int = 0) -> tuple[np.ndarray, int, int]:
-    """Lower (N, C, H, W) to a (C*kh*kw, N*oh*ow) patch matrix.
+    """Lower (N, C, H, W) to a row-major (N*oh*ow, C*kh*kw) patch matrix.
 
-    Column j enumerates the receptive field of output position j, so a
-    convolution becomes the matrix product of the reshaped weights with
-    this matrix.  Padded border entries hold ``fill``.
+    Row j holds the receptive field of output position j, positions in
+    (n, oh, ow) order and each field in (C, kh, kw) order, so a convolution
+    becomes this matrix times the transposed (OutC, C*kh*kw) weights.  The
+    rows are the one copy made of the window view.  Padded border entries
+    hold ``fill``.
     """
     kh, kw = kernel
     win, oh, ow = _window_view(x, kh, kw, stride, pad, fill)
-    n = x.shape[0]
-    cols = win.reshape(n * oh * ow, -1).T
-    return np.ascontiguousarray(cols), oh, ow
+    return win.reshape(x.shape[0] * oh * ow, -1), oh, ow
 

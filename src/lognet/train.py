@@ -278,7 +278,8 @@ def col2im_array(g_cols: np.ndarray, in_shape: tuple[int, ...], kernel: int,
                  stride: int, pad: int) -> np.ndarray:
     """Scatter-add the im2col gradient back onto the input layout.
 
-    g_cols: (N*oh*ow, C*kh*kw) ordered like im2col's transposed output.
+    g_cols: (N*oh*ow, C*kh*kw) ordered like ``im2col_array``'s rows; this
+    is the adjoint of that lowering.
     """
     n, c, h, w = in_shape
     oh = conv_output_size(h, kernel, stride, pad)
@@ -299,11 +300,15 @@ def col2im_array(g_cols: np.ndarray, in_shape: tuple[int, ...], kernel: int,
 
 
 def _forward_train(state: TrainState, x: np.ndarray, cfg: TrainConfig,
-                   training: bool, bn_collect: Optional[dict] = None) -> tuple[np.ndarray, dict]:
+                   training: bool, bn_collect: Optional[dict] = None
+                   ) -> tuple[np.ndarray, Optional[dict]]:
     """Layer walk returning logits and the caches backward needs.
 
     Training normalizes by batch statistics and folds them into the running
-    ones, or, with ``bn_collect``, appends them there instead.
+    ones, or, with ``bn_collect``, appends them there instead.  Only a
+    training walk without ``bn_collect`` is followed by a backward pass, so
+    only it keeps caches; every other walk returns None for them and pools
+    without argmax indices.
     """
     g = state.graph
     wq = {i: _quantize_signed(w.reshape(w.shape[0], -1), cfg.weight_q,
@@ -312,7 +317,7 @@ def _forward_train(state: TrainState, x: np.ndarray, cfg: TrainConfig,
     q = cfg.activation_q
     act_config = None if q is None else partial(_act_config, g, q)
     stats: Optional[dict] = {} if training else None
-    caches: dict = {"wq": wq}
+    caches = {"wq": wq} if training and bn_collect is None else None
     logits = walk(g, x.astype(np.float64), wq, act_config, state.bn, _arithmetic(cfg),
                   batch_stats=stats, cache=caches)
     for i, (mean, var) in (stats or {}).items():

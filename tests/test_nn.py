@@ -138,6 +138,12 @@ def codes_from(vals, cfg):
     return logquant_array(np.asarray(vals, dtype=np.float64), cfg)
 
 
+# operand layouts the kernels meet: C-ordered, and the Fortran-ordered views
+# of transposed operands (``weights[i].T`` in the walk, ``QuantizedOperand.T``
+# in the backward products)
+LAYOUTS = (np.ascontiguousarray, lambda a: np.ascontiguousarray(a.T).T)
+
+
 def _scalar_linear(xc, wc, cx, cw, i, j, int_bits=32, frac_bits=8):
     return dot_method2([LogCode.from_wire(int(c), cw) for c in wc[:, j]],
                        [LogCode.from_wire(int(c), cx) for c in xc[i]],
@@ -154,6 +160,11 @@ def _code_classes(xo, wo, frac_bits):
 
 
 def test_method2_matmul_matches_scalar_dot():
+    for laid in LAYOUTS:
+        _check_method2_matmul(laid)
+
+
+def _check_method2_matmul(laid):
     rng = np.random.default_rng(43)
     for _ in range(30):
         n, k, o = rng.integers(1, 6), int(rng.integers(1, 24)), rng.integers(1, 5)
@@ -161,8 +172,8 @@ def test_method2_matmul_matches_scalar_dot():
         w = rng.normal(0, 1.5, size=(k, o))
         xc = codes_from(x, ACT4)
         wc = codes_from(w, W5)
-        xo = QuantizedOperand(xc, ACT4, 0)
-        wo = QuantizedOperand(wc, W5, 0)
+        xo = QuantizedOperand(laid(xc), ACT4, 0)
+        wo = QuantizedOperand(laid(wc), W5, 0)
         raw = method2_matmul(xo, wo)
         for i in range(n):
             for j in range(o):
@@ -192,7 +203,7 @@ def test_method2_matmul_matches_scalar_dot():
         cases = [(0, 0, cx, cw, 32, 8), (0, 0, cx, cw, 24, 28), (0, 0, cx, cw, 32, 3),
                  (cx.fsr << fb, cw.fsr << fb, rep(cx, fsr=0), rep(cw, fsr=0), 24, 28)]
         for bx, bw, ocx, ocw, ib, frac in cases:
-            xo, wo = QuantizedOperand(xc, cx, fb, bx), QuantizedOperand(wc, cw, fb, bw)
+            xo, wo = QuantizedOperand(laid(xc), cx, fb, bx), QuantizedOperand(laid(wc), cw, fb, bw)
             if fb == 0 and (bx, frac) == (0, 8):
                 assert min(_code_classes(xo, wo, frac)) > 0
             raw = method2_matmul(xo, wo, ib, frac)
@@ -201,8 +212,8 @@ def test_method2_matmul_matches_scalar_dot():
                 for j in range(o):
                     want = _scalar_linear(xc, wc, ocx, ocw, i, j, ib, frac)
                     assert raw[i, j] == want, (cx, cw, bx, frac, i, j)
-        zero_w = QuantizedOperand(np.zeros_like(wc), cw, fb)
-        assert (method2_matmul(QuantizedOperand(xc, cx, fb), zero_w) == 0).all()
+        zero_w = QuantizedOperand(laid(np.zeros_like(wc)), cw, fb)
+        assert (method2_matmul(QuantizedOperand(laid(xc), cx, fb), zero_w) == 0).all()
 
     # 14 truncating codes against 40 outputs need more than one k block of
     # term tables and several row blocks of the one-hot matrix
@@ -213,7 +224,7 @@ def test_method2_matmul_matches_scalar_dot():
     x[rng.random((n, k)) < 0.2] = 0.0
     w = rng.choice([-1.0, 1.0], size=(k, o)) * 2.0 ** rng.uniform(-12, 3, size=(k, o))
     xc, wc = codes_from(x, cx), codes_from(w, cw)
-    xo, wo = QuantizedOperand(xc, cx, 0), QuantizedOperand(wc, cw, 0)
+    xo, wo = QuantizedOperand(laid(xc), cx, 0), QuantizedOperand(laid(wc), cw, 0)
     n_exact, n_dead, n_trunc = _code_classes(xo, wo, frac)
     assert min(n_exact, n_dead) > 0 and n_trunc == 14
     k_step = nn._TABLE_BLOCK // (n_trunc * o)
@@ -230,9 +241,11 @@ def _scalar_logaccum(xc, wc, cx, cw, i, j, int_bits=32, frac_bits=8, f=4):
                        cw, cx, "log", int_bits, frac_bits, f).raw
 
 
-def _check_logaccum(xc, wc, cx, cw, f=4, rows=None, cols=None, int_bits=32, frac_bits=8):
+def _check_logaccum(xc, wc, cx, cw, f=4, rows=None, cols=None, int_bits=32, frac_bits=8,
+                    laid=np.ascontiguousarray):
     fb = max(cx.base_frac_bits, cw.base_frac_bits)
-    raw = method2_matmul_logaccum(QuantizedOperand(xc, cx, fb), QuantizedOperand(wc, cw, fb),
+    raw = method2_matmul_logaccum(QuantizedOperand(laid(xc), cx, fb),
+                                  QuantizedOperand(laid(wc), cw, fb),
                                   int_bits, frac_bits, exp_frac_bits=f)
     assert raw.shape == (xc.shape[0], wc.shape[1])
     for i in range(xc.shape[0]) if rows is None else rows:
@@ -243,12 +256,17 @@ def _check_logaccum(xc, wc, cx, cw, f=4, rows=None, cols=None, int_bits=32, frac
 
 
 def test_method2_logaccum_matches_scalar_dot():
+    for laid in LAYOUTS:
+        _check_method2_logaccum(laid)
+
+
+def _check_method2_logaccum(laid):
     rng = np.random.default_rng(47)
     for _ in range(15):
         k = int(rng.integers(1, 16))
         x = rng.uniform(0, 40, size=(2, k))
         w = rng.normal(0, 1.5, size=(k, 3))
-        _check_logaccum(codes_from(x, ACT4), codes_from(w, W5), ACT4, W5)
+        _check_logaccum(codes_from(x, ACT4), codes_from(w, W5), ACT4, W5, laid=laid)
 
     # long sums over terms spread across more octaves than the correction
     # reaches, signed activations, the sqrt2 grid (also lifted from base 2
@@ -276,7 +294,7 @@ def test_method2_logaccum_matches_scalar_dot():
         sample_j = [0, 5, o - 1, int(rng.integers(0, o))]
         fb = max(cx.base_frac_bits, cw.base_frac_bits)
         for f in (fb, 2, 5):
-            raw = _check_logaccum(xc, wc, cx, cw, f, sample_i, sample_j)
+            raw = _check_logaccum(xc, wc, cx, cw, f, sample_i, sample_j, laid=laid)
             assert (raw[3] == 0).all() and (raw[:, 5] == 0).all()
 
 
@@ -398,13 +416,18 @@ def _scalar_method1(xc, w, cx, i, j, int_bits=32, frac_bits=8):
 
 
 def test_method1_matmul_matches_scalar_dot():
+    for laid in LAYOUTS:
+        _check_method1_matmul(laid)
+
+
+def _check_method1_matmul(laid):
     rng = np.random.default_rng(53)
     for _ in range(20):
         k = int(rng.integers(1, 24))
         x = rng.uniform(0, 40, size=(3, k))
         w = rng.normal(0, 2.0, size=(k, 2))
         xc = codes_from(x, ACT4)
-        raw = method1_matmul(QuantizedOperand(xc, ACT4, 0), w)
+        raw = method1_matmul(QuantizedOperand(laid(xc), ACT4, 0), laid(w))
         for i in range(3):
             for j in range(2):
                 assert raw[i, j] == _scalar_method1(xc, w, ACT4, i, j)
@@ -422,19 +445,19 @@ def test_method1_matmul_matches_scalar_dot():
     w = rng.normal(0, 2.0, size=(k, o))
     w[:, 2] = 0.0
     xc = codes_from(x, cx)
-    xo = QuantizedOperand(xc, cx, 0)
+    xo = QuantizedOperand(laid(xc), cx, 0)
     lv = np.unique(xo.esteps[xo.nonzero])
     n_trunc = int((lv < 0).sum())
     assert (lv >= 0).any() and n_trunc > 50
     k_step = nn._TABLE_BLOCK // (n_trunc * o)
     assert k > k_step and n > 2 * (nn._TABLE_BLOCK // (k_step * n_trunc))
     for ib, frac in ((32, 8), (24, 20)):
-        raw = method1_matmul(xo, w, ib, frac)
+        raw = method1_matmul(xo, laid(w), ib, frac)
         assert (raw[3] == 0).all() and (raw[:, 2] == 0).all()
         for i in (0, 3, 40, n - 1, *rng.integers(0, n, size=2)):
             for j in (0, 2, o - 1, int(rng.integers(0, o))):
                 assert raw[i, j] == _scalar_method1(xc, w, cx, i, j, ib, frac)
-    assert (method1_matmul(xo, np.zeros((k, o))) == 0).all()
+    assert (method1_matmul(xo, laid(np.zeros((k, o)))) == 0).all()
 
 
 def test_method1_matmul_refusals():
@@ -553,7 +576,7 @@ def test_forward_pipeline_matches_manual_kernel_walk():
     # conv1 on real input: shifted-input kernel against the quantized weights
     w0 = logquant_array(g.weight_array(0).reshape(4, -1).T, wq)
     cols, oh, ow = im2col_array(value, (3, 3), 1, 1)
-    raw = shifted_input_matmul(cols.T, QuantizedOperand(w0, wq, 0))
+    raw = shifted_input_matmul(cols, QuantizedOperand(w0, wq, 0))
     value = np.ldexp(raw, -8).reshape(n, oh, ow, 4).transpose(0, 3, 1, 2)
     value = np.maximum(value, 0)
     acfg = rep(layers[2].qconfig, fsr=g.fsr + 2)
@@ -561,7 +584,7 @@ def test_forward_pipeline_matches_manual_kernel_walk():
     # conv2 on coded input
     w3 = logquant_array(g.weight_array(3).reshape(3, -1).T, wq)
     ccols, oh, ow = im2col_array(codes, (3, 3), 1, 1, fill=0)
-    raw = method2_matmul(QuantizedOperand(ccols.T, acfg, 0), QuantizedOperand(w3, wq, 0))
+    raw = method2_matmul(QuantizedOperand(ccols, acfg, 0), QuantizedOperand(w3, wq, 0))
     value = np.ldexp(raw, -8).reshape(n, oh, ow, 3).transpose(0, 3, 1, 2)
     value = np.maximum(value, 0)
     codes = logquant_array(value, acfg).reshape(n, -1)
@@ -602,7 +625,7 @@ def test_forward_linear_activation_layer_matches_manual_kernel_walk():
     for i, cout in ((0, 3), (3, 2)):
         wc = logquant_array(g.weight_array(i).reshape(cout, -1).T, wq)
         cols, oh, ow = im2col_array(value, (3, 3), 1, 1)
-        raw = shifted_input_matmul(cols.T, QuantizedOperand(wc, wq, 0))
+        raw = shifted_input_matmul(cols, QuantizedOperand(wc, wq, 0))
         value = np.maximum(np.ldexp(raw, -8).reshape(n, oh, ow, cout).transpose(0, 3, 1, 2), 0)
         if i == 0:
             lcfg = QuantizerConfig("linear", 4, False, 3)
@@ -643,7 +666,7 @@ def test_forward_linear_weight_quantizer_matches_manual_kernel_walk():
         return dequantize_array(linquant_array(w, lq), lq).T
 
     cols, oh, ow = im2col_array(x.real(), (3, 3), 1, 1)
-    value = (cols.T @ linear_weights(0, 3)).reshape(3, oh, ow, 3).transpose(0, 3, 1, 2)
+    value = (cols @ linear_weights(0, 3)).reshape(3, oh, ow, 3).transpose(0, 3, 1, 2)
     acfg = g.act_config(layers[2])
     codes = logquant_array(np.maximum(value, 0), acfg).reshape(3, -1)
     raw = method1_matmul(QuantizedOperand(codes, acfg, 0), linear_weights(3, 4))

@@ -73,24 +73,24 @@ def test_im2col_1x1_is_reshape():
     x = rng.normal(size=(2, 3, 4, 4))
     cols, oh, ow = im2col_array(x, (1, 1))
     assert (oh, ow) == (4, 4)
-    assert cols.shape == (3, 2 * 16)
-    assert np.array_equal(cols, x.transpose(1, 0, 2, 3).reshape(3, -1))
+    assert cols.shape == (2 * 16, 3)
+    assert np.array_equal(cols, x.transpose(1, 0, 2, 3).reshape(3, -1).T)
 
 
 def test_im2col_3x3_geometry():
     x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
     cols, oh, ow = im2col_array(x, (3, 3))
     assert (oh, ow) == (2, 2)
-    assert cols.shape == (9, 4)
-    # first column is the top-left receptive field in row-major order
-    assert cols[:, 0].tolist() == [0, 1, 2, 4, 5, 6, 8, 9, 10]
+    assert cols.shape == (4, 9)
+    # first row is the top-left receptive field in row-major order
+    assert cols[0].tolist() == [0, 1, 2, 4, 5, 6, 8, 9, 10]
 
 
 def test_im2col_zero_pad_uses_zero_codes():
     q = quantize_tensor(Tensor.from_real(np.full((1, 1, 2, 2), 4.0)), U3F5)
     cols, _, _ = im2col_array(q.data, (3, 3), stride=1, pad=1, fill=0)
     assert cols.dtype == np.uint8
-    corner = cols[:, 0]  # receptive field centered at (0, 0)
+    corner = cols[0]  # receptive field centered at (0, 0)
     assert corner[0] == 0  # padded position carries the zero code
     assert corner[4] == q.data.flat[0]
     assert (Tensor.from_codes(cols, U3F5).real() >= 0).all()
@@ -102,7 +102,7 @@ def test_im2col_conv_equals_bruteforce():
         x = rng.normal(size=(2, 3, hw, hw))
         w = rng.normal(size=(4, 3, 3, 3))
         cols, oh, ow = im2col_array(x, (3, 3), stride=stride, pad=pad)
-        got = (w.reshape(4, -1) @ cols).reshape(4, 2, oh, ow).transpose(1, 0, 2, 3)
+        got = (cols @ w.reshape(4, -1).T).reshape(2, oh, ow, 4).transpose(0, 3, 1, 2)
         want = conv2d_ref(x, w, stride=stride, pad=pad)
         assert np.allclose(got, want, atol=1e-12)
 

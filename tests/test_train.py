@@ -1,16 +1,18 @@
 """Training-loop tests: optimizers, gradients, quantized steps, convergence."""
 
+import copy
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lognet import QuantizerConfig
+from lognet import QuantizerConfig, train
 from lognet.lognum import LogCode, dot_method2, logquant_array
-from lognet.nn import (ModelGraph, QuantizedOperand, batchnorm_layer, conv, fc,
-                       maxpool_layer, relu_layer)
+from lognet.nn import (LOGQUANT, LayerSpec, ModelGraph, QuantizedOperand, batchnorm_layer,
+                       conv, fc, maxpool_layer, quantize_operand, relu_layer, walk)
 from lognet.nn import act_quant_layer
+from lognet.tensor import im2col_array
 from lognet.train import (
     OptimizerSpec,
     TrainConfig,
@@ -19,10 +21,13 @@ from lognet.train import (
     _backward_train,
     _forward_train,
     ceil_log2,
+    col2im_array,
     dynamic_gradient_fsr,
+    evaluate,
     fit,
     init_state,
     optimizer_step,
+    reestimate_bn_stats,
     softmax_cross_entropy,
     train_minibatch,
 )
@@ -169,6 +174,112 @@ def test_gradients_match_finite_differences_conv_bn_pool():
         num_b = numeric_grad(loss_fn, state.bn[i].beta)
         assert np.abs(dgamma - num_g).max() < 1e-4
         assert np.abs(dbeta - num_b).max() < 1e-4
+
+
+def test_col2im_is_the_exact_adjoint_of_im2col():
+    # <im2col(x), G> == <x, col2im(G)> for integer-valued x and G, where
+    # every product and sum is an exact integer in float64
+    rng = np.random.default_rng(97)
+    for k in (1, 2, 3):
+        for stride in (1, 2):
+            for pad in (0, 1):
+                h = k - 2 * pad + 2 * stride  # tiles the extent at this stride
+                w = h + stride
+                for c in (1, 3):
+                    for dtype in (np.float64, np.uint8):
+                        x = rng.integers(0, 16, size=(2, c, h, w)).astype(dtype)
+                        cols, oh, ow = im2col_array(x, (k, k), stride, pad)
+                        assert cols.shape == (2 * oh * ow, c * k * k)
+                        assert cols.dtype == dtype and cols.flags["C_CONTIGUOUS"]
+                        g = rng.integers(-5, 6, size=cols.shape).astype(np.float64)
+                        back = col2im_array(g, x.shape, k, stride, pad)
+                        assert back.shape == x.shape
+                        assert (cols * g).sum() == (x * back).sum(), (k, stride, pad, c, dtype)
+
+
+def test_forward_only_walks_keep_no_cache(monkeypatch):
+    # evaluate and reestimate_bn_stats walk without a backward cache, so they
+    # pool without argmax indices; their logits and batch statistics must
+    # equal those of the same walks made with a cache.  Float pooling of the
+    # input meets +0/-0 ties; pooling unsigned log codes meets all-zero windows
+    graph = ModelGraph(layers=[
+        maxpool_layer(2),
+        conv(3, 2, 3, pad=1),
+        batchnorm_layer(3),
+        relu_layer(),
+        act_quant_layer("log", 4),
+        maxpool_layer(2),
+        fc(4, 3 * 2 * 2),
+        batchnorm_layer(4),
+        relu_layer(),
+        act_quant_layer("log", 4),
+        fc(3, 4),
+    ], fsr=0)
+    rng = np.random.default_rng(101)
+    x = rng.choice([-0.0, 0.0, -1.5, 0.5, 2.0], size=(24, 2, 8, 8))
+    x[:, :, :2, :2] = [[0.0, -0.0], [-0.0, 0.0]]
+    x[:3] = 0.0
+    y = rng.integers(0, 3, size=24)
+    cfg = TrainConfig(weight_q=W5, activation_q=A4, gradient_q=G5,
+                      optimizer=OptimizerSpec(lr=0.05), batch_size=8, epochs=1, seed=5)
+    state, _ = fit(init_state(graph, cfg), cfg, (x, y))
+
+    def recorded(force_cache):
+        seen = []
+
+        def spy(*args, cache=None, batch_stats=None, **kw):
+            if force_cache:
+                cache = {}
+            out = walk(*args, cache=cache, batch_stats=batch_stats, **kw)
+            seen.append((cache is not None, out, copy.deepcopy(batch_stats)))
+            return out
+
+        monkeypatch.setattr(train, "walk", spy)
+        s = copy.deepcopy(state)
+        acc = evaluate(s, cfg, x, y, batch_size=10)
+        reestimate_bn_stats(s, cfg, x)
+        monkeypatch.undo()
+        return acc, s.bn, seen
+
+    acc, bn, seen = recorded(False)
+    acc_c, bn_c, seen_c = recorded(True)
+    assert len(seen) == len(seen_c) == 3 + 3  # three eval and three bn batches
+    assert not any(cached for cached, _, _ in seen)
+    assert acc == acc_c
+    for (_, out, stats), (_, out_c, stats_c) in zip(seen, seen_c):
+        assert out.tobytes() == out_c.tobytes()
+        assert (stats is None) == (stats_c is None)
+        for i in stats or {}:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(stats[i], stats_c[i]))
+    for i in bn:
+        for name in ("gamma", "beta", "mean", "var"):
+            assert getattr(bn[i], name).tobytes() == getattr(bn_c[i], name).tobytes()
+
+    # only a training walk without bn_collect keeps caches
+    assert _forward_train(state, x[:4], cfg, training=False)[1] is None
+    assert _forward_train(copy.deepcopy(state), x[:4], cfg, training=True,
+                          bn_collect={})[1] is None
+    assert _forward_train(copy.deepcopy(state), x[:4], cfg, training=True)[1] is not None
+
+    # the trainer's activations are unsigned; a signed log activation pools
+    # by value rank, in the trainer's arithmetic, alike with and without cache
+    s4 = QuantizerConfig("log", 4, True, 0)
+    sgraph = ModelGraph(layers=[LayerSpec(LOGQUANT, qconfig=s4), maxpool_layer(2),
+                                fc(4, 2 * 4 * 4), batchnorm_layer(4), fc(3, 4)], fsr=2)
+    xs = rng.choice([-0.0, 0.0, -4.0, -1.0, 0.5, 1.0, 2.0], size=(6, 2, 8, 8))
+    xs[:, :, :2, :2] = [[-1.0, 0.0], [-0.0, 0.0]]
+    wq = {i: quantize_operand(rng.normal(0, 0.5, size=shape), replace(W5, fsr=1))
+          for i, shape in ((2, (4, 32)), (4, (3, 4)))}
+    bn = {3: copy.deepcopy(state.bn[7])}
+    outs = []
+    for cache in (None, {}):
+        stats: dict = {}
+        out = walk(sgraph, xs, wq, sgraph.act_config, bn, _arithmetic(cfg),
+                   batch_stats=stats, cache=cache)
+        outs.append((out, stats))
+    (out, stats), (out_c, stats_c) = outs
+    assert out.tobytes() == out_c.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(stats[3], stats_c[3]))
 
 
 # ---------------------------------------------------------------------------
