@@ -37,17 +37,22 @@ bit: term magnitudes are truncated to the accumulator's fractional
 precision before summation.  The kernels read an operand through its code
 table: a b-bit operand has at most 2**b codes, so every term a code can
 produce against a weight is known up front.  In the linear-accumulation
-kernels, codes whose terms never truncate fold into one float64 matmul;
-every other live code gets a (k, o) table of its truncated integer terms,
-and one GEMM of one-hot code indicators against the stacked tables sums
-them.  All arithmetic stays on integers below 2**53, where float64 is exact
-in any summation order.  Log-domain accumulation is order dependent, so its
-kernel keeps the index order within each running sum.  A weight has one
-sign, so with unsigned activations each of the 2o sums (one per output and
-term sign) gets its own k-ordered list of the k's it can receive a term at;
-all sums step through their lists together, each step one table lookup on
-exponents held relative to the operands' lowest levels, in the narrowest
-of int16, int32 and int64 that provably holds every intermediate value.
+kernels, codes whose terms never truncate fold into one matmul; every other
+live code gets a (k, o) table of its truncated integer terms, and one GEMM
+of one-hot code indicators against the stacked tables sums them.  All
+arithmetic stays on integers below 2**53, where float64 is exact in any
+summation order.  Where the range bound keeps every partial sum below 2**24
+and every factor a GEMM reads is a normal float32 number, the sums run in
+float32, which is exact there in any order too (``_sum_dtype``): at the
+32+8 inference word, every linear-accumulation product of the benchmark's
+reference net does.
+Log-domain accumulation is order dependent, so its kernel keeps the index
+order within each running sum.  A weight has one sign, so with unsigned
+activations each of the 2o sums (one per output and term sign) gets its own
+k-ordered list of the k's it can receive a term at; all sums step through
+their lists together, each step one table lookup on exponents held relative
+to the operands' lowest levels, in the narrowest of int16, int32 and int64
+that provably holds every intermediate value.
 """
 
 from __future__ import annotations
@@ -91,8 +96,11 @@ ACCUM_LOG = "log"
 BN_EPS = 1e-5
 
 # float64 holds integers exactly up to 2**53; kernels refuse configs that
-# could push raw accumulator values past this
+# could push raw accumulator values past this.  float32 holds them up to
+# 2**24, and the linear-accumulation kernels sum in it when they stay below.
 _EXACT_RAW_BITS = 52
+_EXACT_RAW_BITS_F32 = 23
+_F32 = np.finfo(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +314,20 @@ def channel_axes(x: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def bn_normalize(x: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     """(x - mean) / sqrt(var + eps) per channel: batchnorm before its affine map."""
     shape = channel_axes(x)[1]
-    return (x - mean.reshape(shape)) / np.sqrt(var.reshape(shape) + BN_EPS)
+    out = x - mean.reshape(shape)
+    out /= np.sqrt(var.reshape(shape) + BN_EPS)
+    return out
 
 
 def batchnorm_array(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
-    """Per-channel normalization by ``p``'s statistics, in real arithmetic."""
+    """Per-channel normalization by ``p``'s statistics, in real arithmetic:
+    gamma * (x - mean) / sqrt(var + eps) + beta, in that order, in one
+    buffer."""
     shape = channel_axes(x)[1]
-    return p.gamma.reshape(shape) * bn_normalize(x, p.mean, p.var) + p.beta.reshape(shape)
+    out = bn_normalize(x, p.mean, p.var)
+    out *= p.gamma.reshape(shape)
+    out += p.beta.reshape(shape)
+    return out
 
 
 def softmax_array(x: np.ndarray) -> np.ndarray:
@@ -338,7 +353,9 @@ def _trunc_pow2_raw(p_steps: np.ndarray, fb: int, frac_bits: int) -> np.ndarray:
 
 
 def _check_exact_range(max_term_bits: int, n_terms: int,
-                       int_bits: int, frac_bits: int) -> None:
+                       int_bits: int, frac_bits: int) -> int:
+    """Refuse sums that float64 or the word cannot hold exactly; returns the
+    raw bits every partial sum of ``n_terms`` terms fits in."""
     need = max_term_bits + max(int(n_terms - 1).bit_length(), 0)
     if need > _EXACT_RAW_BITS:
         raise ConfigError(
@@ -350,6 +367,26 @@ def _check_exact_range(max_term_bits: int, n_terms: int,
             f"a single term can span {max_term_bits} raw bits, more than the "
             f"{int_bits}+{frac_bits} bit accumulator"
         )
+    return need
+
+
+def _sum_dtype(need: int, *factors: np.ndarray):
+    """The float type a shift kernel computes its ``need``-bit sums in.
+
+    float32 when every partial sum is an integer below 2**24 (``need`` <=
+    23) and every nonzero factor is a normal float32 number: products of
+    such factors that are integers below 2**24 are exact, and so is every
+    sum of them, in any order, with no subnormal for a flush-to-zero mode to
+    drop.  float64 otherwise.
+    """
+    if need > _EXACT_RAW_BITS_F32:
+        return np.float64
+    for f in factors:
+        a = np.abs(f[f != 0])
+        if a.size and not (_F32.tiny <= a.min() and a.max() <= _F32.max
+                           and (a.astype(np.float32) == a).all()):
+            return np.float64
+    return np.float32
 
 
 def _check_out(out_raw: np.ndarray, int_bits: int, frac_bits: int) -> np.ndarray:
@@ -445,14 +482,16 @@ def lift_grid(cfg_a: QuantizerConfig, cfg_b: QuantizerConfig) -> int:
     return max(cfg_a.base_frac_bits, cfg_b.base_frac_bits)
 
 
-# float64 elements in one one-hot block and in one block of term tables: a
-# block fits L2, which measured faster than blocks of 2**20
-_TABLE_BLOCK = 1 << 16
+# bytes in one one-hot block and in one block of term tables: a block fits
+# L2, which measured faster than 8 MB blocks in float64; in float32, 2**17
+# elements ran faster than 2**16 over the method1/method2 products of one
+# 256-image infer pass per mode of the benchmark's reference net
+_TABLE_BLOCK = 1 << 19
 
 
 def _code_table_matmul(codes: np.ndarray, exact_val: np.ndarray,
                        w_exact: np.ndarray, trunc_codes: np.ndarray,
-                       term_tables, o: int) -> np.ndarray:
+                       term_tables, o: int, dtype) -> np.ndarray:
     """exact_val[codes] @ w_exact plus the terms of the truncating codes.
 
     ``codes`` is (n, k); ``exact_val`` maps every code to its factor in the
@@ -461,29 +500,31 @@ def _code_table_matmul(codes: np.ndarray, exact_val: np.ndarray,
     other operand; a one-hot (rows, k*L) block, gathered from an
     identity-like (codes, L) table, picks them in one GEMM.  Rows and k are
     blocked so each one-hot and term block holds about ``_TABLE_BLOCK``
-    elements.
+    bytes.  Everything is summed in ``dtype`` (``_sum_dtype``); the result
+    is float64.
     """
     n, k = codes.shape
-    out = np.zeros((n, o))
+    out = np.zeros((n, o), dtype)
     if exact_val.any():
-        out += exact_val[codes] @ w_exact
+        out += exact_val.astype(dtype)[codes] @ w_exact.astype(dtype, copy=False)
     n_t = trunc_codes.size
     if n_t == 0 or o == 0:
-        return out
-    onehot = np.zeros((exact_val.size, n_t))
+        return out.astype(np.float64, copy=False)
+    onehot = np.zeros((exact_val.size, n_t), dtype)
     onehot[trunc_codes, np.arange(n_t)] = 1.0
-    k_step = max(1, min(k, _TABLE_BLOCK // (n_t * o)))
-    rows = max(1, min(n, _TABLE_BLOCK // (k_step * n_t)))
-    buf = np.empty(rows * k_step * n_t)
+    block = _TABLE_BLOCK // onehot.itemsize
+    k_step = max(1, min(k, block // (n_t * o)))
+    rows = max(1, min(n, block // (k_step * n_t)))
+    buf = np.empty(rows * k_step * n_t, dtype)
     for k0 in range(0, k, k_step):
         ks = slice(k0, k0 + k_step)
-        table = term_tables(ks).reshape(-1, o)
+        table = term_tables(ks).reshape(-1, o).astype(dtype, copy=False)
         for lo in range(0, n, rows):
             c = codes[lo:lo + rows, ks]
             hot = buf[:c.size * n_t].reshape(*c.shape, n_t)
             np.take(onehot, c, axis=0, out=hot, mode="clip")
             out[lo:lo + rows] += hot.reshape(c.shape[0], -1) @ table
-    return out
+    return out.astype(np.float64, copy=False)
 
 
 def method2_matmul(x: QuantizedOperand, w: QuantizedOperand,
@@ -509,11 +550,13 @@ def method2_matmul(x: QuantizedOperand, w: QuantizedOperand,
     One-hot entries are 0 or 1 and every table entry and every exact-class
     product is an integer term, so under the ``_check_exact_range`` bound
     every partial sum, in any BLAS order, is an integer below 2**53: the
-    result equals the scalar ``lognum.dot_method2`` bit for bit.
+    result equals the scalar ``lognum.dot_method2`` bit for bit.  The sums
+    run in float32 where that bound is 2**24 and the per-code factors of
+    the exact class and of w are normal float32 numbers (``_sum_dtype``).
     """
     n, k = x.shape
     o = w.shape[1]
-    _check_exact_range(
+    need = _check_exact_range(
         max_term_bits=int(math.ceil(x.max_exp + w.max_exp)) + frac_bits + 1,
         n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
     xt, wt = x.table, w.table
@@ -527,6 +570,7 @@ def method2_matmul(x: QuantizedOperand, w: QuantizedOperand,
              & ((xt.esteps >> fb) + (w_low >> fb) + frac_bits >= fb))
     exact_val = np.where(exact, xt.sign * _pow2_steps(xt.esteps, fb, frac_bits), 0.0)
     w_val = np.where(wt.nonzero, wt.sign * _pow2_steps(wt.esteps, fb), 0.0)
+    dtype = _sum_dtype(need, exact_val, w_val)
     trunc = np.flatnonzero(live & ~exact)
     # terms[l, v]: truncating x code trunc[l] against w code v
     terms = np.where(wt.nonzero, xt.sign[trunc, None] * wt.sign, 0) * _trunc_pow2_raw(
@@ -535,7 +579,8 @@ def method2_matmul(x: QuantizedOperand, w: QuantizedOperand,
     def term_tables(ks):
         return np.take(terms, w.codes[ks], axis=1).transpose(1, 0, 2)
 
-    out = _code_table_matmul(x.codes, exact_val, w_val[w.codes], trunc, term_tables, o)
+    out = _code_table_matmul(x.codes, exact_val, w_val[w.codes], trunc, term_tables,
+                             o, dtype)
     return _check_out(out, int_bits, frac_bits)
 
 
@@ -551,7 +596,9 @@ def method1_matmul(x: QuantizedOperand, w_real: np.ndarray,
     gets a (k, o) table floor(w_raw * 2**e) summed by one one-hot GEMM.
     Every entry is an integer and ``_check_exact_range`` keeps every partial
     sum below 2**53, so the result equals the scalar ``lognum.dot_method1``
-    bit for bit.
+    bit for bit.  The sums run in float32 where the bound is 2**24 and the
+    factors 2**e and the weight words are normal float32 numbers
+    (``_sum_dtype``).
     """
     if x.fb != 0:
         raise ConfigError("integer shifts require the base-2 exponent grid")
@@ -561,7 +608,7 @@ def method1_matmul(x: QuantizedOperand, w_real: np.ndarray,
     n, k = x.shape
     w_raw = np.rint(np.ldexp(w_real, frac_bits))
     wbits = int(np.abs(w_raw).max()) if w_raw.size else 0
-    _check_exact_range(
+    need = _check_exact_range(
         max_term_bits=wbits.bit_length() + max(int(x.max_exp), 0),
         n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
     exact_val = np.where(xt.nonzero & (xt.esteps >= 0), np.ldexp(1.0, xt.esteps), 0.0)
@@ -572,7 +619,7 @@ def method1_matmul(x: QuantizedOperand, w_real: np.ndarray,
         return np.floor(np.ldexp(w_raw[ks, None, :], t_exp))
 
     out = _code_table_matmul(x.codes, exact_val, w_raw, trunc, term_tables,
-                             w_real.shape[1])
+                             w_real.shape[1], _sum_dtype(need, exact_val, w_raw))
     return _check_out(out, int_bits, frac_bits)
 
 
@@ -584,21 +631,32 @@ def shifted_input_matmul(x_real: np.ndarray, w: QuantizedOperand,
     fixed-point word, the weight code supplies shift amount and sign (signs
     apply after truncation, as a hardware negate would).  Half-step weight
     exponents multiply by 1.5 via shift-add before the final truncation.
+    Each weight level present adds one GEMM of its truncated shifted words
+    against its sign indicators, all integers; the range bound keeps every
+    partial sum below 2**53, so the result equals the scalar shifts bit for
+    bit.  It runs in float32 where the bound is 2**24 and every level's
+    2**pf is a normal float32 number (``_sum_dtype``).
     """
     n, k = x_real.shape
     x_raw = np.rint(np.ldexp(x_real, frac_bits))
     xbits = int(np.abs(x_raw).max()) if x_raw.size else 0
-    _check_exact_range(
+    need = _check_exact_range(
         max_term_bits=xbits.bit_length() + max(int(math.ceil(w.max_exp)), 0) + 1,
         n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
-    out = np.zeros((n, w.shape[1]))
     wt = w.table
-    for e in np.unique(wt.esteps[w.present() & wt.nonzero]):
-        ind = np.where(wt.nonzero & (wt.esteps == e), wt.sign, 0).astype(np.float64)[w.codes]
+    levels = np.unique(wt.esteps[w.present() & wt.nonzero])
+    dtype = _sum_dtype(need, np.ldexp(1.0, levels >> w.fb))
+    x_raw = x_raw.astype(dtype, copy=False)
+    out = np.zeros((n, w.shape[1]), dtype)
+    for e in levels:
+        ind = np.where(wt.nonzero & (wt.esteps == e), wt.sign, 0).astype(dtype)[w.codes]
         pf = int(e) >> w.fb
         mant = 1.5 if w.fb and (int(e) & 1) else 1.0
-        out += np.floor(np.ldexp(x_raw * mant, pf)) @ ind
-    return _check_out(out, int_bits, frac_bits)
+        # x_raw * mant * 2**pf in one multiply: the factor is a normal
+        # number and so is every nonzero product, so nothing rounds that the
+        # shift-add and the shift would not
+        out += np.floor(x_raw * math.ldexp(mant, pf)) @ ind
+    return _check_out(out.astype(np.float64, copy=False), int_bits, frac_bits)
 
 
 def _trunc_halfexp_raw(s_rel: np.ndarray, base: int, f: int, frac_bits: int) -> np.ndarray:

@@ -299,21 +299,29 @@ def col2im_array(g_cols: np.ndarray, in_shape: tuple[int, ...], kernel: int,
 # ---------------------------------------------------------------------------
 
 
+def _weight_operands(state: TrainState, cfg: TrainConfig) -> dict:
+    """Every layer's (out, in) weight matrix as the products read it."""
+    return {i: _quantize_signed(w.reshape(w.shape[0], -1), cfg.weight_q,
+                                state.weight_fsr.get(i, 0))
+            for i, w in state.params.items()}
+
+
 def _forward_train(state: TrainState, x: np.ndarray, cfg: TrainConfig,
-                   training: bool, bn_collect: Optional[dict] = None
-                   ) -> tuple[np.ndarray, Optional[dict]]:
+                   training: bool, bn_collect: Optional[dict] = None,
+                   wq: Optional[dict] = None) -> tuple[np.ndarray, Optional[dict]]:
     """Layer walk returning logits and the caches backward needs.
 
     Training normalizes by batch statistics and folds them into the running
     ones, or, with ``bn_collect``, appends them there instead.  Only a
     training walk without ``bn_collect`` is followed by a backward pass, so
     only it keeps caches; every other walk returns None for them and pools
-    without argmax indices.
+    without argmax indices.  ``wq`` is ``_weight_operands(state, cfg)``:
+    callers that walk many batches over frozen weights build it once and
+    pass it in; when None, the walk builds it.
     """
     g = state.graph
-    wq = {i: _quantize_signed(w.reshape(w.shape[0], -1), cfg.weight_q,
-                              state.weight_fsr.get(i, 0))
-          for i, w in state.params.items()}
+    if wq is None:
+        wq = _weight_operands(state, cfg)
     q = cfg.activation_q
     act_config = None if q is None else partial(_act_config, g, q)
     stats: Optional[dict] = {} if training else None
@@ -465,9 +473,10 @@ def evaluate(state: TrainState, cfg: TrainConfig, inputs: np.ndarray,
              targets: np.ndarray, batch_size: int = 256) -> float:
     """Accuracy of the quantized-inference path with running batchnorm stats."""
     correct = 0
+    wq = _weight_operands(state, cfg)
     for lo in range(0, len(targets), batch_size):
         xb = inputs[lo:lo + batch_size]
-        logits, _ = _forward_train(state, xb, cfg, training=False)
+        logits, _ = _forward_train(state, xb, cfg, training=False, wq=wq)
         correct += int((logits.argmax(axis=1) == targets[lo:lo + batch_size]).sum())
     return correct / max(len(targets), 1)
 
@@ -484,12 +493,13 @@ def reestimate_bn_stats(state: TrainState, cfg: TrainConfig, inputs: np.ndarray,
     if not state.bn:
         return
     collect: dict[int, list] = {}
+    wq = _weight_operands(state, cfg)
     for b in range(max_batches):
         lo = b * cfg.batch_size
         if lo >= len(inputs):
             break
         _forward_train(state, inputs[lo:lo + cfg.batch_size], cfg,
-                       training=True, bn_collect=collect)
+                       training=True, bn_collect=collect, wq=wq)
     for i, stats in collect.items():
         bns = state.bn[i]
         bns.mean = np.mean([m for m, _ in stats], axis=0)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lognet import AccumulatorOverflow, ConfigError, QuantizerConfig, Tensor
-from lognet.lognum import (dot_method2, logquant_array, LogCode, dequantize_array,
-                           log_accumulate_raw)
+from lognet.lognum import (AccumulatorWord, bitshift, code_table, dot_method2, logquant_array,
+                           LogCode, dequantize_array, log_accumulate_raw)
 from lognet import nn
 from lognet.nn import (
     Arithmetic,
@@ -130,12 +130,74 @@ def test_batchnorm_examples():
     assert np.allclose(walk(g, x, {}, None, {0: p3}, Arithmetic()), want, atol=1e-6)
 
 
+def test_batchnorm_is_its_expression_bit_for_bit():
+    # one buffer, the same operations in the same order as the expression
+    rng = np.random.default_rng(71)
+    c = 5
+    p = BatchNormParams(rng.normal(1.0, 0.5, c), rng.normal(0.0, 1.0, c),
+                        rng.normal(0.0, 1.0, c), rng.uniform(0.0, 4.0, c))
+    p.var[0] = 0.0
+    for shape, bshape in (((37, c), (1, -1)), ((6, c, 7, 3), (1, -1, 1, 1))):
+        x = rng.normal(2.0, 3.0, size=shape)
+        x_in = x.copy()
+        mean, var = p.mean.reshape(bshape), p.var.reshape(bshape)
+        xhat = (x - mean) / np.sqrt(var + nn.BN_EPS)
+        want = p.gamma.reshape(bshape) * xhat + p.beta.reshape(bshape)
+        assert nn.bn_normalize(x, p.mean, p.var).tobytes() == xhat.tobytes()
+        assert batchnorm_array(x, p).tobytes() == want.tobytes()
+        assert x.tobytes() == x_in.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # kernels against the scalar ops
 # ---------------------------------------------------------------------------
 
 def codes_from(vals, cfg):
     return logquant_array(np.asarray(vals, dtype=np.float64), cfg)
+
+
+def _block_elems(dtype):
+    """Elements of ``dtype`` in one of ``_code_table_matmul``'s blocks."""
+    return nn._TABLE_BLOCK // np.dtype(dtype).itemsize
+
+
+def _run_recording_dtype(kernel, *args):
+    """``kernel(*args)`` and the float type it chose to sum in."""
+    seen = []
+    choose = nn._sum_dtype
+    nn._sum_dtype = lambda *a: seen.append(choose(*a)) or seen[-1]
+    try:
+        out = kernel(*args)
+    finally:
+        nn._sum_dtype = choose
+    assert len(seen) == 1
+    return out, seen[0]
+
+
+def test_sum_dtype_rule():
+    # float32 while every partial sum stays below 2**24 and every nonzero
+    # factor is a normal float32 number; float64 otherwise
+    tiny, top = float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max)
+    assert nn._sum_dtype(23) is np.float32
+    assert nn._sum_dtype(24) is np.float64
+    ok = np.array([0.0, -tiny, 1.5, -top, 2.0 ** 100])
+    assert nn._sum_dtype(23, ok, np.ones(3)) is np.float32
+    assert nn._sum_dtype(24, ok) is np.float64
+    for bad in (tiny / 2, 2.0 ** -150, 2.0 ** 128, 1.0 + 2.0 ** -30):
+        assert nn._sum_dtype(23, ok, np.array([-1.0, bad])) is np.float64, bad
+
+    # through a kernel: method1 over k = 2 at the activation's full scale 1
+    # needs one bit more than its largest weight word
+    cx = QuantizerConfig("log", 4, False, 0)
+    xc = codes_from([[0.5, 0.25], [0.125, 0.5], [0.0, 2.0 ** -14]], cx)
+    for word_bits, want in ((22, np.float32), (23, np.float64)):
+        top_w = (2.0 ** word_bits - 1) / 2 ** 8
+        w = np.array([[top_w, -3.0], [1.5, -top_w]])
+        raw, dtype = _run_recording_dtype(method1_matmul, QuantizedOperand(xc, cx, 0), w)
+        assert dtype is want
+        for i in range(3):
+            for j in range(2):
+                assert raw[i, j] == _scalar_method1(xc, w, cx, i, j)
 
 
 # operand layouts the kernels meet: C-ordered, and the Fortran-ordered views
@@ -227,12 +289,53 @@ def _check_method2_matmul(laid):
     xo, wo = QuantizedOperand(laid(xc), cx, 0), QuantizedOperand(laid(wc), cw, 0)
     n_exact, n_dead, n_trunc = _code_classes(xo, wo, frac)
     assert min(n_exact, n_dead) > 0 and n_trunc == 14
-    k_step = nn._TABLE_BLOCK // (n_trunc * o)
-    assert k > k_step and n > 2 * (nn._TABLE_BLOCK // (k_step * n_trunc))
-    raw = method2_matmul(xo, wo, 24, frac)
+    k_step = _block_elems(np.float64) // (n_trunc * o)
+    assert k > k_step and n > 2 * (_block_elems(np.float64) // (k_step * n_trunc))
+    raw, dtype = _run_recording_dtype(method2_matmul, xo, wo, 24, frac)
+    assert dtype is np.float64
     for i in (0, 39, 40, 41, n - 1, *rng.integers(0, n, size=2)):
         for j in (0, o - 1, int(rng.integers(0, o))):
             assert raw[i, j] == _scalar_linear(xc, wc, cx, cw, i, j, 24, frac)
+
+    # the same blocking in float32: the 32+8 word and full scales 2**5 and
+    # 2**0 put every partial sum over k = 300 below 2**23, and weights over
+    # 11 octaves leave 2 exact and 10 truncating activation codes
+    cw = QuantizerConfig("log", 5, True, 0)
+    n, k, o, frac = 100, 300, 48, 8
+    x = 2.0 ** rng.uniform(-58, 5, size=(n, k))
+    x[rng.random((n, k)) < 0.2] = 0.0
+    w = rng.choice([-1.0, 1.0], size=(k, o)) * 2.0 ** rng.uniform(-11, 0, size=(k, o))
+    xc, wc = codes_from(x, cx), codes_from(w, cw)
+    xo, wo = QuantizedOperand(laid(xc), cx, 0), QuantizedOperand(laid(wc), cw, 0)
+    n_exact, n_dead, n_trunc = _code_classes(xo, wo, frac)
+    assert (n_exact, n_trunc) == (2, 10) and n_dead > 0
+    k_step = _block_elems(np.float32) // (n_trunc * o)
+    assert k > k_step and n > 2 * (_block_elems(np.float32) // (k_step * n_trunc))
+    raw, dtype = _run_recording_dtype(method2_matmul, xo, wo, 32, frac)
+    assert dtype is np.float32 and raw.dtype == np.float64
+    for i in (0, 47, 48, 49, 96, n - 1, *rng.integers(0, n, size=2)):
+        for j in (0, o - 1, int(rng.integers(0, o))):
+            assert raw[i, j] == _scalar_linear(xc, wc, cx, cw, i, j, 32, frac)
+
+
+def test_method2_matmul_sums_out_of_float32_range_factors_in_float64():
+    # sums far below 2**24, but the exact class's per-code factors reach
+    # 2**147 and the weights' 2**-139 and below: float32 cannot hold either
+    cx = QuantizerConfig("log", 4, False, 140)
+    cw = QuantizerConfig("log", 5, True, -138)
+    rng = np.random.default_rng(61)
+    n, k, o = 6, 8, 3
+    x = 2.0 ** rng.uniform(124, 140, size=(n, k))
+    x[rng.random((n, k)) < 0.2] = 0.0
+    w = rng.choice([-1.0, 1.0], size=(k, o)) * 2.0 ** rng.uniform(-143, -138, size=(k, o))
+    xc, wc = codes_from(x, cx), codes_from(w, cw)
+    xo, wo = QuantizedOperand(xc, cx, 0), QuantizedOperand(wc, cw, 0)
+    assert min(_code_classes(xo, wo, 8)) > 0
+    raw, dtype = _run_recording_dtype(method2_matmul, xo, wo)
+    assert dtype is np.float64 and (raw != 0).any()
+    for i in range(n):
+        for j in range(o):
+            assert raw[i, j] == _scalar_linear(xc, wc, cx, cw, i, j)
 
 
 def _scalar_logaccum(xc, wc, cx, cw, i, j, int_bits=32, frac_bits=8, f=4):
@@ -449,15 +552,29 @@ def _check_method1_matmul(laid):
     lv = np.unique(xo.esteps[xo.nonzero])
     n_trunc = int((lv < 0).sum())
     assert (lv >= 0).any() and n_trunc > 50
-    k_step = nn._TABLE_BLOCK // (n_trunc * o)
-    assert k > k_step and n > 2 * (nn._TABLE_BLOCK // (k_step * n_trunc))
+    k_step = _block_elems(np.float64) // (n_trunc * o)
+    assert k > k_step and n > 2 * (_block_elems(np.float64) // (k_step * n_trunc))
     for ib, frac in ((32, 8), (24, 20)):
-        raw = method1_matmul(xo, laid(w), ib, frac)
+        raw, dtype = _run_recording_dtype(method1_matmul, xo, laid(w), ib, frac)
+        assert dtype is np.float64
         assert (raw[3] == 0).all() and (raw[:, 2] == 0).all()
         for i in (0, 3, 40, n - 1, *rng.integers(0, n, size=2)):
             for j in (0, 2, o - 1, int(rng.integers(0, o))):
                 assert raw[i, j] == _scalar_method1(xc, w, cx, i, j, ib, frac)
     assert (method1_matmul(xo, laid(np.zeros((k, o)))) == 0).all()
+
+    # the same blocking in float32: weight words below 2**10 at the 32+8
+    # word keep every partial sum below 2**23
+    w = np.clip(rng.normal(0, 1.0, size=(k, o)), -3.99, 3.99)
+    w[:, 2] = 0.0
+    k_step = _block_elems(np.float32) // (n_trunc * o)
+    assert k > k_step and n > 2 * (_block_elems(np.float32) // (k_step * n_trunc))
+    raw, dtype = _run_recording_dtype(method1_matmul, xo, laid(w))
+    assert dtype is np.float32 and raw.dtype == np.float64
+    assert (raw[3] == 0).all() and (raw[:, 2] == 0).all()
+    for i in (0, 3, 31, 32, 33, 64, n - 1, *rng.integers(0, n, size=2)):
+        for j in (0, 2, o - 1, int(rng.integers(0, o))):
+            assert raw[i, j] == _scalar_method1(xc, w, cx, i, j)
 
 
 def test_method1_matmul_refusals():
@@ -499,6 +616,57 @@ def test_shifted_input_matmul_base2_and_sqrt2():
         w_factor = np.where(op.nonzero, op.sign * mant * np.ldexp(1.0, op.esteps >> fb), 0.0)
         approx = np.rint(np.ldexp(x, 8)) @ w_factor
         assert np.all(np.abs(raw - approx) <= x.shape[1])
+
+    # exactly the scalar shifts, with negative and zero inputs and zero
+    # weights, on both grids and layouts, at the 32+8 word (float32 sums)
+    # and the 24+20 word (float64 sums)
+    x = rng.normal(0, 4.0, size=(12, 10))
+    x[:, 3] = 0.0
+    x[:, 4] = -np.abs(x[:, 4])
+    w[2] = 0.0
+    for laid in LAYOUTS:
+        for fb in (0, 1):
+            cfg = QuantizerConfig("log", 5, True, 1, base_frac_bits=fb)
+            wc = logquant_array(w, cfg)
+            for ib, frac, want in ((32, 8, np.float32), (24, 20, np.float64)):
+                raw, dtype = _run_recording_dtype(
+                    shifted_input_matmul, laid(x), QuantizedOperand(laid(wc), cfg, fb), ib, frac)
+                assert dtype is want
+                for i in range(x.shape[0]):
+                    for j in range(w.shape[1]):
+                        assert raw[i, j] == _scalar_shifted(x, wc, cfg, i, j, ib, frac)
+
+    # weight levels below 2**-149 (float32's smallest subnormal) against
+    # negative inputs: every such term truncates to -1 before its sign,
+    # which float32 would flush to -0; the kernel sums in float64
+    cfg = QuantizerConfig("log", 5, True, -140)
+    w = rng.choice([-1.0, 1.0], size=(10, 3)) * 2.0 ** rng.uniform(-156, -140, size=(10, 3))
+    wc = logquant_array(w, cfg)
+    raw, dtype = _run_recording_dtype(shifted_input_matmul, x, QuantizedOperand(wc, cfg, 0))
+    assert dtype is np.float64 and (raw != 0).any()
+    for i in range(x.shape[0]):
+        for j in range(w.shape[1]):
+            assert raw[i, j] == _scalar_shifted(x, wc, cfg, i, j)
+
+
+def _scalar_shifted(x, wc, cw, i, j, int_bits=32, frac_bits=8):
+    """Output (i, j) of ``shifted_input_matmul`` by scalar shifts: each input
+    word shifts by its weight's exponent (a half step shifts 3 * raw by one
+    less), truncates, and then takes the weight's sign."""
+    t = code_table(cw)
+    acc = 0
+    for kk in range(x.shape[1]):
+        c = int(wc[kk, j])
+        if not t.nonzero[c]:
+            continue
+        word = AccumulatorWord.from_value(float(x[i, kk]), int_bits, frac_bits)
+        e = int(t.esteps[c])
+        if cw.base_frac_bits and e & 1:
+            word = bitshift(AccumulatorWord(3 * word.raw, int_bits, frac_bits), (e >> 1) - 1)
+        else:
+            word = bitshift(word, e >> cw.base_frac_bits)
+        acc += int(t.sign[c]) * word.raw
+    return acc
 
 
 # ---------------------------------------------------------------------------

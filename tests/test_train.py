@@ -286,6 +286,39 @@ def test_forward_only_walks_keep_no_cache(monkeypatch):
 # step semantics
 # ---------------------------------------------------------------------------
 
+def test_frozen_weight_walks_quantize_the_weights_once(monkeypatch):
+    # evaluate and reestimate_bn_stats build the weight operands once per
+    # call, not once per batch, and get the logits and batch statistics of
+    # walks that quantize the weights themselves
+    graph = ModelGraph(layers=[fc(5, 6), batchnorm_layer(5), relu_layer(),
+                               act_quant_layer("log", 4), fc(3, 5)], fsr=0)
+    rng = np.random.default_rng(107)
+    x = rng.normal(0, 1.0, size=(26, 6))
+    y = rng.integers(0, 3, size=26)
+    cfg = TrainConfig(weight_q=W5, activation_q=A4, gradient_q=G5,
+                      optimizer=OptimizerSpec(lr=0.05), batch_size=8, epochs=1, seed=3)
+    state, _ = fit(init_state(graph, cfg), cfg, (x, y))
+    want_acc = sum(int((_forward_train(state, x[lo:lo + 10], cfg, training=False)[0]
+                        .argmax(axis=1) == y[lo:lo + 10]).sum())
+                   for lo in range(0, 26, 10)) / 26
+    want_bn = copy.deepcopy(state)
+    collect: dict = {}
+    for lo in range(0, 26, 8):
+        _forward_train(want_bn, x[lo:lo + 8], cfg, training=True, bn_collect=collect)
+    assert len(next(iter(collect.values()))) == 4
+
+    builds = []
+    build = train._weight_operands
+    monkeypatch.setattr(train, "_weight_operands", lambda *a: builds.append(1) or build(*a))
+    assert evaluate(state, cfg, x, y, batch_size=10) == want_acc
+    assert len(builds) == 1
+    reestimate_bn_stats(state, cfg, x)
+    assert len(builds) == 2
+    for i, stats in collect.items():
+        assert state.bn[i].mean.tobytes() == np.mean([m for m, _ in stats], axis=0).tobytes()
+        assert state.bn[i].var.tobytes() == np.mean([v for _, v in stats], axis=0).tobytes()
+
+
 def test_zero_learning_rate_keeps_weights():
     rng = np.random.default_rng(79)
     graph = tiny_fc_graph()
