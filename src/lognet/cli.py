@@ -1,7 +1,8 @@
 """Command-line frontend: datasets, calibration, sweeps, training, inference.
 
-Exit codes: 0 success, 1 runtime/numeric failure, 2 usage or parse failure.
-All emitted CSVs are RFC 4180 (CRLF, header row first).
+Exit codes: 0 success, 1 runtime/numeric failure, 2 usage or parse failure
+(an unreadable or unwritable path included); ``main`` maps every error to
+its code.  All emitted CSVs are RFC 4180 (CRLF, header row first).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .lognum import (
     QuantizerConfig,
 )
 from .nn import CONV, FC, LINQUANT, LOGQUANT, ModelGraph, forward
-from .tensor import Tensor, quantize_tensor
+from .tensor import quantize_tensor
 
 
 def worker_threads() -> int:
@@ -78,13 +79,6 @@ def load_labels(path, count: int | None = None) -> np.ndarray:
     return labels
 
 
-def _open_model(path) -> ModelGraph:
-    try:
-        return io.read_model(path)
-    except FileNotFoundError:
-        raise SystemExit(_usage_fail(f"cannot open model file {path!r}"))
-
-
 def _usage_fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -96,8 +90,9 @@ def _usage_fail(message: str) -> int:
 
 
 def predict_scores(graph: ModelGraph, images: np.ndarray, mode: str, accum: str,
-                   batch_size: int = 256, threads: int | None = None) -> np.ndarray:
-    """Forward over batches, fanned out to worker threads, ordered by index."""
+                   batch_size: int = 256) -> np.ndarray:
+    """Forward over batches, fanned out to ``worker_threads()`` threads,
+    ordered by index."""
     if len(images) == 0:
         return np.zeros((0, 0), dtype=np.float32)
     spans = [(lo, min(lo + batch_size, len(images)))
@@ -105,9 +100,9 @@ def predict_scores(graph: ModelGraph, images: np.ndarray, mode: str, accum: str,
 
     def run(span):
         lo, hi = span
-        return forward(graph, Tensor.from_real(images[lo:hi]), mode, accum).data
+        return forward(graph, images[lo:hi], mode, accum)
 
-    n_workers = threads if threads is not None else worker_threads()
+    n_workers = worker_threads()
     if n_workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             chunks = list(pool.map(run, spans))
@@ -172,15 +167,12 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    graph = _open_model(args.model)
-    try:
-        images = load_images(args.data)
-    except FileNotFoundError:
-        return _usage_fail(f"cannot open data file {args.data!r}")
+    graph = io.read_model(args.model)
+    images = load_images(args.data)
     if len(images) < 1:
         return _usage_fail("calibration needs at least one sample")
     sample = images[:args.samples]
-    captured = nn.collect_quantizer_inputs(graph, Tensor.from_real(sample))
+    captured = nn.collect_quantizer_inputs(graph, sample)
     if not captured:
         return _usage_fail("model has no quantizer layers to calibrate")
     # calibrate each layer under its own quantizer kind
@@ -207,12 +199,9 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    graph = _open_model(args.model)
-    try:
-        images = load_images(args.data)
-        labels = load_labels(args.labels, len(images))
-    except FileNotFoundError as e:
-        return _usage_fail(f"cannot open {e.filename!r}")
+    graph = io.read_model(args.model)
+    images = load_images(args.data)
+    labels = load_labels(args.labels, len(images))
     if args.mode.startswith("method2"):
         ensure_weight_qconfigs(graph, args.weight_bits, 0, ROUND_NEAREST)
     rows = []
@@ -233,11 +222,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    graph = _open_model(args.model)
-    try:
-        images = load_images(args.data)
-    except FileNotFoundError:
-        return _usage_fail(f"cannot open data file {args.data!r}")
+    graph = io.read_model(args.model)
+    images = load_images(args.data)
     if args.mode.startswith("method2"):
         ensure_weight_qconfigs(graph, args.weight_bits, 0, ROUND_NEAREST)
     timings = {}
@@ -259,12 +245,9 @@ def cmd_infer(args) -> int:
 
 
 def cmd_quant_analyze(args) -> int:
-    graph = _open_model(args.model)
-    try:
-        images = load_images(args.data)
-    except FileNotFoundError:
-        return _usage_fail(f"cannot open data file {args.data!r}")
-    captured = nn.collect_quantizer_inputs(graph, Tensor.from_real(images[:args.samples]))
+    graph = io.read_model(args.model)
+    images = load_images(args.data)
+    captured = nn.collect_quantizer_inputs(graph, images[:args.samples])
     if not captured:
         return _usage_fail("model has no quantizer layers to analyze")
     rows = []
@@ -286,7 +269,7 @@ def cmd_quant_analyze(args) -> int:
 
 
 def cmd_pack(args) -> int:
-    graph = _open_model(args.model)
+    graph = io.read_model(args.model)
     fb = 1 if args.base == "sqrt2" else 0
     rounding = ROUND_FLOOR if args.rounding == "floor" else ROUND_NEAREST
     template = QuantizerConfig(KIND_LOG, args.bits, True, 0, fb, rounding)
@@ -332,11 +315,8 @@ _TRAIN_REQUIRED = ("train_images", "train_labels", "out_model", "out_metrics")
 
 def parse_train_config(path) -> dict:
     raw = dict(_TRAIN_DEFAULTS)
-    try:
-        with open(path) as f:
-            lines = f.readlines()
-    except FileNotFoundError:
-        raise ConfigError(f"cannot open config file {path!r}")
+    with open(path) as f:
+        lines = f.readlines()
     for ln, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -409,15 +389,12 @@ def build_train_setup(raw: dict):
         batch_size=_cfg_int(raw, "batch_size"), epochs=_cfg_int(raw, "epochs"),
         seed=_cfg_int(raw, "seed"), grad_fsr_floor=_cfg_int(raw, "grad_fsr_floor"))
 
-    try:
-        train_x = load_images(raw["train_images"])
-        train_y = load_labels(raw["train_labels"], len(train_x))
-        test = None
-        if raw["test_images"]:
-            test_x = load_images(raw["test_images"])
-            test = (test_x.astype(np.float64), load_labels(raw["test_labels"], len(test_x)))
-    except FileNotFoundError as e:
-        raise ConfigError(f"cannot open dataset file {e.filename!r}")
+    train_x = load_images(raw["train_images"])
+    train_y = load_labels(raw["train_labels"], len(train_x))
+    test = None
+    if raw["test_images"]:
+        test_x = load_images(raw["test_images"])
+        test = (test_x.astype(np.float64), load_labels(raw["test_labels"], len(test_x)))
 
     channels = raw["conv_channels"].split(",")
     if len(channels) != 2:
@@ -431,7 +408,7 @@ def build_train_setup(raw: dict):
     # activations stay on the base-2 grid; the base option applies to the
     # weight/gradient quantizers
     graph = train.build_small_cnn(in_shape, (c1, c2), _cfg_int(raw, "fc_units"),
-                                  classes, act_bits or 4, 0, 0, rounding)
+                                  classes, act_bits or 4, rounding)
     if act_kind == "linear" and act_q is not None:
         for i, layer in enumerate(graph.layers):
             if layer.kind == LOGQUANT:
@@ -558,10 +535,8 @@ def main(argv=None) -> int:
         return int(e.code) if e.code else 0
     try:
         return args.fn(args)
-    except SystemExit as e:
-        return int(e.code) if e.code else 0
-    except FileNotFoundError as e:
-        return _usage_fail(f"cannot open {getattr(e, 'filename', e)!r}")
+    except OSError as e:
+        return _usage_fail(f"cannot open {e.filename!r}: {e.strerror or e}")
     except (io.FileFormatError, ConfigError, DomainError) as e:
         return _usage_fail(str(e))
     except (train.TrainingDiverged, AccumulatorOverflow, ArithmeticError) as e:

@@ -9,6 +9,7 @@ zero-padded to a byte boundary per tensor).  Datasets use the IDX container
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import BinaryIO
 
@@ -198,7 +199,10 @@ def read_model(path) -> ModelGraph:
         kind = _TAG_KINDS[tag]
         geom = {}
         for name in _GEOMETRY[kind]:
+            at = r.pos
             (geom[name],) = r.unpack("<I", f"layer {i} geometry field {name}")
+            if geom[name] == 0 and name != "pad":
+                raise FileFormatError(at, f"layer {i} {kind} {name} must be positive")
         at = r.pos
         qk, bw, signed, qfsr, fb, rounding = r.unpack("<BBBhBB", f"layer {i} quantizer block")
         cfg = None
@@ -235,7 +239,7 @@ def _read_payload(r: _Reader, i: int, layer: LayerSpec, graph: ModelGraph) -> No
         return
     if not shape:
         raise FileFormatError(at, f"layer {i} ({layer.kind}) cannot carry weights")
-    n = int(np.prod(shape))
+    n = math.prod(shape)
     if tag == _PAYLOAD_F32:
         raw = r.take(4 * n, f"layer {i} f32 payload")
         data = np.frombuffer(raw, dtype="<f4").reshape(shape)
@@ -280,7 +284,7 @@ def read_idx(path) -> np.ndarray:
     if dtype_tag not in _IDX_DTYPES:
         raise FileFormatError(2, f"unsupported IDX dtype 0x{dtype_tag:02x}")
     dims = [r.unpack(">I", f"IDX dim {k}")[0] for k in range(ndim)]
-    n = int(np.prod(dims)) if dims else 0
+    n = math.prod(dims)
     dt = _IDX_DTYPES[dtype_tag]
     raw = r.take(n * dt.itemsize, "IDX payload")
     if r.pos != len(r.buf):

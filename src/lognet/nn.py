@@ -978,16 +978,21 @@ def _stored_operands(graph: ModelGraph, mode: str) -> tuple[dict, dict]:
     return weights, bn
 
 
-def forward(graph: ModelGraph, x: Tensor, mode: str = MODE_FLOAT,
-            accum: str = ACCUM_LINEAR, int_bits: int = 32,
-            frac_bits: int = 8) -> Tensor:
-    """Run the layer pipeline and return class scores.
+def _input(x: np.ndarray) -> np.ndarray:
+    """Images as a walk reads them: rounded to float32, held in float64."""
+    return np.asarray(x, dtype=np.float32).astype(np.float64, order="C")
 
-    ``float32`` bypasses every quantizer.  ``method1`` consumes log-coded
-    activations with real weights; the method2 modes quantize weights too
-    (base 2 or sqrt(2)).  ``accum`` selects linear or log-domain
-    accumulation inside the quantized dot products, which hold an absolute
-    binary point (``Arithmetic``).
+
+def forward(graph: ModelGraph, x: np.ndarray, mode: str = MODE_FLOAT,
+            accum: str = ACCUM_LINEAR) -> np.ndarray:
+    """Run the layer pipeline on images ``x`` and return float32 class scores.
+
+    ``x`` is read as float32.  ``float32`` bypasses every quantizer.
+    ``method1`` consumes log-coded activations with real weights; the
+    method2 modes quantize weights too (base 2 or sqrt(2)).  ``accum``
+    selects linear or log-domain accumulation inside the quantized dot
+    products, which run on the 32+8 word with an absolute binary point
+    (``Arithmetic()``).
     """
     if mode not in FORWARD_MODES:
         raise ConfigError(f"unknown forward mode {mode!r}")
@@ -995,20 +1000,21 @@ def forward(graph: ModelGraph, x: Tensor, mode: str = MODE_FLOAT,
         raise ConfigError(f"unknown accumulation mode {accum!r}")
     if accum == ACCUM_LOG and mode in (MODE_FLOAT, MODE_METHOD1):
         raise ConfigError("log accumulation applies to the method2 modes")
+    x = _input(x)
     graph.output_shapes(x.shape)
     weights, bn = _stored_operands(graph, mode)
     act_config = None if mode == MODE_FLOAT else graph.act_config
-    out = walk(graph, x.real(), weights, act_config, bn,
-               Arithmetic(int_bits, frac_bits, accum))
-    return Tensor.from_real(_real(out))
+    out = walk(graph, x, weights, act_config, bn, Arithmetic(accum=accum))
+    return np.ascontiguousarray(_real(out), dtype=np.float32)
 
 
-def collect_quantizer_inputs(graph: ModelGraph, x: Tensor) -> dict[int, np.ndarray]:
+def collect_quantizer_inputs(graph: ModelGraph, x: np.ndarray) -> dict[int, np.ndarray]:
     """Float forward capturing the activations entering each quantizer layer.
 
-    Used for FSR calibration: returns {layer index: float64 activations}.
+    Used for FSR calibration: reads ``x`` as ``forward`` does and returns
+    {layer index: float64 activations}.
     """
     captured: dict[int, np.ndarray] = {}
     weights, bn = _stored_operands(graph, MODE_FLOAT)
-    walk(graph, x.real(), weights, None, bn, Arithmetic(), capture=captured)
+    walk(graph, _input(x), weights, None, bn, Arithmetic(), capture=captured)
     return captured

@@ -54,6 +54,15 @@ class TrainingDiverged(ArithmeticError):
     """Loss or gradients left the finite range."""
 
 
+# every training product runs on a 24+28-bit word whose binary point is
+# biased by the operands' full scale
+ARITHMETIC = Arithmetic(24, 28, block_bias=True)
+# weight of a batch's moments in the running batchnorm statistics
+BN_MOMENTUM = 0.1
+# training batches a batchnorm re-estimate averages over
+BN_REESTIMATE_BATCHES = 8
+
+
 # ---------------------------------------------------------------------------
 # configuration and state
 # ---------------------------------------------------------------------------
@@ -98,7 +107,8 @@ class TrainConfig:
     (activations are quantized after ReLU).  Any of them may be None to run
     that tensor class in float.  Weight and gradient full-scale ranges are
     chosen dynamically (per epoch from max |W|, per tensor from max |g|), so
-    the fsr fields of those configs are ignored.
+    the fsr fields of those configs are ignored.  Every product runs on the
+    fixed 24+28-bit block-biased word ``ARITHMETIC``.
     """
 
     weight_q: Optional[QuantizerConfig] = None
@@ -108,10 +118,7 @@ class TrainConfig:
     batch_size: int = 100
     epochs: int = 10
     seed: int = 0
-    int_bits: int = 24
-    frac_bits: int = 28
     grad_fsr_floor: int = -20
-    bn_momentum: float = 0.1
 
     def __post_init__(self) -> None:
         if self.activation_q is not None and self.activation_q.signed:
@@ -165,26 +172,30 @@ def init_state(graph: ModelGraph, cfg: TrainConfig) -> TrainState:
 
 def build_small_cnn(in_shape: tuple[int, int, int], conv_channels: tuple[int, int],
                     fc_units: int, classes: int, act_bits: int = 4,
-                    act_fsr_offset: int = 0, base_frac_bits: int = 0,
                     rounding: str = "nearest_sqrt2") -> ModelGraph:
-    """Conv-BN-ReLU-Quant blocks (x2, each pooled) into FC-BN-ReLU-Quant-FC."""
+    """Conv-BN-ReLU-Quant blocks (x2, each pooled) into FC-BN-ReLU-Quant-FC.
+
+    The quantizer layers hold base-2 log activations at offset 0 from the
+    graph's fsr.
+    """
     c, h, w = in_shape
     c1, c2 = conv_channels
+    act = act_quant_layer(KIND_LOG, act_bits, rounding=rounding)
     layers = [
         conv(c1, c, 3, pad=1),
         batchnorm_layer(c1),
         relu_layer(),
-        act_quant_layer(KIND_LOG, act_bits, act_fsr_offset, base_frac_bits, rounding),
+        act,
         maxpool_layer(2),
         conv(c2, c1, 3, pad=1),
         batchnorm_layer(c2),
         relu_layer(),
-        act_quant_layer(KIND_LOG, act_bits, act_fsr_offset, base_frac_bits, rounding),
+        act,
         maxpool_layer(2),
         fc(fc_units, c2 * (h // 4) * (w // 4)),
         batchnorm_layer(fc_units),
         relu_layer(),
-        act_quant_layer(KIND_LOG, act_bits, act_fsr_offset, base_frac_bits, rounding),
+        act,
         fc(classes, fc_units),
     ]
     return ModelGraph(layers=layers, fsr=0)
@@ -269,11 +280,6 @@ def _act_config(graph: ModelGraph, q: QuantizerConfig, layer: LayerSpec) -> Quan
     return replace(base, fsr=q.fsr + layer.fsr_offset + graph.fsr)
 
 
-def _arithmetic(cfg: TrainConfig) -> Arithmetic:
-    """Block-biased products on the configured accumulator word."""
-    return Arithmetic(cfg.int_bits, cfg.frac_bits, block_bias=True)
-
-
 def col2im_array(g_cols: np.ndarray, in_shape: tuple[int, ...], kernel: int,
                  stride: int, pad: int) -> np.ndarray:
     """Scatter-add the im2col gradient back onto the input layout.
@@ -326,13 +332,13 @@ def _forward_train(state: TrainState, x: np.ndarray, cfg: TrainConfig,
     act_config = None if q is None else partial(_act_config, g, q)
     stats: Optional[dict] = {} if training else None
     caches = {"wq": wq} if training and bn_collect is None else None
-    logits = walk(g, x.astype(np.float64), wq, act_config, state.bn, _arithmetic(cfg),
+    logits = walk(g, x.astype(np.float64), wq, act_config, state.bn, ARITHMETIC,
                   batch_stats=stats, cache=caches)
     for i, (mean, var) in (stats or {}).items():
         if bn_collect is not None:
             bn_collect.setdefault(i, []).append((mean, var))
         else:
-            p, m = state.bn[i], cfg.bn_momentum
+            p, m = state.bn[i], BN_MOMENTUM
             p.mean = (1 - m) * p.mean + m * mean
             p.var = (1 - m) * p.var + m * var
     return logits, caches
@@ -349,7 +355,6 @@ def _backward_train(state: TrainState, caches: dict, g_out: np.ndarray,
     """Walk the layers in reverse; returns (weight grads, bn grads)."""
     g = state.graph
     wq = caches["wq"]
-    arith = _arithmetic(cfg)
     grads: dict[int, np.ndarray] = {}
     bn_grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     # below the first layer with parameters no gradient is needed
@@ -367,10 +372,10 @@ def _backward_train(state: TrainState, caches: dict, g_out: np.ndarray,
             if kind == CONV:
                 gt = gt.transpose(0, 2, 3, 1).reshape(-1, layer.out_channels)
             gq = _quantize_grad(gt, cfg)
-            grads[i] = arith.dot(gq.T, cache["x"]).reshape(state.params[i].shape)
+            grads[i] = ARITHMETIC.dot(gq.T, cache["x"]).reshape(state.params[i].shape)
             if i == first:
                 continue
-            g_rows = arith.dot(gq, wq[i])
+            g_rows = ARITHMETIC.dot(gq, wq[i])
             if kind == CONV:
                 gt = col2im_array(g_rows, cache["in_shape"], layer.kernel,
                                   layer.stride, layer.pad)
@@ -481,20 +486,20 @@ def evaluate(state: TrainState, cfg: TrainConfig, inputs: np.ndarray,
     return correct / max(len(targets), 1)
 
 
-def reestimate_bn_stats(state: TrainState, cfg: TrainConfig, inputs: np.ndarray,
-                        max_batches: int = 8) -> None:
+def reestimate_bn_stats(state: TrainState, cfg: TrainConfig, inputs: np.ndarray) -> None:
     """Refresh batchnorm running stats at the frozen (quantized) weights.
 
     Quantized nets shift their activation statistics discontinuously as
     weight codes flip between steps, so the momentum-averaged stats lag what
     the final weights produce.  A few deterministic forward passes over
-    training data fix the mismatch before evaluation or checkpointing.
+    training data (the first ``BN_REESTIMATE_BATCHES``) fix the mismatch
+    before evaluation or checkpointing.
     """
     if not state.bn:
         return
     collect: dict[int, list] = {}
     wq = _weight_operands(state, cfg)
-    for b in range(max_batches):
+    for b in range(BN_REESTIMATE_BATCHES):
         lo = b * cfg.batch_size
         if lo >= len(inputs):
             break
@@ -537,7 +542,7 @@ def fit(state: TrainState, cfg: TrainConfig, train_data: tuple[np.ndarray, np.nd
     return state, history
 
 
-def sync_graph_weights(state: TrainState, cfg: Optional[TrainConfig] = None) -> ModelGraph:
+def sync_graph_weights(state: TrainState, cfg: TrainConfig) -> ModelGraph:
     """Build a checkpoint graph holding the current parameters (float32).
 
     The training graph itself is left untouched.  The checkpoint bakes in
@@ -548,12 +553,12 @@ def sync_graph_weights(state: TrainState, cfg: Optional[TrainConfig] = None) -> 
     """
     src = state.graph
     fsr = src.fsr
-    if cfg is not None and cfg.activation_q is not None:
+    if cfg.activation_q is not None:
         fsr += cfg.activation_q.fsr
     out = ModelGraph(layers=list(src.layers), fsr=fsr)
     for i, w in state.params.items():
         out.weights[i] = Tensor.from_real(w)
-        if cfg is not None and cfg.weight_q is not None:
+        if cfg.weight_q is not None:
             out.layers[i] = replace(out.layers[i],
                                     qconfig=replace(cfg.weight_q, fsr=state.weight_fsr[i]))
     for i, bns in state.bn.items():

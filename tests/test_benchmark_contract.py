@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from lognet import QuantizerConfig, Tensor, io, nn, train
+from lognet import QuantizerConfig, io, nn, train
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks"))
 import spans  # noqa: E402
@@ -39,8 +39,8 @@ def test_count_functions_on_walker_operands(tmp_path):
     try:
         for mode, accum in (("method1", "linear"), ("method2_base2", "linear"),
                             ("method2_base2", "log")):
-            nn.forward(graph, Tensor.from_real(x), mode, accum)
-        nn.collect_quantizer_inputs(graph, Tensor.from_real(x))
+            nn.forward(graph, x, mode, accum)
+        nn.collect_quantizer_inputs(graph, x)
         io.write_model(str(tmp_path / "net.lgn"), graph)
         train.fit(state, cfg, data, data)
     finally:

@@ -1,6 +1,7 @@
 """File formats and command-line behavior."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +286,100 @@ def test_cli_missing_file_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "cannot open" in capsys.readouterr().err
+
+
+def test_cli_directory_paths_exit_2(workspace, tmp_path, capsys):
+    # a directory where a file belongs is an unreadable path, not a crash
+    root, data, cfgfile = workspace
+    model, images = str(root / "model.lgn"), str(data / "test-images.idx")
+    labels, folder, out = str(data / "test-labels.idx"), str(tmp_path), str(tmp_path / "o")
+    runs = [
+        ["infer", folder, images, "--out", out],
+        ["infer", model, folder, "--out", out],
+        ["calibrate", folder, images, "--out", out, "--report", out],
+        ["calibrate", model, folder, "--out", out, "--report", out],
+        ["sweep", folder, images, labels, "--mode", "float32", "--fsr-range", "0:1",
+         "--out", out],
+        ["sweep", model, images, folder, "--mode", "float32", "--fsr-range", "0:1",
+         "--out", out],
+        ["quant-analyze", folder, images, "--out", out],
+        ["quant-analyze", model, folder, "--out", out],
+        ["pack", folder, "--out", out],
+        ["train", folder],
+    ]
+    bad_data = tmp_path / "bad-data.cfg"
+    bad_data.write_text(cfgfile.read_text().replace(f"{data}/train-images.idx", folder))
+    runs.append(["train", str(bad_data)])
+    for argv in runs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert f"cannot open {folder!r}" in err, (argv, err)
+
+
+REF_MODEL = Path(__file__).resolve().parents[1] / "benchmarks" / "ref" / "calibrated.lgn"
+
+
+def _geometry_offsets(path) -> list[tuple[int, str]]:
+    """(byte offset, field name) of every geometry u32 of a LOGN file."""
+    g = lio.read_model(path)
+    pos, fields = 10, []  # magic, version, fsr, layer count
+    for i, layer in enumerate(g.layers):
+        pos += 1  # kind tag
+        for name in lio._GEOMETRY[layer.kind]:
+            fields.append((pos, name))
+            pos += 4
+        pos += 7 + 1  # quantizer block, payload tag
+        if i in g.weights:
+            t = g.weights[i]
+            pos += ((t.data.size * t.qconfig.bitwidth + 7) // 8 if t.is_quantized
+                    else 4 * t.data.size)
+    assert pos == path.stat().st_size
+    return fields
+
+
+def test_model_rejects_zero_geometry_at_its_offset(tmp_path, capsys):
+    # a zero size or stride is refused where it is stored; pad 0 is legal
+    raw = REF_MODEL.read_bytes()
+    fields = _geometry_offsets(REF_MODEL)
+    assert (23, "stride") in fields and any(name == "pool" for _, name in fields)
+    x = tmp_path / "x.idx"
+    lio.write_idx(x, np.zeros((2, 1, 12, 12), dtype=np.float32))
+    path = tmp_path / "zero.lgn"
+    for off, name in fields:
+        mutated = bytearray(raw)
+        mutated[off:off + 4] = bytes(4)
+        path.write_bytes(bytes(mutated))
+        if name == "pad":
+            lio.read_model(path)
+            continue
+        rc = main(["infer", str(path), str(x), "--mode", "float32",
+                   "--out", str(tmp_path / "p.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2, (off, name, err)
+        assert f"byte {off}:" in err, (off, name, err)
+
+
+@pytest.mark.parametrize("mode", ["float32", "method2_base2"])
+def test_model_byte_mutations_exit_0_or_2(mode, tmp_path, monkeypatch, capsys):
+    # every one of the first 120 bytes of the reference model set to 0, 1,
+    # 0x7f and 0xff: each file is either run or refused with exit 2, in a
+    # float and a shift-kernel mode; nothing escapes as a traceback
+    monkeypatch.setenv("LOGNET_THREADS", "1")
+    raw = REF_MODEL.read_bytes()
+    x = tmp_path / "x.idx"
+    rng = np.random.default_rng(17)
+    lio.write_idx(x, rng.uniform(0, 1, size=(2, 1, 12, 12)).astype(np.float32))
+    path, out = tmp_path / "m.lgn", str(tmp_path / "p.csv")
+    codes = {}
+    for off in range(120):
+        for value in (0, 1, 0x7F, 0xFF):
+            mutated = bytearray(raw)
+            mutated[off] = value
+            path.write_bytes(bytes(mutated))
+            rc = main(["infer", str(path), str(x), "--mode", mode, "--out", out])
+            codes.setdefault(rc, []).append((off, value))
+    capsys.readouterr()
+    assert codes.keys() == {0, 2}, {rc: runs[:5] for rc, runs in codes.items()}
 
 
 def test_cli_calibrate(workspace, tmp_path):

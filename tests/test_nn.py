@@ -598,7 +598,7 @@ def test_method1_matmul_refusals():
     g = simple_graph({1: w.T}, [act_quant_layer("log", 4, base_frac_bits=1), fc(1, 3)],
                      fsr=3)
     with pytest.raises(ConfigError):
-        forward(g, Tensor.from_real(x), "method1")
+        forward(g, x, "method1")
 
 
 def test_shifted_input_matmul_base2_and_sqrt2():
@@ -678,9 +678,9 @@ def test_identity_conv_float_mode():
         {0: np.eye(3).reshape(3, 3, 1, 1)},
         [conv(3, 3, 1)],
     )
-    x = Tensor.from_real(np.random.default_rng(0).normal(size=(2, 3, 4, 4)))
+    x = np.random.default_rng(0).normal(size=(2, 3, 4, 4)).astype(np.float32)
     out = forward(g, x, "float32")
-    assert np.allclose(out.data, x.data, atol=1e-6)
+    assert np.allclose(out, x, atol=1e-6)
 
 
 def test_single_fc_method2_unit_terms():
@@ -690,9 +690,9 @@ def test_single_fc_method2_unit_terms():
         [act_quant_layer("log", 4), fc(1, 2, wq=QuantizerConfig("log", 5, True, 2))],
         fsr=5,
     )
-    x = Tensor.from_real(np.ones((1, 2)))
+    x = np.ones((1, 2))
     out = forward(g, x, "method2_base2")
-    assert out.data.item() == 2.0
+    assert out.item() == 2.0
 
 
 def test_forward_method2_matches_float_on_dequantized():
@@ -704,11 +704,11 @@ def test_forward_method2_matches_float_on_dequantized():
     layers = [act_quant_layer("log", 4, fsr_offset=0), fc(5, k, wq=wq)]
     g = ModelGraph(layers=layers, fsr=4)
     g.weights[1] = Tensor.from_real(rng.normal(0, 0.3, size=(5, k)))
-    x = Tensor.from_real(np.abs(rng.normal(0, 3, size=(16, k))))
-    got = forward(g, x, "method2_base2").data.astype(np.float64)
+    x = np.abs(rng.normal(0, 3, size=(16, k))).astype(np.float32)
+    got = forward(g, x, "method2_base2").astype(np.float64)
 
     acfg = QuantizerConfig("log", 4, False, 4)
-    xq = dequantize_array(logquant_array(x.real(), acfg), acfg)
+    xq = dequantize_array(logquant_array(x.astype(np.float64), acfg), acfg)
     wq_vals = dequantize_array(logquant_array(g.weight_array(1), W5), W5)
     ref = xq @ wq_vals.T
     assert np.abs(got - ref).max() <= k * 2.0**-8
@@ -735,11 +735,11 @@ def test_forward_pipeline_matches_manual_kernel_walk():
     g.weights[0] = Tensor.from_real(rng.normal(0, 0.5, size=(4, 2, 3, 3)))
     g.weights[3] = Tensor.from_real(rng.normal(0, 0.4, size=(3, 4, 3, 3)))
     g.weights[6] = Tensor.from_real(rng.normal(0, 0.3, size=(5, 48)))
-    x = Tensor.from_real(np.abs(rng.normal(0, 2, size=(3, 2, 4, 4))))
+    x = np.abs(rng.normal(0, 2, size=(3, 2, 4, 4))).astype(np.float32)
 
-    got = forward(g, x, "method2_base2").data.astype(np.float64)
+    got = forward(g, x, "method2_base2").astype(np.float64)
 
-    value = x.real()
+    value = x.astype(np.float64)
     n = value.shape[0]
     # conv1 on real input: shifted-input kernel against the quantized weights
     w0 = logquant_array(g.weight_array(0).reshape(4, -1).T, wq)
@@ -784,12 +784,12 @@ def test_forward_linear_activation_layer_matches_manual_kernel_walk():
     g.weights[0] = Tensor.from_real(rng.normal(0, 0.5, size=(3, 2, 3, 3)))
     g.weights[3] = Tensor.from_real(rng.normal(0, 0.4, size=(2, 3, 3, 3)))
     g.weights[6] = Tensor.from_real(rng.normal(0, 0.3, size=(4, 32)))
-    x = Tensor.from_real(np.abs(rng.normal(0, 2, size=(3, 2, 4, 4))))
+    x = np.abs(rng.normal(0, 2, size=(3, 2, 4, 4))).astype(np.float32)
 
-    got = forward(g, x, "method2_base2").data.astype(np.float64)
+    got = forward(g, x, "method2_base2").astype(np.float64)
 
     n = 3
-    value = x.real()
+    value = x.astype(np.float64)
     for i, cout in ((0, 3), (3, 2)):
         wc = logquant_array(g.weight_array(i).reshape(cout, -1).T, wq)
         cols, oh, ow = im2col_array(value, (3, 3), 1, 1)
@@ -825,15 +825,15 @@ def test_forward_linear_weight_quantizer_matches_manual_kernel_walk():
     g = ModelGraph(layers=layers, fsr=1)
     g.weights[0] = Tensor.from_real(rng.normal(0, 0.5, size=(3, 2, 3, 3)))
     g.weights[3] = Tensor.from_real(rng.normal(0, 0.3, size=(4, 48)))
-    x = Tensor.from_real(np.abs(rng.normal(0, 2, size=(3, 2, 4, 4))))
+    x = np.abs(rng.normal(0, 2, size=(3, 2, 4, 4))).astype(np.float32)
 
-    got = forward(g, x, "method2_base2").data.astype(np.float64)
+    got = forward(g, x, "method2_base2").astype(np.float64)
 
     def linear_weights(i, cout):
         w = g.weight_array(i).reshape(cout, -1)
         return dequantize_array(linquant_array(w, lq), lq).T
 
-    cols, oh, ow = im2col_array(x.real(), (3, 3), 1, 1)
+    cols, oh, ow = im2col_array(x.astype(np.float64), (3, 3), 1, 1)
     value = (cols @ linear_weights(0, 3)).reshape(3, oh, ow, 3).transpose(0, 3, 1, 2)
     acfg = g.act_config(layers[2])
     codes = logquant_array(np.maximum(value, 0), acfg).reshape(3, -1)
@@ -847,12 +847,12 @@ def test_zero_activation_annihilates_every_mode():
     layers = [act_quant_layer("log", 4), fc(2, 4, wq=wq)]
     g = ModelGraph(layers=layers, fsr=3)
     g.weights[1] = Tensor.from_real(np.array([[1.0, -2.0, 0.5, 4.0]] * 2))
-    x = Tensor.from_real(np.zeros((2, 4)))
+    x = np.zeros((2, 4))
     for mode in ("method1", "method2_base2", "method2_sqrt2"):
         out = forward(g, x, mode)
-        assert (out.data == 0).all()
+        assert (out == 0).all()
     out = forward(g, x, "method2_base2", accum="log")
-    assert (out.data == 0).all()
+    assert (out == 0).all()
 
 
 def test_log_accum_close_to_linear_accum():
@@ -862,9 +862,9 @@ def test_log_accum_close_to_linear_accum():
     g = ModelGraph(layers=layers, fsr=4)
     # non-negative weights keep each output on the single-accumulator path
     g.weights[1] = Tensor.from_real(np.abs(rng.normal(0, 1, size=(3, 16))))
-    x = Tensor.from_real(np.abs(rng.normal(0, 4, size=(8, 16))))
-    lin = forward(g, x, "method2_base2", accum="linear").data.astype(np.float64)
-    log = forward(g, x, "method2_base2", accum="log").data.astype(np.float64)
+    x = np.abs(rng.normal(0, 4, size=(8, 16))).astype(np.float32)
+    lin = forward(g, x, "method2_base2", accum="linear").astype(np.float64)
+    log = forward(g, x, "method2_base2", accum="log").astype(np.float64)
     # per-step bound 0.15 in the exponent, compounded over the dot length
     ratio = np.ones_like(lin)
     mask = lin != 0
@@ -873,10 +873,57 @@ def test_log_accum_close_to_linear_accum():
     assert np.abs(np.log2(ratio)).max() <= 0.15 * 16
 
 
+def _rounding_graph():
+    rng = np.random.default_rng(65)
+    wq = QuantizerConfig("log", 5, True, 1)
+    layers = [
+        conv(3, 2, 3, pad=1, wq=wq),
+        batchnorm_layer(3),
+        relu_layer(),
+        act_quant_layer("log", 4, fsr_offset=2),
+        maxpool_layer(2),
+        fc(4, 3 * 2 * 2, wq=wq),
+    ]
+    g = ModelGraph(layers=layers, fsr=1)
+    g.weights[0] = Tensor.from_real(rng.normal(0, 0.5, size=(3, 2, 3, 3)))
+    g.weights[1] = Tensor.from_real(np.stack([rng.uniform(0.5, 2, 3), rng.normal(0, 1, 3),
+                                              rng.normal(0, 1, 3), rng.uniform(0.5, 2, 3)]))
+    g.weights[5] = Tensor.from_real(rng.normal(0, 0.3, size=(4, 12)))
+    # float64 images whose float32 rounding changes most values, as a
+    # Fortran-ordered copy so the layout differs from the rounding's too
+    x = np.asfortranarray(np.abs(rng.normal(0, 2, size=(5, 2, 4, 4))) + 2.0**-30)
+    return g, x
+
+
+def test_forward_reads_images_as_float32():
+    # forward takes plain arrays: a float64 input gives the scores of its
+    # float32 rounding, bit for bit, as a C-contiguous float32 array
+    g, x = _rounding_graph()
+    x32 = x.astype(np.float32)
+    assert (x32 != x).any()
+    for mode, accum in (("float32", "linear"), ("method1", "linear"),
+                        ("method2_base2", "linear"), ("method2_sqrt2", "linear"),
+                        ("method2_base2", "log")):
+        got = forward(g, x, mode, accum)
+        want = forward(g, x32, mode, accum)
+        assert got.dtype == np.float32 and got.flags["C_CONTIGUOUS"]
+        assert got.shape == (5, 4)
+        assert got.tobytes() == want.tobytes(), (mode, accum)
+
+
+def test_collect_quantizer_inputs_reads_images_as_float32():
+    g, x = _rounding_graph()
+    got = nn.collect_quantizer_inputs(g, x)
+    want = nn.collect_quantizer_inputs(g, x.astype(np.float32))
+    assert list(got) == list(want) == [3]
+    assert got[3].dtype == np.float64
+    assert got[3].tobytes() == want[3].tobytes()
+
+
 def test_forward_mode_validation():
     g = ModelGraph(layers=[fc(1, 2)], fsr=0)
     g.weights[0] = Tensor.from_real(np.ones((1, 2)))
-    x = Tensor.from_real(np.ones((1, 2)))
+    x = np.ones((1, 2))
     with pytest.raises(ConfigError):
         forward(g, x, "method3")
     with pytest.raises(ConfigError):
@@ -889,10 +936,10 @@ def test_forward_shape_validation():
     g = ModelGraph(layers=[conv(2, 3, 3)], fsr=0)
     g.weights[0] = Tensor.from_real(np.zeros((2, 3, 3, 3)))
     with pytest.raises(ConfigError):
-        forward(g, Tensor.from_real(np.zeros((1, 4, 6, 6))))
+        forward(g, np.zeros((1, 4, 6, 6)))
     g2 = ModelGraph(layers=[fc(2, 8)], fsr=0)
     with pytest.raises(ConfigError):
-        forward(g2, Tensor.from_real(np.zeros((1, 8))))  # missing weights
+        forward(g2, np.zeros((1, 8)))  # missing weights
 
 
 def test_collect_quantizer_inputs():
@@ -900,7 +947,7 @@ def test_collect_quantizer_inputs():
         {0: np.ones((2, 2))},
         [fc(2, 2), relu_layer(), act_quant_layer("log", 4)],
     )
-    x = Tensor.from_real(np.array([[1.0, -1.0], [2.0, 0.0]]))
+    x = np.array([[1.0, -1.0], [2.0, 0.0]])
     captured = nn.collect_quantizer_inputs(g, x)
     assert list(captured) == [2]
-    assert np.allclose(captured[2], np.maximum(x.data.sum(axis=1, keepdims=True) @ np.ones((1, 2)), 0))
+    assert np.allclose(captured[2], np.maximum(x.sum(axis=1, keepdims=True) @ np.ones((1, 2)), 0))

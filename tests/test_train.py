@@ -16,8 +16,8 @@ from lognet.tensor import im2col_array
 from lognet.train import (
     OptimizerSpec,
     TrainConfig,
+    ARITHMETIC,
     TrainingDiverged,
-    _arithmetic,
     _backward_train,
     _forward_train,
     ceil_log2,
@@ -274,7 +274,7 @@ def test_forward_only_walks_keep_no_cache(monkeypatch):
     outs = []
     for cache in (None, {}):
         stats: dict = {}
-        out = walk(sgraph, xs, wq, sgraph.act_config, bn, _arithmetic(cfg),
+        out = walk(sgraph, xs, wq, sgraph.act_config, bn, ARITHMETIC,
                    batch_stats=stats, cache=cache)
         outs.append((out, stats))
     (out, stats), (out_c, stats_c) = outs
@@ -451,7 +451,7 @@ def test_qdot_block_biased_product_matches_scalar_dot():
     # the trainer's product holds the accumulator's binary point at the
     # operands' full scale: it is the scalar dot of the same codes under
     # fsr-zeroed configs, rescaled by 2**(fsr_x + fsr_w - frac_bits)
-    cfg = TrainConfig(weight_q=W5, activation_q=A4, gradient_q=G5)
+    ib, fb = ARITHMETIC.int_bits, ARITHMETIC.frac_bits
     rng = np.random.default_rng(71)
 
     def coded(a, q, fsr):
@@ -463,12 +463,12 @@ def test_qdot_block_biased_product_matches_scalar_dot():
     grads = rng.normal(0, 2.0 ** -12, size=(8, 40))
     for x, w in ((coded(acts, A4, 3), coded(weights, W5, 0)),
                  (coded(grads, G5, -9), coded(acts, A4, 3))):
-        got = _arithmetic(cfg).dot(x, w)
+        got = ARITHMETIC.dot(x, w)
         cx0, cw0 = replace(x.cfg, fsr=0), replace(w.cfg, fsr=0)
         for i in (0, *rng.integers(0, x.codes.shape[0], size=3)):
             for j in range(w.codes.shape[1]):
                 raw = dot_method2([LogCode.from_wire(int(c), cw0) for c in w.codes[:, j]],
                                   [LogCode.from_wire(int(c), cx0) for c in x.codes[i]],
-                                  cw0, cx0, "linear", cfg.int_bits, cfg.frac_bits).raw
-                want = math.ldexp(raw, x.cfg.fsr + w.cfg.fsr - cfg.frac_bits)
+                                  cw0, cx0, "linear", ib, fb).raw
+                want = math.ldexp(raw, x.cfg.fsr + w.cfg.fsr - fb)
                 assert got[i, j] == want
