@@ -242,8 +242,12 @@ def _read_payload(r: _Reader, i: int, layer: LayerSpec, graph: ModelGraph) -> No
     n = math.prod(shape)
     if tag == _PAYLOAD_F32:
         raw = r.take(4 * n, f"layer {i} f32 payload")
-        data = np.frombuffer(raw, dtype="<f4").reshape(shape)
-        graph.weights[i] = Tensor.from_real(data.astype(np.float32))
+        data = np.frombuffer(raw, dtype="<f4")
+        bad = np.flatnonzero(~np.isfinite(data))
+        if bad.size:
+            raise FileFormatError(at + 1 + 4 * int(bad[0]),
+                                  f"layer {i} weight {int(bad[0])} is not finite")
+        graph.weights[i] = Tensor.from_real(data.reshape(shape).astype(np.float32))
     elif tag == _PAYLOAD_PACKED:
         cfg = layer.qconfig
         if cfg is None:

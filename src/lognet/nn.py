@@ -13,9 +13,17 @@ exponents from it, dequantizing is a gather from it, and maxpool compares
 the codes themselves (or, when signed, their value rank from the table), so
 a pooled activation stays coded.
 
+Layout.  Images, ``forward``'s input, ``output_shapes``, the stored
+(O, C, kh, kw) weights and the activations ``collect_quantizer_inputs``
+captures are NCHW.  Inside ``walk`` activations are channel-last (NHWC): it
+transposes a rank-4 input once on entry and a rank-4 output back on exit,
+so every layer between two products reads or writes one (rows, C) buffer.
 Convolutions are lowered with im2col, in one copy, to row-major (output
-positions, C*kh*kw) rows that the products read as they are, and every
-conv/fc product is rows @ W^T, computed by one of these kernels:
+positions, C*kh*kw) rows in the (C, kh, kw) patch order of the stored
+weights, which the products read as they are; a conv's (rows, O) product is
+its channel-last output, and an fc after a conv flattens its input in
+(C, H, W) order.  Every conv/fc product is rows @ W^T, computed by one of
+these kernels:
 
 * a plain float64 matmul (reference path, also used for unquantized inputs),
 * shift-weights: real weights held as fixed-point words, each term a single
@@ -238,31 +246,43 @@ def relu_array(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
+def pool_slices(k: int, stride: int, oh: int, ow: int):
+    """(position dy*k + dx, index of the (N, oh, ow, C) strided slice of a
+    channel-last input) for each of the k*k window positions, in window
+    scan order."""
+    for pos in range(k * k):
+        dy, dx = divmod(pos, k)
+        yield pos, (slice(None), slice(dy, dy + stride * (oh - 1) + 1, stride),
+                    slice(dx, dx + stride * (ow - 1) + 1, stride))
+
+
 def maxpool_array(x: np.ndarray, k: int, stride: int,
                   argmax: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-window max and, with ``argmax``, the flat index of each window's
-    max for gradient routing (else None).
+    """Per-window max of a channel-last (N, H, W, C) array and, with
+    ``argmax``, each window's max position dy*k + dx (else None), for
+    gradient routing.
 
-    Ties break to the first index in window scan order.
+    A running max over the k*k strided slices copies no window.  A position
+    is recorded only where its slice is strictly greater than the max so
+    far, so ties break to the first index in window scan order; positions
+    rise along the scan, so the last one recorded is the largest.
     """
-    n, c, h, w = x.shape
+    _, h, w, _ = x.shape
     oh = conv_output_size(h, k, stride, 0)
     ow = conv_output_size(w, k, stride, 0)
-    if not argmax:
-        # a running max over the k*k strided slices copies no window; of
-        # two equal operands (+0 and -0) np.maximum returns the second, so
+    out = idx = None
+    for pos, sl in pool_slices(k, stride, oh, ow):
+        s = x[sl]
+        if out is None:
+            out = s.copy()
+            if argmax:
+                idx = np.zeros(out.shape, np.min_scalar_type(k * k - 1))
+            continue
+        if argmax:
+            np.maximum(idx, (s > out) * idx.dtype.type(pos), out=idx)
+        # of two equal operands (+0 and -0) np.maximum returns the second, so
         # the max so far goes second and a tie keeps the first index's value
-        out = None
-        for dy in range(k):
-            for dx in range(k):
-                s = x[:, :, dy:dy + stride * (oh - 1) + 1:stride,
-                      dx:dx + stride * (ow - 1) + 1:stride]
-                out = s.copy() if out is None else np.maximum(s, out, out=out)
-        return out, None
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride].reshape(n, c, oh, ow, k * k)
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+        np.maximum(s, out, out=out)
     return out, idx
 
 
@@ -305,29 +325,41 @@ class BatchNormParams:
         return BatchNormParams(a[0].copy(), a[1].copy(), a[2].copy(), a[3].copy())
 
 
-def channel_axes(x: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Reduction axes and per-channel broadcast shape: channels are axis 1
-    of rank-4 activations and the last axis of rank-2 ones."""
-    return ((0, 2, 3), (1, -1, 1, 1)) if x.ndim == 4 else ((0,), (1, -1))
-
-
 def bn_normalize(x: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """(x - mean) / sqrt(var + eps) per channel: batchnorm before its affine map."""
-    shape = channel_axes(x)[1]
-    out = x - mean.reshape(shape)
-    out /= np.sqrt(var.reshape(shape) + BN_EPS)
+    """(x - mean) / sqrt(var + eps) per channel of a channel-last array:
+    batchnorm before its affine map."""
+    out = x - mean
+    out /= np.sqrt(var + BN_EPS)
     return out
 
 
 def batchnorm_array(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
-    """Per-channel normalization by ``p``'s statistics, in real arithmetic:
-    gamma * (x - mean) / sqrt(var + eps) + beta, in that order, in one
-    buffer."""
-    shape = channel_axes(x)[1]
+    """Per-channel normalization of a channel-last array by ``p``'s
+    statistics, in real arithmetic: gamma * (x - mean) / sqrt(var + eps) +
+    beta, in that order, in one buffer."""
     out = bn_normalize(x, p.mean, p.var)
-    out *= p.gamma.reshape(shape)
-    out += p.beta.reshape(shape)
+    out *= p.gamma
+    out += p.beta
     return out
+
+
+def batchnorm_batch(x: np.ndarray, p: BatchNormParams):
+    """Batchnorm of a channel-last array by its own batch moments, as
+    training runs it: (output, x-hat, mean, var).
+
+    On the (rows, C) view, the per-channel sums are BLAS products with a
+    ones vector, and one centred buffer becomes x-hat, returned as (rows, C)
+    for the backward pass; the output is gamma * x-hat + beta.
+    """
+    x2 = x.reshape(-1, x.shape[-1])
+    ones = np.ones(x2.shape[0])
+    mean = (ones @ x2) / x2.shape[0]
+    xhat = x2 - mean
+    var = (ones @ np.square(xhat)) / x2.shape[0]
+    xhat /= np.sqrt(var + BN_EPS)
+    out = xhat * p.gamma
+    out += p.beta
+    return out.reshape(x.shape), xhat, mean, var
 
 
 def softmax_array(x: np.ndarray) -> np.ndarray:
@@ -824,6 +856,13 @@ def _real(a):
     return a.values if isinstance(a, QuantizedOperand) else a
 
 
+def _nchw(a):
+    """A channel-last rank-4 activation, coded or not, as an NCHW view."""
+    if isinstance(a, QuantizedOperand):
+        return QuantizedOperand(a.codes.transpose(0, 3, 1, 2), a.cfg, a.fb)
+    return a.transpose(0, 3, 1, 2)
+
+
 @dataclass(frozen=True)
 class Arithmetic:
     """How the conv/fc products of a walk compute.
@@ -878,10 +917,12 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, act_config,
          capture: Optional[dict] = None):
     """Run every layer of ``graph`` on the float64 input ``x``.
 
-    Returns the last layer's output.  An activation is a float64 array or,
-    after a log quantizer, a ``QuantizedOperand`` whose values dequantize
-    on first use; maxpool pools such an activation on its codes
-    (``_maxpool_codes``) without dequantizing it.
+    Returns the last layer's output.  A rank-4 ``x`` is NCHW; the walk
+    transposes it to channel-last once on entry and a rank-4 output back to
+    NCHW on exit.  An activation is a float64 array or, after a log
+    quantizer, a ``QuantizedOperand`` whose values dequantize on first use;
+    maxpool pools such an activation on its codes (``_maxpool_codes``)
+    without dequantizing it.
 
     * ``weights[i]``: the (out, in) weight matrix of conv/fc layer i,
       float64 or a ``QuantizedOperand``; a conv's in is C*kh*kw.
@@ -891,12 +932,14 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, act_config,
     * ``bn[i]``: batchnorm layer i's parameters.
     * ``arith``: the arithmetic of every conv/fc product.
     * ``batch_stats``: when given, batchnorm normalizes with each batch's
-      moments and records them here as {i: (mean, var)}.
-    * ``cache``: when given, receives per layer what backward needs.
+      moments (``batchnorm_batch``) and records them here as
+      {i: (mean, var)}.
+    * ``cache``: when given, receives per layer what backward needs, in the
+      channel-last layout.
     * ``capture``: when given, receives the float64 input of each quantizer
-      layer, keyed by layer index.
+      layer, keyed by layer index, NCHW when rank 4.
     """
-    act = x
+    act = np.ascontiguousarray(x.transpose(0, 2, 3, 1)) if x.ndim == 4 else x
     for i, layer in enumerate(graph.layers):
         kind = layer.kind
         if kind in (CONV, FC):
@@ -908,15 +951,15 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, act_config,
                 rows, oh, ow = im2col_array(a, (layer.kernel,) * 2, layer.stride,
                                             layer.pad, fill=0 if coded else 0.0)
             else:
-                rows = a.reshape(a.shape[0], -1)
+                # a channel-last input flattens in (C, H, W) order, the
+                # column order of stored fc weights
+                rows = (a.transpose(0, 3, 1, 2) if a.ndim == 4 else a).reshape(a.shape[0], -1)
             if coded:
                 rows = QuantizedOperand(rows, act.cfg, act.fb)
             out = arith.dot(rows, weights[i].T)
             if cache is not None:
                 cache[i] = {"x": rows, "in_shape": a.shape}
-            if kind == CONV:
-                out = out.reshape(a.shape[0], oh, ow, -1).transpose(0, 3, 1, 2)
-            act = out
+            act = out.reshape(a.shape[0], oh, ow, -1) if kind == CONV else out
         elif kind == RELU:
             v = _real(act)
             if cache is not None:
@@ -930,17 +973,17 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, act_config,
             act = pooled
         elif kind == BATCHNORM:
             v, p = _real(act), bn[i]
-            if batch_stats is not None:
-                axes = channel_axes(v)[0]
-                p = replace(p, mean=v.mean(axis=axes), var=v.var(axis=axes))
-                batch_stats[i] = (p.mean, p.var)
+            if batch_stats is None:
+                act = batchnorm_array(v, p)
+                continue
+            act, xhat, mean, var = batchnorm_batch(v, p)
+            batch_stats[i] = (mean, var)
             if cache is not None:
-                cache[i] = {"x": v, "mean": p.mean, "var": p.var}
-            act = batchnorm_array(v, p)
+                cache[i] = {"xhat": xhat, "var": var}
         elif kind in (LOGQUANT, LINQUANT):
             v = _real(act)
             if capture is not None:
-                capture[i] = v
+                capture[i] = _nchw(v) if v.ndim == 4 else v
             cfg = act_config(layer) if act_config is not None else None
             if cfg is None:
                 continue
@@ -949,7 +992,7 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, act_config,
             act = softmax_array(_real(act))
         else:
             raise ConfigError(f"unknown layer kind {kind!r}")
-    return act
+    return _nchw(act) if len(act.shape) == 4 else act
 
 
 def _mode_weight(layer: LayerSpec, w: np.ndarray, mode: str):

@@ -1,9 +1,12 @@
 """Dense shaped arrays holding real values or quantized codes.
 
-Layout is row-major NCHW for activations, (OutC, InC, Kh, Kw) for conv
-weights and (Out, In) for fully connected weights.  Quantized payloads keep
-one wire code per byte in memory; the on-disk format packs them to the true
-bitwidth (see the cli module).
+Layout is row-major (OutC, InC, Kh, Kw) for conv weights and (Out, In) for
+fully connected weights.  Activations are NCHW at the file and API boundary
+and channel-last (NHWC) inside the layer walk (``nn.walk``), which is what
+``im2col_array`` lowers; its patch order stays (C, kh, kw), the order of
+the stored conv weights.  Quantized payloads keep one wire code per byte in
+memory; the on-disk format packs them to the true bitwidth (see the cli
+module).
 """
 
 from __future__ import annotations
@@ -83,30 +86,23 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return out
 
 
-def _window_view(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
-                 fill: float | int) -> tuple[np.ndarray, int, int]:
-    """(N, C, H, W) -> (N, oh, ow, C, kh, kw) receptive-field view."""
-    n, c, h, w = x.shape
-    oh = conv_output_size(h, kh, stride, pad)
-    ow = conv_output_size(w, kw, stride, pad)
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=fill)
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (N, C, oh, ow, kh, kw)
-    return win.transpose(0, 2, 3, 1, 4, 5), oh, ow
-
-
 def im2col_array(x: np.ndarray, kernel: tuple[int, int], stride: int = 1,
                  pad: int = 0, fill: float | int = 0) -> tuple[np.ndarray, int, int]:
-    """Lower (N, C, H, W) to a row-major (N*oh*ow, C*kh*kw) patch matrix.
+    """Lower channel-last (N, H, W, C) to a row-major (N*oh*ow, C*kh*kw)
+    patch matrix.
 
     Row j holds the receptive field of output position j, positions in
     (n, oh, ow) order and each field in (C, kh, kw) order, so a convolution
-    becomes this matrix times the transposed (OutC, C*kh*kw) weights.  The
-    rows are the one copy made of the window view.  Padded border entries
-    hold ``fill``.
+    becomes this matrix times the transposed (OutC, C*kh*kw) weights, and
+    its (N*oh*ow, OutC) result is the channel-last output.  The rows are the
+    one copy made of the window view.  Padded border entries hold ``fill``.
     """
     kh, kw = kernel
-    win, oh, ow = _window_view(x, kh, kw, stride, pad, fill)
-    return win.reshape(x.shape[0] * oh * ow, -1), oh, ow
-
+    n, h, w, _ = x.shape
+    oh = conv_output_size(h, kh, stride, pad)
+    ow = conv_output_size(w, kw, stride, pad)
+    if pad:
+        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)), constant_values=fill)
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    # (N, oh, ow, C, kh, kw)
+    return win[:, ::stride, ::stride].reshape(n * oh * ow, -1), oh, ow

@@ -37,11 +37,10 @@ from .nn import (
     ModelGraph,
     act_quant_layer,
     batchnorm_layer,
-    bn_normalize,
-    channel_axes,
     conv,
     fc,
     maxpool_layer,
+    pool_slices,
     quantize_operand,
     relu_layer,
     softmax_array,
@@ -282,21 +281,22 @@ def _act_config(graph: ModelGraph, q: QuantizerConfig, layer: LayerSpec) -> Quan
 
 def col2im_array(g_cols: np.ndarray, in_shape: tuple[int, ...], kernel: int,
                  stride: int, pad: int) -> np.ndarray:
-    """Scatter-add the im2col gradient back onto the input layout.
+    """Scatter-add the im2col gradient back onto the channel-last input.
 
-    g_cols: (N*oh*ow, C*kh*kw) ordered like ``im2col_array``'s rows; this
-    is the adjoint of that lowering.
+    g_cols: (N*oh*ow, C*kh*kw) ordered like ``im2col_array``'s rows and
+    ``in_shape`` the (N, H, W, C) input's; this is the adjoint of that
+    lowering, adding kernel offsets (i, j) in row-major order.
     """
-    n, c, h, w = in_shape
+    n, h, w, c = in_shape
     oh = conv_output_size(h, kernel, stride, pad)
     ow = conv_output_size(w, kernel, stride, pad)
-    g6 = g_cols.reshape(n, oh, ow, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
-    buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    g6 = g_cols.reshape(n, oh, ow, c, kernel, kernel)
+    buf = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
     for i in range(kernel):
         for j in range(kernel):
-            buf[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += g6[:, :, i, j]
+            buf[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += g6[..., i, j]
     if pad:
-        buf = buf[:, :, pad:-pad, pad:-pad]
+        buf = buf[:, pad:-pad, pad:-pad]
     return buf
 
 
@@ -366,36 +366,27 @@ def _backward_train(state: TrainState, caches: dict, g_out: np.ndarray,
         kind = layer.kind
         if kind in (CONV, FC):
             # the forward product was rows (NP, K) times W^T (K, O); with the
-            # output gradient g as (NP, O): g_W = g^T rows and g_rows = g W,
-            # both with quantized operands
+            # output gradient g as (NP, O), a free reshape of a conv's
+            # channel-last gradient: g_W = g^T rows and g_rows = g W, both
+            # with quantized operands
             cache = caches[i]
-            if kind == CONV:
-                gt = gt.transpose(0, 2, 3, 1).reshape(-1, layer.out_channels)
-            gq = _quantize_grad(gt, cfg)
+            gq = _quantize_grad(gt.reshape(-1, gt.shape[-1]), cfg)
             grads[i] = ARITHMETIC.dot(gq.T, cache["x"]).reshape(state.params[i].shape)
             if i == first:
                 continue
             g_rows = ARITHMETIC.dot(gq, wq[i])
+            shape = cache["in_shape"]
             if kind == CONV:
-                gt = col2im_array(g_rows, cache["in_shape"], layer.kernel,
-                                  layer.stride, layer.pad)
+                gt = col2im_array(g_rows, shape, layer.kernel, layer.stride, layer.pad)
+            elif len(shape) == 4:  # the fc flattened a channel-last input as (C, H, W)
+                n, h, w, c = shape
+                gt = g_rows.reshape(n, c, h, w).transpose(0, 2, 3, 1)
             else:
-                gt = g_rows.reshape(cache["in_shape"])
+                gt = g_rows
         elif kind == BATCHNORM:
             cache = caches[i]
-            axes, shape = channel_axes(cache["x"])
-            xhat = bn_normalize(cache["x"], cache["mean"], cache["var"])
-            inv_std = 1.0 / np.sqrt(cache["var"] + BN_EPS)
-            bns = state.bn[i]
-            dgamma = (gt * xhat).sum(axis=axes)
-            dbeta = gt.sum(axis=axes)
-            m = gt.size // gt.shape[1] if gt.ndim == 4 else gt.shape[0]
-            dxhat = gt * bns.gamma.reshape(shape)
-            gt = (inv_std.reshape(shape) / m) * (
-                m * dxhat
-                - dxhat.sum(axis=axes).reshape(shape)
-                - xhat * (dxhat * xhat).sum(axis=axes).reshape(shape)
-            )
+            gt, dgamma, dbeta = batchnorm_backward(gt, cache["xhat"], cache["var"],
+                                                   state.bn[i].gamma)
             bn_grads[i] = (dgamma, dbeta)
         elif kind == RELU:
             gt = gt * caches[i]["mask"]
@@ -408,15 +399,34 @@ def _backward_train(state: TrainState, caches: dict, g_out: np.ndarray,
     return grads, bn_grads
 
 
+def batchnorm_backward(g: np.ndarray, xhat: np.ndarray, var: np.ndarray,
+                       gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dx, dgamma, dbeta) of batch-statistics batchnorm.
+
+    ``g`` is the channel-last output gradient and ``xhat`` the (rows, C)
+    normalized input ``nn.batchnorm_batch`` returned.  With m rows,
+    dx = gamma / sqrt(var + eps) * (g - (dbeta + xhat * dgamma) / m), in
+    one buffer; the per-channel sums are products with a ones vector.
+    """
+    g2 = g.reshape(xhat.shape)
+    m = xhat.shape[0]
+    ones = np.ones(m)
+    dbeta = ones @ g2
+    buf = g2 * xhat
+    dgamma = ones @ buf
+    np.multiply(xhat, dgamma / m, out=buf)
+    buf += dbeta / m
+    np.subtract(g2, buf, out=buf)
+    buf *= gamma / np.sqrt(var + BN_EPS)
+    return buf.reshape(g.shape), dgamma, dbeta
+
+
 def _maxpool_backward(gt: np.ndarray, cache: dict, k: int, stride: int) -> np.ndarray:
+    """Add each window's gradient at its max position (channel-last)."""
     idx = cache["idx"]
-    n, c, h, w = cache["in_shape"]
-    oh, ow = idx.shape[2], idx.shape[3]
-    out = np.zeros((n, c, h, w))
-    ni, ci, yi, xi = np.indices(idx.shape)
-    hi = yi * stride + idx // k
-    wi = xi * stride + idx % k
-    np.add.at(out, (ni, ci, hi, wi), gt)
+    out = np.zeros(cache["in_shape"])
+    for pos, sl in pool_slices(k, stride, idx.shape[1], idx.shape[2]):
+        out[sl] += gt * (idx == pos)
     return out
 
 

@@ -363,23 +363,36 @@ def test_model_rejects_zero_geometry_at_its_offset(tmp_path, capsys):
 def test_model_byte_mutations_exit_0_or_2(mode, tmp_path, monkeypatch, capsys):
     # every one of the first 120 bytes of the reference model set to 0, 1,
     # 0x7f and 0xff: each file is either run or refused with exit 2, in a
-    # float and a shift-kernel mode; nothing escapes as a traceback
+    # float and a shift-kernel mode; nothing escapes as a traceback.  The
+    # first conv's float32 weights start within those bytes: a mutation that
+    # makes one of them NaN or infinite is refused at that weight's offset
     monkeypatch.setenv("LOGNET_THREADS", "1")
     raw = REF_MODEL.read_bytes()
+    assert lio.read_model(REF_MODEL).layers[0].kind == "conv"
+    # magic, version, fsr, layer count; kind tag, geometry, quantizer block,
+    # payload tag
+    w0 = 10 + 1 + 4 * len(lio._GEOMETRY["conv"]) + 7 + 1
+    assert raw[w0 - 1] == lio._PAYLOAD_F32 and w0 < 120
     x = tmp_path / "x.idx"
     rng = np.random.default_rng(17)
     lio.write_idx(x, rng.uniform(0, 1, size=(2, 1, 12, 12)).astype(np.float32))
     path, out = tmp_path / "m.lgn", str(tmp_path / "p.csv")
-    codes = {}
+    codes, non_finite = {}, 0
     for off in range(120):
         for value in (0, 1, 0x7F, 0xFF):
             mutated = bytearray(raw)
             mutated[off] = value
             path.write_bytes(bytes(mutated))
             rc = main(["infer", str(path), str(x), "--mode", mode, "--out", out])
+            err = capsys.readouterr().err
             codes.setdefault(rc, []).append((off, value))
-    capsys.readouterr()
+            if off >= w0:
+                at = w0 + (off - w0) // 4 * 4
+                if not np.isfinite(np.frombuffer(bytes(mutated[at:at + 4]), "<f4")[0]):
+                    non_finite += 1
+                    assert rc == 2 and f"byte {at}:" in err, (off, value, err)
     assert codes.keys() == {0, 2}, {rc: runs[:5] for rc, runs in codes.items()}
+    assert non_finite > 0
 
 
 def test_cli_calibrate(workspace, tmp_path):

@@ -1,5 +1,7 @@
 """Forward-pass and kernel tests for the layer graph."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -52,27 +54,87 @@ def test_relu_examples():
 
 
 def test_maxpool_examples():
-    const = np.full((1, 1, 4, 4), 2.5)
+    # maxpool_array reads channel-last (N, H, W, C) arrays
+    const = np.full((1, 4, 4, 1), 2.5)
     assert (maxpool_array(const, 2, 2)[0] == 2.5).all()
-    t = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
+    t = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
     out, idx = maxpool_array(t, 2, 2)
     assert out.item() == 4.0 and idx.item() == 3
-    assert maxpool_array(np.zeros((2, 3, 8, 6)), 2, 2)[0].shape == (2, 3, 4, 3)
+    assert maxpool_array(np.zeros((2, 8, 6, 3)), 2, 2)[0].shape == (2, 4, 3, 3)
     # ties break to the first index in window scan order
-    assert maxpool_array(np.zeros((1, 1, 2, 2)), 2, 2)[1].item() == 0
+    assert maxpool_array(np.zeros((1, 2, 2, 1)), 2, 2)[1].item() == 0
 
     # without the argmax, the running max keeps the same values bit for
     # bit, the first of tied +0 and -0 included
     rng = np.random.default_rng(43)
-    x = rng.choice([-0.0, 0.0, -1.0, 0.5, 2.0], size=(3, 2, 9, 11))
-    x[0, 0, :2, :4] = [[-0.0, 0.0, 0.0, -0.0], [-1.0, -0.0, -1.0, 0.0]]
+    x = rng.choice([-0.0, 0.0, -1.0, 0.5, 2.0], size=(3, 9, 11, 2))
+    x[0, :2, :4, 0] = [[-0.0, 0.0, 0.0, -0.0], [-1.0, -0.0, -1.0, 0.0]]
     for k, stride, h, w in ((2, 2, 8, 10), (2, 1, 9, 11), (3, 2, 9, 11)):
-        xs = x[:, :, :h, :w]
+        xs = x[:, :h, :w]
         for a in (xs, xs.astype(np.float32), (xs * 2 + 2).astype(np.uint8)):
             out, idx = maxpool_array(a, k, stride, argmax=False)
             want = maxpool_array(a, k, stride)[0]
             assert idx is None and out.dtype == a.dtype
             assert np.array_equal(out.view(np.uint8), want.view(np.uint8)), (k, stride, a.dtype)
+
+
+def _maxpool_oracle(x, k, stride):
+    """Scalar loop over channel-last x: each window's first maximum (by a
+    strict > in window scan order) and its position dy*k + dx."""
+    n, h, w, c = x.shape
+    oh, ow = (h - k) // stride + 1, (w - k) // stride + 1
+    out = np.empty((n, oh, ow, c), x.dtype)
+    pos = np.empty((n, oh, ow, c), np.int64)
+    for b, i, j, ch in np.ndindex(n, oh, ow, c):
+        best = None
+        for dy in range(k):
+            for dx in range(k):
+                v = x[b, i * stride + dy, j * stride + dx, ch]
+                if best is None or v > best:
+                    best, at = v, dy * k + dx
+        out[b, i, j, ch], pos[b, i, j, ch] = best, at
+    return out, pos
+
+
+def _maxpool_backward_oracle(g, pos, in_shape, k, stride):
+    """Scalar loop: each window adds its gradient at its max position."""
+    back = np.zeros(in_shape)
+    for b, i, j, ch in np.ndindex(*g.shape):
+        dy, dx = divmod(int(pos[b, i, j, ch]), k)
+        back[b, i * stride + dy, j * stride + dx, ch] += g[b, i, j, ch]
+    return back
+
+
+def test_maxpool_matches_scalar_oracle():
+    # pooled values (bit for bit, +0/-0 included), routes and the backward
+    # scatter, on values and on codes, for k == stride and overlapping
+    # stride < k; the gradients are small integers, so the scatter's sums
+    # are exact in any order
+    from lognet.train import _maxpool_backward
+
+    rng = np.random.default_rng(47)
+    s4 = QuantizerConfig("log", 4, True, 2)
+    for k, stride, h, w in ((2, 2, 6, 8), (3, 3, 6, 9), (2, 1, 5, 6), (3, 2, 7, 9)):
+        vals = rng.choice([-0.0, 0.0, -1.0, 0.5, 2.0, 2.0], size=(2, h, w, 3))
+        vals[0, :k, :k, 0] = 0.0
+        vals[0, :k, :k, 0].flat[1::2] = -0.0  # a window of tied +0/-0
+        codes = logquant_array(vals, s4)
+        for a in (vals, (vals * 2 + 2).astype(np.uint8), codes):
+            want, want_pos = _maxpool_oracle(a, k, stride)
+            out, idx = maxpool_array(a, k, stride)
+            assert out.dtype == a.dtype and idx.dtype == np.uint8
+            assert np.array_equal(out.view(np.uint8), want.view(np.uint8)), (k, stride)
+            assert np.array_equal(idx, want_pos), (k, stride)
+            g = rng.integers(-4, 5, size=out.shape).astype(np.float64)
+            back = _maxpool_backward(g, {"idx": idx, "in_shape": a.shape}, k, stride)
+            assert back.tobytes() == _maxpool_backward_oracle(
+                g, want_pos, a.shape, k, stride).tobytes(), (k, stride)
+        # signed codes pool by value: the codes pooled are those of the
+        # values pooled, at the same routes
+        op = QuantizedOperand(codes, s4, 0)
+        pooled, idx = nn._maxpool_codes(op, k, stride, True)
+        want, want_pos = _maxpool_oracle(op.values, k, stride)
+        assert np.array_equal(pooled.values, want) and np.array_equal(idx, want_pos)
 
 
 def test_maxpool_keeps_codes():
@@ -96,8 +158,11 @@ def test_maxpool_keeps_codes():
                            maxpool_layer(2)], fsr=4)
     cache: dict = {}
     pooled = walk(g, vals, {}, g.act_config, {}, Arithmetic(), cache=cache)
-    want, want_idx = maxpool_array(dequantize_array(logquant_array(vals, s4), s4), 2, 2)
+    # the walk returns NCHW; its cache holds the channel-last routes
+    nhwc = vals.transpose(0, 2, 3, 1)
+    want, want_idx = maxpool_array(dequantize_array(logquant_array(nhwc, s4), s4), 2, 2)
     assert want_idx.ravel().tolist() == [3, 1, 2, 0, 1, 1]
+    want = want.transpose(0, 3, 1, 2)
     assert pooled.cfg == s4 and np.array_equal(pooled.codes, logquant_array(want, s4))
     assert np.array_equal(pooled.values, want)
     assert np.array_equal(cache[1]["idx"], want_idx)
@@ -117,16 +182,37 @@ def test_batchnorm_examples():
     out = walk(g, x, {}, None, {0: identity}, Arithmetic(), batch_stats=stats)
     assert np.allclose(out.mean(axis=(0, 2, 3)), 0, atol=1e-6)
     assert np.allclose(out.var(axis=(0, 2, 3)), 1, atol=1e-3)
-    assert np.array_equal(stats[0][0], x.mean(axis=(0, 2, 3)))
-    assert np.array_equal(stats[0][1], x.var(axis=(0, 2, 3)))
+    # the moments are float64 sums of m terms in an unspecified order; each
+    # lies within the standard summation bound of an fsum reference
+    m = x.size // 4
+    u = 2.0**-53
+
+    def gamma(n):
+        return n * u / (1 - n * u)
+
+    for c in range(4):
+        xc = x[:, c].ravel()
+        mean_ref = math.fsum(xc) / m
+        # mean: m - 1 additions and a division, against a correctly rounded
+        # sum and a division
+        mean_bound = gamma(m + 2) * math.fsum(np.abs(xc)) / m
+        assert abs(stats[0][0][c] - mean_ref) <= mean_bound
+        # var: a mean off by e adds e**2 to the centred sum of squares; per
+        # term a subtraction and a square, then m - 1 additions and a
+        # division (m + 3 roundings), against 5 on the reference's side
+        d2 = (xc - mean_ref) ** 2
+        var_ref = math.fsum(d2) / m
+        var_bound = mean_bound**2 + gamma(m + 9) * (math.fsum(d2) / m + mean_bound**2)
+        assert abs(stats[0][1][c] - var_ref) <= var_bound
 
     zero_gamma = BatchNormParams(np.zeros(4), np.full(4, 0.75), np.zeros(4), np.ones(4))
-    assert np.allclose(batchnorm_array(x, zero_gamma), 0.75)
+    x_last = x.transpose(0, 2, 3, 1)  # batchnorm_array reads channel-last
+    assert np.allclose(batchnorm_array(x_last, zero_gamma), 0.75)
 
     # inference mode is a fixed affine map of the stored stats
     p3 = BatchNormParams(np.ones(4), np.zeros(4), np.full(4, 1.0), np.full(4, 4.0))
     want = (x - 1.0) / np.sqrt(4.0 + nn.BN_EPS)
-    assert np.allclose(batchnorm_array(x, p3), want, atol=1e-6)
+    assert np.allclose(batchnorm_array(x_last, p3), want.transpose(0, 2, 3, 1), atol=1e-6)
     assert np.allclose(walk(g, x, {}, None, {0: p3}, Arithmetic()), want, atol=1e-6)
 
 
@@ -137,8 +223,8 @@ def test_batchnorm_is_its_expression_bit_for_bit():
     p = BatchNormParams(rng.normal(1.0, 0.5, c), rng.normal(0.0, 1.0, c),
                         rng.normal(0.0, 1.0, c), rng.uniform(0.0, 4.0, c))
     p.var[0] = 0.0
-    for shape, bshape in (((37, c), (1, -1)), ((6, c, 7, 3), (1, -1, 1, 1))):
-        x = rng.normal(2.0, 3.0, size=shape)
+    for shape, bshape in (((37, c), (1, -1)), ((6, 7, 3, c), (1, 1, 1, -1))):
+        x = rng.normal(2.0, 3.0, size=shape)  # channel-last
         x_in = x.copy()
         mean, var = p.mean.reshape(bshape), p.var.reshape(bshape)
         xhat = (x - mean) / np.sqrt(var + nn.BN_EPS)
@@ -743,7 +829,7 @@ def test_forward_pipeline_matches_manual_kernel_walk():
     n = value.shape[0]
     # conv1 on real input: shifted-input kernel against the quantized weights
     w0 = logquant_array(g.weight_array(0).reshape(4, -1).T, wq)
-    cols, oh, ow = im2col_array(value, (3, 3), 1, 1)
+    cols, oh, ow = im2col_array(value.transpose(0, 2, 3, 1), (3, 3), 1, 1)
     raw = shifted_input_matmul(cols, QuantizedOperand(w0, wq, 0))
     value = np.ldexp(raw, -8).reshape(n, oh, ow, 4).transpose(0, 3, 1, 2)
     value = np.maximum(value, 0)
@@ -751,7 +837,7 @@ def test_forward_pipeline_matches_manual_kernel_walk():
     codes = logquant_array(value, acfg)
     # conv2 on coded input
     w3 = logquant_array(g.weight_array(3).reshape(3, -1).T, wq)
-    ccols, oh, ow = im2col_array(codes, (3, 3), 1, 1, fill=0)
+    ccols, oh, ow = im2col_array(codes.transpose(0, 2, 3, 1), (3, 3), 1, 1, fill=0)
     raw = method2_matmul(QuantizedOperand(ccols, acfg, 0), QuantizedOperand(w3, wq, 0))
     value = np.ldexp(raw, -8).reshape(n, oh, ow, 3).transpose(0, 3, 1, 2)
     value = np.maximum(value, 0)
@@ -792,7 +878,7 @@ def test_forward_linear_activation_layer_matches_manual_kernel_walk():
     value = x.astype(np.float64)
     for i, cout in ((0, 3), (3, 2)):
         wc = logquant_array(g.weight_array(i).reshape(cout, -1).T, wq)
-        cols, oh, ow = im2col_array(value, (3, 3), 1, 1)
+        cols, oh, ow = im2col_array(value.transpose(0, 2, 3, 1), (3, 3), 1, 1)
         raw = shifted_input_matmul(cols, QuantizedOperand(wc, wq, 0))
         value = np.maximum(np.ldexp(raw, -8).reshape(n, oh, ow, cout).transpose(0, 3, 1, 2), 0)
         if i == 0:
@@ -833,7 +919,7 @@ def test_forward_linear_weight_quantizer_matches_manual_kernel_walk():
         w = g.weight_array(i).reshape(cout, -1)
         return dequantize_array(linquant_array(w, lq), lq).T
 
-    cols, oh, ow = im2col_array(x.astype(np.float64), (3, 3), 1, 1)
+    cols, oh, ow = im2col_array(x.astype(np.float64).transpose(0, 2, 3, 1), (3, 3), 1, 1)
     value = (cols @ linear_weights(0, 3)).reshape(3, oh, ow, 3).transpose(0, 3, 1, 2)
     acfg = g.act_config(layers[2])
     codes = logquant_array(np.maximum(value, 0), acfg).reshape(3, -1)

@@ -70,15 +70,15 @@ def test_quantize_tensor_matches_scalar_path_exactly():
 
 def test_im2col_1x1_is_reshape():
     rng = np.random.default_rng(33)
-    x = rng.normal(size=(2, 3, 4, 4))
+    x = rng.normal(size=(2, 4, 4, 3))  # channel-last
     cols, oh, ow = im2col_array(x, (1, 1))
     assert (oh, ow) == (4, 4)
     assert cols.shape == (2 * 16, 3)
-    assert np.array_equal(cols, x.transpose(1, 0, 2, 3).reshape(3, -1).T)
+    assert np.array_equal(cols, x.reshape(-1, 3))
 
 
 def test_im2col_3x3_geometry():
-    x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
+    x = np.arange(16, dtype=np.float64).reshape(1, 4, 4, 1)
     cols, oh, ow = im2col_array(x, (3, 3))
     assert (oh, ow) == (2, 2)
     assert cols.shape == (4, 9)
@@ -88,7 +88,8 @@ def test_im2col_3x3_geometry():
 
 def test_im2col_zero_pad_uses_zero_codes():
     q = quantize_tensor(Tensor.from_real(np.full((1, 1, 2, 2), 4.0)), U3F5)
-    cols, _, _ = im2col_array(q.data, (3, 3), stride=1, pad=1, fill=0)
+    cols, _, _ = im2col_array(q.data.transpose(0, 2, 3, 1), (3, 3), stride=1, pad=1,
+                              fill=0)
     assert cols.dtype == np.uint8
     corner = cols[0]  # receptive field centered at (0, 0)
     assert corner[0] == 0  # padded position carries the zero code
@@ -101,13 +102,14 @@ def test_im2col_conv_equals_bruteforce():
     for stride, pad, hw in [(1, 0, 6), (1, 1, 6), (2, 1, 7)]:
         x = rng.normal(size=(2, 3, hw, hw))
         w = rng.normal(size=(4, 3, 3, 3))
-        cols, oh, ow = im2col_array(x, (3, 3), stride=stride, pad=pad)
+        cols, oh, ow = im2col_array(x.transpose(0, 2, 3, 1), (3, 3), stride=stride,
+                                    pad=pad)
         got = (cols @ w.reshape(4, -1).T).reshape(2, oh, ow, 4).transpose(0, 3, 1, 2)
         want = conv2d_ref(x, w, stride=stride, pad=pad)
         assert np.allclose(got, want, atol=1e-12)
 
 
 def test_im2col_incompatible_geometry():
-    x = np.zeros((1, 1, 4, 4))
+    x = np.zeros((1, 4, 4, 1))
     with pytest.raises(DomainError):
         im2col_array(x, (3, 3), stride=2, pad=0)  # 4 - 3 = 1 not divisible by 2

@@ -11,7 +11,7 @@ from lognet import QuantizerConfig, train
 from lognet.lognum import LogCode, dot_method2, logquant_array
 from lognet.nn import (LOGQUANT, LayerSpec, ModelGraph, QuantizedOperand, batchnorm_layer,
                        conv, fc, maxpool_layer, quantize_operand, relu_layer, walk)
-from lognet.nn import act_quant_layer
+from lognet.nn import BN_EPS, BatchNormParams, act_quant_layer, batchnorm_batch
 from lognet.tensor import im2col_array
 from lognet.train import (
     OptimizerSpec,
@@ -20,6 +20,7 @@ from lognet.train import (
     TrainingDiverged,
     _backward_train,
     _forward_train,
+    batchnorm_backward,
     ceil_log2,
     col2im_array,
     dynamic_gradient_fsr,
@@ -176,6 +177,52 @@ def test_gradients_match_finite_differences_conv_bn_pool():
         assert np.abs(dbeta - num_b).max() < 1e-4
 
 
+def test_batchnorm_backward_matches_fsum_reference():
+    # dbeta and dgamma are float64 sums of m terms in an unspecified order,
+    # and dx takes six roundings from them: each lies within the standard
+    # error bound of a reference with fsum sums and dx's expression
+    # evaluated exactly in rationals
+    from fractions import Fraction
+
+    rng = np.random.default_rng(79)
+    u = 2.0**-53
+
+    def gamma(n):
+        return n * u / (1 - n * u)
+
+    for shape in ((40, 3), (5, 4, 3, 3)):  # rank 2 and channel-last rank 4
+        c = shape[-1]
+        x = rng.normal(2.0, 3.0, size=shape)
+        g = rng.normal(0.0, 1.0, size=shape)
+        p = BatchNormParams(rng.normal(1.0, 0.5, c), rng.normal(0.0, 1.0, c),
+                            np.zeros(c), np.ones(c))
+        _, xhat, _, var = batchnorm_batch(x, p)
+        dx, dgamma, dbeta = batchnorm_backward(g, xhat, var, p.gamma)
+        assert dx.shape == shape
+        m = xhat.shape[0]
+        g2, dx2 = g.reshape(m, c), dx.reshape(m, c)
+        scale = p.gamma / np.sqrt(var + BN_EPS)  # as the kernel computes it
+        for j in range(c):
+            gj, hj = g2[:, j], xhat[:, j]
+            prods = gj * hj  # the rounded products both sides sum
+            db_ref, dg_ref = math.fsum(gj), math.fsum(prods)
+            # m - 1 additions against a correctly rounded sum
+            db_bound = gamma(m) * math.fsum(np.abs(gj))
+            dg_bound = gamma(m) * math.fsum(np.abs(prods))
+            assert abs(dbeta[j] - db_ref) <= db_bound
+            assert abs(dgamma[j] - dg_ref) <= dg_bound
+            for i in range(m):
+                exact = Fraction(scale[j]) * (Fraction(gj[i]) - (
+                    Fraction(db_ref) + Fraction(hj[i]) * Fraction(dg_ref)) / m)
+                # the sums' errors, scaled by 1/m, plus six roundings
+                # (dgamma/m, xhat*, dbeta/m, +, g-, *scale) and the
+                # reference's one, on |g| + |dbeta + xhat dgamma| / m
+                t = (abs(db_ref) + abs(hj[i]) * abs(dg_ref)) / m
+                bound = abs(scale[j]) * ((db_bound + abs(hj[i]) * dg_bound) / m
+                                         + gamma(7) * (abs(gj[i]) + t))
+                assert abs(dx2[i, j] - float(exact)) <= bound, (shape, i, j)
+
+
 def test_col2im_is_the_exact_adjoint_of_im2col():
     # <im2col(x), G> == <x, col2im(G)> for integer-valued x and G, where
     # every product and sum is an exact integer in float64
@@ -187,7 +234,7 @@ def test_col2im_is_the_exact_adjoint_of_im2col():
                 w = h + stride
                 for c in (1, 3):
                     for dtype in (np.float64, np.uint8):
-                        x = rng.integers(0, 16, size=(2, c, h, w)).astype(dtype)
+                        x = rng.integers(0, 16, size=(2, h, w, c)).astype(dtype)
                         cols, oh, ow = im2col_array(x, (k, k), stride, pad)
                         assert cols.shape == (2 * oh * ow, c * k * k)
                         assert cols.dtype == dtype and cols.flags["C_CONTIGUOUS"]
