@@ -58,9 +58,10 @@ Log-domain accumulation is order dependent, so its kernel keeps the index
 order within each running sum.  A weight has one sign, so with unsigned
 activations each of the 2o sums (one per output and term sign) gets its own
 k-ordered list of the k's it can receive a term at; all sums step through
-their lists together, each step one table lookup on exponents held relative
-to the operands' lowest levels, in the narrowest of int16, int32 and int64
-that provably holds every intermediate value.
+their lists together, each step the scalar rule's max, mask, shift and add
+done in place on exponents held relative to the operands' lowest levels, in
+the narrowest of int16, int32 and int64 that provably holds every
+intermediate value, and the finished sums convert through one table.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ from .lognum import (
     QuantizerConfig,
     code_table,
     dequantize_array,
-    log_accumulate_raw,
     quantize_array,
 )
 from .tensor import Tensor, conv_output_size, im2col_array
@@ -691,15 +691,33 @@ def shifted_input_matmul(x_real: np.ndarray, w: QuantizedOperand,
     return _check_out(out.astype(np.float64, copy=False), int_bits, frac_bits)
 
 
-def _trunc_halfexp_raw(s_rel: np.ndarray, base: int, f: int, frac_bits: int) -> np.ndarray:
-    """Raw accumulator value of 2**s for fixed-point exponents s = s_rel + base.
+def _trunc_halfexp_raw(s: np.ndarray, f: int, frac_bits: int) -> np.ndarray:
+    """Raw accumulator value of 2**s for int64 fixed-point exponents s."""
+    mant = ((s & ((1 << f) - 1)) + (1 << f)).astype(np.float64)
+    return np.floor(np.ldexp(mant, (s >> f) + (frac_bits - f)))
 
-    ``s_rel`` is a narrow integer array with room for ``s_rel + 2**f - 1``;
-    only the exponent of each value is widened to int64.
+
+def _log_step(s: np.ndarray, p: np.ndarray, hi: np.ndarray, f: int) -> None:
+    """One log-domain accumulation step, in place: s <- s (+) p.
+
+    The integer rule of ``lognum.log_accumulate_raw``: with
+    u = min(s, p) - max(s, p), s becomes
+    max(s, p) + ((2**f + (u & (2**f - 1))) >> -(u >> f)), a mantissa
+    shifted right by the ceiling of |u| / 2**f.  ``p`` and ``hi`` are
+    scratch buffers of the same shape and integer type; the type must hold
+    every u, its shift count and max(s, p).  A count at or past the type's
+    bit width shifts the non-negative mantissa out to 0, as a count of
+    f + 1 already does (numpy defines such shifts; C does not).
     """
-    u = s_rel + (base & ((1 << f) - 1))
-    mant = ((u & ((1 << f) - 1)) + (1 << f)).astype(np.float64)
-    return np.floor(np.ldexp(mant, (u >> f).astype(np.int64) + ((base >> f) + frac_bits - f)))
+    np.maximum(s, p, out=hi)
+    np.minimum(s, p, out=p)
+    p -= hi
+    np.right_shift(p, f, out=s)
+    np.negative(s, out=s)
+    p &= (1 << f) - 1
+    p += 1 << f
+    np.right_shift(p, s, out=p)
+    np.add(hi, p, out=s)
 
 
 # Running sums per row block of the log-domain walk.  On the benchmark's
@@ -729,6 +747,14 @@ def _walk_dtype(lo: int, hi: int):
     raise ConfigError("log-domain exponents exceed the int64 range")
 
 
+def _walk_range(p_max: int, f: int) -> tuple[int, int]:
+    """The least and the greatest value a walk over terms in [0, p_max]
+    computes at exponent word f (``method2_matmul_logaccum``'s dtype bound)."""
+    cap = (f + 1) << f
+    lo = -(2 * p_max + 5 * cap)
+    return lo, max(p_max + cap, -(lo >> f))
+
+
 def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
                             int_bits: int = 32, frac_bits: int = 8,
                             exp_frac_bits: int = 4) -> np.ndarray:
@@ -752,28 +778,33 @@ def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
     longest are padded with zero terms.  Step t gathers, for every sum, the
     activation row of its t-th k and adds that entry's weight exponent.
 
-    Relative exponents and the dtype bound.  The step
-    ``max(s, p) + corr(|s - p|)`` is unchanged by a common shift of s and p,
-    so exponents are held relative to each operand's lowest nonzero level
-    and shifted back only for the conversion.  With f = ``exp_frac_bits``
-    and cap = (f+1) * 2**f raw, corr(d) = 0 for d >= cap and
-    d + corr(d) <= cap for 0 <= d <= cap, and the step is non-decreasing in
-    both operands.  With Sx, Sw the spans of the two operands' level
-    exponents, every real term lies in [0, P], P = Sx + Sw, so a running
-    sum lies in [0, P + cap] (no higher than a walk of terms all P).
+    Relative exponents.  The step ``max(s, p) + corr(|s - p|)`` is
+    unchanged by a common shift of s and p, so exponents are held relative
+    to each operand's lowest nonzero level and shifted back only for the
+    conversion.  With f = ``exp_frac_bits`` and cap = (f+1) * 2**f raw,
+    corr(d) = 0 for d >= cap and d + corr(d) <= cap for 0 <= d <= cap, and
+    the step is non-decreasing in both operands.  With Sx, Sw the spans of
+    the two operands' level exponents, every real term lies in [0, P],
+    P = Sx + Sw, so a running sum lies in [0, P + cap] (no higher than a
+    walk of terms all P).
 
     Sentinels.  An empty sum is -cap, at least cap below every real term,
     so its first real term replaces it.  A zero activation enters as
     -(2 cap + Sw) and a zero or pad weight as -(2 cap + Sx), so every term
-    with either lies at or below -2 cap, at least cap below every sum,
-    empty or not, and leaves it unchanged.
+    with either lies in [-(4 cap + P), -2 cap], at least cap below every
+    sum, empty or not, and leaves it unchanged.
 
-    The step is ``q = p - cap``, ``h = g[clip(s - q, 0, 2 cap)] + q``,
-    ``s = max(s, h)``, where one call of ``lognum.log_accumulate_raw``
-    fills g for every difference in [-cap, cap]; a clipped difference is
-    still exact, since corr(cap) = 0.  Every value this computes lies in
-    [-(P + 5 cap), 2P + 6 cap], and the walk runs in the narrowest of
-    int16, int32 and int64 that holds that range.
+    The step is ``_log_step``, the integer rule of
+    ``lognum.log_accumulate_raw`` done in place: no multiplier and no
+    table.  With s in [-cap, P + cap] and p in [-(4 cap + P), P],
+    max(s, p) lies in [-cap, P + cap], u = min(s, p) - max(s, p) in
+    [-(2P + 5 cap), 0], u >> f between them, its shift count -(u >> f) in
+    [0, ceil((2P + 5 cap) / 2**f)], and the mantissa and the correction in
+    [0, 2**(f+1) - 1], at most cap.  The walk runs in the narrowest of
+    int16, int32 and int64 that holds [-(2P + 5 cap), max(P + cap, that
+    count)] (``_walk_range``).  The finished sums convert through one table
+    of raw values over [-cap, P + cap], whose entry for -cap is 0, indexed
+    by s + cap in [0, P + 2 cap], below 2P + 5 cap.
     """
     f = exp_frac_bits
     if f < x.fb:
@@ -784,12 +815,10 @@ def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
     xe, x_lo, x_span = _level_span(x, shift)
     we, w_lo, w_span = _level_span(w, shift)
     p_max = x_span + w_span
-    dtype = _walk_dtype(-(p_max + 5 * cap), 2 * p_max + 6 * cap)
+    dtype = _walk_dtype(*_walk_range(p_max, f))
     empty = -cap
     x_zero = -(2 * cap + w_span)
     w_zero = -(2 * cap + x_span)
-    t = np.arange(-cap, cap + 1)
-    g = (log_accumulate_raw(t, np.zeros_like(t), f) + cap).astype(dtype)
 
     xt, wt = x.table, w.table
     x_pos = np.where(xt.nonzero & (xt.sign > 0), xe - x_lo, x_zero).astype(dtype)
@@ -810,8 +839,8 @@ def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
     w_rel = np.tile((we - w_lo)[w.codes].T, (2, 1))
 
     def step_weights(mask):
-        # (steps, 2o, 1): each step's weight exponents less cap
-        e = np.where(mask, w_rel, w_zero) - cap
+        # (steps, 2o, 1): each step's weight exponents
+        e = np.where(mask, w_rel, w_zero)
         return np.ascontiguousarray(np.take_along_axis(e, order, axis=1).T, dtype=dtype)[:, :, None]
 
     w_on = step_weights(on)
@@ -821,26 +850,26 @@ def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
     for lo in range(0, n, rows):
         # the steps gather whole k rows of the block, so it is made k-major
         block = np.ascontiguousarray(x.codes[lo:lo + rows].T)
-        xp = x_pos[block]
-        xn = x_neg[block] if signed else None
+        xp = np.take(x_pos, block)
+        xn = np.take(x_neg, block) if signed else None
         s = np.full((2 * o, block.shape[1]), empty, dtype=dtype)
-        q = np.empty_like(s)
+        p = np.empty_like(s)
         h = np.empty_like(s)
         for ti in range(steps):
-            np.take(xp, ks[ti], axis=0, out=q, mode="clip")
-            q += w_on[ti]
+            np.take(xp, ks[ti], axis=0, out=p, mode="clip")
+            p += w_on[ti]
             if signed:
                 np.take(xn, ks[ti], axis=0, out=h, mode="clip")
                 h += w_off[ti]
-                np.maximum(q, h, out=q)
-            np.subtract(s, q, out=h)
-            np.clip(h, 0, 2 * cap, out=h)
-            np.take(g, h, mode="clip", out=h)
-            h += q
-            np.maximum(s, h, out=s)
+                np.maximum(p, h, out=p)
+            _log_step(s, p, h, f)
         sums[:, lo:lo + rows] = s
-    converted = _trunc_halfexp_raw(sums, x_lo + w_lo, f, frac_bits)
-    planes = _check_out(np.where(sums == empty, 0.0, converted), int_bits, frac_bits)
+    # every sum lies in [-cap, P + cap]; the empty one converts to 0
+    table = _trunc_halfexp_raw(np.arange(empty, p_max + cap + 1) + (x_lo + w_lo),
+                               f, frac_bits)
+    table[0] = 0.0
+    sums -= empty
+    planes = _check_out(np.take(table, sums), int_bits, frac_bits)
     if planes.size and planes.max() >= math.ldexp(1.0, _EXACT_RAW_BITS + 1):
         raise ConfigError("a converted log-domain sum exceeds the exact float64 range")
     return np.ascontiguousarray((planes[:o] - planes[o:]).T)

@@ -568,6 +568,122 @@ def test_log_step_bounds_behind_the_walk_dtype():
         t = np.arange(-2 * cap, 2 * cap)
         assert (np.diff(log_accumulate_raw(t, np.zeros_like(t), f)) >= 0).all()
 
+        # the in-place step's intermediates: its mantissa lies in
+        # [2**f, 2**(f+1) - 1], no more than cap, and is shifted out to 0 by
+        # every count past f, so counts need no clamp
+        u = -np.arange(3 * cap)
+        mant = (1 << f) + (u & ((1 << f) - 1))
+        assert mant.min() == 1 << f and mant.max() == (2 << f) - 1 <= cap
+        assert (mant[-(u >> f) > f] >> (f + 1) == 0).all()
+
+        # _walk_range is exactly the least and the greatest max(s, p),
+        # u = min(s, p) - max(s, p) and shift count -(u >> f) over the ends
+        # of the sum range {-cap} + [0, P + cap] and the term range
+        # [-(4 cap + P), P]
+        for p_max in (0, 1, 5 << f, 1 << 15):
+            s, p = np.meshgrid([-cap, 0, p_max + cap],
+                               [-(4 * cap + p_max), -2 * cap, 0, p_max])
+            hi = np.maximum(s, p)
+            u = np.minimum(s, p) - hi
+            assert nn._walk_range(p_max, f) == (u.min(), max(hi.max(), (-(u >> f)).max()))
+
+        # int16 holds the walk up to the widest term span whose least value
+        # -(2P + 5 cap) is -2**15 (none from f = 10); int32 the next one up
+        widest = (2 ** 15 - 5 * cap) // 2
+        if widest >= 0:
+            assert nn._walk_dtype(*nn._walk_range(widest, f)) is np.int16
+        assert nn._walk_dtype(*nn._walk_range(widest + 1, f)) is np.int32
+
+
+def _step_pairs(p_max, f):
+    """(s, p) pairs of a log walk over terms in [0, p_max]: every pair of a
+    sum in {-cap} + [0, P + cap] and a term in [-(4 cap + P), P] when there
+    are at most 2**20, otherwise every value of each range against the ends
+    and sentinels of the other, and the band where the correction is
+    nonzero at three sums."""
+    cap = (f + 1) << f
+    sums = np.r_[-cap, 0:p_max + cap + 1]
+    terms = np.arange(-(4 * cap + p_max), p_max + 1)
+    if sums.size * terms.size <= 1 << 20:
+        s, p = np.meshgrid(sums, terms)
+        return s.ravel(), p.ravel()
+    edge_s = np.r_[sums[:3], sums[-2:]]
+    edge_p = np.r_[terms[:2], -2 * cap - 1, -2 * cap, -cap, -1, 0, 1, terms[-2:]]
+    band = np.arange(-cap - 1, cap + 2)
+    s = [np.repeat(sums, edge_p.size), np.tile(edge_s, terms.size)]
+    p = [np.tile(edge_p, sums.size), np.repeat(terms, edge_s.size)]
+    for s0 in (0, p_max // 2, p_max + cap):
+        s.append(np.full(band.size, s0))
+        p.append(np.clip(s0 + band, terms[0], terms[-1]))
+    return np.concatenate(s), np.concatenate(p)
+
+
+def test_log_step_matches_scalar_rule():
+    # the walk's in-place step against lognum.log_accumulate_raw in int16 and
+    # int32 at every exponent word f = 0..10, over the sums and terms of walks
+    # at a one-octave term span, at the widest span int16 holds, and (int32
+    # only) at 2**15, wider than any int16 holds.  The wide spans shift the
+    # mantissa by every count up to and past the type's bit width, which
+    # numpy defines as 0 for a non-negative operand
+    for dtype in (np.int16, np.int32):
+        bits = np.iinfo(dtype).bits
+        mant = np.arange(1, 1 << 11).astype(dtype)
+        for count in (bits - 1, bits, bits + 1, 2 * bits, np.iinfo(dtype).max):
+            assert (np.right_shift(mant, np.full_like(mant, count)) == 0).all()
+    for f in range(11):
+        cap = (f + 1) << f
+        widest = (2 ** 15 - 5 * cap) // 2
+        runs = [(np.int32, 1 << f, False), (np.int32, 1 << 15, True)]
+        if widest >= 1 << f:
+            runs.append((np.int16, 1 << f, False))
+        if widest >= 0:
+            runs += [(np.int16, widest, True), (np.int32, widest, True)]
+        for dtype, p_max, wide in runs:
+            lo, hi = nn._walk_range(p_max, f)
+            assert np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max
+            s64, p64 = _step_pairs(p_max, f)
+            s, p = s64.astype(dtype), p64.astype(dtype)
+            nn._log_step(s, p, np.empty_like(s), f)
+            assert s.dtype == dtype
+            assert np.array_equal(s, log_accumulate_raw(s64, p64, f)), (dtype, f, p_max)
+            counts = -((np.minimum(s64, p64) - np.maximum(s64, p64)) >> f)
+            if wide:
+                assert counts.max() > np.iinfo(dtype).bits
+
+
+def _run_recording_walk(xc, wc, cx, cw, f):
+    """``_check_logaccum`` and the (least value, integer type) of its walk."""
+    seen = []
+    choose = nn._walk_dtype
+    nn._walk_dtype = lambda lo, hi: seen.append((lo, choose(lo, hi))) or seen[-1][1]
+    try:
+        _check_logaccum(xc, wc, cx, cw, f)
+    finally:
+        nn._walk_dtype = choose
+    assert len(seen) == 1
+    return seen[0]
+
+
+def test_method2_logaccum_at_the_int16_limit():
+    # f = 9 on the sqrt2 grid (cap = 5120): 4-bit activations against 2-bit
+    # weights span 14 half steps, so the walk's least value -(2P + 5 cap) is
+    # exactly -2**15 and it runs in int16; against 3-bit weights they span
+    # 16, the next span up, 1024 past the limit, and it runs in int32.
+    # Column 0 has top-level weights at every k, column 1 only below k = 30,
+    # so its positive sum pads its list with the zero activations there
+    cx = QuantizerConfig("log", 4, False, 5, 1)
+    rng = np.random.default_rng(67)
+    n, k, o = 5, 40, 4
+    x = 2.0 ** rng.uniform(cx.fsr - 8, cx.fsr, size=(n, k))
+    x[:2] = 2.0 ** (cx.fsr - 0.5)
+    x[1:3, 30:] = 0.0
+    for bits, want in ((2, (-(2 ** 15), np.int16)), (3, (-(2 ** 15) - 1024, np.int32))):
+        cw = QuantizerConfig("log", bits, True, 1, 1)
+        w = rng.choice([-1.0, 1.0], size=(k, o)) * 2.0 ** rng.uniform(-3, 1, size=(k, o))
+        w[:, :2] = 2.0 ** (cw.fsr - 0.5)
+        w[30:, 1] *= -1
+        assert _run_recording_walk(codes_from(x, cx), codes_from(w, cw), cx, cw, 9) == want
+
 
 def test_method2_logaccum_range_checks_each_sign_plane():
     # the planes cancel to 0, but each converts to 2048 = 2**(3+8) raw
