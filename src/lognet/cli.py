@@ -119,15 +119,22 @@ def topk_accuracy(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
     return float((top == labels[:, None]).any(axis=1).mean())
 
 
+def _attach_weight_qconfig(graph: ModelGraph, i: int,
+                           template: QuantizerConfig) -> QuantizerConfig:
+    """Give layer ``i`` ``template`` at its weights' calibrated fsr; returns
+    that config."""
+    cfg = replace(template, fsr=calib.calibrate_fsr(graph.weight_array(i), template))
+    graph.layers[i] = replace(graph.layers[i], qconfig=cfg)
+    return cfg
+
+
 def ensure_weight_qconfigs(graph: ModelGraph, bits: int, base_frac_bits: int,
                            rounding: str) -> None:
     """Attach calibrated weight quantizers to conv/fc layers missing one."""
+    template = QuantizerConfig(KIND_LOG, bits, True, 0, base_frac_bits, rounding)
     for i, layer in enumerate(graph.layers):
         if layer.kind in (CONV, FC) and layer.qconfig is None:
-            template = QuantizerConfig(KIND_LOG, bits, True, 0,
-                                       base_frac_bits, rounding)
-            fsr = calib.calibrate_fsr(graph.weight_array(i), template)
-            graph.layers[i] = replace(layer, qconfig=replace(template, fsr=fsr))
+            _attach_weight_qconfig(graph, i, template)
 
 
 def _parse_range(text: str) -> range:
@@ -275,16 +282,10 @@ def cmd_pack(args) -> int:
     template = QuantizerConfig(KIND_LOG, args.bits, True, 0, fb, rounding)
     n_packed = 0
     for i, layer in enumerate(graph.layers):
-        if layer.kind not in (CONV, FC):
-            continue
-        w = graph.weights[i]
-        if w.is_quantized:
-            continue
-        fsr = calib.calibrate_fsr(w.real(), template)
-        cfg = replace(template, fsr=fsr)
-        graph.layers[i] = replace(layer, qconfig=cfg)
-        graph.weights[i] = quantize_tensor(w, cfg)
-        n_packed += 1
+        if layer.kind in (CONV, FC) and not graph.weights[i].is_quantized:
+            cfg = _attach_weight_qconfig(graph, i, template)
+            graph.weights[i] = quantize_tensor(graph.weights[i], cfg)
+            n_packed += 1
     io.write_model(args.out, graph)
     before = os.path.getsize(args.model)
     after = os.path.getsize(args.out)
@@ -409,11 +410,6 @@ def build_train_setup(raw: dict):
     # weight/gradient quantizers
     graph = train.build_small_cnn(in_shape, (c1, c2), _cfg_int(raw, "fc_units"),
                                   classes, act_bits or 4, rounding)
-    if act_kind == "linear" and act_q is not None:
-        for i, layer in enumerate(graph.layers):
-            if layer.kind == LOGQUANT:
-                graph.layers[i] = nn.act_quant_layer("linear", act_bits,
-                                                     layer.fsr_offset, 0, rounding)
     return graph, cfg, (train_x.astype(np.float64), train_y), test
 
 

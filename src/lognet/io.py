@@ -104,16 +104,6 @@ def unpack_codes(data: bytes, bitwidth: int, count: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _weight_shape(layer: LayerSpec) -> tuple[int, ...]:
-    if layer.kind == CONV:
-        return (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel)
-    if layer.kind == FC:
-        return (layer.out_features, layer.in_features)
-    if layer.kind == BATCHNORM:
-        return (4, layer.channels)
-    return ()
-
-
 def _write_qblock(out: BinaryIO, cfg: QuantizerConfig | None) -> None:
     if cfg is None:
         out.write(struct.pack("<BBBhBB", 0, 0, 0, 0, 0, 0))
@@ -146,7 +136,7 @@ def write_model(path, graph: ModelGraph) -> None:
 
 
 def _write_payload(out: BinaryIO, i: int, layer: LayerSpec, graph: ModelGraph) -> None:
-    shape = _weight_shape(layer)
+    shape = layer.weight_shape()
     if not shape:
         out.write(struct.pack("<B", _PAYLOAD_NONE))
         return
@@ -232,7 +222,7 @@ def read_model(path) -> ModelGraph:
 def _read_payload(r: _Reader, i: int, layer: LayerSpec, graph: ModelGraph) -> None:
     at = r.pos
     (tag,) = r.unpack("<B", f"layer {i} payload tag")
-    shape = _weight_shape(layer)
+    shape = layer.weight_shape()
     if tag == _PAYLOAD_NONE:
         if shape:
             raise FileFormatError(at, f"layer {i} requires a weight payload")

@@ -2,10 +2,13 @@
 
 ``walk`` runs a layer graph for inference (``forward``), FSR calibration
 (``collect_quantizer_inputs``) and training (``train._forward_train``).  The
-three differ only in the data they hand it: the weight operands, the
-activation quantizer, the batchnorm parameters (and whether batch
-statistics replace them), the ``Arithmetic`` of the conv/fc products, and
-an optional backward cache or capture of the quantizer inputs.  A log-coded
+three differ only in the data they hand it: the weight operands, whether
+the quantizer layers apply ``ModelGraph.act_config``, the batchnorm
+parameters (and whether batch statistics replace them), the ``Arithmetic``
+of the conv/fc products, and an optional backward cache or capture of the
+quantizer inputs.  A trainer's graph holds the quantizers it applies, in
+its quantizer and conv/fc layers' configs, so the checkpoint it writes
+holds them too.  A log-coded
 tensor, activation or weight, is a ``QuantizedOperand``: wire codes, their
 config, and values dequantized on first use.  What a code means comes from
 one table per config, ``lognum.code_table``: the kernels read signs and
@@ -121,8 +124,8 @@ class LayerSpec:
     """One layer of the network; geometry fields are meaningful per kind.
 
     ``qconfig`` holds the weight quantizer for conv/fc layers (absolute fsr)
-    and the activation quantizer template for logquant/linearquant layers,
-    whose effective fsr is the graph's global fsr plus ``fsr_offset``.
+    and the activation quantizer for logquant/linearquant layers, whose
+    effective fsr is the graph's global fsr plus ``fsr_offset``.
     """
 
     kind: str
@@ -138,8 +141,16 @@ class LayerSpec:
     qconfig: Optional[QuantizerConfig] = None
     fsr_offset: int = 0
 
-    def has_weights(self) -> bool:
-        return self.kind in (CONV, FC, BATCHNORM)
+    def weight_shape(self) -> tuple[int, ...]:
+        """Stored parameter shape: (O, C, kh, kw), (out, in), batchnorm's
+        (4, C) gamma/beta/mean/var rows, or () for none."""
+        if self.kind == CONV:
+            return (self.out_channels, self.in_channels, self.kernel, self.kernel)
+        if self.kind == FC:
+            return (self.out_features, self.in_features)
+        if self.kind == BATCHNORM:
+            return (4, self.channels)
+        return ()
 
 
 def conv(out_channels: int, in_channels: int, kernel: int, stride: int = 1,
@@ -193,6 +204,12 @@ class ModelGraph:
         out: list[tuple[int, ...]] = []
         for i, layer in enumerate(self.layers):
             shape = self._layer_shape(i, layer, shape)
+            want = layer.weight_shape()
+            if want and i not in self.weights:
+                raise ConfigError(f"layer {i} is missing its weight tensor")
+            if want and tuple(self.weights[i].shape) != want:
+                raise ConfigError(f"layer {i}: weight shape {self.weights[i].shape} "
+                                  f"!= expected {want}")
             out.append(shape)
         return out
 
@@ -202,14 +219,11 @@ class ModelGraph:
                 raise ConfigError(f"layer {i}: conv expects (N,{layer.in_channels},H,W), got {s}")
             oh = conv_output_size(s[2], layer.kernel, layer.stride, layer.pad)
             ow = conv_output_size(s[3], layer.kernel, layer.stride, layer.pad)
-            self._check_weight_shape(i, (layer.out_channels, layer.in_channels,
-                                         layer.kernel, layer.kernel))
             return (s[0], layer.out_channels, oh, ow)
         if layer.kind == FC:
             feat = int(np.prod(s[1:]))
             if feat != layer.in_features:
                 raise ConfigError(f"layer {i}: fc expects {layer.in_features} features, got {feat}")
-            self._check_weight_shape(i, (layer.out_features, layer.in_features))
             return (s[0], layer.out_features)
         if layer.kind == MAXPOOL:
             if len(s) != 4:
@@ -221,20 +235,11 @@ class ModelGraph:
             c = s[1] if len(s) == 4 else s[-1]
             if c != layer.channels:
                 raise ConfigError(f"layer {i}: batchnorm over {layer.channels} channels, got {c}")
-            self._check_weight_shape(i, (4, layer.channels))
-            return s
         return s
 
     def act_config(self, layer: LayerSpec) -> QuantizerConfig:
         """A quantizer layer's activation config at its effective fsr."""
         return replace(layer.qconfig, fsr=self.fsr + layer.fsr_offset)
-
-    def _check_weight_shape(self, i: int, want: tuple[int, ...]) -> None:
-        if i not in self.weights:
-            raise ConfigError(f"layer {i} is missing its weight tensor")
-        got = self.weights[i].shape
-        if tuple(got) != want:
-            raise ConfigError(f"layer {i}: weight shape {got} != expected {want}")
 
 
 # ---------------------------------------------------------------------------
@@ -1064,7 +1069,8 @@ def forward(graph: ModelGraph, x: np.ndarray, mode: str = MODE_FLOAT,
     method2 modes quantize weights too (base 2 or sqrt(2)).  ``accum``
     selects linear or log-domain accumulation inside the quantized dot
     products, which run on the 32+8 word with an absolute binary point
-    (``Arithmetic()``).
+    (``Arithmetic()``).  Scores that float32 cannot hold raise
+    ``OverflowError``.
     """
     if mode not in FORWARD_MODES:
         raise ConfigError(f"unknown forward mode {mode!r}")
@@ -1076,8 +1082,13 @@ def forward(graph: ModelGraph, x: np.ndarray, mode: str = MODE_FLOAT,
     graph.output_shapes(x.shape)
     weights, bn = _stored_operands(graph, mode)
     act_config = None if mode == MODE_FLOAT else graph.act_config
-    out = walk(graph, x, weights, act_config, bn, Arithmetic(accum=accum))
-    return np.ascontiguousarray(_real(out), dtype=np.float32)
+    out = _real(walk(graph, x, weights, act_config, bn, Arithmetic(accum=accum)))
+    with np.errstate(over="ignore"):
+        scores = np.ascontiguousarray(out, dtype=np.float32)
+    if not np.isfinite(scores).all():
+        raise OverflowError(f"class scores overflow float32: largest |score| is "
+                            f"{float(np.abs(out).max()):.6g}")
+    return scores
 
 
 def collect_quantizer_inputs(graph: ModelGraph, x: np.ndarray) -> dict[int, np.ndarray]:

@@ -9,13 +9,16 @@ Quantizers are straight-through: they apply in the forward pass and to
 gradient tensors, but no quantizer derivative is modeled.  Setting any of
 the three quantizer configs to None disables that quantization, down to a
 plain float trainer when all are None.
+
+The trainer's ``nn.ModelGraph`` holds the quantizers it applies, read by
+the walk as ``nn.forward`` reads them, so a checkpoint of it
+(``sync_graph_weights``) holds the quantizers it trained with.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -33,7 +36,6 @@ from .nn import (
     SOFTMAX,
     Arithmetic,
     BatchNormParams,
-    LayerSpec,
     ModelGraph,
     act_quant_layer,
     batchnorm_layer,
@@ -104,10 +106,12 @@ class TrainConfig:
 
     ``weight_q``/``gradient_q`` must be signed, ``activation_q`` unsigned
     (activations are quantized after ReLU).  Any of them may be None to run
-    that tensor class in float.  Weight and gradient full-scale ranges are
-    chosen dynamically (per epoch from max |W|, per tensor from max |g|), so
-    the fsr fields of those configs are ignored.  Every product runs on the
-    fixed 24+28-bit block-biased word ``ARITHMETIC``.
+    that tensor class in float.  ``init_state`` and ``recalibrate_weight_fsr``
+    write ``activation_q`` and ``weight_q`` into the graph, which the walk
+    reads.  Weight and gradient full-scale ranges are chosen dynamically (per
+    epoch from max |W|, per tensor from max |g|), so the fsr fields of those
+    configs are ignored.  Every product runs on the fixed 24+28-bit
+    block-biased word ``ARITHMETIC``.
     """
 
     weight_q: Optional[QuantizerConfig] = None
@@ -131,13 +135,12 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Full-precision master parameters plus optimizer and loop state."""
+    """The trained graph, master parameters, optimizer and loop state."""
 
     graph: ModelGraph
     params: dict[int, np.ndarray]
     bn: dict[int, BatchNormParams]
     moments: dict[str, dict] = field(default_factory=dict)
-    weight_fsr: dict[int, int] = field(default_factory=dict)
     step: int = 0
     epoch: int = 0
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
@@ -149,22 +152,28 @@ def he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) ->
 
 
 def init_state(graph: ModelGraph, cfg: TrainConfig) -> TrainState:
-    """Seeded He-style uniform init for conv/fc, identity batchnorm."""
+    """Seeded He-style uniform init for conv/fc, identity batchnorm, on a
+    copy of ``graph`` whose quantizer layers apply ``cfg.activation_q`` (on
+    each layer's grid, kind-tagged, its fsr added to the graph's)."""
     rng = np.random.default_rng(cfg.seed)
+    q = cfg.activation_q
+    layers = list(graph.layers)
     params: dict[int, np.ndarray] = {}
     bn: dict[int, BatchNormParams] = {}
-    for i, layer in enumerate(graph.layers):
-        if layer.kind == CONV:
-            fan = layer.in_channels * layer.kernel * layer.kernel
-            params[i] = he_uniform(rng, (layer.out_channels, layer.in_channels,
-                                         layer.kernel, layer.kernel), fan)
-        elif layer.kind == FC:
-            params[i] = he_uniform(rng, (layer.out_features, layer.in_features),
-                                   layer.in_features)
+    for i, layer in enumerate(layers):
+        if layer.kind in (CONV, FC):
+            shape = layer.weight_shape()
+            params[i] = he_uniform(rng, shape, math.prod(shape[1:]))
         elif layer.kind == BATCHNORM:
             c = layer.channels
             bn[i] = BatchNormParams(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c))
-    state = TrainState(graph=graph, params=params, bn=bn, rng=rng)
+        elif layer.kind in (LOGQUANT, LINQUANT) and q is not None:
+            grid = q if layer.qconfig is None else layer.qconfig
+            layers[i] = replace(layer, kind=LOGQUANT if q.kind == KIND_LOG else LINQUANT,
+                                qconfig=replace(q, fsr=0,
+                                                base_frac_bits=grid.base_frac_bits))
+    fsr = graph.fsr + (q.fsr if q else 0)
+    state = TrainState(ModelGraph(layers, fsr), params, bn, rng=rng)
     recalibrate_weight_fsr(state, cfg)
     return state
 
@@ -227,12 +236,14 @@ def dynamic_gradient_fsr(g: np.ndarray, floor: int = -20) -> int:
 
 
 def recalibrate_weight_fsr(state: TrainState, cfg: TrainConfig) -> None:
-    """Refresh the per-layer weight fsr from the current max |W|."""
+    """Give each conv/fc layer of the graph ``cfg.weight_q`` at the fsr of
+    its current max |W|."""
     if cfg.weight_q is None:
-        state.weight_fsr = {}
         return
+    layers = state.graph.layers
     for i, w in state.params.items():
-        state.weight_fsr[i] = dynamic_gradient_fsr(w, cfg.grad_fsr_floor)
+        fsr = dynamic_gradient_fsr(w, cfg.grad_fsr_floor)
+        layers[i] = replace(layers[i], qconfig=replace(cfg.weight_q, fsr=fsr))
 
 
 # ---------------------------------------------------------------------------
@@ -266,19 +277,6 @@ def optimizer_step(w: np.ndarray, g: np.ndarray, moments: dict,
 # ---------------------------------------------------------------------------
 
 
-def _quantize_signed(x: np.ndarray, q: Optional[QuantizerConfig], fsr: int):
-    """Weight/gradient quantization at the given full-scale exponent
-    (``nn.quantize_operand``); unquantized tensors stay float64."""
-    return x if q is None else quantize_operand(x, replace(q, fsr=fsr))
-
-
-def _act_config(graph: ModelGraph, q: QuantizerConfig, layer: LayerSpec) -> QuantizerConfig:
-    """The trainer's activation quantizer on a quantizer layer's grid and fsr."""
-    base = q if layer.qconfig is None else replace(
-        q, base_frac_bits=layer.qconfig.base_frac_bits)
-    return replace(base, fsr=q.fsr + layer.fsr_offset + graph.fsr)
-
-
 def col2im_array(g_cols: np.ndarray, in_shape: tuple[int, ...], kernel: int,
                  stride: int, pad: int) -> np.ndarray:
     """Scatter-add the im2col gradient back onto the channel-last input.
@@ -306,10 +304,14 @@ def col2im_array(g_cols: np.ndarray, in_shape: tuple[int, ...], kernel: int,
 
 
 def _weight_operands(state: TrainState, cfg: TrainConfig) -> dict:
-    """Every layer's (out, in) weight matrix as the products read it."""
-    return {i: _quantize_signed(w.reshape(w.shape[0], -1), cfg.weight_q,
-                                state.weight_fsr.get(i, 0))
-            for i, w in state.params.items()}
+    """Every layer's (out, in) weight matrix as the products read it,
+    quantized by the layer's config when weights train quantized."""
+    layers = state.graph.layers
+    out = {}
+    for i, w in state.params.items():
+        w2 = w.reshape(w.shape[0], -1)
+        out[i] = w2 if cfg.weight_q is None else quantize_operand(w2, layers[i].qconfig)
+    return out
 
 
 def _forward_train(state: TrainState, x: np.ndarray, cfg: TrainConfig,
@@ -328,8 +330,7 @@ def _forward_train(state: TrainState, x: np.ndarray, cfg: TrainConfig,
     g = state.graph
     if wq is None:
         wq = _weight_operands(state, cfg)
-    q = cfg.activation_q
-    act_config = None if q is None else partial(_act_config, g, q)
+    act_config = None if cfg.activation_q is None else g.act_config
     stats: Optional[dict] = {} if training else None
     caches = {"wq": wq} if training and bn_collect is None else None
     logits = walk(g, x.astype(np.float64), wq, act_config, state.bn, ARITHMETIC,
@@ -347,7 +348,8 @@ def _forward_train(state: TrainState, x: np.ndarray, cfg: TrainConfig,
 def _quantize_grad(g: np.ndarray, cfg: TrainConfig):
     if cfg.gradient_q is None:
         return g
-    return _quantize_signed(g, cfg.gradient_q, dynamic_gradient_fsr(g, cfg.grad_fsr_floor))
+    fsr = dynamic_gradient_fsr(g, cfg.grad_fsr_floor)
+    return quantize_operand(g, replace(cfg.gradient_q, fsr=fsr))
 
 
 def _backward_train(state: TrainState, caches: dict, g_out: np.ndarray,
@@ -358,7 +360,7 @@ def _backward_train(state: TrainState, caches: dict, g_out: np.ndarray,
     grads: dict[int, np.ndarray] = {}
     bn_grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     # below the first layer with parameters no gradient is needed
-    first = min((i for i, l in enumerate(g.layers) if l.has_weights()),
+    first = min((i for i, l in enumerate(g.layers) if l.weight_shape()),
                 default=len(g.layers))
     gt = g_out
     for i in range(len(g.layers) - 1, first - 1, -1):
@@ -553,24 +555,12 @@ def fit(state: TrainState, cfg: TrainConfig, train_data: tuple[np.ndarray, np.nd
 
 
 def sync_graph_weights(state: TrainState, cfg: TrainConfig) -> ModelGraph:
-    """Build a checkpoint graph holding the current parameters (float32).
-
-    The training graph itself is left untouched.  The checkpoint bakes in
-    everything inference needs to reproduce the trained quantization: the
-    activation quantizer's fsr folds into the graph's global fsr, and when
-    weights are quantized each conv/fc layer gets that quantizer at its
-    current per-layer fsr.
-    """
+    """A checkpoint: a copy of the training graph, quantizers included,
+    holding the current parameters as float32.  ``cfg`` is not read."""
     src = state.graph
-    fsr = src.fsr
-    if cfg.activation_q is not None:
-        fsr += cfg.activation_q.fsr
-    out = ModelGraph(layers=list(src.layers), fsr=fsr)
+    out = ModelGraph(layers=list(src.layers), fsr=src.fsr)
     for i, w in state.params.items():
         out.weights[i] = Tensor.from_real(w)
-        if cfg.weight_q is not None:
-            out.layers[i] = replace(out.layers[i],
-                                    qconfig=replace(cfg.weight_q, fsr=state.weight_fsr[i]))
     for i, bns in state.bn.items():
         out.weights[i] = Tensor.from_real(np.stack(
             [bns.gamma, bns.beta, bns.mean, bns.var]))

@@ -1,6 +1,7 @@
 """File formats and command-line behavior."""
 
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -365,7 +366,9 @@ def test_model_byte_mutations_exit_0_or_2(mode, tmp_path, monkeypatch, capsys):
     # 0x7f and 0xff: each file is either run or refused with exit 2, in a
     # float and a shift-kernel mode; nothing escapes as a traceback.  The
     # first conv's float32 weights start within those bytes: a mutation that
-    # makes one of them NaN or infinite is refused at that weight's offset
+    # makes one of them NaN or infinite is refused at that weight's offset,
+    # and one that makes it finite but huge (0x7f in its top byte) drives the
+    # float32 scores past float32's range, which exits 1 naming the overflow
     monkeypatch.setenv("LOGNET_THREADS", "1")
     raw = REF_MODEL.read_bytes()
     assert lio.read_model(REF_MODEL).layers[0].kind == "conv"
@@ -377,7 +380,7 @@ def test_model_byte_mutations_exit_0_or_2(mode, tmp_path, monkeypatch, capsys):
     rng = np.random.default_rng(17)
     lio.write_idx(x, rng.uniform(0, 1, size=(2, 1, 12, 12)).astype(np.float32))
     path, out = tmp_path / "m.lgn", str(tmp_path / "p.csv")
-    codes, non_finite = {}, 0
+    codes, non_finite, overflows = {}, 0, 0
     for off in range(120):
         for value in (0, 1, 0x7F, 0xFF):
             mutated = bytearray(raw)
@@ -386,13 +389,38 @@ def test_model_byte_mutations_exit_0_or_2(mode, tmp_path, monkeypatch, capsys):
             rc = main(["infer", str(path), str(x), "--mode", mode, "--out", out])
             err = capsys.readouterr().err
             codes.setdefault(rc, []).append((off, value))
+            if rc == 1:
+                overflows += 1
+                assert "class scores overflow float32" in err, (off, value, err)
             if off >= w0:
                 at = w0 + (off - w0) // 4 * 4
                 if not np.isfinite(np.frombuffer(bytes(mutated[at:at + 4]), "<f4")[0]):
                     non_finite += 1
                     assert rc == 2 and f"byte {at}:" in err, (off, value, err)
-    assert codes.keys() == {0, 2}, {rc: runs[:5] for rc, runs in codes.items()}
-    assert non_finite > 0
+    assert codes.keys() == {0, 1, 2}, {rc: runs[:5] for rc, runs in codes.items()}
+    assert non_finite > 0 and overflows > 0
+
+
+def test_infer_refuses_scores_past_float32_range(tmp_path, monkeypatch, capsys):
+    # a finite float32 weight of 3e38 in the first conv gives class scores
+    # beyond float32's range: infer exits 1 naming the largest |score|
+    # instead of predicting from infinite scores
+    monkeypatch.setenv("LOGNET_THREADS", "1")
+    g = lio.read_model(REF_MODEL)
+    w = g.weights[0].data.copy()
+    w.flat[0] = 3e38
+    g.weights[0] = Tensor.from_real(w)
+    model, x, out = tmp_path / "huge.lgn", tmp_path / "x.idx", tmp_path / "p.csv"
+    lio.write_model(model, g)
+    lio.write_idx(x, np.random.default_rng(19).uniform(0, 1, size=(2, 1, 12, 12))
+                  .astype(np.float32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["infer", str(model), str(x), "--mode", "float32", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert "class scores overflow float32: largest |score| is" in err, err
+    assert not out.exists()
 
 
 def test_cli_calibrate(workspace, tmp_path):

@@ -7,9 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lognet import QuantizerConfig, train
+from lognet import QuantizerConfig, nn, train
+from lognet import io as lio
 from lognet.lognum import LogCode, dot_method2, logquant_array
-from lognet.nn import (LOGQUANT, LayerSpec, ModelGraph, QuantizedOperand, batchnorm_layer,
+from lognet.nn import (LINQUANT, LOGQUANT, LayerSpec, ModelGraph, QuantizedOperand, batchnorm_layer,
                        conv, fc, maxpool_layer, quantize_operand, relu_layer, walk)
 from lognet.nn import BN_EPS, BatchNormParams, act_quant_layer, batchnorm_batch
 from lognet.tensor import im2col_array
@@ -364,6 +365,40 @@ def test_frozen_weight_walks_quantize_the_weights_once(monkeypatch):
     for i, stats in collect.items():
         assert state.bn[i].mean.tobytes() == np.mean([m for m, _ in stats], axis=0).tobytes()
         assert state.bn[i].var.tobytes() == np.mean([v for _, v in stats], axis=0).tobytes()
+
+
+def test_checkpoint_holds_the_quantizers_the_trainer_applies(monkeypatch, tmp_path):
+    # activations unlike the graph's 4-bit nearest log templates (3-bit
+    # floor log at fsr 2, then linear), weights quantized in both: the
+    # re-read checkpoint gives each quantizer layer the config the trainer's
+    # walk applied, tagged by its kind, and each conv/fc layer the config of
+    # the trainer's weight operand
+    rng = np.random.default_rng(113)
+    x = np.abs(rng.normal(0, 1.0, size=(12, 1, 8, 8)))
+    y = rng.integers(0, 3, size=12)
+    for act_q, kind in ((QuantizerConfig("log", 3, False, 2, rounding="floor_msb"), LOGQUANT),
+                        (QuantizerConfig("linear", 4, False, 1), LINQUANT)):
+        cfg = TrainConfig(weight_q=W5, activation_q=act_q, gradient_q=G5,
+                          optimizer=OptimizerSpec(lr=0.05), batch_size=6, epochs=1, seed=5)
+        graph = train.build_small_cnn((1, 8, 8), (2, 3), 4, 3, act_bits=4)
+        state, _ = fit(init_state(graph, cfg), cfg, (x, y))
+        applied = []
+        quantize = nn.quantize_operand
+        monkeypatch.setattr(nn, "quantize_operand",
+                            lambda v, c: applied.append(c) or quantize(v, c))
+        _forward_train(state, x, cfg, training=False)
+        monkeypatch.undo()
+        path = tmp_path / "ckpt.lgn"
+        lio.write_model(path, train.sync_graph_weights(state, cfg))
+        ckpt = lio.read_model(path)
+        quant = [i for i, l in enumerate(ckpt.layers) if l.kind in (LOGQUANT, LINQUANT)]
+        assert len(quant) == 3 and len(applied) == 3
+        assert [ckpt.act_config(ckpt.layers[i]) for i in quant] == applied
+        assert all(ckpt.layers[i].kind == kind for i in quant)
+        weights = train._weight_operands(state, cfg)
+        assert len(weights) == 4
+        for i, op in weights.items():
+            assert ckpt.layers[i].qconfig == op.cfg
 
 
 def test_zero_learning_rate_keeps_weights():
