@@ -41,6 +41,14 @@ def quant_error_l1(x, cfg: QuantizerConfig) -> float:
     return float(np.abs(quant_errors(x, cfg)).mean())
 
 
+def counterpart(cfg: QuantizerConfig) -> QuantizerConfig:
+    """The quantizer of the other kind at ``cfg``'s bitwidth, sign and fsr,
+    on the base-2 grid with the default rounding: what a log-vs-linear L1
+    comparison holds ``cfg`` against."""
+    other = KIND_LINEAR if cfg.kind == KIND_LOG else KIND_LOG
+    return QuantizerConfig(other, cfg.bitwidth, cfg.signed, cfg.fsr)
+
+
 def fsr_error_profile(x, cfg_template: QuantizerConfig,
                       fsr_grid: Iterable[int] = DEFAULT_FSR_GRID) -> list[tuple[int, float]]:
     """Mean L1 error for every candidate fsr in the grid.
@@ -147,10 +155,9 @@ def calibrate_layers(samples: dict[int, np.ndarray], cfg_template: QuantizerConf
         acts = samples[idx]
         profile = fsr_error_profile(acts, cfg_template, grid)
         chosen = _best_fsr(profile)
-        l1 = {cfg_template.kind: dict(profile)[chosen]}
-        other = KIND_LINEAR if cfg_template.kind == KIND_LOG else KIND_LOG
-        l1[other] = quant_error_l1(acts, QuantizerConfig(
-            other, cfg_template.bitwidth, cfg_template.signed, chosen))
+        other = counterpart(replace(cfg_template, fsr=chosen))
+        l1 = {cfg_template.kind: dict(profile)[chosen],
+              other.kind: quant_error_l1(acts, other)}
         report.layers.append(LayerCalibration(
             layer_index=idx,
             chosen_fsr=chosen,

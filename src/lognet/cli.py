@@ -21,7 +21,6 @@ import numpy as np
 from . import calib, io, nn, train
 from .datasets import make_pattern_dataset
 from .lognum import (
-    KIND_LINEAR,
     KIND_LOG,
     ROUND_FLOOR,
     ROUND_NEAREST,
@@ -182,22 +181,14 @@ def cmd_calibrate(args) -> int:
     captured = nn.collect_quantizer_inputs(graph, sample)
     if not captured:
         return _usage_fail("model has no quantizer layers to calibrate")
-    # calibrate each layer under its own quantizer kind
+    # calibrate each layer under its own quantizer at the requested width
     report = calib.CalibrationReport(global_fsr=graph.fsr)
-    for kind in (KIND_LOG, KIND_LINEAR):
-        group = {i: captured[i] for i in captured
-                 if graph.layers[i].qconfig.kind == kind}
-        if group:
-            template = QuantizerConfig(kind, args.bitwidth, False, 0,
-                                       rounding=args.rounding)
-            sub = calib.calibrate_layers(group, template, graph.fsr, args.fsr_grid)
-            report.layers.extend(sub.layers)
-    report.layers.sort(key=lambda lc: lc.layer_index)
-    for lc in report.layers:
-        layer = graph.layers[lc.layer_index]
+    for i in sorted(captured):
+        layer = graph.layers[i]
         cfg = replace(layer.qconfig, bitwidth=args.bitwidth, rounding=args.rounding)
-        graph.layers[lc.layer_index] = replace(layer, qconfig=cfg,
-                                               fsr_offset=lc.fsr_offset)
+        lc, = calib.calibrate_layers({i: captured[i]}, cfg, graph.fsr, args.fsr_grid).layers
+        report.layers.append(lc)
+        graph.layers[i] = replace(layer, qconfig=cfg, fsr_offset=lc.fsr_offset)
     io.write_model(args.out, graph)
     write_csv(args.report, ["layer", "fsr", "l1_error", "chosen"], report.csv_rows())
     print(report.summary())
@@ -233,17 +224,19 @@ def cmd_infer(args) -> int:
     images = load_images(args.data)
     if args.mode.startswith("method2"):
         ensure_weight_qconfigs(graph, args.weight_bits, 0, ROUND_NEAREST)
-    timings = {}
-    preds = np.zeros(0, dtype=np.int64)
-    for mode, accum in ((args.mode, args.accum), ("float32", "linear")):
-        t0 = time.perf_counter()
-        scores = predict_scores(graph, images, mode, accum)
-        timings[mode] = time.perf_counter() - t0
-        if mode == args.mode:
-            preds = scores.argmax(axis=1) if scores.size else np.zeros(0, dtype=np.int64)
-        if args.mode == "float32":
-            break
+    t0 = time.perf_counter()
+    scores = predict_scores(graph, images, args.mode, args.accum)
+    timings = {args.mode: time.perf_counter() - t0}
+    preds = scores.argmax(axis=1) if scores.size else np.zeros(0, dtype=np.int64)
     write_csv(args.out, ["index", "prediction"], list(enumerate(preds)))
+    if args.mode != "float32":
+        # a float32 reference timing; its failure does not fail the command
+        t0 = time.perf_counter()
+        try:
+            predict_scores(graph, images, "float32", "linear")
+            timings["float32"] = time.perf_counter() - t0
+        except ArithmeticError as e:
+            print(f"float32 timing pass failed: {e}", file=sys.stderr)
     for mode, dt in timings.items():
         rate = len(images) / dt if dt > 0 else math.nan
         print(f"{mode}: {len(images)} samples in {dt:.3f}s ({rate:.1f}/s)")
@@ -259,14 +252,12 @@ def cmd_quant_analyze(args) -> int:
         return _usage_fail("model has no quantizer layers to analyze")
     rows = []
     for idx in sorted(captured):
-        layer = graph.layers[idx]
-        cfg = replace(layer.qconfig, bitwidth=args.bitwidth,
-                      fsr=graph.fsr + layer.fsr_offset)
+        cfg = replace(graph.act_config(graph.layers[idx]), bitwidth=args.bitwidth)
         errs = calib.quant_errors(captured[idx], cfg)
         edges, counts = calib.signed_error_histogram(errs, args.bins)
-        l1_log = float(np.abs(errs).mean())  # calib.quant_error_l1 of the sample
-        lin = QuantizerConfig(KIND_LINEAR, args.bitwidth, False, cfg.fsr)
-        l1_lin = calib.quant_error_l1(captured[idx], lin)
+        own = float(np.abs(errs).mean())  # calib.quant_error_l1 of the sample
+        other = calib.quant_error_l1(captured[idx], calib.counterpart(cfg))
+        l1_log, l1_lin = (own, other) if cfg.kind == KIND_LOG else (other, own)
         print(f"layer {idx}: L1 log {l1_log:.6g} vs linear {l1_lin:.6g} at fsr {cfg.fsr}")
         for b in range(len(counts)):
             rows.append((idx, edges[b], edges[b + 1], int(counts[b])))

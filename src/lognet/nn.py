@@ -36,12 +36,12 @@ these kernels:
 * exponent-sum with log-domain accumulation: the same terms folded into
   running log-domain sums, one per sign.
 
-``Arithmetic`` has two binary-point rules.  Absolute (inference): the
-accumulator's last fractional bit is a fixed 2**-frac_bits, and every
-product with a coded operand runs its shift kernel.  Block-biased
-(training): the binary point moves with the operands' full scale, only
-coded x coded products run the exponent-sum kernel, and products with a
-real operand are exact float64 products of the values.
+``Arithmetic`` holds the accumulator word, and a kernel's binary point is
+absolute: its last fractional bit is 2**-frac_bits of the word it is
+given.  Inference runs every product with a coded operand through its
+shift kernel on the word.  Training (``block_bias``) moves the word of each
+coded x coded product by its operands' full scales, and takes products with
+a real operand as exact float64 products of the values.
 
 The quantized kernels reproduce the scalar fixed-point semantics bit for
 bit: term magnitudes are truncated to the accumulator's fractional
@@ -308,7 +308,7 @@ def _maxpool_codes(op: QuantizedOperand, k: int, stride: int,
                                    return_inverse=True)
         ranks, idx = maxpool_array(rank[op.codes], k, stride, argmax)
         codes = first.astype(op.codes.dtype)[ranks]
-    return QuantizedOperand(codes, op.cfg, op.fb), idx
+    return QuantizedOperand(codes, op.cfg), idx
 
 
 @dataclass
@@ -316,8 +316,8 @@ class BatchNormParams:
     """Scale, shift and the statistics a batchnorm layer normalizes with.
 
     Inference reads them from the stored (4, C) array; the trainer updates
-    ``gamma``/``beta`` by its optimizer and ``mean``/``var`` as running
-    statistics.
+    ``gamma``/``beta`` by its optimizer and sets ``mean``/``var`` by
+    ``train.reestimate_bn_stats``.
     """
 
     gamma: np.ndarray
@@ -435,32 +435,21 @@ def _check_out(out_raw: np.ndarray, int_bits: int, frac_bits: int) -> np.ndarray
 
 
 class QuantizedOperand:
-    """Log wire codes with their config, grid-aligned for the shift kernels.
+    """Log wire codes with their config.
 
-    ``table`` is the config's ``lognum.code_table`` with the exponent
-    column lifted and biased; the kernels read the codes through it, and the
-    per-element ``sign``, ``esteps`` and ``nonzero`` arrays are gathers from
-    it on demand.  ``lift_fb`` is the exponent grid (fractional bits) the
-    exponents are expressed on.  ``bias_steps`` subtracts a fixed exponent
-    (in lifted grid steps) from every level, letting a caller hold the
-    accumulator's binary point relative to the operands' full scale instead
-    of at an absolute position; the caller rescales the raw result by the
-    same amount.  ``values`` dequantizes the codes on first use.
+    ``table`` is the config's ``lognum.code_table``: the kernels read the
+    codes through it, on the config's own exponent grid and at its own full
+    scale, and ``esteps`` is a gather from it.  An operand carries no word
+    or binary point; a product's word comes from its ``Arithmetic``.
+    ``values`` dequantizes the codes on first use.
     """
 
-    def __init__(self, codes: np.ndarray, cfg: QuantizerConfig, lift_fb: int,
-                 bias_steps: int = 0):
+    def __init__(self, codes: np.ndarray, cfg: QuantizerConfig):
         if cfg.kind != KIND_LOG:
             raise ConfigError("quantized matmul operands must be log codes")
         self.codes = np.asarray(codes)
         self.cfg = cfg
-        self.fb = lift_fb
-        self.bias_steps = bias_steps
-        table = code_table(cfg)
-        self.table = table._replace(
-            esteps=(table.esteps << (lift_fb - cfg.base_frac_bits)) - bias_steps)
-        # one step above the top representable level, after the bias
-        self.max_exp = cfg.fsr - math.ldexp(bias_steps, -lift_fb)
+        self.table = code_table(cfg)
         self._values: Optional[np.ndarray] = None
 
     @property
@@ -468,16 +457,8 @@ class QuantizedOperand:
         return self.codes.shape
 
     @property
-    def sign(self) -> np.ndarray:
-        return self.table.sign[self.codes]
-
-    @property
     def esteps(self) -> np.ndarray:
         return self.table.esteps[self.codes]
-
-    @property
-    def nonzero(self) -> np.ndarray:
-        return self.table.nonzero[self.codes]
 
     @property
     def values(self) -> np.ndarray:
@@ -491,11 +472,7 @@ class QuantizedOperand:
         """The transpose, over a view of the codes: its values gather in the
         transposed layout, so a float64 product with them sums in the same
         order as with the transposed values of ``self``."""
-        return QuantizedOperand(self.codes.T, self.cfg, self.fb, self.bias_steps)
-
-    def lifted(self, lift_fb: int, bias_steps: int = 0) -> "QuantizedOperand":
-        """The same codes on another exponent grid and binary point."""
-        return QuantizedOperand(self.codes, self.cfg, lift_fb, bias_steps)
+        return QuantizedOperand(self.codes.T, self.cfg)
 
     def present(self) -> np.ndarray:
         """Which wire codes occur in the operand, indexed by the code."""
@@ -511,12 +488,18 @@ def quantize_operand(x: np.ndarray, cfg: QuantizerConfig):
     """
     codes = quantize_array(x, cfg)
     if cfg.kind == KIND_LOG:
-        return QuantizedOperand(codes, cfg, cfg.base_frac_bits)
+        return QuantizedOperand(codes, cfg)
     return dequantize_array(codes, cfg)
 
 
 def lift_grid(cfg_a: QuantizerConfig, cfg_b: QuantizerConfig) -> int:
     return max(cfg_a.base_frac_bits, cfg_b.base_frac_bits)
+
+
+def _lifted_esteps(op: QuantizedOperand, fb: int) -> np.ndarray:
+    """The exponents of the operand's codes on the grid of ``fb`` fractional
+    bits, indexed by the code."""
+    return op.table.esteps << (fb - op.cfg.base_frac_bits)
 
 
 # bytes in one one-hot block and in one block of term tables: a block fits
@@ -594,24 +577,25 @@ def method2_matmul(x: QuantizedOperand, w: QuantizedOperand,
     n, k = x.shape
     o = w.shape[1]
     need = _check_exact_range(
-        max_term_bits=int(math.ceil(x.max_exp + w.max_exp)) + frac_bits + 1,
+        max_term_bits=x.cfg.fsr + w.cfg.fsr + frac_bits + 1,
         n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
     xt, wt = x.table, w.table
-    w_levels = wt.esteps[w.present() & wt.nonzero]
+    fb = lift_grid(x.cfg, w.cfg)
+    xe, we = _lifted_esteps(x, fb), _lifted_esteps(w, fb)
+    w_levels = we[w.present() & wt.nonzero]
     if not w_levels.size:
         return np.zeros((n, o))
-    fb = x.fb
     w_low, w_high = int(w_levels.min()), int(w_levels.max())
-    live = xt.nonzero & (((xt.esteps + w_high) >> fb) + frac_bits >= 0)
-    exact = (live & ((xt.esteps & ((1 << fb) - 1)) == 0)
-             & ((xt.esteps >> fb) + (w_low >> fb) + frac_bits >= fb))
-    exact_val = np.where(exact, xt.sign * _pow2_steps(xt.esteps, fb, frac_bits), 0.0)
-    w_val = np.where(wt.nonzero, wt.sign * _pow2_steps(wt.esteps, fb), 0.0)
+    live = xt.nonzero & (((xe + w_high) >> fb) + frac_bits >= 0)
+    exact = (live & ((xe & ((1 << fb) - 1)) == 0)
+             & ((xe >> fb) + (w_low >> fb) + frac_bits >= fb))
+    exact_val = np.where(exact, xt.sign * _pow2_steps(xe, fb, frac_bits), 0.0)
+    w_val = np.where(wt.nonzero, wt.sign * _pow2_steps(we, fb), 0.0)
     dtype = _sum_dtype(need, exact_val, w_val)
     trunc = np.flatnonzero(live & ~exact)
     # terms[l, v]: truncating x code trunc[l] against w code v
     terms = np.where(wt.nonzero, xt.sign[trunc, None] * wt.sign, 0) * _trunc_pow2_raw(
-        xt.esteps[trunc, None] + wt.esteps, fb, frac_bits)
+        xe[trunc, None] + we, fb, frac_bits)
 
     def term_tables(ks):
         return np.take(terms, w.codes[ks], axis=1).transpose(1, 0, 2)
@@ -637,7 +621,7 @@ def method1_matmul(x: QuantizedOperand, w_real: np.ndarray,
     factors 2**e and the weight words are normal float32 numbers
     (``_sum_dtype``).
     """
-    if x.fb != 0:
+    if x.cfg.base_frac_bits != 0:
         raise ConfigError("integer shifts require the base-2 exponent grid")
     xt = x.table
     if x.cfg.signed and (xt.nonzero & (xt.sign < 0))[x.codes].any():
@@ -646,7 +630,7 @@ def method1_matmul(x: QuantizedOperand, w_real: np.ndarray,
     w_raw = np.rint(np.ldexp(w_real, frac_bits))
     wbits = int(np.abs(w_raw).max()) if w_raw.size else 0
     need = _check_exact_range(
-        max_term_bits=wbits.bit_length() + max(int(x.max_exp), 0),
+        max_term_bits=wbits.bit_length() + max(x.cfg.fsr, 0),
         n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
     exact_val = np.where(xt.nonzero & (xt.esteps >= 0), np.ldexp(1.0, xt.esteps), 0.0)
     trunc = np.flatnonzero(xt.nonzero & (xt.esteps < 0))
@@ -678,17 +662,17 @@ def shifted_input_matmul(x_real: np.ndarray, w: QuantizedOperand,
     x_raw = np.rint(np.ldexp(x_real, frac_bits))
     xbits = int(np.abs(x_raw).max()) if x_raw.size else 0
     need = _check_exact_range(
-        max_term_bits=xbits.bit_length() + max(int(math.ceil(w.max_exp)), 0) + 1,
+        max_term_bits=xbits.bit_length() + max(w.cfg.fsr, 0) + 1,
         n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
-    wt = w.table
+    wt, fb = w.table, w.cfg.base_frac_bits
     levels = np.unique(wt.esteps[w.present() & wt.nonzero])
-    dtype = _sum_dtype(need, np.ldexp(1.0, levels >> w.fb))
+    dtype = _sum_dtype(need, np.ldexp(1.0, levels >> fb))
     x_raw = x_raw.astype(dtype, copy=False)
     out = np.zeros((n, w.shape[1]), dtype)
     for e in levels:
         ind = np.where(wt.nonzero & (wt.esteps == e), wt.sign, 0).astype(dtype)[w.codes]
-        pf = int(e) >> w.fb
-        mant = 1.5 if w.fb and (int(e) & 1) else 1.0
+        pf = int(e) >> fb
+        mant = 1.5 if fb and (int(e) & 1) else 1.0
         # x_raw * mant * 2**pf in one multiply: the factor is a normal
         # number and so is every nonzero product, so nothing rounds that the
         # shift-add and the shift would not
@@ -733,12 +717,11 @@ def _log_step(s: np.ndarray, p: np.ndarray, hi: np.ndarray, f: int) -> None:
 _LOG_BLOCK = 1 << 16
 
 
-def _level_span(op: QuantizedOperand, shift: int) -> tuple[np.ndarray, int, int]:
-    """Raw exponents of the operand's levels, its lowest nonzero level and
-    the span from that level to its highest."""
-    t = op.table
-    e = t.esteps.astype(np.int64) << shift
-    live = e[t.nonzero]
+def _level_span(op: QuantizedOperand, f: int) -> tuple[np.ndarray, int, int]:
+    """Raw exponents of the operand's levels at exponent word f, its lowest
+    nonzero level and the span from that level to its highest."""
+    e = _lifted_esteps(op, f).astype(np.int64)
+    live = e[op.table.nonzero]
     if live.size == 0:
         return e, 0, 0
     return e, int(live.min()), int(live.max() - live.min())
@@ -812,13 +795,12 @@ def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
     by s + cap in [0, P + 2 cap], below 2P + 5 cap.
     """
     f = exp_frac_bits
-    if f < x.fb:
+    if f < lift_grid(x.cfg, w.cfg):
         raise ConfigError("exponent word cannot hold the grid step")
     n, o = x.shape[0], w.shape[1]
-    shift = f - x.fb
     cap = (f + 1) << f
-    xe, x_lo, x_span = _level_span(x, shift)
-    we, w_lo, w_span = _level_span(w, shift)
+    xe, x_lo, x_span = _level_span(x, f)
+    we, w_lo, w_span = _level_span(w, f)
     p_max = x_span + w_span
     dtype = _walk_dtype(*_walk_range(p_max, f))
     empty = -cap
@@ -893,7 +875,7 @@ def _real(a):
 def _nchw(a):
     """A channel-last rank-4 activation, coded or not, as an NCHW view."""
     if isinstance(a, QuantizedOperand):
-        return QuantizedOperand(a.codes.transpose(0, 3, 1, 2), a.cfg, a.fb)
+        return QuantizedOperand(a.codes.transpose(0, 3, 1, 2), a.cfg)
     return a.transpose(0, 3, 1, 2)
 
 
@@ -902,24 +884,26 @@ class Arithmetic:
     """How the conv/fc products of a walk compute.
 
     ``int_bits``/``frac_bits`` size the accumulator word and ``accum``
-    selects linear or log-domain accumulation.  The binary point is
-    absolute unless ``block_bias`` is set:
+    selects linear or log-domain accumulation.  Every kernel has one
+    binary-point rule: its raw values count units of its word's last
+    fractional bit.
 
-    * absolute: raw values count units of 2**-frac_bits and every product
-      with a coded operand runs its shift kernel: coded activations against
-      coded weights through ``method2_matmul`` (or
-      ``method2_matmul_logaccum``), against real weights through
-      ``method1_matmul``, and real inputs against coded weights through
-      ``shifted_input_matmul``.  This is inference's arithmetic.
-    * block-biased: the binary point floats with the operands' full scale
-      (each operand's exponents biased by its config's fsr), so gradient
-      tensors with very negative exponents keep their significant terms.
-      Only coded x coded products run a kernel.  A product with a real
-      operand is the float64 product of the values: the coded side is a
-      dyadic value set, so that is the exact wide-accumulator sum, and
-      truncating at the fractional width would only drop bits far below the
-      smallest representable operand product.  This is training's
-      arithmetic.
+    * without ``block_bias`` (inference) every product with a coded operand
+      runs its shift kernel on the word: coded activations against coded
+      weights through ``method2_matmul`` (or ``method2_matmul_logaccum``),
+      against real weights through ``method1_matmul``, and real inputs
+      against coded weights through ``shifted_input_matmul``.
+    * with ``block_bias`` (training) a coded x coded product runs on the
+      word moved by its operands' full scales: with s = fsr_x + fsr_w, on
+      (int_bits + s, frac_bits - s), whose last bit 2**(s - frac_bits)
+      follows the operands, so gradient tensors with very negative
+      exponents keep their significant terms.  Each term is
+      floor(2**(e_x + e_w) * 2**(frac_bits - s)), and every range check
+      sees the word's unchanged width.  A product with a real operand is
+      the float64 product of the values: the coded side is a dyadic value
+      set, so that is the exact wide-accumulator sum, and truncating at the
+      fractional width would only drop bits far below the smallest
+      representable operand product.
     """
 
     int_bits: int = 32
@@ -934,10 +918,9 @@ class Arithmetic:
         coded_w = isinstance(w, QuantizedOperand)
         if coded_x and coded_w:
             kernel = method2_matmul_logaccum if self.accum == ACCUM_LOG else method2_matmul
-            grid = lift_grid(x.cfg, w.cfg)
-            bx, bw = (x.cfg.fsr, w.cfg.fsr) if self.block_bias else (0, 0)
-            raw = kernel(x.lifted(grid, bx << grid), w.lifted(grid, bw << grid), ib, fb)
-            return np.ldexp(raw, bx + bw - fb)
+            # the block-biased word moves by the operands' full scales
+            s = x.cfg.fsr + w.cfg.fsr if self.block_bias else 0
+            return np.ldexp(kernel(x, w, ib + s, fb - s), s - fb)
         if self.block_bias or not (coded_x or coded_w):
             return _real(x) @ _real(w)
         if coded_x:
@@ -989,7 +972,7 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, act_config,
                 # column order of stored fc weights
                 rows = (a.transpose(0, 3, 1, 2) if a.ndim == 4 else a).reshape(a.shape[0], -1)
             if coded:
-                rows = QuantizedOperand(rows, act.cfg, act.fb)
+                rows = QuantizedOperand(rows, act.cfg)
             out = arith.dot(rows, weights[i].T)
             if cache is not None:
                 cache[i] = {"x": rows, "in_shape": a.shape}

@@ -55,11 +55,10 @@ class TrainingDiverged(ArithmeticError):
     """Loss or gradients left the finite range."""
 
 
-# every training product runs on a 24+28-bit word whose binary point is
-# biased by the operands' full scale
+# every training product runs on a 24+28-bit word; a coded x coded product
+# moves it by its operands' full scales, so its last fractional bit is
+# 2**(fsr_x + fsr_w - 28)
 ARITHMETIC = Arithmetic(24, 28, block_bias=True)
-# weight of a batch's moments in the running batchnorm statistics
-BN_MOMENTUM = 0.1
 # training batches a batchnorm re-estimate averages over
 BN_REESTIMATE_BATCHES = 8
 
@@ -319,11 +318,13 @@ def _forward_train(state: TrainState, x: np.ndarray, cfg: TrainConfig,
                    wq: Optional[dict] = None) -> tuple[np.ndarray, Optional[dict]]:
     """Layer walk returning logits and the caches backward needs.
 
-    Training normalizes by batch statistics and folds them into the running
-    ones, or, with ``bn_collect``, appends them there instead.  Only a
-    training walk without ``bn_collect`` is followed by a backward pass, so
-    only it keeps caches; every other walk returns None for them and pools
-    without argmax indices.  ``wq`` is ``_weight_operands(state, cfg)``:
+    A training walk normalizes by each batch's statistics and, with
+    ``bn_collect``, appends them there; it leaves ``state.bn``'s mean and
+    var alone, which only ``reestimate_bn_stats`` sets, so a bare
+    ``train_minibatch`` does not move them.  Only a training walk without
+    ``bn_collect`` is followed by a backward pass, so only it keeps caches;
+    every other walk returns None for them and pools without argmax
+    indices.  ``wq`` is ``_weight_operands(state, cfg)``:
     callers that walk many batches over frozen weights build it once and
     pass it in; when None, the walk builds it.
     """
@@ -335,13 +336,9 @@ def _forward_train(state: TrainState, x: np.ndarray, cfg: TrainConfig,
     caches = {"wq": wq} if training and bn_collect is None else None
     logits = walk(g, x.astype(np.float64), wq, act_config, state.bn, ARITHMETIC,
                   batch_stats=stats, cache=caches)
-    for i, (mean, var) in (stats or {}).items():
-        if bn_collect is not None:
-            bn_collect.setdefault(i, []).append((mean, var))
-        else:
-            p, m = state.bn[i], BN_MOMENTUM
-            p.mean = (1 - m) * p.mean + m * mean
-            p.var = (1 - m) * p.var + m * var
+    if bn_collect is not None:
+        for i, moments in (stats or {}).items():
+            bn_collect.setdefault(i, []).append(moments)
     return logits, caches
 
 
@@ -488,7 +485,8 @@ def _moments_for(state: TrainState, key: str) -> dict:
 
 def evaluate(state: TrainState, cfg: TrainConfig, inputs: np.ndarray,
              targets: np.ndarray, batch_size: int = 256) -> float:
-    """Accuracy of the quantized-inference path with running batchnorm stats."""
+    """Accuracy of the quantized-inference path with the stored batchnorm
+    statistics."""
     correct = 0
     wq = _weight_operands(state, cfg)
     for lo in range(0, len(targets), batch_size):
@@ -499,13 +497,14 @@ def evaluate(state: TrainState, cfg: TrainConfig, inputs: np.ndarray,
 
 
 def reestimate_bn_stats(state: TrainState, cfg: TrainConfig, inputs: np.ndarray) -> None:
-    """Refresh batchnorm running stats at the frozen (quantized) weights.
+    """Set batchnorm mean and var from the frozen (quantized) weights.
 
     Quantized nets shift their activation statistics discontinuously as
-    weight codes flip between steps, so the momentum-averaged stats lag what
-    the final weights produce.  A few deterministic forward passes over
-    training data (the first ``BN_REESTIMATE_BATCHES``) fix the mismatch
-    before evaluation or checkpointing.
+    weight codes flip between steps, so statistics averaged over training
+    steps would lag what the final weights produce.  The mean of a few
+    deterministic forward passes over training data (the first
+    ``BN_REESTIMATE_BATCHES``) is what evaluation and checkpoints read;
+    ``fit`` sets it after every epoch.
     """
     if not state.bn:
         return

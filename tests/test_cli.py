@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from lognet import QuantizerConfig, Tensor, quantize_tensor
+from lognet import calib, nn
 from lognet import io as lio
-from lognet.cli import main, parse_train_config
+from lognet.cli import ensure_weight_qconfigs, main, parse_train_config, predict_scores
 from lognet.lognum import ConfigError, DomainError
-from lognet.nn import ModelGraph, act_quant_layer, batchnorm_layer, conv, fc, maxpool_layer, relu_layer
+from lognet.nn import (LOGQUANT, LayerSpec, ModelGraph, act_quant_layer, batchnorm_layer, conv, fc,
+                       maxpool_layer, relu_layer)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +370,10 @@ def test_model_byte_mutations_exit_0_or_2(mode, tmp_path, monkeypatch, capsys):
     # first conv's float32 weights start within those bytes: a mutation that
     # makes one of them NaN or infinite is refused at that weight's offset,
     # and one that makes it finite but huge (0x7f in its top byte) drives the
-    # float32 scores past float32's range, which exits 1 naming the overflow
+    # float32 scores past float32's range.  In float32 mode that exits 1
+    # naming the overflow; in method2_base2 mode the requested scores are
+    # finite, so it writes the predictions, exits 0 and reports the failed
+    # float32 timing pass on its own line
     monkeypatch.setenv("LOGNET_THREADS", "1")
     raw = REF_MODEL.read_bytes()
     assert lio.read_model(REF_MODEL).layers[0].kind == "conv"
@@ -379,25 +384,34 @@ def test_model_byte_mutations_exit_0_or_2(mode, tmp_path, monkeypatch, capsys):
     x = tmp_path / "x.idx"
     rng = np.random.default_rng(17)
     lio.write_idx(x, rng.uniform(0, 1, size=(2, 1, 12, 12)).astype(np.float32))
-    path, out = tmp_path / "m.lgn", str(tmp_path / "p.csv")
+    path, out = tmp_path / "m.lgn", tmp_path / "p.csv"
     codes, non_finite, overflows = {}, 0, 0
     for off in range(120):
         for value in (0, 1, 0x7F, 0xFF):
             mutated = bytearray(raw)
             mutated[off] = value
             path.write_bytes(bytes(mutated))
-            rc = main(["infer", str(path), str(x), "--mode", mode, "--out", out])
+            out.unlink(missing_ok=True)
+            rc = main(["infer", str(path), str(x), "--mode", mode, "--out", str(out)])
             err = capsys.readouterr().err
             codes.setdefault(rc, []).append((off, value))
-            if rc == 1:
+            if rc == 0:
+                assert len(out.read_bytes().split(b"\r\n")) == 4, (off, value)
+            if "class scores overflow float32" in err:
                 overflows += 1
-                assert "class scores overflow float32" in err, (off, value, err)
+                if mode == "float32":
+                    assert rc == 1, (off, value, err)
+                else:
+                    assert rc == 0 and "float32 timing pass failed" in err, (off, value, err)
+            else:
+                assert rc != 1, (off, value, err)
             if off >= w0:
                 at = w0 + (off - w0) // 4 * 4
                 if not np.isfinite(np.frombuffer(bytes(mutated[at:at + 4]), "<f4")[0]):
                     non_finite += 1
                     assert rc == 2 and f"byte {at}:" in err, (off, value, err)
-    assert codes.keys() == {0, 1, 2}, {rc: runs[:5] for rc, runs in codes.items()}
+    want = {0, 1, 2} if mode == "float32" else {0, 2}
+    assert codes.keys() == want, {rc: runs[:5] for rc, runs in codes.items()}
     assert non_finite > 0 and overflows > 0
 
 
@@ -523,6 +537,114 @@ def test_cli_quant_analyze(workspace, tmp_path, capsys):
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "layer,bin_left,bin_right,count"
     assert "L1 log" in capsys.readouterr().out
+
+
+def _small_net(tmp_path, middle: list, fsr: int):
+    """A conv whose outputs (of either sign) enter the ``middle`` layers,
+    then an fc; returns the written model and a float32 image file for it."""
+    rng = np.random.default_rng(23)
+    g = ModelGraph(layers=[conv(2, 1, 3, pad=1), *middle, fc(3, 2 * 6 * 6)], fsr=fsr)
+    g.weights[0] = Tensor.from_real(rng.normal(0, 1, size=(2, 1, 3, 3)))
+    g.weights[len(middle) + 1] = Tensor.from_real(rng.normal(0, 1, size=(3, 72)))
+    model, data = tmp_path / "net.lgn", tmp_path / "x.idx"
+    lio.write_model(model, g)
+    lio.write_idx(data, rng.uniform(-1, 1, size=(20, 1, 6, 6)).astype(np.float32))
+    return model, data
+
+
+def test_cli_calibrate_keeps_each_layers_sign_and_grid(tmp_path):
+    # a signed sqrt2 log layer sees the conv's negative outputs: it is
+    # calibrated under its own quantizer at the requested width and rounding
+    sqrt2s = QuantizerConfig("log", 4, True, 0, base_frac_bits=1)
+    model, data = _small_net(tmp_path, [LayerSpec(LOGQUANT, qconfig=sqrt2s)], fsr=1)
+    out = tmp_path / "cal.lgn"
+    rc = main(["calibrate", str(model), str(data), "--bitwidth", "5",
+               "--rounding", "floor_msb", "--fsr-grid=-4:6",
+               "--out", str(out), "--report", str(tmp_path / "r.csv")])
+    assert rc == 0
+    g = lio.read_model(model)
+    cfg = QuantizerConfig("log", 5, True, 0, base_frac_bits=1, rounding="floor_msb")
+    acts = nn.collect_quantizer_inputs(g, lio.read_idx(data))[1]
+    assert (acts < 0).any()
+    cal = lio.read_model(out)
+    assert cal.layers[1].qconfig == cfg
+    assert cal.fsr + cal.layers[1].fsr_offset == calib.calibrate_fsr(acts, cfg, range(-4, 7))
+
+
+def test_cli_quant_analyze_linear_layer_compares_log_with_linear(tmp_path, capsys):
+    # a linear activation layer: its histogram and "linear" figure are its
+    # own quantizer's, its "log" figure a log quantizer's at the same fsr
+    model, data = _small_net(tmp_path, [relu_layer(), act_quant_layer("linear", 3, -1)], fsr=2)
+    out = tmp_path / "h.csv"
+    assert main(["quant-analyze", str(model), str(data), "--bitwidth", "4",
+                 "--bins", "8", "--out", str(out)]) == 0
+    acts = nn.collect_quantizer_inputs(lio.read_model(model), lio.read_idx(data))[2]
+    l1_log = calib.quant_error_l1(acts, QuantizerConfig("log", 4, False, 1))
+    lin = QuantizerConfig("linear", 4, False, 1)
+    l1_lin = calib.quant_error_l1(acts, lin)
+    assert l1_log != l1_lin
+    assert (f"layer 2: L1 log {l1_log:.6g} vs linear {l1_lin:.6g} at fsr 1"
+            in capsys.readouterr().out)
+    _, counts = calib.error_histogram(acts, lin, 8)
+    rows = out.read_text().strip().splitlines()[1:]
+    assert [int(r.split(",")[3]) for r in rows] == counts.tolist()
+
+
+def test_predict_scores_threads_match_one_thread(monkeypatch):
+    # batches fanned out to two threads come back bit-identical to one
+    # thread's, in index order, in every mode/accumulation pair
+    g = lio.read_model(REF_MODEL)
+    ensure_weight_qconfigs(g, 5, 0, "nearest_sqrt2")
+    x = np.random.default_rng(29).uniform(0, 1, size=(600, 1, 12, 12)).astype(np.float32)
+    for mode, accum in (("float32", "linear"), ("method1", "linear"),
+                        ("method2_base2", "linear"), ("method2_sqrt2", "linear"),
+                        ("method2_base2", "log")):
+        scores = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("LOGNET_THREADS", threads)
+            scores[threads] = predict_scores(g, x, mode, accum)
+        assert scores["1"].shape == (600, 10)
+        assert scores["1"].tobytes() == scores["2"].tobytes(), (mode, accum)
+
+
+def test_cli_infer_reads_uint8_rank3_images_as_float(tmp_path, monkeypatch):
+    # a uint8 (N, H, W) IDX file, MNIST's layout, predicts as the float32
+    # (N, 1, H, W) file of its values over 255
+    monkeypatch.setenv("LOGNET_THREADS", "1")
+    u8 = np.random.default_rng(31).integers(0, 256, size=(40, 12, 12)).astype(np.uint8)
+    lio.write_idx(tmp_path / "u8.idx", u8)
+    lio.write_idx(tmp_path / "f32.idx", u8.astype(np.float32)[:, None] / 255)
+    preds = []
+    for name in ("u8", "f32"):
+        out = tmp_path / f"{name}.csv"
+        assert main(["infer", str(REF_MODEL), str(tmp_path / f"{name}.idx"),
+                     "--out", str(out)]) == 0
+        preds.append(out.read_bytes())
+    assert preds[0] == preds[1] and len(preds[0].split(b"\r\n")) == 42
+
+
+def test_cli_train_divergence_keeps_last_good_checkpoint(workspace, tmp_path, capsys):
+    # a learning rate that turns infinite in the second epoch: training
+    # exits 1, the metrics hold the first epoch's row, and the checkpoint is
+    # the one a one-epoch run writes
+    root, _, cfgfile = workspace
+    runs = {}
+    for name, epochs, extra in (("one", 1, ""),
+                                ("diverge", 3, "lr_decay_epochs = 1\nlr_decay_factor = inf\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(cfgfile.read_text()
+                       .replace(f"{root}/model.lgn", f"{tmp_path}/{name}.lgn")
+                       .replace(f"{root}/metrics.csv", f"{tmp_path}/{name}.csv")
+                       .replace("epochs = 8", f"epochs = {epochs}") + "\n" + extra)
+        runs[name] = main(["train", str(cfg)])
+    assert runs == {"one": 0, "diverge": 1}
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "last good checkpoint kept" in err
+    metrics = (tmp_path / "diverge.csv").read_bytes()
+    assert metrics == (tmp_path / "one.csv").read_bytes()
+    assert len(metrics.split(b"\r\n")) == 3  # header, one row, the final line end
+    assert (tmp_path / "diverge.lgn").read_bytes() == (tmp_path / "one.lgn").read_bytes()
+    lio.read_model(tmp_path / "diverge.lgn")
 
 
 def test_cli_train_linear_reference_config(workspace, tmp_path):

@@ -1,15 +1,21 @@
 """Forward-pass and kernel tests for the layer graph."""
 
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lognet import AccumulatorOverflow, ConfigError, QuantizerConfig, Tensor
 from lognet.lognum import (AccumulatorWord, bitshift, code_table, dot_method2, logquant_array,
                            LogCode, dequantize_array, log_accumulate_raw)
 from lognet import nn
 from lognet.nn import (
+    ACCUM_LINEAR,
+    ACCUM_LOG,
     Arithmetic,
     BatchNormParams,
     ModelGraph,
@@ -131,7 +137,7 @@ def test_maxpool_matches_scalar_oracle():
                 g, want_pos, a.shape, k, stride).tobytes(), (k, stride)
         # signed codes pool by value: the codes pooled are those of the
         # values pooled, at the same routes
-        op = QuantizedOperand(codes, s4, 0)
+        op = QuantizedOperand(codes, s4)
         pooled, idx = nn._maxpool_codes(op, k, stride, True)
         want, want_pos = _maxpool_oracle(op.values, k, stride)
         assert np.array_equal(pooled.values, want) and np.array_equal(idx, want_pos)
@@ -279,7 +285,7 @@ def test_sum_dtype_rule():
     for word_bits, want in ((22, np.float32), (23, np.float64)):
         top_w = (2.0 ** word_bits - 1) / 2 ** 8
         w = np.array([[top_w, -3.0], [1.5, -top_w]])
-        raw, dtype = _run_recording_dtype(method1_matmul, QuantizedOperand(xc, cx, 0), w)
+        raw, dtype = _run_recording_dtype(method1_matmul, QuantizedOperand(xc, cx), w)
         assert dtype is want
         for i in range(3):
             for j in range(2):
@@ -300,8 +306,10 @@ def _scalar_linear(xc, wc, cx, cw, i, j, int_bits=32, frac_bits=8):
 
 def _code_classes(xo, wo, frac_bits):
     """Counts of the x levels that are exact, dead and truncating (base 2)."""
-    lv = np.unique(xo.esteps[xo.nonzero])
-    w_lo, w_hi = wo.esteps[wo.nonzero].min(), wo.esteps[wo.nonzero].max()
+    xt, wt = xo.table, wo.table
+    lv = np.unique(xt.esteps[xo.present() & xt.nonzero])
+    w_levels = wt.esteps[wo.present() & wt.nonzero]
+    w_lo, w_hi = w_levels.min(), w_levels.max()
     dead = lv + w_hi + frac_bits < 0
     exact = lv + w_lo + frac_bits >= 0
     return int(exact.sum()), int(dead.sum()), int((~dead & ~exact).sum())
@@ -320,8 +328,8 @@ def _check_method2_matmul(laid):
         w = rng.normal(0, 1.5, size=(k, o))
         xc = codes_from(x, ACT4)
         wc = codes_from(w, W5)
-        xo = QuantizedOperand(laid(xc), ACT4, 0)
-        wo = QuantizedOperand(laid(wc), W5, 0)
+        xo = QuantizedOperand(laid(xc), ACT4)
+        wo = QuantizedOperand(laid(wc), W5)
         raw = method2_matmul(xo, wo)
         for i in range(n):
             for j in range(o):
@@ -331,9 +339,9 @@ def _check_method2_matmul(laid):
     # weights span, so one call has exact, dead and truncating codes; signed
     # activations (the gradient operand of training); the sqrt2 grid, also
     # lifted from base 2 activations; the trainer's 24+28 word, also with
-    # its block bias, whose oracle is the scalar dot of the same codes under
-    # fsr-zeroed configs; all-zero rows and columns, and all-zero weights
-    from dataclasses import replace as rep
+    # its block bias: the word moved by the operands' full scales, whose
+    # oracle is the scalar dot of the same codes under fsr-zeroed configs at
+    # 24+28; all-zero rows and columns, and all-zero weights
     act5s = QuantizerConfig("log", 5, True, 2)
     act4_sqrt2 = QuantizerConfig("log", 4, False, 5, 1)
     w5_sqrt2 = QuantizerConfig("log", 5, True, 1, 1)
@@ -348,20 +356,20 @@ def _check_method2_matmul(laid):
         w[:, 2] = 0.0
         xc, wc = codes_from(x, cx), codes_from(w, cw)
         fb = max(cx.base_frac_bits, cw.base_frac_bits)
-        cases = [(0, 0, cx, cw, 32, 8), (0, 0, cx, cw, 24, 28), (0, 0, cx, cw, 32, 3),
-                 (cx.fsr << fb, cw.fsr << fb, rep(cx, fsr=0), rep(cw, fsr=0), 24, 28)]
-        for bx, bw, ocx, ocw, ib, frac in cases:
-            xo, wo = QuantizedOperand(laid(xc), cx, fb, bx), QuantizedOperand(laid(wc), cw, fb, bw)
-            if fb == 0 and (bx, frac) == (0, 8):
+        cases = [(0, cx, cw, 32, 8), (0, cx, cw, 24, 28), (0, cx, cw, 32, 3),
+                 (cx.fsr + cw.fsr, replace(cx, fsr=0), replace(cw, fsr=0), 24, 28)]
+        for shift, ocx, ocw, ib, frac in cases:
+            xo, wo = QuantizedOperand(laid(xc), cx), QuantizedOperand(laid(wc), cw)
+            if fb == 0 and (shift, frac) == (0, 8):
                 assert min(_code_classes(xo, wo, frac)) > 0
-            raw = method2_matmul(xo, wo, ib, frac)
+            raw = method2_matmul(xo, wo, ib + shift, frac - shift)
             assert (raw[3] == 0).all() and (raw[:, 2] == 0).all()
             for i in (0, 3, n - 1, *rng.integers(0, n, size=4)):
                 for j in range(o):
                     want = _scalar_linear(xc, wc, ocx, ocw, i, j, ib, frac)
-                    assert raw[i, j] == want, (cx, cw, bx, frac, i, j)
-        zero_w = QuantizedOperand(laid(np.zeros_like(wc)), cw, fb)
-        assert (method2_matmul(QuantizedOperand(laid(xc), cx, fb), zero_w) == 0).all()
+                    assert raw[i, j] == want, (cx, cw, shift, frac, i, j)
+        zero_w = QuantizedOperand(laid(np.zeros_like(wc)), cw)
+        assert (method2_matmul(QuantizedOperand(laid(xc), cx), zero_w) == 0).all()
 
     # 14 truncating codes against 40 outputs need more than one k block of
     # term tables and several row blocks of the one-hot matrix
@@ -372,7 +380,7 @@ def _check_method2_matmul(laid):
     x[rng.random((n, k)) < 0.2] = 0.0
     w = rng.choice([-1.0, 1.0], size=(k, o)) * 2.0 ** rng.uniform(-12, 3, size=(k, o))
     xc, wc = codes_from(x, cx), codes_from(w, cw)
-    xo, wo = QuantizedOperand(laid(xc), cx, 0), QuantizedOperand(laid(wc), cw, 0)
+    xo, wo = QuantizedOperand(laid(xc), cx), QuantizedOperand(laid(wc), cw)
     n_exact, n_dead, n_trunc = _code_classes(xo, wo, frac)
     assert min(n_exact, n_dead) > 0 and n_trunc == 14
     k_step = _block_elems(np.float64) // (n_trunc * o)
@@ -392,7 +400,7 @@ def _check_method2_matmul(laid):
     x[rng.random((n, k)) < 0.2] = 0.0
     w = rng.choice([-1.0, 1.0], size=(k, o)) * 2.0 ** rng.uniform(-11, 0, size=(k, o))
     xc, wc = codes_from(x, cx), codes_from(w, cw)
-    xo, wo = QuantizedOperand(laid(xc), cx, 0), QuantizedOperand(laid(wc), cw, 0)
+    xo, wo = QuantizedOperand(laid(xc), cx), QuantizedOperand(laid(wc), cw)
     n_exact, n_dead, n_trunc = _code_classes(xo, wo, frac)
     assert (n_exact, n_trunc) == (2, 10) and n_dead > 0
     k_step = _block_elems(np.float32) // (n_trunc * o)
@@ -415,7 +423,7 @@ def test_method2_matmul_sums_out_of_float32_range_factors_in_float64():
     x[rng.random((n, k)) < 0.2] = 0.0
     w = rng.choice([-1.0, 1.0], size=(k, o)) * 2.0 ** rng.uniform(-143, -138, size=(k, o))
     xc, wc = codes_from(x, cx), codes_from(w, cw)
-    xo, wo = QuantizedOperand(xc, cx, 0), QuantizedOperand(wc, cw, 0)
+    xo, wo = QuantizedOperand(xc, cx), QuantizedOperand(wc, cw)
     assert min(_code_classes(xo, wo, 8)) > 0
     raw, dtype = _run_recording_dtype(method2_matmul, xo, wo)
     assert dtype is np.float64 and (raw != 0).any()
@@ -432,9 +440,8 @@ def _scalar_logaccum(xc, wc, cx, cw, i, j, int_bits=32, frac_bits=8, f=4):
 
 def _check_logaccum(xc, wc, cx, cw, f=4, rows=None, cols=None, int_bits=32, frac_bits=8,
                     laid=np.ascontiguousarray):
-    fb = max(cx.base_frac_bits, cw.base_frac_bits)
-    raw = method2_matmul_logaccum(QuantizedOperand(laid(xc), cx, fb),
-                                  QuantizedOperand(laid(wc), cw, fb),
+    raw = method2_matmul_logaccum(QuantizedOperand(laid(xc), cx),
+                                  QuantizedOperand(laid(wc), cw),
                                   int_bits, frac_bits, exp_frac_bits=f)
     assert raw.shape == (xc.shape[0], wc.shape[1])
     for i in range(xc.shape[0]) if rows is None else rows:
@@ -694,8 +701,8 @@ def test_method2_logaccum_range_checks_each_sign_plane():
     with pytest.raises(AccumulatorOverflow):
         _scalar_logaccum(xc, wc, cx, cw, 0, 0, int_bits=3, frac_bits=8)
     with pytest.raises(AccumulatorOverflow):
-        method2_matmul_logaccum(QuantizedOperand(xc, cx, 0),
-                                QuantizedOperand(wc, cw, 0), 3, 8)
+        method2_matmul_logaccum(QuantizedOperand(xc, cx),
+                                QuantizedOperand(wc, cw), 3, 8)
 
 
 def test_method2_logaccum_refuses_planes_past_exact_float64():
@@ -706,7 +713,7 @@ def test_method2_logaccum_refuses_planes_past_exact_float64():
     xc = codes_from([[2.0 ** 50, 2.0 ** -8]], cx)
     wc = codes_from([[1.0], [-1.0]], cw)
     assert _scalar_logaccum(xc, wc, cx, cw, 0, 0, 60, 8) == 2 ** 58 - 1
-    xo, wo = QuantizedOperand(xc, cx, 0), QuantizedOperand(wc, cw, 0)
+    xo, wo = QuantizedOperand(xc, cx), QuantizedOperand(wc, cw)
     with pytest.raises(ConfigError):
         method2_matmul_logaccum(xo, wo, 60, 8)
     with pytest.raises(ConfigError):
@@ -732,7 +739,7 @@ def _check_method1_matmul(laid):
         x = rng.uniform(0, 40, size=(3, k))
         w = rng.normal(0, 2.0, size=(k, 2))
         xc = codes_from(x, ACT4)
-        raw = method1_matmul(QuantizedOperand(laid(xc), ACT4, 0), laid(w))
+        raw = method1_matmul(QuantizedOperand(laid(xc), ACT4), laid(w))
         for i in range(3):
             for j in range(2):
                 assert raw[i, j] == _scalar_method1(xc, w, ACT4, i, j)
@@ -750,8 +757,8 @@ def _check_method1_matmul(laid):
     w = rng.normal(0, 2.0, size=(k, o))
     w[:, 2] = 0.0
     xc = codes_from(x, cx)
-    xo = QuantizedOperand(laid(xc), cx, 0)
-    lv = np.unique(xo.esteps[xo.nonzero])
+    xo = QuantizedOperand(laid(xc), cx)
+    lv = np.unique(xo.table.esteps[xo.present() & xo.table.nonzero])
     n_trunc = int((lv < 0).sum())
     assert (lv >= 0).any() and n_trunc > 50
     k_step = _block_elems(np.float64) // (n_trunc * o)
@@ -786,11 +793,11 @@ def test_method1_matmul_refusals():
     w = np.array([[1.0], [-2.0], [3.0]])
     sqrt2 = QuantizerConfig("log", 4, False, 3, 1)
     with pytest.raises(ConfigError):
-        method1_matmul(QuantizedOperand(codes_from(x, sqrt2), sqrt2, 1), w)
+        method1_matmul(QuantizedOperand(codes_from(x, sqrt2), sqrt2), w)
     signed = QuantizerConfig("log", 5, True, 3)
     with pytest.raises(ConfigError):
-        method1_matmul(QuantizedOperand(codes_from(-x, signed), signed, 0), w)
-    raw = method1_matmul(QuantizedOperand(codes_from(x, signed), signed, 0), w)
+        method1_matmul(QuantizedOperand(codes_from(-x, signed), signed), w)
+    raw = method1_matmul(QuantizedOperand(codes_from(x, signed), signed), w)
     # the scalar op takes unsigned configs only; 4 magnitude bits either way
     unsigned = QuantizerConfig("log", 4, False, 3)
     assert raw[0, 0] == _scalar_method1(codes_from(x, unsigned), w, unsigned, 0, 0) == -7 * 2 ** 8
@@ -810,12 +817,13 @@ def test_shifted_input_matmul_base2_and_sqrt2():
     for fb in (0, 1):
         cfg = QuantizerConfig("log", 5, True, 1, base_frac_bits=fb)
         wc = logquant_array(w, cfg)
-        op = QuantizedOperand(wc, cfg, fb)
+        op = QuantizedOperand(wc, cfg)
         raw = shifted_input_matmul(x, op)
         # reference weight factors use the same shift-add mantissa (1.5 for
         # half-step exponents); truncation then spans <= one raw unit per term
-        mant = np.where((op.esteps & 1).astype(bool), 1.5, 1.0) if fb else 1.0
-        w_factor = np.where(op.nonzero, op.sign * mant * np.ldexp(1.0, op.esteps >> fb), 0.0)
+        mant = np.where((op.table.esteps & 1).astype(bool), 1.5, 1.0) if fb else 1.0
+        t = op.table
+        w_factor = np.where(t.nonzero, t.sign * mant * np.ldexp(1.0, t.esteps >> fb), 0.0)[wc]
         approx = np.rint(np.ldexp(x, 8)) @ w_factor
         assert np.all(np.abs(raw - approx) <= x.shape[1])
 
@@ -832,7 +840,7 @@ def test_shifted_input_matmul_base2_and_sqrt2():
             wc = logquant_array(w, cfg)
             for ib, frac, want in ((32, 8, np.float32), (24, 20, np.float64)):
                 raw, dtype = _run_recording_dtype(
-                    shifted_input_matmul, laid(x), QuantizedOperand(laid(wc), cfg, fb), ib, frac)
+                    shifted_input_matmul, laid(x), QuantizedOperand(laid(wc), cfg), ib, frac)
                 assert dtype is want
                 for i in range(x.shape[0]):
                     for j in range(w.shape[1]):
@@ -844,7 +852,7 @@ def test_shifted_input_matmul_base2_and_sqrt2():
     cfg = QuantizerConfig("log", 5, True, -140)
     w = rng.choice([-1.0, 1.0], size=(10, 3)) * 2.0 ** rng.uniform(-156, -140, size=(10, 3))
     wc = logquant_array(w, cfg)
-    raw, dtype = _run_recording_dtype(shifted_input_matmul, x, QuantizedOperand(wc, cfg, 0))
+    raw, dtype = _run_recording_dtype(shifted_input_matmul, x, QuantizedOperand(wc, cfg))
     assert dtype is np.float64 and (raw != 0).any()
     for i in range(x.shape[0]):
         for j in range(w.shape[1]):
@@ -869,6 +877,46 @@ def _scalar_shifted(x, wc, cw, i, j, int_bits=32, frac_bits=8):
             word = bitshift(word, e >> cw.base_frac_bits)
         acc += int(t.sign[c]) * word.raw
     return acc
+
+
+@st.composite
+def _block_biased_operands(draw):
+    """Coded x (n, k) and w (k, o) of 3-5 bits on either grid, x signed or
+    unsigned, at full scales far enough apart that the moved word's
+    fractional and integer parts both go negative."""
+    n, k, o = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 3))
+
+    def operand(signed, shape):
+        cfg = QuantizerConfig("log", draw(st.integers(3, 5)), signed, draw(st.integers(-40, 40)),
+                              base_frac_bits=draw(st.integers(0, 1)))
+        # every wire code but negative zero, which no quantizer writes
+        valid = [c for c in range(1 << cfg.bitwidth) if not signed or c != 1 << cfg.bitwidth_mag]
+        codes = draw(arrays(np.uint8, shape, elements=st.sampled_from(valid)))
+        return QuantizedOperand(codes, cfg)
+
+    return operand(draw(st.booleans()), (n, k)), operand(True, (k, o))
+
+
+@given(ops=_block_biased_operands(), f=st.sampled_from([None, 4, 8]))
+def test_block_biased_dot_is_the_scalar_dot_at_zero_full_scale(ops, f):
+    # the trainer's product moves the 24+28 word by the operands' full
+    # scales: it is the scalar dot of the same codes under fsr-zeroed
+    # configs at 24+28, times 2**(fsr_x + fsr_w - 28); linear accumulation
+    # (f None) and log accumulation at exponent words 4 and 8
+    x, w = ops
+    accum = ACCUM_LINEAR if f is None else ACCUM_LOG
+    with pytest.MonkeyPatch.context() as mp:
+        if f is not None:
+            mp.setattr(nn, "method2_matmul_logaccum",
+                       functools.partial(method2_matmul_logaccum, exp_frac_bits=f))
+        got = Arithmetic(24, 28, accum, block_bias=True).dot(x, w)
+    cx0, cw0 = replace(x.cfg, fsr=0), replace(w.cfg, fsr=0)
+    for i in range(x.shape[0]):
+        xs = [LogCode.from_wire(int(c), cx0) for c in x.codes[i]]
+        for j in range(w.shape[1]):
+            ws = [LogCode.from_wire(int(c), cw0) for c in w.codes[:, j]]
+            raw = dot_method2(ws, xs, cw0, cx0, accum, 24, 28, f or 4).raw
+            assert got[i, j] == math.ldexp(raw, x.cfg.fsr + w.cfg.fsr - 28), (i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -946,7 +994,7 @@ def test_forward_pipeline_matches_manual_kernel_walk():
     # conv1 on real input: shifted-input kernel against the quantized weights
     w0 = logquant_array(g.weight_array(0).reshape(4, -1).T, wq)
     cols, oh, ow = im2col_array(value.transpose(0, 2, 3, 1), (3, 3), 1, 1)
-    raw = shifted_input_matmul(cols, QuantizedOperand(w0, wq, 0))
+    raw = shifted_input_matmul(cols, QuantizedOperand(w0, wq))
     value = np.ldexp(raw, -8).reshape(n, oh, ow, 4).transpose(0, 3, 1, 2)
     value = np.maximum(value, 0)
     acfg = rep(layers[2].qconfig, fsr=g.fsr + 2)
@@ -954,13 +1002,13 @@ def test_forward_pipeline_matches_manual_kernel_walk():
     # conv2 on coded input
     w3 = logquant_array(g.weight_array(3).reshape(3, -1).T, wq)
     ccols, oh, ow = im2col_array(codes.transpose(0, 2, 3, 1), (3, 3), 1, 1, fill=0)
-    raw = method2_matmul(QuantizedOperand(ccols, acfg, 0), QuantizedOperand(w3, wq, 0))
+    raw = method2_matmul(QuantizedOperand(ccols, acfg), QuantizedOperand(w3, wq))
     value = np.ldexp(raw, -8).reshape(n, oh, ow, 3).transpose(0, 3, 1, 2)
     value = np.maximum(value, 0)
     codes = logquant_array(value, acfg).reshape(n, -1)
     # final fc
     w6 = logquant_array(g.weight_array(6).T, wq)
-    raw = method2_matmul(QuantizedOperand(codes, acfg, 0), QuantizedOperand(w6, wq, 0))
+    raw = method2_matmul(QuantizedOperand(codes, acfg), QuantizedOperand(w6, wq))
     want = np.ldexp(raw, -8)
     assert np.array_equal(got, want.astype(np.float32).astype(np.float64))
 
@@ -995,7 +1043,7 @@ def test_forward_linear_activation_layer_matches_manual_kernel_walk():
     for i, cout in ((0, 3), (3, 2)):
         wc = logquant_array(g.weight_array(i).reshape(cout, -1).T, wq)
         cols, oh, ow = im2col_array(value.transpose(0, 2, 3, 1), (3, 3), 1, 1)
-        raw = shifted_input_matmul(cols, QuantizedOperand(wc, wq, 0))
+        raw = shifted_input_matmul(cols, QuantizedOperand(wc, wq))
         value = np.maximum(np.ldexp(raw, -8).reshape(n, oh, ow, cout).transpose(0, 3, 1, 2), 0)
         if i == 0:
             lcfg = QuantizerConfig("linear", 4, False, 3)
@@ -1004,7 +1052,7 @@ def test_forward_linear_activation_layer_matches_manual_kernel_walk():
     acfg = g.act_config(layers[5])
     codes = logquant_array(value, acfg).reshape(n, -1)
     w6 = logquant_array(g.weight_array(6).T, wq)
-    raw = method2_matmul(QuantizedOperand(codes, acfg, 0), QuantizedOperand(w6, wq, 0))
+    raw = method2_matmul(QuantizedOperand(codes, acfg), QuantizedOperand(w6, wq))
     want = np.ldexp(raw, -8)
     assert np.array_equal(got, want.astype(np.float32).astype(np.float64))
 
@@ -1039,7 +1087,7 @@ def test_forward_linear_weight_quantizer_matches_manual_kernel_walk():
     value = (cols @ linear_weights(0, 3)).reshape(3, oh, ow, 3).transpose(0, 3, 1, 2)
     acfg = g.act_config(layers[2])
     codes = logquant_array(np.maximum(value, 0), acfg).reshape(3, -1)
-    raw = method1_matmul(QuantizedOperand(codes, acfg, 0), linear_weights(3, 4))
+    raw = method1_matmul(QuantizedOperand(codes, acfg), linear_weights(3, 4))
     want = np.ldexp(raw, -8)
     assert np.array_equal(got, want.astype(np.float32).astype(np.float64))
 

@@ -538,7 +538,7 @@ def test_qdot_block_biased_product_matches_scalar_dot():
 
     def coded(a, q, fsr):
         c = replace(q, fsr=fsr)
-        return QuantizedOperand(logquant_array(a, c), c, c.base_frac_bits)
+        return QuantizedOperand(logquant_array(a, c), c)
 
     acts = np.maximum(rng.normal(0, 2.0, size=(40, 36)), 0.0)
     weights = rng.normal(0, 0.3, size=(36, 8))
