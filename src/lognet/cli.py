@@ -146,6 +146,12 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parse_int_list(text: str) -> list[int]:
     try:
         return [int(p) for p in text.split(",") if p]
@@ -247,6 +253,8 @@ def cmd_infer(args) -> int:
 def cmd_quant_analyze(args) -> int:
     graph = io.read_model(args.model)
     images = load_images(args.data)
+    if len(images) < 1:
+        return _usage_fail("cannot analyze an empty sample")
     captured = nn.collect_quantizer_inputs(graph, images[:args.samples])
     if not captured:
         return _usage_fail("model has no quantizer layers to analyze")
@@ -463,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("data")
     c.add_argument("--bitwidth", type=int, default=4)
     c.add_argument("--fsr-grid", type=_parse_range, default=range(-10, 21))
-    c.add_argument("--samples", type=int, default=100)
+    c.add_argument("--samples", type=_positive_int, default=100)
     c.add_argument("--rounding", choices=[ROUND_FLOOR, ROUND_NEAREST],
                    default=ROUND_NEAREST)
     c.add_argument("--out", required=True)
@@ -500,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("data")
     q.add_argument("--bitwidth", type=int, default=4)
     q.add_argument("--bins", type=int, default=256)
-    q.add_argument("--samples", type=int, default=100)
+    q.add_argument("--samples", type=_positive_int, default=100)
     q.add_argument("--out", required=True)
     q.set_defaults(fn=cmd_quant_analyze)
 

@@ -2,19 +2,19 @@
 
 ``walk`` runs a layer graph for inference (``forward``), FSR calibration
 (``collect_quantizer_inputs``) and training (``train._forward_train``).  The
-three differ only in the data they hand it: the weight operands, whether
-the quantizer layers apply ``ModelGraph.act_config``, the batchnorm
-parameters (and whether batch statistics replace them), the ``Arithmetic``
-of the conv/fc products, and an optional backward cache or capture of the
-quantizer inputs.  A trainer's graph holds the quantizers it applies, in
-its quantizer and conv/fc layers' configs, so the checkpoint it writes
-holds them too.  A log-coded
-tensor, activation or weight, is a ``QuantizedOperand``: wire codes, their
-config, and values dequantized on first use.  What a code means comes from
-one table per config, ``lognum.code_table``: the kernels read signs and
-exponents from it, dequantizing is a gather from it, and maxpool compares
-the codes themselves (or, when signed, their value rank from the table), so
-a pooled activation stays coded.
+graph says what a walk quantizes: its quantizer layers apply their configs
+when the walk quantizes, and ``weight_operands`` quantizes each conv/fc
+layer's weights by that layer's config, if it has one.  The three entries
+differ only in that switch, in whether and on which grid the weights are
+quantized, in the batchnorm parameters (and whether batch statistics
+replace them), the ``Arithmetic`` of the products, and an optional backward
+cache or capture of the quantizer inputs.  A log-coded tensor, activation
+or weight, is a ``QuantizedOperand``: wire codes, their config, and values
+dequantized on first use.  What a code means comes from one table per
+config, ``lognum.code_table``: the kernels read signs and exponents from
+it, dequantizing is a gather from it, and maxpool compares the codes
+themselves (or, when signed, their value rank from the table), so a pooled
+activation stays coded.
 
 Layout.  Images, ``forward``'s input, ``output_shapes``, the stored
 (O, C, kh, kw) weights and the activations ``collect_quantizer_inputs``
@@ -379,9 +379,10 @@ def softmax_array(x: np.ndarray) -> np.ndarray:
 
 
 def _pow2_steps(p_steps: np.ndarray, fb: int, scale: int = 0) -> np.ndarray:
-    """2**(p_steps * 2**-fb + scale), a half step as the 1.5 shift-add mantissa."""
-    mant = np.where((p_steps & 1).astype(bool), 1.5, 1.0) if fb else 1.0
-    return np.ldexp(mant, (p_steps >> fb) + scale)
+    """2**(p_steps * 2**-fb + scale) as a shift-add: the mantissa
+    2**fb + (p_steps & (2**fb - 1)) shifted by (p_steps >> fb) - fb + scale."""
+    mant = ((p_steps & ((1 << fb) - 1)) + (1 << fb)).astype(np.float64)
+    return np.ldexp(mant, (p_steps >> fb) - fb + scale)
 
 
 def _trunc_pow2_raw(p_steps: np.ndarray, fb: int, frac_bits: int) -> np.ndarray:
@@ -656,7 +657,7 @@ def shifted_input_matmul(x_real: np.ndarray, w: QuantizedOperand,
     against its sign indicators, all integers; the range bound keeps every
     partial sum below 2**53, so the result equals the scalar shifts bit for
     bit.  It runs in float32 where the bound is 2**24 and every level's
-    2**pf is a normal float32 number (``_sum_dtype``).
+    factor is a normal float32 number (``_sum_dtype``).
     """
     n, k = x_real.shape
     x_raw = np.rint(np.ldexp(x_real, frac_bits))
@@ -664,26 +665,20 @@ def shifted_input_matmul(x_real: np.ndarray, w: QuantizedOperand,
     need = _check_exact_range(
         max_term_bits=xbits.bit_length() + max(w.cfg.fsr, 0) + 1,
         n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
-    wt, fb = w.table, w.cfg.base_frac_bits
+    wt = w.table
     levels = np.unique(wt.esteps[w.present() & wt.nonzero])
-    dtype = _sum_dtype(need, np.ldexp(1.0, levels >> fb))
+    factors = _pow2_steps(levels, w.cfg.base_frac_bits)
+    dtype = _sum_dtype(need, factors)
     x_raw = x_raw.astype(dtype, copy=False)
     out = np.zeros((n, w.shape[1]), dtype)
-    for e in levels:
+    for e, factor in zip(levels, factors):
         ind = np.where(wt.nonzero & (wt.esteps == e), wt.sign, 0).astype(dtype)[w.codes]
-        pf = int(e) >> fb
-        mant = 1.5 if fb and (int(e) & 1) else 1.0
-        # x_raw * mant * 2**pf in one multiply: the factor is a normal
-        # number and so is every nonzero product, so nothing rounds that the
-        # shift-add and the shift would not
-        out += np.floor(x_raw * math.ldexp(mant, pf)) @ ind
+        # x_raw times the shift-add factor in one multiply: the factor is a
+        # normal number and so is every nonzero product, so nothing rounds
+        # that the shift-add and the shift would not; as a Python float it
+        # keeps float32 sums in float32
+        out += np.floor(x_raw * float(factor)) @ ind
     return _check_out(out.astype(np.float64, copy=False), int_bits, frac_bits)
-
-
-def _trunc_halfexp_raw(s: np.ndarray, f: int, frac_bits: int) -> np.ndarray:
-    """Raw accumulator value of 2**s for int64 fixed-point exponents s."""
-    mant = ((s & ((1 << f) - 1)) + (1 << f)).astype(np.float64)
-    return np.floor(np.ldexp(mant, (s >> f) + (frac_bits - f)))
 
 
 def _log_step(s: np.ndarray, p: np.ndarray, hi: np.ndarray, f: int) -> None:
@@ -852,8 +847,8 @@ def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
             _log_step(s, p, h, f)
         sums[:, lo:lo + rows] = s
     # every sum lies in [-cap, P + cap]; the empty one converts to 0
-    table = _trunc_halfexp_raw(np.arange(empty, p_max + cap + 1) + (x_lo + w_lo),
-                               f, frac_bits)
+    table = _trunc_pow2_raw(np.arange(empty, p_max + cap + 1) + (x_lo + w_lo),
+                            f, frac_bits)
     table[0] = 0.0
     sums -= empty
     planes = _check_out(np.take(table, sums), int_bits, frac_bits)
@@ -928,7 +923,7 @@ class Arithmetic:
         return np.ldexp(shifted_input_matmul(x, w, ib, fb), -fb)
 
 
-def walk(graph: ModelGraph, x: np.ndarray, weights: dict, act_config,
+def walk(graph: ModelGraph, x: np.ndarray, weights: dict, quantize: bool,
          bn: dict[int, BatchNormParams], arith: Arithmetic,
          batch_stats: Optional[dict] = None, cache: Optional[dict] = None,
          capture: Optional[dict] = None):
@@ -941,18 +936,18 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, act_config,
     maxpool pools such an activation on its codes (``_maxpool_codes``)
     without dequantizing it.
 
-    * ``weights[i]``: the (out, in) weight matrix of conv/fc layer i,
-      float64 or a ``QuantizedOperand``; a conv's in is C*kh*kw.
-    * ``act_config(layer)``: the config a quantizer layer applies.  When
-      ``act_config`` is None, or returns None, the layer passes its input
-      through.
+    * ``weights[i]``: conv/fc layer i's weight operand from
+      ``weight_operands``.
+    * ``quantize``: whether the quantizer layers apply their configs
+      (``ModelGraph.act_config``); when False they pass their input through.
     * ``bn[i]``: batchnorm layer i's parameters.
     * ``arith``: the arithmetic of every conv/fc product.
     * ``batch_stats``: when given, batchnorm normalizes with each batch's
       moments (``batchnorm_batch``) and records them here as
       {i: (mean, var)}.
     * ``cache``: when given, receives per layer what backward needs, in the
-      channel-last layout.
+      channel-last layout; a conv/fc layer's entry holds its input rows
+      (``"x"``) and its weight operand (``"w"``).
     * ``capture``: when given, receives the float64 input of each quantizer
       layer, keyed by layer index, NCHW when rank 4.
     """
@@ -965,18 +960,18 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, act_config,
             coded = isinstance(act, QuantizedOperand)
             a = act.codes if coded else act
             if kind == CONV:
-                rows, oh, ow = im2col_array(a, (layer.kernel,) * 2, layer.stride,
-                                            layer.pad, fill=0 if coded else 0.0)
+                rows, oh, ow = im2col_array(a, (layer.kernel,) * 2, layer.stride, layer.pad)
             else:
                 # a channel-last input flattens in (C, H, W) order, the
                 # column order of stored fc weights
-                rows = (a.transpose(0, 3, 1, 2) if a.ndim == 4 else a).reshape(a.shape[0], -1)
+                rows = (a.transpose(0, 3, 1, 2) if a.ndim == 4 else a).reshape(
+                    a.shape[0], math.prod(a.shape[1:]))
             if coded:
                 rows = QuantizedOperand(rows, act.cfg)
             out = arith.dot(rows, weights[i].T)
             if cache is not None:
-                cache[i] = {"x": rows, "in_shape": a.shape}
-            act = out.reshape(a.shape[0], oh, ow, -1) if kind == CONV else out
+                cache[i] = {"x": rows, "w": weights[i], "in_shape": a.shape}
+            act = out.reshape(a.shape[0], oh, ow, layer.out_channels) if kind == CONV else out
         elif kind == RELU:
             v = _real(act)
             if cache is not None:
@@ -1001,10 +996,8 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, act_config,
             v = _real(act)
             if capture is not None:
                 capture[i] = _nchw(v) if v.ndim == 4 else v
-            cfg = act_config(layer) if act_config is not None else None
-            if cfg is None:
-                continue
-            act = quantize_operand(v, cfg)
+            if quantize:
+                act = quantize_operand(v, graph.act_config(layer))
         elif kind == SOFTMAX:
             act = softmax_array(_real(act))
         else:
@@ -1012,30 +1005,41 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, act_config,
     return _nchw(act) if len(act.shape) == 4 else act
 
 
-def _mode_weight(layer: LayerSpec, w: np.ndarray, mode: str):
-    """A stored weight matrix as ``mode`` computes with it."""
-    if mode in (MODE_FLOAT, MODE_METHOD1):
-        return w
-    if layer.qconfig is None:
-        raise ConfigError(
-            f"{layer.kind} layer needs a weight quantizer config for {mode}")
-    cfg = layer.qconfig
-    if cfg.kind == KIND_LOG:
-        cfg = replace(cfg, base_frac_bits=1 if mode == MODE_METHOD2_SQRT2 else 0)
-    return quantize_operand(w, cfg)
+def weight_operands(graph: ModelGraph, arrays: dict,
+                    grid: Optional[int] = None) -> dict:
+    """Each conv/fc layer's parameters ``arrays[i]`` as the (out, in) weight
+    operand its products read: quantized by the layer's ``qconfig``, a log
+    config moved to the grid of ``grid`` fractional bits when one is given,
+    or the float64 values when the layer has none."""
+    out = {}
+    for i, w in arrays.items():
+        w2 = w.reshape(w.shape[0], -1)
+        cfg = graph.layers[i].qconfig
+        if cfg is not None and grid is not None and cfg.kind == KIND_LOG:
+            cfg = replace(cfg, base_frac_bits=grid)
+        out[i] = w2 if cfg is None else quantize_operand(w2, cfg)
+    return out
+
+
+# the weight grid of each method2 mode; the other modes compute with real weights
+_MODE_GRID = {MODE_METHOD2_BASE2: 0, MODE_METHOD2_SQRT2: 1}
 
 
 def _stored_operands(graph: ModelGraph, mode: str) -> tuple[dict, dict]:
-    """The weight matrices (as ``mode`` computes with them) and batchnorm
+    """The weight operands (as ``mode`` computes with them) and batchnorm
     parameters of a stored graph."""
-    weights, bn = {}, {}
+    arrays, bn = {}, {}
     for i, layer in enumerate(graph.layers):
         if layer.kind in (CONV, FC):
+            if mode in _MODE_GRID and layer.qconfig is None:
+                raise ConfigError(
+                    f"{layer.kind} layer needs a weight quantizer config for {mode}")
             w = graph.weight_array(i)
-            weights[i] = _mode_weight(layer, w.reshape(w.shape[0], -1), mode)
+            arrays[i] = w.reshape(w.shape[0], -1)
         elif layer.kind == BATCHNORM:
             bn[i] = BatchNormParams.from_array(graph.weight_array(i))
-    return weights, bn
+    return (weight_operands(graph, arrays, _MODE_GRID[mode]) if mode in _MODE_GRID
+            else arrays), bn
 
 
 def _input(x: np.ndarray) -> np.ndarray:
@@ -1064,8 +1068,7 @@ def forward(graph: ModelGraph, x: np.ndarray, mode: str = MODE_FLOAT,
     x = _input(x)
     graph.output_shapes(x.shape)
     weights, bn = _stored_operands(graph, mode)
-    act_config = None if mode == MODE_FLOAT else graph.act_config
-    out = _real(walk(graph, x, weights, act_config, bn, Arithmetic(accum=accum)))
+    out = _real(walk(graph, x, weights, mode != MODE_FLOAT, bn, Arithmetic(accum=accum)))
     with np.errstate(over="ignore"):
         scores = np.ascontiguousarray(out, dtype=np.float32)
     if not np.isfinite(scores).all():
@@ -1082,5 +1085,5 @@ def collect_quantizer_inputs(graph: ModelGraph, x: np.ndarray) -> dict[int, np.n
     """
     captured: dict[int, np.ndarray] = {}
     weights, bn = _stored_operands(graph, MODE_FLOAT)
-    walk(graph, _input(x), weights, None, bn, Arithmetic(), capture=captured)
+    walk(graph, _input(x), weights, False, bn, Arithmetic(), capture=captured)
     return captured

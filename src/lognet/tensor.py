@@ -87,7 +87,7 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
 
 
 def im2col_array(x: np.ndarray, kernel: tuple[int, int], stride: int = 1,
-                 pad: int = 0, fill: float | int = 0) -> tuple[np.ndarray, int, int]:
+                 pad: int = 0) -> tuple[np.ndarray, int, int]:
     """Lower channel-last (N, H, W, C) to a row-major (N*oh*ow, C*kh*kw)
     patch matrix.
 
@@ -95,14 +95,15 @@ def im2col_array(x: np.ndarray, kernel: tuple[int, int], stride: int = 1,
     (n, oh, ow) order and each field in (C, kh, kw) order, so a convolution
     becomes this matrix times the transposed (OutC, C*kh*kw) weights, and
     its (N*oh*ow, OutC) result is the channel-last output.  The rows are the
-    one copy made of the window view.  Padded border entries hold ``fill``.
+    one copy made of the window view.  Padded border entries hold 0: 0.0 for
+    values, the zero code for log codes.
     """
     kh, kw = kernel
-    n, h, w, _ = x.shape
+    n, h, w, c = x.shape
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
     if pad:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)), constant_values=fill)
+        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     # (N, oh, ow, C, kh, kw)
-    return win[:, ::stride, ::stride].reshape(n * oh * ow, -1), oh, ow
+    return win[:, ::stride, ::stride].reshape(n * oh * ow, c * kh * kw), oh, ow

@@ -47,6 +47,7 @@ from .nn import (
     relu_layer,
     softmax_array,
     walk,
+    weight_operands,
 )
 from .tensor import Tensor, conv_output_size
 
@@ -153,7 +154,9 @@ def he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) ->
 def init_state(graph: ModelGraph, cfg: TrainConfig) -> TrainState:
     """Seeded He-style uniform init for conv/fc, identity batchnorm, on a
     copy of ``graph`` whose quantizer layers apply ``cfg.activation_q`` (on
-    each layer's grid, kind-tagged, its fsr added to the graph's)."""
+    each layer's grid, kind-tagged, its fsr added to the graph's) and whose
+    conv/fc layers hold ``cfg.weight_q`` (``recalibrate_weight_fsr``), or no
+    config when it is None."""
     rng = np.random.default_rng(cfg.seed)
     q = cfg.activation_q
     layers = list(graph.layers)
@@ -163,6 +166,8 @@ def init_state(graph: ModelGraph, cfg: TrainConfig) -> TrainState:
         if layer.kind in (CONV, FC):
             shape = layer.weight_shape()
             params[i] = he_uniform(rng, shape, math.prod(shape[1:]))
+            if cfg.weight_q is None:
+                layers[i] = replace(layer, qconfig=None)
         elif layer.kind == BATCHNORM:
             c = layer.channels
             bn[i] = BatchNormParams(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c))
@@ -302,43 +307,27 @@ def col2im_array(g_cols: np.ndarray, in_shape: tuple[int, ...], kernel: int,
 # ---------------------------------------------------------------------------
 
 
-def _weight_operands(state: TrainState, cfg: TrainConfig) -> dict:
-    """Every layer's (out, in) weight matrix as the products read it,
-    quantized by the layer's config when weights train quantized."""
-    layers = state.graph.layers
-    out = {}
-    for i, w in state.params.items():
-        w2 = w.reshape(w.shape[0], -1)
-        out[i] = w2 if cfg.weight_q is None else quantize_operand(w2, layers[i].qconfig)
-    return out
+def _walk(state: TrainState, x: np.ndarray, cfg: TrainConfig, weights: dict,
+          batch_stats: Optional[dict] = None, cache: Optional[dict] = None) -> np.ndarray:
+    """The trainer's walk of ``x`` with the weight operands ``weights``."""
+    return walk(state.graph, x.astype(np.float64), weights, cfg.activation_q is not None,
+                state.bn, ARITHMETIC, batch_stats=batch_stats, cache=cache)
 
 
 def _forward_train(state: TrainState, x: np.ndarray, cfg: TrainConfig,
-                   training: bool, bn_collect: Optional[dict] = None,
-                   wq: Optional[dict] = None) -> tuple[np.ndarray, Optional[dict]]:
-    """Layer walk returning logits and the caches backward needs.
+                   training: bool) -> tuple[np.ndarray, Optional[dict]]:
+    """Logits of one walk and, for a training walk, the caches backward needs.
 
-    A training walk normalizes by each batch's statistics and, with
-    ``bn_collect``, appends them there; it leaves ``state.bn``'s mean and
-    var alone, which only ``reestimate_bn_stats`` sets, so a bare
-    ``train_minibatch`` does not move them.  Only a training walk without
-    ``bn_collect`` is followed by a backward pass, so only it keeps caches;
-    every other walk returns None for them and pools without argmax
-    indices.  ``wq`` is ``_weight_operands(state, cfg)``:
-    callers that walk many batches over frozen weights build it once and
-    pass it in; when None, the walk builds it.
+    The weight operands are the graph's (``nn.weight_operands``), so the
+    walk quantizes what the graph says.  A training walk normalizes by each
+    batch's statistics and leaves ``state.bn``'s mean and var alone, which
+    only ``reestimate_bn_stats`` sets, so a bare ``train_minibatch`` does not
+    move them.  An inference walk returns None for the caches and pools
+    without argmax indices.
     """
-    g = state.graph
-    if wq is None:
-        wq = _weight_operands(state, cfg)
-    act_config = None if cfg.activation_q is None else g.act_config
-    stats: Optional[dict] = {} if training else None
-    caches = {"wq": wq} if training and bn_collect is None else None
-    logits = walk(g, x.astype(np.float64), wq, act_config, state.bn, ARITHMETIC,
-                  batch_stats=stats, cache=caches)
-    if bn_collect is not None:
-        for i, moments in (stats or {}).items():
-            bn_collect.setdefault(i, []).append(moments)
+    caches: Optional[dict] = {} if training else None
+    logits = _walk(state, x, cfg, weight_operands(state.graph, state.params),
+                   batch_stats={} if training else None, cache=caches)
     return logits, caches
 
 
@@ -353,7 +342,6 @@ def _backward_train(state: TrainState, caches: dict, g_out: np.ndarray,
                     cfg: TrainConfig) -> tuple[dict, dict]:
     """Walk the layers in reverse; returns (weight grads, bn grads)."""
     g = state.graph
-    wq = caches["wq"]
     grads: dict[int, np.ndarray] = {}
     bn_grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     # below the first layer with parameters no gradient is needed
@@ -373,7 +361,7 @@ def _backward_train(state: TrainState, caches: dict, g_out: np.ndarray,
             grads[i] = ARITHMETIC.dot(gq.T, cache["x"]).reshape(state.params[i].shape)
             if i == first:
                 continue
-            g_rows = ARITHMETIC.dot(gq, wq[i])
+            g_rows = ARITHMETIC.dot(gq, cache["w"])
             shape = cache["in_shape"]
             if kind == CONV:
                 gt = col2im_array(g_rows, shape, layer.kernel, layer.stride, layer.pad)
@@ -488,10 +476,9 @@ def evaluate(state: TrainState, cfg: TrainConfig, inputs: np.ndarray,
     """Accuracy of the quantized-inference path with the stored batchnorm
     statistics."""
     correct = 0
-    wq = _weight_operands(state, cfg)
+    weights = weight_operands(state.graph, state.params)
     for lo in range(0, len(targets), batch_size):
-        xb = inputs[lo:lo + batch_size]
-        logits, _ = _forward_train(state, xb, cfg, training=False, wq=wq)
+        logits = _walk(state, inputs[lo:lo + batch_size], cfg, weights)
         correct += int((logits.argmax(axis=1) == targets[lo:lo + batch_size]).sum())
     return correct / max(len(targets), 1)
 
@@ -506,20 +493,16 @@ def reestimate_bn_stats(state: TrainState, cfg: TrainConfig, inputs: np.ndarray)
     ``BN_REESTIMATE_BATCHES``) is what evaluation and checkpoints read;
     ``fit`` sets it after every epoch.
     """
-    if not state.bn:
+    if not state.bn or len(inputs) == 0:
         return
-    collect: dict[int, list] = {}
-    wq = _weight_operands(state, cfg)
-    for b in range(BN_REESTIMATE_BATCHES):
-        lo = b * cfg.batch_size
-        if lo >= len(inputs):
-            break
-        _forward_train(state, inputs[lo:lo + cfg.batch_size], cfg,
-                       training=True, bn_collect=collect, wq=wq)
-    for i, stats in collect.items():
-        bns = state.bn[i]
-        bns.mean = np.mean([m for m, _ in stats], axis=0)
-        bns.var = np.mean([v for _, v in stats], axis=0)
+    weights = weight_operands(state.graph, state.params)
+    size = cfg.batch_size
+    stats = [{} for _ in range(0, min(len(inputs), BN_REESTIMATE_BATCHES * size), size)]
+    for b, batch_stats in enumerate(stats):
+        _walk(state, inputs[b * size:(b + 1) * size], cfg, weights, batch_stats=batch_stats)
+    for i, bns in state.bn.items():
+        bns.mean = np.mean([s[i][0] for s in stats], axis=0)
+        bns.var = np.mean([s[i][1] for s in stats], axis=0)
 
 
 def fit(state: TrainState, cfg: TrainConfig, train_data: tuple[np.ndarray, np.ndarray],

@@ -1,6 +1,7 @@
 """File formats and command-line behavior."""
 
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -686,3 +687,168 @@ def test_parse_train_config_errors(tmp_path):
         from lognet.cli import _cfg_int
         _cfg_int(raw, "epochs")
     assert "epochs" in str(e.value)
+
+
+# ---------------------------------------------------------------------------
+# refusals: empty samples, malformed inputs and configs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["calibrate", "quant-analyze"])
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_cli_samples_must_be_positive(command, samples, tmp_path, capsys):
+    model, data = _small_net(tmp_path, [relu_layer(), act_quant_layer("log", 4)], fsr=0)
+    out = ["--out", str(tmp_path / "o"), "--report", str(tmp_path / "r.csv")]
+    argv = [command, str(model), str(data), "--samples", samples]
+    assert main(argv + (out if command == "calibrate" else out[:2])) == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
+def test_cli_quant_analyze_empty_sample_exits_2(tmp_path, capsys):
+    model, _ = _small_net(tmp_path, [relu_layer(), act_quant_layer("log", 4)], fsr=0)
+    empty = tmp_path / "empty.idx"
+    lio.write_idx(empty, np.zeros((0, 1, 6, 6), dtype=np.float32))
+    assert main(["quant-analyze", str(model), str(empty), "--out", str(tmp_path / "h")]) == 2
+    assert "cannot analyze an empty sample" in capsys.readouterr().err
+
+
+def _train_config(tmp_path, lines: list[str], drop: str = "") -> list[str]:
+    """``lognet train`` argv for a config of ``lines`` after the required
+    keys (``drop`` left out), over a 20-image set."""
+    images, labels = tmp_path / "x.idx", tmp_path / "y.idx"
+    lio.write_idx(images, np.zeros((20, 1, 8, 8), dtype=np.float32))
+    lio.write_idx(labels, np.arange(20, dtype=np.uint8) % 2)
+    required = {"train_images": images, "train_labels": labels,
+                "out_model": tmp_path / "m.lgn", "out_metrics": tmp_path / "m.csv"}
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("\n".join(lines + [f"{k} = {v}" for k, v in required.items() if k != drop]))
+    return ["train", str(cfg)]
+
+
+def _threads_two(tmp_path, monkeypatch):
+    monkeypatch.setenv("LOGNET_THREADS", "two")
+    model, data = _small_net(tmp_path, [], fsr=0)
+    return ["infer", str(model), str(data), "--mode", "float32", "--out", str(tmp_path / "p")]
+
+
+def _rank2_images(tmp_path, monkeypatch):
+    model, _ = _small_net(tmp_path, [], fsr=0)
+    lio.write_idx(tmp_path / "flat.idx", np.zeros((4, 36), dtype=np.float32))
+    return ["infer", str(model), str(tmp_path / "flat.idx"), "--out", str(tmp_path / "p")]
+
+
+def _sweep_labels(labels):
+    def argv(tmp_path, monkeypatch):
+        model, data = _small_net(tmp_path, [], fsr=0)
+        lio.write_idx(tmp_path / "l.idx", labels)
+        return ["sweep", str(model), str(data), str(tmp_path / "l.idx"), "--mode", "float32",
+                "--fsr-range", "0:0", "--out", str(tmp_path / "s.csv")]
+    return argv
+
+
+def _train_lines(lines, drop=""):
+    return lambda tmp_path, monkeypatch: _train_config(tmp_path, lines, drop)
+
+
+CLI_REFUSALS = {
+    "threads_not_an_integer": (_threads_two, "LOGNET_THREADS must be an integer"),
+    "rank2_images": (_rank2_images, "expected rank 3 or 4 image data, got rank 2"),
+    "rank2_labels": (_sweep_labels(np.zeros((20, 1), np.uint8)), "labels must be rank 1"),
+    "label_count": (_sweep_labels(np.zeros(19, np.uint8)), "19 labels for 20 samples"),
+    "line_without_equals": (_train_lines(["epochs 3"]), "line 1: expected key=value"),
+    "missing_key": (_train_lines([], drop="out_metrics"),
+                    "missing required config key 'out_metrics'"),
+    "non_integer": (_train_lines(["epochs = many"]), "key 'epochs': expected an integer"),
+    "non_number": (_train_lines(["lr = fast"]), "key 'lr': expected a number"),
+    "unknown_choice": (_train_lines(["optimizer = rmsprop"]),
+                       "key 'optimizer': expected one of"),
+    "one_channel": (_train_lines(["conv_channels = 8"]),
+                    "key 'conv_channels': expected two comma-separated integers"),
+    "non_integer_channels": (_train_lines(["conv_channels = 8,x"]),
+                             "key 'conv_channels': '8,x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_REFUSALS))
+def test_cli_refusals_exit_2(case, tmp_path, monkeypatch, capsys):
+    make_argv, message = CLI_REFUSALS[case]
+    assert main(make_argv(tmp_path, monkeypatch)) == 2
+    assert message in capsys.readouterr().err
+
+
+def _fc_model(wq=None, weights=None) -> ModelGraph:
+    g = ModelGraph(layers=[fc(2, 3, wq=wq)], fsr=0)
+    g.weights[0] = Tensor.from_real(np.ones((2, 3)) if weights is None else weights)
+    return g
+
+
+def _packed_under_another_config() -> ModelGraph:
+    g = _fc_model(QuantizerConfig("log", 4, True, 1))
+    g.weights[0] = quantize_tensor(g.weights[0], QuantizerConfig("log", 4, True, 2))
+    return g
+
+
+WRITE_REFUSALS = {
+    "unknown_kind": (lambda: ModelGraph(layers=[LayerSpec("warp")]), "unknown kind 'warp'"),
+    "quantizer_without_config": (lambda: ModelGraph(layers=[LayerSpec(LOGQUANT)]),
+                                 "quantizer layer without a config"),
+    "missing_weights": (lambda: ModelGraph(layers=[fc(2, 3)]), "missing its weight tensor"),
+    "misshapen_weights": (lambda: _fc_model(weights=np.ones((3, 2))), "!= declared (2, 3)"),
+    "packed_under_another_config": (_packed_under_another_config,
+                                    "packed weights must use the layer's quantizer config"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITE_REFUSALS))
+def test_write_model_refusals(case, tmp_path):
+    make_graph, message = WRITE_REFUSALS[case]
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        lio.write_model(tmp_path / "m.lgn", make_graph())
+
+
+# (graph, byte changed, its new value, offset of the refusal, message): the
+# 10-byte header is followed by the kind tag, the geometry (two u32 for an
+# fc), the 7-byte quantizer block (rounding tag last) and the payload tag
+READ_REFUSALS = {
+    "unknown_rounding_tag": (lambda: _fc_model(QuantizerConfig("log", 4, True, 1)),
+                             25, 9, 19, "unknown rounding tag 9"),
+    "payload_on_weightless_layer": (lambda: ModelGraph(layers=[relu_layer()]),
+                                    18, 1, 18, "layer 0 (relu) cannot carry weights"),
+    "packed_payload_without_quantizer": (_fc_model, 26, 2, 26,
+                                         "packed payload without quantizer block"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READ_REFUSALS))
+def test_read_model_refusals_at_their_offsets(case, tmp_path):
+    make_graph, at, value, offset, message = READ_REFUSALS[case]
+    path = tmp_path / "m.lgn"
+    lio.write_model(path, make_graph())
+    raw = bytearray(path.read_bytes())
+    raw[at] = value
+    path.write_bytes(bytes(raw))
+    with pytest.raises(lio.FileFormatError, match=re.escape(message)) as err:
+        lio.read_model(path)
+    assert err.value.offset == offset
+
+
+IDX_REFUSALS = {
+    "bad_magic": (bytes([1, 0, 0x08, 1, 0, 0, 0, 1, 7]), 0, "bad IDX magic"),
+    "unsupported_dtype": (bytes([0, 0, 0x0B, 1, 0, 0, 0, 1, 0, 7]), 2,
+                          "unsupported IDX dtype 0x0b"),
+    "trailing_bytes": (bytes([0, 0, 0x08, 1, 0, 0, 0, 1, 7, 8]), 9, "1 trailing bytes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IDX_REFUSALS))
+def test_read_idx_refusals_at_their_offsets(case, tmp_path):
+    data, offset, message = IDX_REFUSALS[case]
+    path = tmp_path / "d.idx"
+    path.write_bytes(data)
+    with pytest.raises(lio.FileFormatError, match=message) as err:
+        lio.read_idx(path)
+    assert err.value.offset == offset
+
+
+def test_write_idx_refuses_an_unsupported_dtype(tmp_path):
+    with pytest.raises(ConfigError, match="IDX supports uint8 and float32"):
+        lio.write_idx(tmp_path / "d.idx", np.zeros(3, dtype=np.int32))

@@ -148,7 +148,7 @@ def test_maxpool_keeps_codes():
     vals = np.array([0.0, 1.0, 4.0, 16.0, 2.0, 8.0, 1.0, 0.5, 0.0]).reshape(1, 1, 3, 3)
     g = ModelGraph(layers=[act_quant_layer("log", 4), maxpool_layer(2, 1)], fsr=5)
     assert g.act_config(g.layers[0]) == ACT4
-    pooled = walk(g, vals, {}, g.act_config, {}, Arithmetic())
+    pooled = walk(g, vals, {}, True, {}, Arithmetic())
     assert isinstance(pooled, QuantizedOperand) and pooled.cfg == ACT4
     assert np.array_equal(pooled.codes, codes_from([[[[16.0, 8.0], [16.0, 8.0]]]], ACT4))
     assert np.array_equal(pooled.values, [[[[16.0, 8.0], [16.0, 8.0]]]])
@@ -163,7 +163,7 @@ def test_maxpool_keeps_codes():
     g = ModelGraph(layers=[nn.LayerSpec(nn.LOGQUANT, qconfig=QuantizerConfig("log", 4, True, 0)),
                            maxpool_layer(2)], fsr=4)
     cache: dict = {}
-    pooled = walk(g, vals, {}, g.act_config, {}, Arithmetic(), cache=cache)
+    pooled = walk(g, vals, {}, True, {}, Arithmetic(), cache=cache)
     # the walk returns NCHW; its cache holds the channel-last routes
     nhwc = vals.transpose(0, 2, 3, 1)
     want, want_idx = maxpool_array(dequantize_array(logquant_array(nhwc, s4), s4), 2, 2)
@@ -173,7 +173,7 @@ def test_maxpool_keeps_codes():
     assert np.array_equal(pooled.values, want)
     assert np.array_equal(cache[1]["idx"], want_idx)
     # the walk without a cache pools without the argmax, to the same codes
-    uncached = walk(g, vals, {}, g.act_config, {}, Arithmetic())
+    uncached = walk(g, vals, {}, True, {}, Arithmetic())
     assert np.array_equal(uncached.codes, pooled.codes)
 
 
@@ -185,7 +185,7 @@ def test_batchnorm_examples():
     # and reports the moments it used
     g = ModelGraph(layers=[batchnorm_layer(4)])
     stats: dict = {}
-    out = walk(g, x, {}, None, {0: identity}, Arithmetic(), batch_stats=stats)
+    out = walk(g, x, {}, False, {0: identity}, Arithmetic(), batch_stats=stats)
     assert np.allclose(out.mean(axis=(0, 2, 3)), 0, atol=1e-6)
     assert np.allclose(out.var(axis=(0, 2, 3)), 1, atol=1e-3)
     # the moments are float64 sums of m terms in an unspecified order; each
@@ -219,7 +219,7 @@ def test_batchnorm_examples():
     p3 = BatchNormParams(np.ones(4), np.zeros(4), np.full(4, 1.0), np.full(4, 4.0))
     want = (x - 1.0) / np.sqrt(4.0 + nn.BN_EPS)
     assert np.allclose(batchnorm_array(x_last, p3), want.transpose(0, 2, 3, 1), atol=1e-6)
-    assert np.allclose(walk(g, x, {}, None, {0: p3}, Arithmetic()), want, atol=1e-6)
+    assert np.allclose(walk(g, x, {}, False, {0: p3}, Arithmetic()), want, atol=1e-6)
 
 
 def test_batchnorm_is_its_expression_bit_for_bit():
@@ -1001,7 +1001,7 @@ def test_forward_pipeline_matches_manual_kernel_walk():
     codes = logquant_array(value, acfg)
     # conv2 on coded input
     w3 = logquant_array(g.weight_array(3).reshape(3, -1).T, wq)
-    ccols, oh, ow = im2col_array(codes.transpose(0, 2, 3, 1), (3, 3), 1, 1, fill=0)
+    ccols, oh, ow = im2col_array(codes.transpose(0, 2, 3, 1), (3, 3), 1, 1)
     raw = method2_matmul(QuantizedOperand(ccols, acfg), QuantizedOperand(w3, wq))
     value = np.ldexp(raw, -8).reshape(n, oh, ow, 3).transpose(0, 3, 1, 2)
     value = np.maximum(value, 0)
@@ -1201,3 +1201,59 @@ def test_collect_quantizer_inputs():
     captured = nn.collect_quantizer_inputs(g, x)
     assert list(captured) == [2]
     assert np.allclose(captured[2], np.maximum(x.sum(axis=1, keepdims=True) @ np.ones((1, 2)), 0))
+
+
+# ---------------------------------------------------------------------------
+# empty batches and refusals
+# ---------------------------------------------------------------------------
+
+MODE_PAIRS = [("float32", "linear"), ("method1", "linear"),
+              ("method2_base2", "linear"), ("method2_base2", "log"),
+              ("method2_sqrt2", "linear"), ("method2_sqrt2", "log")]
+
+
+@pytest.mark.parametrize("mode,accum", MODE_PAIRS)
+def test_forward_and_capture_take_an_empty_batch(mode, accum):
+    # conv on real inputs, conv on codes, an fc flattening a rank-4 input:
+    # zero images give (0, classes) scores and empty captures
+    rng = np.random.default_rng(67)
+    wq = QuantizerConfig("log", 5, True, 1)
+    g = simple_graph(
+        {0: rng.normal(0, 0.5, size=(3, 2, 3, 3)), 3: rng.normal(0, 0.5, size=(2, 3, 3, 3)),
+         7: rng.normal(0, 0.5, size=(4, 8))},
+        [conv(3, 2, 3, pad=1, wq=wq), relu_layer(), act_quant_layer("log", 4),
+         conv(2, 3, 3, pad=1, wq=wq), relu_layer(), act_quant_layer("log", 4),
+         maxpool_layer(2), fc(4, 8, wq=wq)], fsr=2)
+    empty = np.zeros((0, 2, 4, 4), dtype=np.float32)
+    scores = forward(g, empty, mode, accum)
+    assert scores.shape == (0, 4) and scores.dtype == np.float32
+    captured = nn.collect_quantizer_inputs(g, empty)
+    assert {i: a.shape for i, a in captured.items()} == {2: (0, 3, 4, 4), 5: (0, 2, 4, 4)}
+
+
+@pytest.mark.parametrize("kernel", ["method2", "method1", "shifted_input"])
+def test_a_term_wider_than_the_word_overflows(kernel):
+    # k = 1 and every sum fits float64, but the one term spans more bits
+    # than the 32+8 word: fsr_x + fsr_w >= int_bits for coded x coded
+    def code(fsr, signed):  # the top positive code, at 2**fsr
+        cfg = QuantizerConfig("log", 5, signed, fsr)
+        return QuantizedOperand(np.full((1, 1), cfg.max_code), cfg)
+
+    with pytest.raises(AccumulatorOverflow, match="a single term can span"):
+        if kernel == "method2":
+            method2_matmul(code(20, False), code(12, True))
+        elif kernel == "method1":
+            method1_matmul(code(32, False), np.ones((1, 1)))
+        else:
+            shifted_input_matmul(np.ones((1, 1)), code(31, True))
+
+
+def test_forward_runs_a_softmax_tail():
+    rng = np.random.default_rng(69)
+    w = rng.normal(0, 1, size=(3, 4))
+    g = simple_graph({0: w}, [fc(3, 4), nn.LayerSpec(nn.SOFTMAX)])
+    x = rng.normal(0, 1, size=(5, 4)).astype(np.float32)
+    scores = forward(g, x, "float32")
+    logits = x.astype(np.float64) @ w.astype(np.float32).astype(np.float64).T
+    assert np.allclose(scores, nn.softmax_array(logits), atol=1e-6)
+    assert np.allclose(scores.sum(axis=1), 1.0, atol=1e-6)

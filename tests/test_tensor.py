@@ -88,8 +88,7 @@ def test_im2col_3x3_geometry():
 
 def test_im2col_zero_pad_uses_zero_codes():
     q = quantize_tensor(Tensor.from_real(np.full((1, 1, 2, 2), 4.0)), U3F5)
-    cols, _, _ = im2col_array(q.data.transpose(0, 2, 3, 1), (3, 3), stride=1, pad=1,
-                              fill=0)
+    cols, _, _ = im2col_array(q.data.transpose(0, 2, 3, 1), (3, 3), stride=1, pad=1)
     assert cols.dtype == np.uint8
     corner = cols[0]  # receptive field centered at (0, 0)
     assert corner[0] == 0  # padded position carries the zero code

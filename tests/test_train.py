@@ -303,10 +303,8 @@ def test_forward_only_walks_keep_no_cache(monkeypatch):
         for name in ("gamma", "beta", "mean", "var"):
             assert getattr(bn[i], name).tobytes() == getattr(bn_c[i], name).tobytes()
 
-    # only a training walk without bn_collect keeps caches
+    # only a training walk keeps caches
     assert _forward_train(state, x[:4], cfg, training=False)[1] is None
-    assert _forward_train(copy.deepcopy(state), x[:4], cfg, training=True,
-                          bn_collect={})[1] is None
     assert _forward_train(copy.deepcopy(state), x[:4], cfg, training=True)[1] is not None
 
     # the trainer's activations are unsigned; a signed log activation pools
@@ -322,7 +320,7 @@ def test_forward_only_walks_keep_no_cache(monkeypatch):
     outs = []
     for cache in (None, {}):
         stats: dict = {}
-        out = walk(sgraph, xs, wq, sgraph.act_config, bn, ARITHMETIC,
+        out = walk(sgraph, xs, wq, True, bn, ARITHMETIC,
                    batch_stats=stats, cache=cache)
         outs.append((out, stats))
     (out, stats), (out_c, stats_c) = outs
@@ -349,15 +347,18 @@ def test_frozen_weight_walks_quantize_the_weights_once(monkeypatch):
     want_acc = sum(int((_forward_train(state, x[lo:lo + 10], cfg, training=False)[0]
                         .argmax(axis=1) == y[lo:lo + 10]).sum())
                    for lo in range(0, 26, 10)) / 26
-    want_bn = copy.deepcopy(state)
     collect: dict = {}
     for lo in range(0, 26, 8):
-        _forward_train(want_bn, x[lo:lo + 8], cfg, training=True, bn_collect=collect)
+        stats: dict = {}
+        walk(state.graph, x[lo:lo + 8], nn.weight_operands(state.graph, state.params), True,
+             state.bn, ARITHMETIC, batch_stats=stats)
+        for i, moments in stats.items():
+            collect.setdefault(i, []).append(moments)
     assert len(next(iter(collect.values()))) == 4
 
     builds = []
-    build = train._weight_operands
-    monkeypatch.setattr(train, "_weight_operands", lambda *a: builds.append(1) or build(*a))
+    build = train.weight_operands
+    monkeypatch.setattr(train, "weight_operands", lambda *a: builds.append(1) or build(*a))
     assert evaluate(state, cfg, x, y, batch_size=10) == want_acc
     assert len(builds) == 1
     reestimate_bn_stats(state, cfg, x)
@@ -391,14 +392,34 @@ def test_checkpoint_holds_the_quantizers_the_trainer_applies(monkeypatch, tmp_pa
         path = tmp_path / "ckpt.lgn"
         lio.write_model(path, train.sync_graph_weights(state, cfg))
         ckpt = lio.read_model(path)
+        # the walk quantizes the four weight matrices, then the activations
+        weighted = [i for i, l in enumerate(ckpt.layers) if l.weight_shape() and l.qconfig]
         quant = [i for i, l in enumerate(ckpt.layers) if l.kind in (LOGQUANT, LINQUANT)]
-        assert len(quant) == 3 and len(applied) == 3
-        assert [ckpt.act_config(ckpt.layers[i]) for i in quant] == applied
+        assert len(weighted) == 4 and len(quant) == 3 and len(applied) == 7
+        assert [ckpt.layers[i].qconfig for i in weighted] == applied[:4]
+        assert [ckpt.act_config(ckpt.layers[i]) for i in quant] == applied[4:]
         assert all(ckpt.layers[i].kind == kind for i in quant)
-        weights = train._weight_operands(state, cfg)
-        assert len(weights) == 4
-        for i, op in weights.items():
-            assert ckpt.layers[i].qconfig == op.cfg
+
+
+def test_init_state_without_weight_q_drops_weight_configs(tmp_path):
+    # conv/fc weight configs in the graph, weight_q None: the trainer trains
+    # in float, as on the same graph without the configs, and its checkpoint
+    # holds no weight config
+    rng = np.random.default_rng(117)
+    x = np.abs(rng.normal(0, 1.0, size=(12, 1, 8, 8)))
+    y = rng.integers(0, 3, size=12)
+    plain = train.build_small_cnn((1, 8, 8), (2, 3), 4, 3)
+    configured = ModelGraph(layers=[replace(l, qconfig=W5) if l.kind in (nn.CONV, nn.FC) else l
+                                    for l in plain.layers])
+    cfg = TrainConfig(activation_q=A4, gradient_q=G5, optimizer=OptimizerSpec(lr=0.05),
+                      batch_size=6, epochs=1, seed=5)
+    states = [fit(init_state(g, cfg), cfg, (x, y))[0] for g in (plain, configured)]
+    for i, w in states[0].params.items():
+        assert w.tobytes() == states[1].params[i].tobytes()
+    path = tmp_path / "ckpt.lgn"
+    lio.write_model(path, train.sync_graph_weights(states[1], cfg))
+    assert all(l.qconfig is None for l in lio.read_model(path).layers
+               if l.kind in (nn.CONV, nn.FC))
 
 
 def test_zero_learning_rate_keeps_weights():
