@@ -17,7 +17,15 @@ takes no flags.  BLAS and ``LOGNET_THREADS`` run on one thread.  The parts:
   history, ``train.evaluate``, the trainer's inference logits, the
   checkpoint's bytes and the re-read checkpoint's scores in every mode;
 * ``cli/<command>``: ``lognet calibrate``, ``quant-analyze`` and ``pack``
-  (5b base 2 and 4b sqrt2) on ``ref/float.lgn``: output files and stdout.
+  (5b base 2 and 4b sqrt2) on ``ref/float.lgn``: output files and stdout;
+* ``data/<case>``: ``make_pattern_dataset`` images and labels of the four
+  draws one ``infer`` benchmark run at seed 1 makes (``infer``, ``train``,
+  ``eval`` and ``calibrate``), and the files and stdout of ``lognet
+  gen-data`` at its defaults;
+* ``fsr/<net>/<sample>/<kind>``: ``calib.fsr_error_profile`` over the
+  default grid on every conv/fc weight array of both nets (5-bit signed
+  templates: log base 2, log sqrt2, linear) and on ``ref/float.lgn``'s
+  quantizer inputs over 200 images (4-bit unsigned: log, linear).
 
 A part that raises digests its exception's type and message.
 """
@@ -39,7 +47,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from lognet import cli, io, nn, train  # noqa: E402
+from lognet import calib, cli, io, nn, train  # noqa: E402
 from lognet.datasets import make_pattern_dataset  # noqa: E402
 from lognet.lognum import ROUND_NEAREST, QuantizerConfig  # noqa: E402
 
@@ -169,6 +177,40 @@ def cli_parts(parts: dict, tmp: str) -> None:
         parts[f"cli/{name}"] = digest(lambda: cli_outputs(argv, outputs, tmp))
 
 
+# benchmarks/run.py's draws for one infer-workload run at seed 1:
+# (images, seed 1000 * 1 + part) of its infer, train, eval and calibrate sets
+BENCH_DRAWS = {"infer": (1024, 1001), "train": (500, 1002), "eval": (512, 1003),
+               "calibrate": (50, 1004)}
+GEN_DATA_FILES = [f"gen/{split}-{kind}.idx" for split in ("train", "test")
+                  for kind in ("images", "labels")]
+
+
+def data_parts(parts: dict, tmp: str) -> None:
+    for name, (n, seed) in BENCH_DRAWS.items():
+        parts[f"data/{name}"] = digest(lambda: dataset(n, seed))
+    parts["data/gen-data"] = digest(
+        lambda: cli_outputs(["gen-data", "--out", "gen"], GEN_DATA_FILES, tmp))
+
+
+def fsr_parts(parts: dict) -> None:
+    weight_templates = {"log": QuantizerConfig("log", 5, True, 0),
+                        "sqrt2": QuantizerConfig("log", 5, True, 0, 1),
+                        "linear": QuantizerConfig("linear", 5, True, 0)}
+    for name in NETS:
+        graph = io.read_model(os.path.join(REF_DIR, f"{name}.lgn"))
+        weights = [graph.weight_array(i) for i, layer in enumerate(graph.layers)
+                   if layer.kind in (nn.CONV, nn.FC)]
+        for kind, cfg in weight_templates.items():
+            parts[f"fsr/{name}/weights/{kind}"] = digest(
+                lambda: [calib.fsr_error_profile(w, cfg) for w in weights])
+    graph = io.read_model(os.path.join(REF_DIR, "float.lgn"))
+    captured = nn.collect_quantizer_inputs(graph, dataset(200, 41)[0])
+    for kind, cfg in (("log", QuantizerConfig("log", 4, False, 0)),
+                      ("linear", QuantizerConfig("linear", 4, False, 0))):
+        parts[f"fsr/float/captures/{kind}"] = digest(
+            lambda: {i: calib.fsr_error_profile(a, cfg) for i, a in captured.items()})
+
+
 def main() -> int:
     parts: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -176,6 +218,8 @@ def main() -> int:
         for trainer in TRAINERS:
             parts[f"fit/{trainer}"] = digest(lambda: fit_outputs(trainer, tmp))
         cli_parts(parts, tmp)
+        data_parts(parts, tmp)
+        fsr_parts(parts)
     overall = hashlib.sha256()
     for name, hexdigest in parts.items():
         print(f"{hexdigest}  {name}")

@@ -152,6 +152,22 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _non_negative_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _parse_int_list(text: str) -> list[int]:
     try:
         return [int(p) for p in text.split(",") if p]
@@ -165,6 +181,9 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def cmd_gen_data(args) -> int:
+    if args.classes > 256:
+        return _usage_fail(f"--classes must be at most 256 (labels are written as uint8), "
+                           f"got {args.classes}")
     os.makedirs(args.out, exist_ok=True)
     for split, n, seed in (("train", args.n, args.seed), ("test", args.test_n, args.seed + 1)):
         images, labels = make_pattern_dataset(n, classes=args.classes, size=args.size,
@@ -340,6 +359,13 @@ def _cfg_int(raw, key) -> int:
         raise ConfigError(f"key '{key}': expected an integer, got {raw[key]!r}")
 
 
+def _cfg_positive_int(raw, key) -> int:
+    value = _cfg_int(raw, key)
+    if value < 1:
+        raise ConfigError(f"key '{key}': expected a positive integer, got {raw[key]!r}")
+    return value
+
+
 def _cfg_float(raw, key) -> float:
     try:
         return float(raw[key])
@@ -403,24 +429,27 @@ def build_train_setup(raw: dict):
         c1, c2 = int(channels[0]), int(channels[1])
     except ValueError:
         raise ConfigError(f"key 'conv_channels': {raw['conv_channels']!r}")
+    if min(c1, c2) < 1:
+        raise ConfigError(f"key 'conv_channels': expected positive integers, "
+                          f"got {raw['conv_channels']!r}")
     classes = int(train_y.max()) + 1
     in_shape = train_x.shape[1:]
     # activations stay on the base-2 grid; the base option applies to the
     # weight/gradient quantizers
-    graph = train.build_small_cnn(in_shape, (c1, c2), _cfg_int(raw, "fc_units"),
+    graph = train.build_small_cnn(in_shape, (c1, c2), _cfg_positive_int(raw, "fc_units"),
                                   classes, act_bits or 4, rounding)
     return graph, cfg, (train_x.astype(np.float64), train_y), test
 
 
 def cmd_train(args) -> int:
     raw = parse_train_config(args.config)
+    checkpoint_every = _cfg_positive_int(raw, "checkpoint_every")
     graph, cfg, train_data, test_data = build_train_setup(raw)
     state = train.init_state(graph, cfg)
     io.write_model(raw["out_model"], train.sync_graph_weights(state, cfg))
 
     header = ["step", "epoch", "loss", "train_acc", "test_acc"]
     rows: list[tuple] = []
-    checkpoint_every = max(_cfg_int(raw, "checkpoint_every"), 1)
 
     def on_epoch(row):
         rows.append((row["step"], row["epoch"], row["loss"], row["train_acc"],
@@ -458,11 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-data", help="generate a synthetic image dataset")
     g.add_argument("--out", required=True)
-    g.add_argument("--n", type=int, default=10000)
-    g.add_argument("--test-n", type=int, default=2000)
-    g.add_argument("--classes", type=int, default=10)
-    g.add_argument("--size", type=int, default=12)
-    g.add_argument("--noise", type=float, default=0.1)
+    g.add_argument("--n", type=_non_negative_int, default=10000)
+    g.add_argument("--test-n", type=_non_negative_int, default=2000)
+    g.add_argument("--classes", type=_positive_int, default=10)
+    g.add_argument("--size", type=_positive_int, default=12)
+    g.add_argument("--noise", type=_non_negative_float, default=0.1)
     g.add_argument("--seed", type=int, default=0)
     g.set_defaults(fn=cmd_gen_data)
 

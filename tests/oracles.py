@@ -2,13 +2,20 @@
 
 These deliberately avoid the library's bit-twiddling code paths: they work
 from first principles with mpmath (60 significant digits) and exact rational
-arithmetic, so agreement with the production kernels is meaningful.
+arithmetic, so agreement with the production kernels is meaningful.  The
+last two are loop forms of vectorized set-up code: one sample, or one fsr,
+at a time.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
 import numpy as np
+
+from lognet.datasets import _smooth
+from lognet.lognum import (KIND_LOG, DomainError, code_table, linquant_array, log_codes,
+                           log_grid_index)
 
 mpmath.mp.dps = 60
 
@@ -115,3 +122,43 @@ def conv2d_ref(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> n
                     patch = x[ni, :, yi * stride:yi * stride + kh, xi * stride:xi * stride + kw]
                     out[ni, oi, yi, xi] = np.sum(patch * w[oi])
     return out
+
+
+def pattern_dataset_ref(n: int, classes: int = 10, size: int = 12, seed: int = 0,
+                        shift: int = 2, noise: float = 0.1,
+                        template_seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``datasets.make_pattern_dataset`` drawing one noise field per sample."""
+    rng = np.random.default_rng(seed)
+    trng = np.random.default_rng(seed if template_seed is None else template_seed)
+    big = size + 2 * shift
+    templates = _smooth(trng.uniform(0.0, 1.0, size=(classes, big, big)))
+    templates -= templates.min(axis=(1, 2), keepdims=True)
+    templates /= templates.max(axis=(1, 2), keepdims=True)
+    labels = rng.integers(0, classes, size=n)
+    dx = rng.integers(0, 2 * shift + 1, size=n)
+    dy = rng.integers(0, 2 * shift + 1, size=n)
+    amp = rng.uniform(0.8, 1.2, size=n)
+    images = np.empty((n, 1, size, size), dtype=np.float32)
+    for i in range(n):
+        crop = templates[labels[i], dy[i]:dy[i] + size, dx[i]:dx[i] + size]
+        img = amp[i] * crop + rng.normal(0.0, noise, size=(size, size))
+        images[i, 0] = np.maximum(img, 0.0)
+    return images, labels.astype(np.int64)
+
+
+def fsr_error_profile_ref(x, cfg_template, fsr_grid) -> list[tuple[int, float]]:
+    """``calib.fsr_error_profile`` quantizing at one fsr at a time, each
+    with its own config and code table."""
+    vals = np.asarray(x, dtype=np.float64).ravel()
+    if vals.size == 0:
+        raise DomainError("cannot analyze an empty sample")
+    grid = log_grid_index(vals, cfg_template) if cfg_template.kind == KIND_LOG else None
+    profile = []
+    for f in fsr_grid:
+        cfg = replace(cfg_template, fsr=int(f))
+        codes = linquant_array(vals, cfg) if grid is None else log_codes(grid, cfg)
+        err = np.abs(code_table(cfg).value[codes] - vals).mean()
+        profile.append((int(f), float(err)))
+    if not profile:
+        raise DomainError("fsr grid is empty")
+    return profile

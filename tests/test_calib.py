@@ -1,19 +1,25 @@
 """Calibration and error-analysis tests."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lognet import QuantizerConfig
+from lognet import QuantizerConfig, io, nn
 from lognet.calib import (
+    PROFILE_BLOCK,
     calibrate_fsr,
     calibrate_layers,
     error_histogram,
     fsr_error_profile,
     quant_error_l1,
 )
-from lognet.lognum import DomainError
+from lognet.datasets import make_pattern_dataset
+from lognet.lognum import ConfigError, DomainError
+from oracles import fsr_error_profile_ref
+
+REF_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "ref"
 
 LOG3 = QuantizerConfig("log", 3, False, 0)
 LOG5S = QuantizerConfig("log", 5, True, 0)
@@ -76,6 +82,93 @@ def test_fsr_error_profile_matches_quant_error_l1():
             assert err.hex() == want.hex(), (cfg, f)
     with pytest.raises(DomainError):
         fsr_error_profile(-np.ones(3), LOG3)
+
+
+# every template kind the sweep serves: log base 2 and sqrt2, nearest and
+# floor, signed and unsigned, and linear signed and unsigned, at 3-5 bits
+PROFILE_TEMPLATES = [
+    *(QuantizerConfig("log", bits, signed, 0, fb, rounding)
+      for bits in (3, 4, 5) for signed in (False, True) for fb in (0, 1)
+      for rounding in ("nearest_sqrt2", "floor_msb")),
+    *(QuantizerConfig("linear", bits, signed, 0) for bits in (3, 4, 5)
+      for signed in (False, True)),
+]
+
+
+def _profile_sample(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    x = rng.lognormal(0.0, 3.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+    x[::7] = 0.0
+    specials = [5e-324, -5e-324, 2.0**-1022, -1.5, 1e300, -2.0**40]
+    x[:len(specials)] = specials[:n]
+    return x
+
+
+def _assert_profile_matches_oracle(x, cfg, grid):
+    sample = x if cfg.signed else np.abs(x)
+    with np.errstate(over="ignore"):  # 1e300 over a linear step of 2**-903
+        got = fsr_error_profile(sample, cfg, grid)
+        want = fsr_error_profile_ref(sample, cfg, grid)
+    assert got == want, (cfg, sample.size, grid)
+    assert [np.float64(e).tobytes() for _, e in got] == \
+        [np.float64(e).tobytes() for _, e in want]
+
+
+@pytest.mark.parametrize("cfg", PROFILE_TEMPLATES, ids=str)
+def test_fsr_error_profile_matches_per_fsr_oracle(cfg):
+    # samples of one, a few, a many-row block and a two-row block; the
+    # default grid and the widest accepted fsrs
+    for n, seed in ((1, 1), (7, 2), (1000, 3), (PROFILE_BLOCK // 2, 4)):
+        x = _profile_sample(n, seed)
+        for grid in (range(-10, 21), [-900, -3, 0, 4, 900]):
+            _assert_profile_matches_oracle(x, cfg, list(grid))
+
+
+@pytest.mark.parametrize("n", [PROFILE_BLOCK - 1, PROFILE_BLOCK, PROFILE_BLOCK + 1])
+def test_fsr_error_profile_matches_oracle_at_block_edges(n):
+    x = _profile_sample(n, n)
+    for cfg in (QuantizerConfig("log", 5, True, 0), QuantizerConfig("log", 4, False, 0, 1),
+                QuantizerConfig("linear", 4, True, 0)):
+        _assert_profile_matches_oracle(x, cfg, list(range(-10, 21)))
+
+
+def test_fsr_error_profile_matches_oracle_on_captures():
+    # the float reference net's activations over 200 images: 230,400,
+    # 115,200 and 12,800 values, one fsr per block and then five
+    graph = io.read_model(REF_DIR / "float.lgn")
+    images, _ = make_pattern_dataset(200, seed=4, template_seed=100)
+    captured = nn.collect_quantizer_inputs(graph, images)
+    assert sorted(a.size for a in captured.values()) == [12800, 115200, 230400]
+    for acts in captured.values():
+        for cfg in (QuantizerConfig("log", 4, False, 0), QuantizerConfig("linear", 4, False, 0)):
+            _assert_profile_matches_oracle(acts, cfg, list(range(-10, 21)))
+
+
+def test_fsr_error_profile_keeps_grid_order():
+    x = _profile_sample(3000, 5)
+    for cfg in (QuantizerConfig("log", 5, True, 0), QuantizerConfig("linear", 5, True, 0)):
+        for grid in ([4], [7, -3, 12, 0, -10, 3, 3]):
+            _assert_profile_matches_oracle(x, cfg, grid)
+            assert [f for f, _ in fsr_error_profile(x, cfg, grid)] == grid
+
+
+@pytest.mark.parametrize("sample, cfg, grid, error", [
+    (np.ones(3), LOG3, [], DomainError),
+    (np.ones(3), QuantizerConfig("linear", 4, False, 0), [], DomainError),
+    (np.array([]), LOG3, [0, 1], DomainError),
+    (np.array([1.0, np.nan]), LOG3, [0, 1], DomainError),
+    (np.array([1.0, np.inf]), QuantizerConfig("linear", 4, False, 0), [0, 1], DomainError),
+    (np.array([1.0, -2.0]), LOG3, [0], DomainError),
+    (np.array([1.0, -2.0]), QuantizerConfig("linear", 4, False, 0), [0, 1], DomainError),
+    (np.ones(3), LOG3, [0, 961], ConfigError),
+    (np.ones(3), QuantizerConfig("log", 5, True, 0), [-950, 0], ConfigError),
+])
+def test_fsr_error_profile_refusals_match_oracle(sample, cfg, grid, error):
+    with pytest.raises(error) as want:
+        fsr_error_profile_ref(sample, cfg, grid)
+    with pytest.raises(error) as got:
+        fsr_error_profile(sample, cfg, grid)
+    assert str(got.value) == str(want.value)
 
 
 def test_error_histogram_conservation_and_zero_bin():

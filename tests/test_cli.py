@@ -749,6 +749,10 @@ def _train_lines(lines, drop=""):
     return lambda tmp_path, monkeypatch: _train_config(tmp_path, lines, drop)
 
 
+def _gen_data(*flags):
+    return lambda tmp_path, monkeypatch: ["gen-data", "--out", str(tmp_path / "d"), *flags]
+
+
 CLI_REFUSALS = {
     "threads_not_an_integer": (_threads_two, "LOGNET_THREADS must be an integer"),
     "rank2_images": (_rank2_images, "expected rank 3 or 4 image data, got rank 2"),
@@ -765,6 +769,27 @@ CLI_REFUSALS = {
                     "key 'conv_channels': expected two comma-separated integers"),
     "non_integer_channels": (_train_lines(["conv_channels = 8,x"]),
                              "key 'conv_channels': '8,x'"),
+    "zero_channels": (_train_lines(["conv_channels = 0,8"]),
+                      "key 'conv_channels': expected positive integers, got '0,8'"),
+    "zero_fc_units": (_train_lines(["fc_units = 0"]),
+                      "key 'fc_units': expected a positive integer, got '0'"),
+    "negative_checkpoint_every": (_train_lines(["checkpoint_every = -3"]),
+                                  "key 'checkpoint_every': expected a positive integer, "
+                                  "got '-3'"),
+    "gen_data_negative_n": (_gen_data("--n", "-1"),
+                            "argument --n: expected a non-negative integer, got '-1'"),
+    "gen_data_negative_test_n": (_gen_data("--test-n", "-1"),
+                                 "argument --test-n: expected a non-negative integer"),
+    "gen_data_zero_classes": (_gen_data("--classes", "0"),
+                              "argument --classes: expected a positive integer, got '0'"),
+    "gen_data_classes_past_uint8": (_gen_data("--classes", "257"),
+                                    "--classes must be at most 256"),
+    "gen_data_zero_size": (_gen_data("--size", "0"),
+                           "argument --size: expected a positive integer, got '0'"),
+    "gen_data_negative_noise": (_gen_data("--noise", "-1"),
+                                "argument --noise: expected a finite number >= 0, got '-1'"),
+    "gen_data_nan_noise": (_gen_data("--noise", "nan"),
+                           "argument --noise: expected a finite number >= 0, got 'nan'"),
 }
 
 
@@ -773,6 +798,7 @@ def test_cli_refusals_exit_2(case, tmp_path, monkeypatch, capsys):
     make_argv, message = CLI_REFUSALS[case]
     assert main(make_argv(tmp_path, monkeypatch)) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "d").exists() and not (tmp_path / "m.lgn").exists()
 
 
 def _fc_model(wq=None, weights=None) -> ModelGraph:
