@@ -12,9 +12,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .lognum import (KIND_LINEAR, KIND_LOG, DomainError, LogGridIndex, QuantizerConfig,
-                     _checked_array, code_table, dequantize_array, linquant_array, log_codes,
-                     log_grid_index, quantize_array)
+from .lognum import (KIND_LINEAR, KIND_LOG, DomainError, QuantizerConfig, dequantize_array,
+                     linear_values_at, log_grid_index, log_values_at, quantize_array)
 
 DEFAULT_FSR_GRID = range(-10, 21)
 # (fsr rows) x (sample values) that one block of ``fsr_error_profile`` holds
@@ -56,53 +55,27 @@ def fsr_error_profile(x, cfg_template: QuantizerConfig,
     """Mean L1 error for every candidate fsr in the grid, in grid order.
 
     The grid is evaluated in blocks of max(1, ``PROFILE_BLOCK`` // N) fsr
-    rows, N being the sample size.  A one-fsr block quantizes at that fsr
-    and looks the codes up in its table, as ``quant_error_l1`` does.  A
-    larger block holds a (rows, N) array of values: a log row's codes are
-    the fsr-0 codes of the fsr-independent grid index moved down by fsr
-    grid steps, and its values the fsr-0 table's scaled by 2**fsr; a linear
-    row is rounded and clipped at its own step.  Every table value is a
-    normal float and 2**fsr is exact for every accepted fsr, so each value
-    is the one the fsr's own table holds.  Each row is C-contiguous, so
-    ``mean(axis=1)`` sums it in the same pairwise order as the 1-D mean of
-    a one-fsr block: the errors do not depend on the block size.
+    rows, N being the sample size: each block is one (rows, N) array of
+    quantized values (``lognum.log_values_at``, ``linear_values_at``), each
+    row the values that fsr's own quantizer gives.  Each row is
+    C-contiguous, so ``mean(axis=1)`` sums it in the same pairwise order as
+    the 1-D mean of a single fsr's errors: the errors do not depend on the
+    block size.
     """
     vals = _as_array(x)
     grid = log_grid_index(vals, cfg_template) if cfg_template.kind == KIND_LOG else None
     fsrs = [int(f) for f in fsr_grid]
     if not fsrs:
         raise DomainError("fsr grid is empty")
-    for f in (min(fsrs), max(fsrs)):
-        replace(cfg_template, fsr=f)  # fsr is accepted on an interval: check its ends
     rows = max(1, PROFILE_BLOCK // vals.size)
     profile = []
     for lo in range(0, len(fsrs), rows):
         block = fsrs[lo:lo + rows]
-        profile += zip(block, _block_errors(vals, grid, cfg_template, block))
+        q = (linear_values_at(vals, cfg_template, block) if grid is None
+             else log_values_at(grid, cfg_template, block))
+        q -= vals
+        profile += zip(block, np.abs(q, out=q).mean(axis=1).tolist())
     return profile
-
-
-def _block_errors(vals: np.ndarray, grid: LogGridIndex | None, template: QuantizerConfig,
-                  fsrs: list[int]) -> list[float]:
-    """Mean L1 error of ``vals`` at each of ``fsrs`` (``fsr_error_profile``)."""
-    if len(fsrs) == 1:
-        cfg = replace(template, fsr=fsrs[0])
-        codes = linquant_array(vals, cfg) if grid is None else log_codes(grid, cfg)
-        return [float(np.abs(code_table(cfg).value[codes] - vals).mean())]
-    fsr = np.array(fsrs, dtype=np.int32)[:, None]
-    if grid is None:
-        _checked_array(vals, template)
-        step = np.ldexp(1.0, fsr - template.bitwidth)
-        q = np.rint(vals / step)
-        np.clip(q, -template.max_code if template.signed else 0, template.max_code, out=q)
-        q *= step
-    else:
-        zero = replace(template, fsr=0)
-        shifted = LogGridIndex(grid.index - (fsr << template.base_frac_bits), grid.negative)
-        q = code_table(zero).value[log_codes(shifted, zero)]
-        q *= np.ldexp(1.0, fsr)
-    q -= vals
-    return np.abs(q, out=q).mean(axis=1).tolist()
 
 
 def _best_fsr(profile: list[tuple[int, float]]) -> int:

@@ -146,16 +146,15 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _int_at_least(lo: int):
+    """The argparse type of decimal integers >= ``lo`` (0 or 1)."""
+    what = ("non-negative", "positive")[lo]
 
-
-def _non_negative_int(text: str) -> int:
-    if not text.isdigit():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+    def parse(text: str) -> int:
+        if not text.isdigit() or int(text) < lo:
+            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _non_negative_float(text: str) -> float:
@@ -359,8 +358,11 @@ def _cfg_int(raw, key) -> int:
         raise ConfigError(f"key '{key}': expected an integer, got {raw[key]!r}")
 
 
-def _cfg_positive_int(raw, key) -> int:
-    value = _cfg_int(raw, key)
+def _cfg_positive_int(raw, key, value: int | None = None) -> int:
+    """``raw[key]`` as an integer >= 1; ``value`` is one integer read from
+    a key that holds several."""
+    if value is None:
+        value = _cfg_int(raw, key)
     if value < 1:
         raise ConfigError(f"key '{key}': expected a positive integer, got {raw[key]!r}")
     return value
@@ -426,12 +428,10 @@ def build_train_setup(raw: dict):
     if len(channels) != 2:
         raise ConfigError("key 'conv_channels': expected two comma-separated integers")
     try:
-        c1, c2 = int(channels[0]), int(channels[1])
+        widths = [int(c) for c in channels]
     except ValueError:
         raise ConfigError(f"key 'conv_channels': {raw['conv_channels']!r}")
-    if min(c1, c2) < 1:
-        raise ConfigError(f"key 'conv_channels': expected positive integers, "
-                          f"got {raw['conv_channels']!r}")
+    c1, c2 = (_cfg_positive_int(raw, "conv_channels", w) for w in widths)
     classes = int(train_y.max()) + 1
     in_shape = train_x.shape[1:]
     # activations stay on the base-2 grid; the base option applies to the
@@ -487,10 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-data", help="generate a synthetic image dataset")
     g.add_argument("--out", required=True)
-    g.add_argument("--n", type=_non_negative_int, default=10000)
-    g.add_argument("--test-n", type=_non_negative_int, default=2000)
-    g.add_argument("--classes", type=_positive_int, default=10)
-    g.add_argument("--size", type=_positive_int, default=12)
+    g.add_argument("--n", type=_int_at_least(0), default=10000)
+    g.add_argument("--test-n", type=_int_at_least(0), default=2000)
+    g.add_argument("--classes", type=_int_at_least(1), default=10)
+    g.add_argument("--size", type=_int_at_least(1), default=12)
     g.add_argument("--noise", type=_non_negative_float, default=0.1)
     g.add_argument("--seed", type=int, default=0)
     g.set_defaults(fn=cmd_gen_data)
@@ -500,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("data")
     c.add_argument("--bitwidth", type=int, default=4)
     c.add_argument("--fsr-grid", type=_parse_range, default=range(-10, 21))
-    c.add_argument("--samples", type=_positive_int, default=100)
+    c.add_argument("--samples", type=_int_at_least(1), default=100)
     c.add_argument("--rounding", choices=[ROUND_FLOOR, ROUND_NEAREST],
                    default=ROUND_NEAREST)
     c.add_argument("--out", required=True)
@@ -537,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("data")
     q.add_argument("--bitwidth", type=int, default=4)
     q.add_argument("--bins", type=int, default=256)
-    q.add_argument("--samples", type=_positive_int, default=100)
+    q.add_argument("--samples", type=_int_at_least(1), default=100)
     q.add_argument("--out", required=True)
     q.set_defaults(fn=cmd_quant_analyze)
 

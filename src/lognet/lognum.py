@@ -14,7 +14,7 @@ and array results agree bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -416,7 +416,13 @@ def log_codes(grid: LogGridIndex, cfg: QuantizerConfig) -> np.ndarray:
     fsr * 2**fb - num_codes, clipped to [0, max_code], so exponents at or
     below the grid flush to zero and those at or above fsr saturate.
     """
-    bottom = cfg.fsr * (1 << cfg.base_frac_bits) - cfg.num_codes
+    return _log_codes_at(grid, cfg, cfg.fsr)
+
+
+def _log_codes_at(grid: LogGridIndex, cfg: QuantizerConfig, fsr) -> np.ndarray:
+    """``log_codes`` at ``fsr``: an int, or an int column giving one row of
+    codes per fsr."""
+    bottom = fsr * (1 << cfg.base_frac_bits) - cfg.num_codes
     code = np.clip(grid.index, bottom, bottom + cfg.max_code)
     code -= bottom
     code = code.astype(np.uint8)
@@ -443,13 +449,18 @@ def linquant_array(x: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
     """Elementwise ``linquant``; returns wire codes (sign bit first) as uint8."""
     if cfg.kind != KIND_LINEAR:
         raise ConfigError("linquant_array requires a linear-kind config")
-    x = _checked_array(x, cfg)
-    code = np.rint(x / cfg.linear_step)
-    code = np.clip(code, -cfg.max_code if cfg.signed else 0, cfg.max_code)
+    code = _linear_levels(_checked_array(x, cfg), cfg, cfg.linear_step)
     if not cfg.signed:
         return code.astype(np.uint8)
     neg = code < 0
     return (np.abs(code).astype(np.uint8) | (neg << cfg.bitwidth_mag).astype(np.uint8))
+
+
+def _linear_levels(x: np.ndarray, cfg: QuantizerConfig, step) -> np.ndarray:
+    """Signed magnitudes (float64) of ``x`` on a linear grid of ``step``: a
+    float, or a column giving one row per step."""
+    code = np.rint(x / step)
+    return np.clip(code, -cfg.max_code if cfg.signed else 0, cfg.max_code, out=code)
 
 
 def quantize_array(x: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
@@ -501,6 +512,49 @@ def dequantize_array(codes: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
         return code_table(cfg).value[codes]
     except IndexError:
         raise DomainError(f"wire code outside the {cfg.bitwidth}-bit range") from None
+
+
+def _fsr_column(cfg: QuantizerConfig, fsrs: Sequence[int]) -> np.ndarray:
+    """``fsrs`` as an int32 column, each refused as ``cfg``'s fsr would be.
+    The accepted fsrs of a config form an interval, so the ends decide."""
+    for f in (min(fsrs), max(fsrs)):
+        replace(cfg, fsr=f)
+    return np.array(fsrs, dtype=np.int32)[:, None]
+
+
+def log_values_at(grid: LogGridIndex, cfg: QuantizerConfig, fsrs: Sequence[int]) -> np.ndarray:
+    """What ``cfg`` at each of ``fsrs`` quantizes a grid index to: a
+    (len(fsrs), N) float64 array, row i bit-identical to
+    ``dequantize_array(log_codes(grid, replace(cfg, fsr=fsrs[i])), ...)``.
+
+    Each row's codes are clipped at that fsr's bounds.  Its values are the
+    fsr-0 table's scaled by 2**fsr: every table value is a normal float and
+    2**fsr is exact for every accepted fsr, so the product is the value
+    that fsr's own table holds.
+    """
+    fsr = _fsr_column(cfg, fsrs)
+    values = code_table(replace(cfg, fsr=0)).value[_log_codes_at(grid, cfg, fsr)]
+    values *= np.ldexp(1.0, fsr)
+    return values
+
+
+def linear_values_at(x: np.ndarray, cfg: QuantizerConfig, fsrs: Sequence[int]) -> np.ndarray:
+    """What ``cfg`` at each of ``fsrs`` quantizes ``x`` to: a (len(fsrs), N)
+    float64 array, row i equal to
+    ``dequantize_array(linquant_array(x, replace(cfg, fsr=fsrs[i])), ...)``
+    since a table value is its code's signed magnitude times the step (a
+    zero level keeps the sign of the input it rounds from).
+    Refusals come in a per-fsr loop's order: the first fsr, the sample,
+    then the other fsrs.
+    """
+    if cfg.kind != KIND_LINEAR:
+        raise ConfigError("linear_values_at requires a linear-kind config")
+    replace(cfg, fsr=fsrs[0])
+    x = _checked_array(x, cfg)
+    step = np.ldexp(1.0, _fsr_column(cfg, fsrs) - cfg.bitwidth)
+    values = _linear_levels(x, cfg, step)
+    values *= step
+    return values
 
 
 # ---------------------------------------------------------------------------

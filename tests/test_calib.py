@@ -160,6 +160,9 @@ def test_fsr_error_profile_keeps_grid_order():
     (np.array([1.0, np.inf]), QuantizerConfig("linear", 4, False, 0), [0, 1], DomainError),
     (np.array([1.0, -2.0]), LOG3, [0], DomainError),
     (np.array([1.0, -2.0]), QuantizerConfig("linear", 4, False, 0), [0, 1], DomainError),
+    (np.array([1.0, np.nan]), QuantizerConfig("linear", 4, True, 0), [0, 961], DomainError),
+    (np.array([1.0, -2.0]), QuantizerConfig("linear", 4, False, 0), [961, 0], ConfigError),
+    (np.ones(3), QuantizerConfig("linear", 4, False, 0), [0, 4, -961], ConfigError),
     (np.ones(3), LOG3, [0, 961], ConfigError),
     (np.ones(3), QuantizerConfig("log", 5, True, 0), [-950, 0], ConfigError),
 ])

@@ -770,7 +770,7 @@ CLI_REFUSALS = {
     "non_integer_channels": (_train_lines(["conv_channels = 8,x"]),
                              "key 'conv_channels': '8,x'"),
     "zero_channels": (_train_lines(["conv_channels = 0,8"]),
-                      "key 'conv_channels': expected positive integers, got '0,8'"),
+                      "key 'conv_channels': expected a positive integer, got '0,8'"),
     "zero_fc_units": (_train_lines(["fc_units = 0"]),
                       "key 'fc_units': expected a positive integer, got '0'"),
     "negative_checkpoint_every": (_train_lines(["checkpoint_every = -3"]),

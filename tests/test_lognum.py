@@ -34,9 +34,13 @@ from lognet.lognum import (
     _log_accumulate_step,
     code_table,
     dequantize_array,
+    linear_values_at,
     linquant_array,
     log_accumulate_raw,
+    log_grid_index,
+    log_values_at,
     logquant_array,
+    quantize_array,
 )
 
 from oracles import log2_round_ref, log2_sum_ref, logquant_ref, linquant_ref
@@ -358,6 +362,47 @@ def test_array_paths_match_scalar_paths():
                 dequantize_array(np.array([0, 1 << bw]), cfg)
             with pytest.raises(DomainError):
                 dequantize_array(np.array([1, -1]), cfg)  # not the top code
+
+
+def test_values_at_fsrs_match_per_fsr_quantizers():
+    rng = np.random.default_rng(29)
+    tiny = math.ldexp(1.0, -1022)
+    xs = np.concatenate([rng.lognormal(0.0, 8.0, size=500), np.ldexp(1.0, np.arange(-1074, 1024)),
+                         [0.0, 5e-324, tiny, math.nextafter(tiny, 0.0), sys.float_info.max]])
+    for kind, bw, signed, fb, rounding in itertools.product(
+            ("log", "linear"), (1, 2, 5, 8), (False, True), (0, 1),
+            (ROUND_FLOOR, ROUND_NEAREST)):
+        if (signed and bw == 1) or (kind == "linear" and (fb or rounding == ROUND_FLOOR)):
+            continue
+        kw = dict(kind=kind, bitwidth=bw, signed=signed, base_frac_bits=fb, rounding=rounding)
+        accepted = []
+        for f in range(-970, 971):
+            try:
+                accepted.append(QuantizerConfig(fsr=f, **kw).fsr)
+            except ConfigError:
+                pass
+        # one interval, so a list of fsrs is refused or accepted by its ends
+        assert accepted == list(range(accepted[0], accepted[-1] + 1)), kw
+        fsrs = [accepted[-1], -3, accepted[0], 0, 7, accepted[0] + 1]
+        template = QuantizerConfig(fsr=0, **kw)
+        sample = np.concatenate([xs, -xs]) if signed else xs
+        with np.errstate(over="ignore"):  # sys.float_info.max over a linear step
+            if kind == "log":
+                got = log_values_at(log_grid_index(sample, template), template, fsrs)
+            else:
+                got = linear_values_at(sample, template, fsrs)
+            assert got.shape == (len(fsrs), sample.size)
+            for row, f in zip(got, fsrs):
+                cfg = QuantizerConfig(fsr=f, **kw)
+                want = dequantize_array(quantize_array(sample, cfg), cfg)
+                # a linear zero level keeps the sign of the input it rounds from
+                assert np.array_equal(row, want), (cfg, f)
+                if kind == "log":
+                    assert row.tobytes() == want.tobytes(), (cfg, f)
+        for bad in ([0, accepted[-1] + 1], [accepted[0] - 1, 0]):
+            with pytest.raises(ConfigError):
+                (log_values_at(log_grid_index(sample, template), template, bad) if kind == "log"
+                 else linear_values_at(sample, template, bad))
 
 
 # ---------------------------------------------------------------------------
