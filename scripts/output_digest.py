@@ -16,8 +16,9 @@ takes no flags.  BLAS and ``LOGNET_THREADS`` run on one thread.  The parts:
   trainer and a linear-quantizer trainer: master weights, batchnorm state,
   history, ``train.evaluate``, the trainer's inference logits, the
   checkpoint's bytes and the re-read checkpoint's scores in every mode;
-* ``cli/<command>``: ``lognet calibrate``, ``quant-analyze`` and ``pack``
-  (5b base 2 and 4b sqrt2) on ``ref/float.lgn``: output files and stdout;
+* ``cli/<command>``: ``lognet calibrate`` (nearest and floor rounding),
+  ``quant-analyze`` and ``pack`` (5b base 2 and 4b sqrt2) on
+  ``ref/float.lgn``: output files and stdout;
 * ``data/<case>``: ``make_pattern_dataset`` images and labels of the four
   draws one ``infer`` benchmark run at seed 1 makes (``infer``, ``train``,
   ``eval`` and ``calibrate``), and the files and stdout of ``lognet
@@ -25,7 +26,8 @@ takes no flags.  BLAS and ``LOGNET_THREADS`` run on one thread.  The parts:
 * ``fsr/<net>/<sample>/<kind>``: ``calib.fsr_error_profile`` over the
   default grid on every conv/fc weight array of both nets (5-bit signed
   templates: log base 2, log sqrt2, linear) and on ``ref/float.lgn``'s
-  quantizer inputs over 200 images (4-bit unsigned: log, linear).
+  quantizer inputs over 200 images (4-bit unsigned: log base 2, log sqrt2,
+  log base 2 with floor rounding, linear).
 
 A part that raises digests its exception's type and message.
 """
@@ -167,6 +169,9 @@ def cli_parts(parts: dict, tmp: str) -> None:
     runs = {
         "calibrate": (["calibrate", model, images, "--samples", "100", "--out", "cal.lgn",
                        "--report", "cal.csv"], ["cal.lgn", "cal.csv"]),
+        "calibrate-floor": (["calibrate", model, images, "--samples", "100",
+                             "--rounding", "floor_msb", "--out", "calf.lgn",
+                             "--report", "calf.csv"], ["calf.lgn", "calf.csv"]),
         "quant-analyze": (["quant-analyze", model, images, "--bins", "64",
                            "--out", "hist.csv"], ["hist.csv"]),
         "pack-5b-base2": (["pack", model, "--bits", "5", "--out", "p5.lgn"], ["p5.lgn"]),
@@ -206,6 +211,8 @@ def fsr_parts(parts: dict) -> None:
     graph = io.read_model(os.path.join(REF_DIR, "float.lgn"))
     captured = nn.collect_quantizer_inputs(graph, dataset(200, 41)[0])
     for kind, cfg in (("log", QuantizerConfig("log", 4, False, 0)),
+                      ("sqrt2", QuantizerConfig("log", 4, False, 0, 1)),
+                      ("floor", QuantizerConfig("log", 4, False, 0, 0, "floor_msb")),
                       ("linear", QuantizerConfig("linear", 4, False, 0))):
         parts[f"fsr/float/captures/{kind}"] = digest(
             lambda: {i: calib.fsr_error_profile(a, cfg) for i, a in captured.items()})

@@ -13,7 +13,8 @@ from typing import Iterable
 import numpy as np
 
 from .lognum import (KIND_LINEAR, KIND_LOG, DomainError, QuantizerConfig, dequantize_array,
-                     linear_values_at, log_grid_index, log_values_at, quantize_array)
+                     linear_values_at, log_grid_index, log_level_positions, log_values_at,
+                     quantize_array)
 
 DEFAULT_FSR_GRID = range(-10, 21)
 # (fsr rows) x (sample values) that one block of ``fsr_error_profile`` holds
@@ -54,25 +55,33 @@ def fsr_error_profile(x, cfg_template: QuantizerConfig,
                       fsr_grid: Iterable[int] = DEFAULT_FSR_GRID) -> list[tuple[int, float]]:
     """Mean L1 error for every candidate fsr in the grid, in grid order.
 
-    The grid is evaluated in blocks of max(1, ``PROFILE_BLOCK`` // N) fsr
-    rows, N being the sample size: each block is one (rows, N) array of
-    quantized values (``lognum.log_values_at``, ``linear_values_at``), each
-    row the values that fsr's own quantizer gives.  Each row is
-    C-contiguous, so ``mean(axis=1)`` sums it in the same pairwise order as
-    the 1-D mean of a single fsr's errors: the errors do not depend on the
-    block size.
+    A log element's quantized value depends only on its grid index and
+    sign, so the log sweep builds one (len(grid), positions) table of
+    quantized values for every fsr (``lognum.log_values_at`` on the levels
+    of ``lognum.log_level_positions``) and gathers each row at the
+    elements' fixed positions.  Linear rows come from
+    ``lognum.linear_values_at``.  The grid is evaluated in blocks of
+    max(1, ``PROFILE_BLOCK`` // N) fsr rows, N being the sample size; each
+    block is one (rows, N) array whose row holds the values that fsr's own
+    quantizer gives.  ``np.take`` along axis 1 makes each row C-contiguous,
+    so ``mean(axis=1)`` sums it in the same pairwise order as the 1-D mean
+    of a single fsr's errors: the errors depend neither on the table nor on
+    the block size.
     """
     vals = _as_array(x)
     grid = log_grid_index(vals, cfg_template) if cfg_template.kind == KIND_LOG else None
     fsrs = [int(f) for f in fsr_grid]
     if not fsrs:
         raise DomainError("fsr grid is empty")
+    if grid is not None:
+        positions, levels = log_level_positions(grid, cfg_template, fsrs)
+        table = log_values_at(levels, cfg_template, fsrs)
     rows = max(1, PROFILE_BLOCK // vals.size)
     profile = []
     for lo in range(0, len(fsrs), rows):
         block = fsrs[lo:lo + rows]
         q = (linear_values_at(vals, cfg_template, block) if grid is None
-             else log_values_at(grid, cfg_template, block))
+             else np.take(table[lo:lo + rows], positions, axis=1, mode="clip"))
         q -= vals
         profile += zip(block, np.abs(q, out=q).mean(axis=1).tolist())
     return profile

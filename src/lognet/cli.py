@@ -15,6 +15,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,8 +45,12 @@ def worker_threads() -> int:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return "" if math.isnan(value) else repr(value)
+    """A CSV field: numpy scalars as the Python float or int they hold,
+    floats in their shortest round-trip form and NaN as an empty field."""
+    if isinstance(value, (float, np.floating)):
+        return "" if math.isnan(value) else repr(float(value))
+    if isinstance(value, np.integer):
+        value = int(value)
     return str(value)
 
 
@@ -281,6 +286,7 @@ def cmd_quant_analyze(args) -> int:
         cfg = replace(graph.act_config(graph.layers[idx]), bitwidth=args.bitwidth)
         errs = calib.quant_errors(captured[idx], cfg)
         edges, counts = calib.signed_error_histogram(errs, args.bins)
+        edges = edges.tolist()
         own = float(np.abs(errs).mean())  # calib.quant_error_l1 of the sample
         other = calib.quant_error_l1(captured[idx], calib.counterpart(cfg))
         l1_log, l1_lin = (own, other) if cfg.kind == KIND_LOG else (other, own)
@@ -499,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("model")
     c.add_argument("data")
     c.add_argument("--bitwidth", type=int, default=4)
-    c.add_argument("--fsr-grid", type=_parse_range, default=range(-10, 21))
+    c.add_argument("--fsr-grid", type=_parse_range, default=calib.DEFAULT_FSR_GRID)
     c.add_argument("--samples", type=_int_at_least(1), default=100)
     c.add_argument("--rounding", choices=[ROUND_FLOOR, ROUND_NEAREST],
                    default=ROUND_NEAREST)
@@ -513,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("labels")
     s.add_argument("--mode", choices=list(nn.FORWARD_MODES), required=True)
     s.add_argument("--accum", choices=["linear", "log"], default="linear")
-    s.add_argument("--bitwidths", type=_parse_int_list, default=[3, 4])
+    s.add_argument("--bitwidths", type=_parse_int_list, default=(3, 4))
     s.add_argument("--fsr-range", type=_parse_range, required=True)
     s.add_argument("--weight-bits", type=int, default=5)
     s.add_argument("--out", required=True)
@@ -551,10 +557,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves a parser
+    as it was, and every default is immutable, so calls share nothing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:

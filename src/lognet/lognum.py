@@ -522,6 +522,31 @@ def _fsr_column(cfg: QuantizerConfig, fsrs: Sequence[int]) -> np.ndarray:
     return np.array(fsrs, dtype=np.int32)[:, None]
 
 
+def log_level_positions(grid: LogGridIndex, cfg: QuantizerConfig,
+                        fsrs: Sequence[int]) -> tuple[np.ndarray, LogGridIndex]:
+    """Each element's position among the levels ``cfg`` at any of ``fsrs``
+    can tell apart, and the grid index of every position:
+    ``log_values_at(levels, cfg, fsrs)[:, positions]`` equals
+    ``log_values_at(grid, cfg, fsrs)``.
+
+    The index is clipped to the band [lowest bottom, highest top + 1]: below
+    the lowest bottom every fsr flushes to zero, and from the highest top up
+    every fsr saturates, so no code changes.  Negative elements of a signed
+    config sit one band width further on.  The positions (intp) are in
+    range, so a gather may use ``mode="clip"``.
+    """
+    fsr = _fsr_column(cfg, fsrs)
+    lo = int(fsr.min()) * (1 << cfg.base_frac_bits) - cfg.num_codes
+    hi = int(fsr.max()) * (1 << cfg.base_frac_bits)
+    positions = np.clip(grid.index, lo, hi).astype(np.intp)
+    positions -= lo
+    band = np.arange(lo, hi + 1, dtype=np.int32)
+    if grid.negative is None:
+        return positions, LogGridIndex(band, None)
+    np.add(positions, band.size, out=positions, where=grid.negative)
+    return positions, LogGridIndex(np.tile(band, 2), np.arange(2 * band.size) >= band.size)
+
+
 def log_values_at(grid: LogGridIndex, cfg: QuantizerConfig, fsrs: Sequence[int]) -> np.ndarray:
     """What ``cfg`` at each of ``fsrs`` quantizes a grid index to: a
     (len(fsrs), N) float64 array, row i bit-identical to

@@ -1,5 +1,6 @@
 """Calibration and error-analysis tests."""
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -144,6 +145,29 @@ def test_fsr_error_profile_matches_oracle_on_captures():
             _assert_profile_matches_oracle(acts, cfg, list(range(-10, 21)))
 
 
+# zeros of both signs, subnormals, the normal floor and values near 2**-900
+# and 2**900: the log table's positions stay inside the grid's band
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, math.nextafter(2.0**-1022, 0.0), 2.0**-1022,
+            -2.0**-1022, 2.0**-900, -1.5 * 2.0**-900, 2.0**900, -1.4 * 2.0**900,
+            math.ldexp(1.9, 899), -1.0, 1.5]
+TABLE_TEMPLATES = [QuantizerConfig("log", 3, False, 0), QuantizerConfig("log", 5, True, 0),
+                   QuantizerConfig("log", 4, True, 0, 1, "floor_msb"),
+                   QuantizerConfig("log", 5, False, 0, 1, "nearest_sqrt2")]
+
+
+@pytest.mark.parametrize("cfg", TABLE_TEMPLATES, ids=str)
+def test_fsr_error_profile_table_matches_oracle_on_extremes(cfg):
+    grids = ([0], [20, -10, 3, 3, -900], list(range(-10, 21)), [-900, -3, 0, 4, 900])
+    for v in EXTREMES:
+        for grid in grids:
+            _assert_profile_matches_oracle(np.array([v]), cfg, grid)
+    for n in (len(EXTREMES), PROFILE_BLOCK - 1, PROFILE_BLOCK + 1, 230400):
+        x = _profile_sample(n, n)
+        x[:len(EXTREMES)] = EXTREMES
+        for grid in grids[2:]:
+            _assert_profile_matches_oracle(x, cfg, grid)
+
+
 def test_fsr_error_profile_keeps_grid_order():
     x = _profile_sample(3000, 5)
     for cfg in (QuantizerConfig("log", 5, True, 0), QuantizerConfig("linear", 5, True, 0)):
@@ -165,6 +189,10 @@ def test_fsr_error_profile_keeps_grid_order():
     (np.ones(3), QuantizerConfig("linear", 4, False, 0), [0, 4, -961], ConfigError),
     (np.ones(3), LOG3, [0, 961], ConfigError),
     (np.ones(3), QuantizerConfig("log", 5, True, 0), [-950, 0], ConfigError),
+    (np.ones(3), QuantizerConfig("log", 5, True, 0, 1), [0, -953, 4], ConfigError),
+    (np.ones(3), QuantizerConfig("log", 4, False, 0, 0, "floor_msb"), [3, 10**6], ConfigError),
+    (np.ones(3), LOG5S, [-10**30, 0], ConfigError),
+    (np.array([1.0, np.nan]), LOG5S, [0, 10**6], DomainError),
 ])
 def test_fsr_error_profile_refusals_match_oracle(sample, cfg, grid, error):
     with pytest.raises(error) as want:

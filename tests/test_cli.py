@@ -1,5 +1,6 @@
 """File formats and command-line behavior."""
 
+import argparse
 import os
 import re
 import warnings
@@ -11,7 +12,7 @@ import pytest
 from lognet import QuantizerConfig, Tensor, quantize_tensor
 from lognet import calib, nn
 from lognet import io as lio
-from lognet.cli import ensure_weight_qconfigs, main, parse_train_config, predict_scores
+from lognet.cli import _parser, ensure_weight_qconfigs, main, parse_train_config, predict_scores
 from lognet.lognum import ConfigError, DomainError
 from lognet.nn import (LOGQUANT, LayerSpec, ModelGraph, act_quant_layer, batchnorm_layer, conv, fc,
                        maxpool_layer, relu_layer)
@@ -538,6 +539,71 @@ def test_cli_quant_analyze(workspace, tmp_path, capsys):
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "layer,bin_left,bin_right,count"
     assert "L1 log" in capsys.readouterr().out
+
+
+def test_cli_quant_analyze_csv_holds_plain_numbers(workspace, tmp_path):
+    # every field parses as a Python int or float: no numpy scalar repr
+    root, data, _ = workspace
+    out = tmp_path / "hist.csv"
+    assert main(["quant-analyze", str(root / "model.lgn"), str(data / "train-images.idx"),
+                 "--bins", "16", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "np." not in text
+    rows = [r.split(",") for r in text.strip().splitlines()[1:]]
+    assert rows
+    for layer, left, right, count in rows:
+        int(layer), int(count)
+        assert float(left) < float(right)
+        assert repr(float(left)) == left and repr(float(right)) == right
+
+
+def _parser_defaults(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parser_defaults(sub)
+        else:
+            yield action.dest, action.default
+
+
+def test_cli_parser_defaults_are_immutable():
+    # one parser serves every call of a process, so no default may be a
+    # mutable object a command could change for the next call
+    for dest, default in _parser_defaults(_parser()):
+        assert isinstance(default, (type(None), bool, int, float, str, tuple, range)), dest
+
+
+def test_cli_consecutive_calls_behave_like_fresh_ones(workspace, tmp_path, capsys):
+    root, data, _ = workspace
+    model, images = str(root / "model.lgn"), str(data / "test-images.idx")
+
+    def sweep(name, *extra):
+        out = tmp_path / name
+        assert main(["sweep", model, images, str(data / "test-labels.idx"), "--mode", "float32",
+                     "--fsr-range", "2:3", *extra, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def calibrate(name, *extra):
+        report = tmp_path / f"{name}.csv"
+        assert main(["calibrate", model, images, "--samples", "20", *extra,
+                     "--out", str(tmp_path / f"{name}.lgn"), "--report", str(report)]) == 0
+        return report.read_bytes()
+
+    first = sweep("a.csv")
+    assert {r.split(b",")[0] for r in first.splitlines()[1:]} == {b"3", b"4"}
+    assert {r.split(b",")[0] for r in sweep("b.csv", "--bitwidths", "5").splitlines()[1:]} \
+        == {b"5"}
+    assert sweep("c.csv") == first
+
+    report = calibrate("r1")
+    layers = len(calibrate("r2", "--fsr-grid", "5:5").splitlines()) - 1
+    assert calibrate("r3") == report
+    assert len(report.splitlines()) == 1 + layers * 31
+
+    capsys.readouterr()
+    assert main(["sweep", model, "--bitwidths", "x"]) == 2
+    assert "expected comma-separated integers" in capsys.readouterr().err
+    assert sweep("d.csv") == first
 
 
 def _small_net(tmp_path, middle: list, fsr: int):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lognet.datasets import make_pattern_dataset
+from lognet.datasets import _class_templates, make_pattern_dataset
 from lognet.lognum import DomainError
 from oracles import pattern_dataset_ref
 
@@ -34,3 +34,20 @@ def test_pattern_dataset_matches_per_sample_oracle(n, params):
 def test_pattern_dataset_refusals(kwargs, message):
     with pytest.raises(DomainError, match=message):
         make_pattern_dataset(**kwargs)
+
+
+def test_pattern_dataset_templates_drawn_once_per_seed():
+    # repeated calls and interleaved template seeds reuse the cached class
+    # templates and still match the per-call oracle
+    calls = [dict(seed=1, template_seed=100), dict(seed=2, template_seed=7),
+             dict(seed=1, template_seed=100), dict(seed=100), dict(seed=3, template_seed=7),
+             dict(seed=4, template_seed=100, classes=3, size=7, shift=1),
+             dict(seed=5, template_seed=np.int64(100))]
+    for params in calls:
+        images, labels = make_pattern_dataset(40, **params)
+        want_images, want_labels = pattern_dataset_ref(40, **params)
+        assert images.tobytes() == want_images.tobytes(), params
+        assert labels.tobytes() == want_labels.tobytes(), params
+    templates = _class_templates(10, 12, 2, 100)
+    assert templates is _class_templates(10, 12, 2, 100)
+    assert not templates.flags.writeable

@@ -38,6 +38,7 @@ from lognet.lognum import (
     linquant_array,
     log_accumulate_raw,
     log_grid_index,
+    log_level_positions,
     log_values_at,
     logquant_array,
     quantize_array,
@@ -388,7 +389,17 @@ def test_values_at_fsrs_match_per_fsr_quantizers():
         sample = np.concatenate([xs, -xs]) if signed else xs
         with np.errstate(over="ignore"):  # sys.float_info.max over a linear step
             if kind == "log":
-                got = log_values_at(log_grid_index(sample, template), template, fsrs)
+                grid = log_grid_index(sample, template)
+                got = log_values_at(grid, template, fsrs)
+                # one table over the fsrs' band of levels, gathered at each
+                # element's position, holds the same values; its size is
+                # set by the fsrs, not by the sample
+                positions, levels = log_level_positions(grid, template, fsrs)
+                band = (max(fsrs) - min(fsrs)) * (1 << fb) + template.num_codes + 1
+                assert levels.index.size == band * (2 if signed else 1), kw
+                assert 0 <= positions.min() and positions.max() < levels.index.size, kw
+                table = log_values_at(levels, template, fsrs)
+                assert np.take(table, positions, axis=1).tobytes() == got.tobytes(), kw
             else:
                 got = linear_values_at(sample, template, fsrs)
             assert got.shape == (len(fsrs), sample.size)
@@ -403,6 +414,9 @@ def test_values_at_fsrs_match_per_fsr_quantizers():
             with pytest.raises(ConfigError):
                 (log_values_at(log_grid_index(sample, template), template, bad) if kind == "log"
                  else linear_values_at(sample, template, bad))
+            if kind == "log":
+                with pytest.raises(ConfigError):
+                    log_level_positions(log_grid_index(sample, template), template, bad)
 
 
 # ---------------------------------------------------------------------------
