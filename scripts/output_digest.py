@@ -135,7 +135,7 @@ def fit_outputs(trainer: str, tmp: str) -> dict:
     io.write_model(path, train.sync_graph_weights(state, cfg))
     with open(path, "rb") as f:
         checkpoint = f.read()
-    bn = {i: [p.gamma, p.beta, p.mean, p.var] for i, p in state.bn.items()}
+    bn = {i: list(p) for i, p in state.bn.items()}
     reread = io.read_model(path)
     return {
         "params": state.params, "bn": bn, "history": history,

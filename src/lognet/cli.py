@@ -465,12 +465,12 @@ def cmd_train(args) -> int:
 
     try:
         train.fit(state, cfg, train_data, test_data, on_epoch=on_epoch)
+        io.write_model(raw["out_model"], train.sync_graph_weights(state, cfg))
     except train.TrainingDiverged as e:
         write_csv(raw["out_metrics"], header, rows)
         print(f"aborted: {e}; last good checkpoint kept at {raw['out_model']}",
               file=sys.stderr)
         return 1
-    io.write_model(raw["out_model"], train.sync_graph_weights(state, cfg))
     write_csv(raw["out_metrics"], header, rows)
     if rows:
         last = rows[-1]

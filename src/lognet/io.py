@@ -114,6 +114,11 @@ def _write_qblock(out: BinaryIO, cfg: QuantizerConfig | None) -> None:
 
 
 def write_model(path, graph: ModelGraph) -> None:
+    """Write ``graph`` as a LOGN file; a non-finite f32 payload is refused unopened."""
+    for i, t in graph.weights.items():
+        bad = np.flatnonzero(~np.isfinite(t.data)) if not t.is_quantized else ()
+        if len(bad):
+            raise ConfigError(f"layer {i} weight {int(bad[0])} is not finite")
     with open(path, "wb") as out:
         out.write(MAGIC)
         out.write(struct.pack("<HhH", FORMAT_VERSION, graph.fsr, len(graph.layers)))

@@ -6,11 +6,12 @@ graph says what a walk quantizes: its quantizer layers apply their configs
 when the walk quantizes, and ``weight_operands`` quantizes each conv/fc
 layer's weights by that layer's config, if it has one.  The three entries
 differ only in that switch, in whether and on which grid the weights are
-quantized, in the batchnorm parameters (and whether batch statistics
-replace them), the ``Arithmetic`` of the products, and an optional backward
-cache or capture of the quantizer inputs.  A log-coded tensor, activation
-or weight, is a ``QuantizedOperand``: wire codes, their config, and values
-dequantized on first use.  What a code means comes from one table per
+quantized, in the batchnorm rows (and whether batch statistics replace
+them), the ``Arithmetic`` of the products, and an optional backward cache
+or capture of the quantizer inputs.  Each batchnorm layer's parameters are
+the float64 (4, C) gamma/beta/mean/var rows its stored payload holds.  A
+log-coded tensor, activation or weight, is a ``QuantizedOperand``: wire
+codes and their config.  What a code means comes from one table per
 config, ``lognum.code_table``: the kernels read signs and exponents from
 it, dequantizing is a gather from it, and maxpool compares the codes
 themselves (or, when signed, their value rank from the table), so a pooled
@@ -311,25 +312,6 @@ def _maxpool_codes(op: QuantizedOperand, k: int, stride: int,
     return QuantizedOperand(codes, op.cfg), idx
 
 
-@dataclass
-class BatchNormParams:
-    """Scale, shift and the statistics a batchnorm layer normalizes with.
-
-    Inference reads them from the stored (4, C) array; the trainer updates
-    ``gamma``/``beta`` by its optimizer and sets ``mean``/``var`` by
-    ``train.reestimate_bn_stats``.
-    """
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    mean: np.ndarray
-    var: np.ndarray
-
-    @staticmethod
-    def from_array(a: np.ndarray) -> "BatchNormParams":
-        return BatchNormParams(a[0].copy(), a[1].copy(), a[2].copy(), a[3].copy())
-
-
 def bn_normalize(x: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     """(x - mean) / sqrt(var + eps) per channel of a channel-last array:
     batchnorm before its affine map."""
@@ -338,19 +320,20 @@ def bn_normalize(x: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray
     return out
 
 
-def batchnorm_array(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
-    """Per-channel normalization of a channel-last array by ``p``'s
-    statistics, in real arithmetic: gamma * (x - mean) / sqrt(var + eps) +
-    beta, in that order, in one buffer."""
-    out = bn_normalize(x, p.mean, p.var)
-    out *= p.gamma
-    out += p.beta
+def batchnorm_array(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Per-channel normalization of a channel-last array by the (4, C)
+    gamma/beta/mean/var rows ``p``, in real arithmetic: gamma * (x - mean) /
+    sqrt(var + eps) + beta, in that order, in one buffer."""
+    gamma, beta, mean, var = p
+    out = bn_normalize(x, mean, var)
+    out *= gamma
+    out += beta
     return out
 
 
-def batchnorm_batch(x: np.ndarray, p: BatchNormParams):
-    """Batchnorm of a channel-last array by its own batch moments, as
-    training runs it: (output, x-hat, mean, var).
+def batchnorm_batch(x: np.ndarray, p: np.ndarray):
+    """Batchnorm of a channel-last array by its own batch moments and the
+    gamma/beta rows of ``p``, as training runs it: (output, x-hat, mean, var).
 
     On the (rows, C) view, the per-channel sums are BLAS products with a
     ones vector, and one centred buffer becomes x-hat, returned as (rows, C)
@@ -362,8 +345,8 @@ def batchnorm_batch(x: np.ndarray, p: BatchNormParams):
     xhat = x2 - mean
     var = (ones @ np.square(xhat)) / x2.shape[0]
     xhat /= np.sqrt(var + BN_EPS)
-    out = xhat * p.gamma
-    out += p.beta
+    out = xhat * p[0]
+    out += p[1]
     return out.reshape(x.shape), xhat, mean, var
 
 
@@ -442,7 +425,6 @@ class QuantizedOperand:
     codes through it, on the config's own exponent grid and at its own full
     scale, and ``esteps`` is a gather from it.  An operand carries no word
     or binary point; a product's word comes from its ``Arithmetic``.
-    ``values`` dequantizes the codes on first use.
     """
 
     def __init__(self, codes: np.ndarray, cfg: QuantizerConfig):
@@ -451,7 +433,6 @@ class QuantizedOperand:
         self.codes = np.asarray(codes)
         self.cfg = cfg
         self.table = code_table(cfg)
-        self._values: Optional[np.ndarray] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -463,10 +444,8 @@ class QuantizedOperand:
 
     @property
     def values(self) -> np.ndarray:
-        """Float64 values of the codes, dequantized on first use."""
-        if self._values is None:
-            self._values = dequantize_array(self.codes, self.cfg)
-        return self._values
+        """Float64 values of the codes, dequantized on each access."""
+        return dequantize_array(self.codes, self.cfg)
 
     @property
     def T(self) -> "QuantizedOperand":
@@ -924,7 +903,7 @@ class Arithmetic:
 
 
 def walk(graph: ModelGraph, x: np.ndarray, weights: dict, quantize: bool,
-         bn: dict[int, BatchNormParams], arith: Arithmetic,
+         bn: dict[int, np.ndarray], arith: Arithmetic,
          batch_stats: Optional[dict] = None, cache: Optional[dict] = None,
          capture: Optional[dict] = None):
     """Run every layer of ``graph`` on the float64 input ``x``.
@@ -932,15 +911,15 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, quantize: bool,
     Returns the last layer's output.  A rank-4 ``x`` is NCHW; the walk
     transposes it to channel-last once on entry and a rank-4 output back to
     NCHW on exit.  An activation is a float64 array or, after a log
-    quantizer, a ``QuantizedOperand`` whose values dequantize on first use;
-    maxpool pools such an activation on its codes (``_maxpool_codes``)
-    without dequantizing it.
+    quantizer, a ``QuantizedOperand``; maxpool pools such an activation on
+    its codes (``_maxpool_codes``) without dequantizing it.
 
     * ``weights[i]``: conv/fc layer i's weight operand from
       ``weight_operands``.
     * ``quantize``: whether the quantizer layers apply their configs
       (``ModelGraph.act_config``); when False they pass their input through.
-    * ``bn[i]``: batchnorm layer i's parameters.
+    * ``bn[i]``: batchnorm layer i's float64 (4, C) gamma/beta/mean/var
+      rows, the layout of its stored payload.
     * ``arith``: the arithmetic of every conv/fc product.
     * ``batch_stats``: when given, batchnorm normalizes with each batch's
       moments (``batchnorm_batch``) and records them here as
@@ -1027,7 +1006,7 @@ _MODE_GRID = {MODE_METHOD2_BASE2: 0, MODE_METHOD2_SQRT2: 1}
 
 def _stored_operands(graph: ModelGraph, mode: str) -> tuple[dict, dict]:
     """The weight operands (as ``mode`` computes with them) and batchnorm
-    parameters of a stored graph."""
+    rows of a stored graph."""
     arrays, bn = {}, {}
     for i, layer in enumerate(graph.layers):
         if layer.kind in (CONV, FC):
@@ -1037,7 +1016,7 @@ def _stored_operands(graph: ModelGraph, mode: str) -> tuple[dict, dict]:
             w = graph.weight_array(i)
             arrays[i] = w.reshape(w.shape[0], -1)
         elif layer.kind == BATCHNORM:
-            bn[i] = BatchNormParams.from_array(graph.weight_array(i))
+            bn[i] = graph.weight_array(i)
     return (weight_operands(graph, arrays, _MODE_GRID[mode]) if mode in _MODE_GRID
             else arrays), bn
 

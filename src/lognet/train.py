@@ -35,7 +35,6 @@ from .nn import (
     RELU,
     SOFTMAX,
     Arithmetic,
-    BatchNormParams,
     ModelGraph,
     act_quant_layer,
     batchnorm_layer,
@@ -135,12 +134,14 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """The trained graph, master parameters, optimizer and loop state."""
+    """The trained graph, master parameters, optimizer and loop state.
+    Keyed by layer index: conv/fc weights, batchnorm's float64 (4, C)
+    gamma/beta/mean/var rows as checkpoints store them, and their moments."""
 
     graph: ModelGraph
     params: dict[int, np.ndarray]
-    bn: dict[int, BatchNormParams]
-    moments: dict[str, dict] = field(default_factory=dict)
+    bn: dict[int, np.ndarray]
+    moments: dict[int, dict] = field(default_factory=dict)
     step: int = 0
     epoch: int = 0
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
@@ -161,7 +162,7 @@ def init_state(graph: ModelGraph, cfg: TrainConfig) -> TrainState:
     q = cfg.activation_q
     layers = list(graph.layers)
     params: dict[int, np.ndarray] = {}
-    bn: dict[int, BatchNormParams] = {}
+    bn: dict[int, np.ndarray] = {}
     for i, layer in enumerate(layers):
         if layer.kind in (CONV, FC):
             shape = layer.weight_shape()
@@ -169,8 +170,7 @@ def init_state(graph: ModelGraph, cfg: TrainConfig) -> TrainState:
             if cfg.weight_q is None:
                 layers[i] = replace(layer, qconfig=None)
         elif layer.kind == BATCHNORM:
-            c = layer.channels
-            bn[i] = BatchNormParams(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c))
+            bn[i] = np.outer([1.0, 0.0, 0.0, 1.0], np.ones(layer.channels))
         elif layer.kind in (LOGQUANT, LINQUANT) and q is not None:
             grid = q if layer.qconfig is None else layer.qconfig
             layers[i] = replace(layer, kind=LOGQUANT if q.kind == KIND_LOG else LINQUANT,
@@ -229,14 +229,26 @@ def ceil_log2(x: float) -> int:
 def dynamic_gradient_fsr(g: np.ndarray, floor: int = -20) -> int:
     """Per-tensor full-scale exponent: ceil(log2(max |g|)).
 
-    All-zero tensors return the configured floor.
+    Zero tensors give ``floor``; non-finite ones raise ``TrainingDiverged``.
     """
     if g.size == 0:
         raise DomainError("cannot derive an fsr from an empty tensor")
     peak = float(np.abs(g).max())
     if peak == 0.0:
         return floor
+    if not math.isfinite(peak):
+        raise TrainingDiverged("a non-finite tensor has no fsr")
     return max(ceil_log2(peak), floor)
+
+
+def _at_dynamic_fsr(q: QuantizerConfig, a: np.ndarray, cfg: TrainConfig, what: str):
+    """``q`` at the dynamic fsr of ``a``.  An fsr that places ``q``'s grid
+    outside float64 range means training diverged."""
+    fsr = dynamic_gradient_fsr(a, cfg.grad_fsr_floor)
+    try:
+        return replace(q, fsr=fsr)
+    except ConfigError as e:
+        raise TrainingDiverged(f"{what} at fsr {fsr}: {e}") from None
 
 
 def recalibrate_weight_fsr(state: TrainState, cfg: TrainConfig) -> None:
@@ -246,8 +258,8 @@ def recalibrate_weight_fsr(state: TrainState, cfg: TrainConfig) -> None:
         return
     layers = state.graph.layers
     for i, w in state.params.items():
-        fsr = dynamic_gradient_fsr(w, cfg.grad_fsr_floor)
-        layers[i] = replace(layers[i], qconfig=replace(cfg.weight_q, fsr=fsr))
+        layers[i] = replace(layers[i], qconfig=_at_dynamic_fsr(
+            cfg.weight_q, w, cfg, f"layer {i} weights"))
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +346,15 @@ def _forward_train(state: TrainState, x: np.ndarray, cfg: TrainConfig,
 def _quantize_grad(g: np.ndarray, cfg: TrainConfig):
     if cfg.gradient_q is None:
         return g
-    fsr = dynamic_gradient_fsr(g, cfg.grad_fsr_floor)
-    return quantize_operand(g, replace(cfg.gradient_q, fsr=fsr))
+    return quantize_operand(g, _at_dynamic_fsr(cfg.gradient_q, g, cfg, "a gradient"))
 
 
 def _backward_train(state: TrainState, caches: dict, g_out: np.ndarray,
                     cfg: TrainConfig) -> tuple[dict, dict]:
-    """Walk the layers in reverse; returns (weight grads, bn grads)."""
+    """Walk the layers in reverse; returns (weight grads, gamma/beta row grads)."""
     g = state.graph
     grads: dict[int, np.ndarray] = {}
-    bn_grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    bn_grads: dict[int, np.ndarray] = {}
     # below the first layer with parameters no gradient is needed
     first = min((i for i, l in enumerate(g.layers) if l.weight_shape()),
                 default=len(g.layers))
@@ -373,8 +384,8 @@ def _backward_train(state: TrainState, caches: dict, g_out: np.ndarray,
         elif kind == BATCHNORM:
             cache = caches[i]
             gt, dgamma, dbeta = batchnorm_backward(gt, cache["xhat"], cache["var"],
-                                                   state.bn[i].gamma)
-            bn_grads[i] = (dgamma, dbeta)
+                                                   state.bn[i][0])
+            bn_grads[i] = np.stack([dgamma, dbeta])
         elif kind == RELU:
             gt = gt * caches[i]["mask"]
         elif kind == MAXPOOL:
@@ -451,24 +462,19 @@ def train_minibatch(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
     for i, gw in grads.items():
         if not np.isfinite(gw).all():
             raise TrainingDiverged(f"non-finite gradient in layer {i} at step {state.step}")
-        moments = _moments_for(state, f"w{i}")
-        state.params[i] = optimizer_step(state.params[i], gw, moments, rule)
-    for i, (dgamma, dbeta) in bn_grads.items():
-        bns = state.bn[i]
-        bns.gamma = optimizer_step(bns.gamma, dgamma,
-                                   _moments_for(state, f"g{i}"), rule)
-        bns.beta = optimizer_step(bns.beta, dbeta,
-                                  _moments_for(state, f"b{i}"), rule)
+        state.params[i] = optimizer_step(state.params[i], gw,
+                                         state.moments.setdefault(i, {}), rule)
+    for i, g_rows in bn_grads.items():
+        # the optimizers are elementwise: one step on the gamma/beta rows
+        # is a gamma step and a beta step
+        rows = state.bn[i]
+        rows[:2] = optimizer_step(rows[:2], g_rows, state.moments.setdefault(i, {}), rule)
     for i, w in state.params.items():
         if not np.isfinite(w).all():
             raise TrainingDiverged(f"non-finite weights in layer {i} at step {state.step}")
     state.step += 1
     correct = int((logits.argmax(axis=1) == targets).sum())
     return state, {"loss": loss, "correct": correct, "count": len(targets)}
-
-
-def _moments_for(state: TrainState, key: str) -> dict:
-    return state.moments.setdefault(key, {})
 
 
 def evaluate(state: TrainState, cfg: TrainConfig, inputs: np.ndarray,
@@ -500,9 +506,9 @@ def reestimate_bn_stats(state: TrainState, cfg: TrainConfig, inputs: np.ndarray)
     stats = [{} for _ in range(0, min(len(inputs), BN_REESTIMATE_BATCHES * size), size)]
     for b, batch_stats in enumerate(stats):
         _walk(state, inputs[b * size:(b + 1) * size], cfg, weights, batch_stats=batch_stats)
-    for i, bns in state.bn.items():
-        bns.mean = np.mean([s[i][0] for s in stats], axis=0)
-        bns.var = np.mean([s[i][1] for s in stats], axis=0)
+    for i, rows in state.bn.items():
+        rows[2] = np.mean([s[i][0] for s in stats], axis=0)
+        rows[3] = np.mean([s[i][1] for s in stats], axis=0)
 
 
 def fit(state: TrainState, cfg: TrainConfig, train_data: tuple[np.ndarray, np.ndarray],
@@ -538,12 +544,14 @@ def fit(state: TrainState, cfg: TrainConfig, train_data: tuple[np.ndarray, np.nd
 
 def sync_graph_weights(state: TrainState, cfg: TrainConfig) -> ModelGraph:
     """A checkpoint: a copy of the training graph, quantizers included,
-    holding the current parameters as float32.  ``cfg`` is not read."""
+    holding the current parameters as float32, or ``TrainingDiverged`` if
+    float32 cannot hold them.  ``cfg`` is not read."""
     src = state.graph
     out = ModelGraph(layers=list(src.layers), fsr=src.fsr)
-    for i, w in state.params.items():
-        out.weights[i] = Tensor.from_real(w)
-    for i, bns in state.bn.items():
-        out.weights[i] = Tensor.from_real(np.stack(
-            [bns.gamma, bns.beta, bns.mean, bns.var]))
+    for i, w in {**state.params, **state.bn}.items():
+        with np.errstate(over="ignore"):
+            out.weights[i] = Tensor.from_real(w)
+        if not np.isfinite(out.weights[i].data).all():
+            raise TrainingDiverged(f"layer {i}'s parameters overflow float32 "
+                                   f"at step {state.step}")
     return out

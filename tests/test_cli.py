@@ -714,6 +714,43 @@ def test_cli_train_divergence_keeps_last_good_checkpoint(workspace, tmp_path, ca
     lio.read_model(tmp_path / "diverge.lgn")
 
 
+@pytest.mark.parametrize("lr", ["1e30", "1e200", "1e300"])
+def test_cli_train_divergence_at_huge_rates_keeps_a_readable_checkpoint(tmp_path, capsys, lr):
+    # the float64 masters outgrow float32 (checkpointed every epoch, the
+    # first checkpoint past the range is refused), or, checkpointed every
+    # second epoch, the next step meets a non-finite gradient (1e200) or a
+    # weight fsr past the exponent grid's range (1e300): with the default
+    # quantizers and with none, training exits 1, writes its metrics, and
+    # keeps a checkpoint that lognet infer runs
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data), "--n", "20", "--test-n", "20",
+                 "--classes", "4", "--size", "12", "--seed", "5"]) == 0
+    for every in ("1", "2"):
+        for bits in ("", "act_bits = 0\nweight_bits = 0\ngrad_bits = 0\n"):
+            model, metrics = tmp_path / "model.lgn", tmp_path / "metrics.csv"
+            cfg = tmp_path / "train.cfg"
+            cfg.write_text("\n".join([
+                f"train_images = {data}/train-images.idx",
+                f"train_labels = {data}/train-labels.idx",
+                f"out_model = {model}",
+                f"out_metrics = {metrics}",
+                "conv_channels = 4,8",
+                "fc_units = 16",
+                "epochs = 2",
+                "batch_size = 20",
+                f"lr = {lr}",
+                f"checkpoint_every = {every}",
+            ]) + "\n" + bits)
+            with np.errstate(all="ignore"):
+                assert main(["train", str(cfg)]) == 1, (every, bits)
+            assert "last good checkpoint kept" in capsys.readouterr().err
+            assert metrics.read_bytes().startswith(b"step,epoch,loss,train_acc,test_acc\r\n")
+            assert main(["infer", str(model), f"{data}/test-images.idx",
+                         "--out", str(tmp_path / "pred.csv")]) == 0, (every, bits)
+            model.unlink()
+            metrics.unlink()
+
+
 def test_cli_train_linear_reference_config(workspace, tmp_path):
     # linear-quantized weights/activations with float gradients: the
     # reference configuration runs to completion alongside the log one
@@ -895,6 +932,20 @@ def test_write_model_refusals(case, tmp_path):
     make_graph, message = WRITE_REFUSALS[case]
     with pytest.raises(ConfigError, match=re.escape(message)):
         lio.write_model(tmp_path / "m.lgn", make_graph())
+
+
+def test_write_model_refuses_a_non_finite_payload_before_opening(tmp_path):
+    # a float32 payload read_model would refuse is refused before the file
+    # is opened, so the file already there stays as it was
+    path = tmp_path / "m.lgn"
+    lio.write_model(path, _fc_model())
+    before = path.read_bytes()
+    for bad in (np.inf, -np.inf, np.nan):
+        w = np.ones((2, 3))
+        w[1, 2] = bad
+        with pytest.raises(ConfigError, match="layer 0 weight 5 is not finite"):
+            lio.write_model(path, _fc_model(weights=w))
+        assert path.read_bytes() == before
 
 
 # (graph, byte changed, its new value, offset of the refusal, message): the

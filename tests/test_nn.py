@@ -17,7 +17,6 @@ from lognet.nn import (
     ACCUM_LINEAR,
     ACCUM_LOG,
     Arithmetic,
-    BatchNormParams,
     ModelGraph,
     QuantizedOperand,
     act_quant_layer,
@@ -180,7 +179,8 @@ def test_maxpool_keeps_codes():
 def test_batchnorm_examples():
     rng = np.random.default_rng(41)
     x = rng.normal(3.0, 2.0, size=(8, 4, 5, 5))
-    identity = BatchNormParams(np.ones(4), np.zeros(4), np.zeros(4), np.ones(4))
+    # batchnorm parameters are (4, C) gamma/beta/mean/var rows
+    identity = np.array([np.ones(4), np.zeros(4), np.zeros(4), np.ones(4)])
     # with batch statistics, the walker normalizes each channel of the batch
     # and reports the moments it used
     g = ModelGraph(layers=[batchnorm_layer(4)])
@@ -211,12 +211,12 @@ def test_batchnorm_examples():
         var_bound = mean_bound**2 + gamma(m + 9) * (math.fsum(d2) / m + mean_bound**2)
         assert abs(stats[0][1][c] - var_ref) <= var_bound
 
-    zero_gamma = BatchNormParams(np.zeros(4), np.full(4, 0.75), np.zeros(4), np.ones(4))
+    zero_gamma = np.array([np.zeros(4), np.full(4, 0.75), np.zeros(4), np.ones(4)])
     x_last = x.transpose(0, 2, 3, 1)  # batchnorm_array reads channel-last
     assert np.allclose(batchnorm_array(x_last, zero_gamma), 0.75)
 
     # inference mode is a fixed affine map of the stored stats
-    p3 = BatchNormParams(np.ones(4), np.zeros(4), np.full(4, 1.0), np.full(4, 4.0))
+    p3 = np.array([np.ones(4), np.zeros(4), np.full(4, 1.0), np.full(4, 4.0)])
     want = (x - 1.0) / np.sqrt(4.0 + nn.BN_EPS)
     assert np.allclose(batchnorm_array(x_last, p3), want.transpose(0, 2, 3, 1), atol=1e-6)
     assert np.allclose(walk(g, x, {}, False, {0: p3}, Arithmetic()), want, atol=1e-6)
@@ -226,16 +226,17 @@ def test_batchnorm_is_its_expression_bit_for_bit():
     # one buffer, the same operations in the same order as the expression
     rng = np.random.default_rng(71)
     c = 5
-    p = BatchNormParams(rng.normal(1.0, 0.5, c), rng.normal(0.0, 1.0, c),
-                        rng.normal(0.0, 1.0, c), rng.uniform(0.0, 4.0, c))
-    p.var[0] = 0.0
+    p = np.array([rng.normal(1.0, 0.5, c), rng.normal(0.0, 1.0, c),
+                  rng.normal(0.0, 1.0, c), rng.uniform(0.0, 4.0, c)])
+    p[3, 0] = 0.0
+    gamma, beta, mean_c, var_c = p
     for shape, bshape in (((37, c), (1, -1)), ((6, 7, 3, c), (1, 1, 1, -1))):
         x = rng.normal(2.0, 3.0, size=shape)  # channel-last
         x_in = x.copy()
-        mean, var = p.mean.reshape(bshape), p.var.reshape(bshape)
+        mean, var = mean_c.reshape(bshape), var_c.reshape(bshape)
         xhat = (x - mean) / np.sqrt(var + nn.BN_EPS)
-        want = p.gamma.reshape(bshape) * xhat + p.beta.reshape(bshape)
-        assert nn.bn_normalize(x, p.mean, p.var).tobytes() == xhat.tobytes()
+        want = gamma.reshape(bshape) * xhat + beta.reshape(bshape)
+        assert nn.bn_normalize(x, mean_c, var_c).tobytes() == xhat.tobytes()
         assert batchnorm_array(x, p).tobytes() == want.tobytes()
         assert x.tobytes() == x_in.tobytes()
 

@@ -12,7 +12,7 @@ from lognet import io as lio
 from lognet.lognum import LogCode, dot_method2, logquant_array
 from lognet.nn import (LINQUANT, LOGQUANT, LayerSpec, ModelGraph, QuantizedOperand, batchnorm_layer,
                        conv, fc, maxpool_layer, quantize_operand, relu_layer, walk)
-from lognet.nn import BN_EPS, BatchNormParams, act_quant_layer, batchnorm_batch
+from lognet.nn import BN_EPS, act_quant_layer, batchnorm_batch
 from lognet.tensor import im2col_array
 from lognet.train import (
     OptimizerSpec,
@@ -72,6 +72,31 @@ def test_optimizer_momentum_accumulates():
     w = optimizer_step(w, np.ones(1), moments, spec)   # v=1, w=-1
     w = optimizer_step(w, np.ones(1), moments, spec)   # v=1.5, w=-2.5
     assert w[0] == pytest.approx(-2.5)
+
+
+def test_one_step_on_gamma_beta_rows_is_a_gamma_and_a_beta_step():
+    # the trainer steps each batchnorm layer's gamma/beta rows together; the
+    # optimizers are elementwise, so over several steps that is bit for bit
+    # a separate gamma step and beta step, moments and Adam's counter too
+    rng = np.random.default_rng(131)
+    for rule in (OptimizerSpec("sgd_momentum", lr=0.05, momentum=0.9),
+                 OptimizerSpec("adam", lr=0.01)):
+        rows = rng.normal(size=(4, 6))
+        gamma, beta = rows[0].copy(), rows[1].copy()
+        joint, mg, mb = {}, {}, {}
+        for _ in range(5):
+            dg, db = rng.normal(size=(2, 6))
+            rows[:2] = optimizer_step(rows[:2], np.stack([dg, db]), joint, rule)
+            gamma = optimizer_step(gamma, dg, mg, rule)
+            beta = optimizer_step(beta, db, mb, rule)
+            assert rows[0].tobytes() == gamma.tobytes()
+            assert rows[1].tobytes() == beta.tobytes()
+        assert joint.keys() == mg.keys() == mb.keys()
+        for key, value in joint.items():
+            if key == "t":
+                assert value == mg["t"] == mb["t"] == 5
+            else:
+                assert value.tobytes() == np.stack([mg[key], mb[key]]).tobytes()
 
 
 def test_ceil_log2_exact():
@@ -172,8 +197,8 @@ def test_gradients_match_finite_differences_conv_bn_pool():
         denom = np.maximum(np.abs(num), 1e-4)
         assert (np.abs(grads[i] - num) / denom).max() < 1e-3, f"layer {i}"
     for i, (dgamma, dbeta) in bn_grads.items():
-        num_g = numeric_grad(loss_fn, state.bn[i].gamma)
-        num_b = numeric_grad(loss_fn, state.bn[i].beta)
+        num_g = numeric_grad(loss_fn, state.bn[i][0])
+        num_b = numeric_grad(loss_fn, state.bn[i][1])
         assert np.abs(dgamma - num_g).max() < 1e-4
         assert np.abs(dbeta - num_b).max() < 1e-4
 
@@ -195,14 +220,14 @@ def test_batchnorm_backward_matches_fsum_reference():
         c = shape[-1]
         x = rng.normal(2.0, 3.0, size=shape)
         g = rng.normal(0.0, 1.0, size=shape)
-        p = BatchNormParams(rng.normal(1.0, 0.5, c), rng.normal(0.0, 1.0, c),
-                            np.zeros(c), np.ones(c))
+        p = np.array([rng.normal(1.0, 0.5, c), rng.normal(0.0, 1.0, c),
+                      np.zeros(c), np.ones(c)])
         _, xhat, _, var = batchnorm_batch(x, p)
-        dx, dgamma, dbeta = batchnorm_backward(g, xhat, var, p.gamma)
+        dx, dgamma, dbeta = batchnorm_backward(g, xhat, var, p[0])
         assert dx.shape == shape
         m = xhat.shape[0]
         g2, dx2 = g.reshape(m, c), dx.reshape(m, c)
-        scale = p.gamma / np.sqrt(var + BN_EPS)  # as the kernel computes it
+        scale = p[0] / np.sqrt(var + BN_EPS)  # as the kernel computes it
         for j in range(c):
             gj, hj = g2[:, j], xhat[:, j]
             prods = gj * hj  # the rounded products both sides sum
@@ -300,8 +325,7 @@ def test_forward_only_walks_keep_no_cache(monkeypatch):
         for i in stats or {}:
             assert all(a.tobytes() == b.tobytes() for a, b in zip(stats[i], stats_c[i]))
     for i in bn:
-        for name in ("gamma", "beta", "mean", "var"):
-            assert getattr(bn[i], name).tobytes() == getattr(bn_c[i], name).tobytes()
+        assert bn[i].tobytes() == bn_c[i].tobytes()
 
     # only a training walk keeps caches
     assert _forward_train(state, x[:4], cfg, training=False)[1] is None
@@ -364,8 +388,8 @@ def test_frozen_weight_walks_quantize_the_weights_once(monkeypatch):
     reestimate_bn_stats(state, cfg, x)
     assert len(builds) == 2
     for i, stats in collect.items():
-        assert state.bn[i].mean.tobytes() == np.mean([m for m, _ in stats], axis=0).tobytes()
-        assert state.bn[i].var.tobytes() == np.mean([v for _, v in stats], axis=0).tobytes()
+        assert state.bn[i][2].tobytes() == np.mean([m for m, _ in stats], axis=0).tobytes()
+        assert state.bn[i][3].tobytes() == np.mean([v for _, v in stats], axis=0).tobytes()
 
 
 def test_checkpoint_holds_the_quantizers_the_trainer_applies(monkeypatch, tmp_path):
@@ -399,6 +423,33 @@ def test_checkpoint_holds_the_quantizers_the_trainer_applies(monkeypatch, tmp_pa
         assert [ckpt.layers[i].qconfig for i in weighted] == applied[:4]
         assert [ckpt.act_config(ckpt.layers[i]) for i in quant] == applied[4:]
         assert all(ckpt.layers[i].kind == kind for i in quant)
+
+
+def test_checkpoint_batchnorm_rows_are_the_trainers(tmp_path):
+    # each batchnorm layer's payload is the trainer's gamma/beta/mean/var
+    # rows in float32, and a walk of the re-read checkpoint normalizes with
+    # those values in float64
+    rng = np.random.default_rng(137)
+    x = np.abs(rng.normal(0, 1.0, size=(12, 1, 8, 8)))
+    y = rng.integers(0, 3, size=12)
+    cfg = TrainConfig(weight_q=W5, activation_q=A4, gradient_q=G5,
+                      optimizer=OptimizerSpec(lr=0.05), batch_size=6, epochs=2, seed=5)
+    state, _ = fit(init_state(train.build_small_cnn((1, 8, 8), (2, 3), 4, 3), cfg), cfg, (x, y))
+    path = tmp_path / "ckpt.lgn"
+    lio.write_model(path, train.sync_graph_weights(state, cfg))
+    ckpt = lio.read_model(path)
+    bn_layers = [i for i, l in enumerate(ckpt.layers) if l.kind == nn.BATCHNORM]
+    assert sorted(state.bn) == bn_layers and len(bn_layers) == 3
+    _, walked = nn._stored_operands(ckpt, nn.MODE_FLOAT)
+    assert sorted(walked) == bn_layers
+    for i in bn_layers:
+        want = state.bn[i].astype(np.float32)
+        # trained gamma/beta and re-estimated mean/var, not the identity
+        assert (want[:2] != [[1.0], [0.0]]).any() and (want[2:] != [[0.0], [1.0]]).any()
+        assert not ckpt.weights[i].is_quantized
+        assert ckpt.weights[i].data.tobytes() == want.tobytes()
+        assert walked[i].dtype == np.float64
+        assert walked[i].tobytes() == want.astype(np.float64).tobytes()
 
 
 def test_init_state_without_weight_q_drops_weight_configs(tmp_path):
@@ -524,6 +575,20 @@ def test_divergence_detection():
     state.params[0] = np.array([[1e300, 1e300], [-1e300, -1e300]])
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
         train_minibatch(state, (np.full((2, 2), 1e10), np.array([0, 1])), cfg)
+
+
+def test_a_dynamic_fsr_out_of_range_is_divergence():
+    # a non-finite tensor has no fsr, and an fsr that places a quantizer's
+    # grid outside float64 range cannot quantize: both mean training diverged
+    with pytest.raises(TrainingDiverged, match="non-finite"):
+        dynamic_gradient_fsr(np.array([1.0, np.inf]))
+    cfg = TrainConfig(weight_q=W5, gradient_q=G5, seed=0)
+    state = init_state(ModelGraph(layers=[fc(2, 2)], fsr=0), cfg)
+    state.params[0] = np.full((2, 2), 1e300)
+    with pytest.raises(TrainingDiverged, match="layer 0 weights at fsr 997"):
+        train.recalibrate_weight_fsr(state, cfg)
+    with pytest.raises(TrainingDiverged, match="a gradient at fsr 997"):
+        train._quantize_grad(np.full((2, 2), -1e300), cfg)
 
 
 def test_quantized_training_learns_separable_toyset():
