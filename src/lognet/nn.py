@@ -10,12 +10,12 @@ quantized, in the batchnorm rows (and whether batch statistics replace
 them), the ``Arithmetic`` of the products, and an optional backward cache
 or capture of the quantizer inputs.  Each batchnorm layer's parameters are
 the float64 (4, C) gamma/beta/mean/var rows its stored payload holds.  A
-log-coded tensor, activation or weight, is a ``QuantizedOperand``: wire
-codes and their config.  What a code means comes from one table per
-config, ``lognum.code_table``: the kernels read signs and exponents from
-it, dequantizing is a gather from it, and maxpool compares the codes
-themselves (or, when signed, their value rank from the table), so a pooled
-activation stays coded.
+log-coded tensor, activation or weight, is a ``tensor.Tensor``, the type
+of the stored weights too: wire codes, often a view, and their config.
+What a code means comes from one table per config, ``lognum.code_table``:
+the kernels read signs and exponents from it, dequantizing is a gather
+from it, and maxpool compares the codes themselves (or, when signed, their
+value rank from the table), so a pooled activation stays coded.
 
 Layout.  Images, ``forward``'s input, ``output_shapes``, the stored
 (O, C, kh, kw) weights and the activations ``collect_quantizer_inputs``
@@ -81,7 +81,6 @@ from .lognum import (
     AccumulatorOverflow,
     ConfigError,
     QuantizerConfig,
-    code_table,
     dequantize_array,
     quantize_array,
 )
@@ -292,8 +291,8 @@ def maxpool_array(x: np.ndarray, k: int, stride: int,
     return out, idx
 
 
-def _maxpool_codes(op: QuantizedOperand, k: int, stride: int,
-                   argmax: bool) -> tuple[QuantizedOperand, np.ndarray | None]:
+def _maxpool_codes(op: Tensor, k: int, stride: int,
+                   argmax: bool) -> tuple[Tensor, np.ndarray | None]:
     """``maxpool_array`` of a log-coded activation's values, run on its codes.
 
     Unsigned log wire codes order like their values, so they pool as they
@@ -302,14 +301,13 @@ def _maxpool_codes(op: QuantizedOperand, k: int, stride: int,
     keys, so the argmax indices and their first-index ties are those of
     pooling the values.
     """
-    if not op.cfg.signed:
-        codes, idx = maxpool_array(op.codes, k, stride, argmax)
+    if not op.qconfig.signed:
+        codes, idx = maxpool_array(op.data, k, stride, argmax)
     else:
-        _, first, rank = np.unique(code_table(op.cfg).value, return_index=True,
-                                   return_inverse=True)
-        ranks, idx = maxpool_array(rank[op.codes], k, stride, argmax)
-        codes = first.astype(op.codes.dtype)[ranks]
-    return QuantizedOperand(codes, op.cfg), idx
+        _, first, rank = np.unique(op.table.value, return_index=True, return_inverse=True)
+        ranks, idx = maxpool_array(rank[op.data], k, stride, argmax)
+        codes = first.astype(op.data.dtype)[ranks]
+    return Tensor(codes, op.qconfig), idx
 
 
 def bn_normalize(x: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
@@ -391,6 +389,18 @@ def _check_exact_range(max_term_bits: int, n_terms: int,
     return need
 
 
+def _words(real: np.ndarray, what: str, int_bits: int, frac_bits: int) -> tuple[np.ndarray, int]:
+    """``real`` as raw words of the accumulator, rounded half-even as by
+    ``lognum.AccumulatorWord.from_value``, and the bits the largest spans;
+    like it, refuses a word the accumulator cannot hold."""
+    raw = np.rint(np.ldexp(real, frac_bits))
+    bits = int(np.abs(raw).max()).bit_length() if raw.size else 0
+    if bits > int_bits + frac_bits:
+        raise AccumulatorOverflow(f"{what} word spans {bits} raw bits, more than the "
+                                  f"{int_bits}+{frac_bits} bit accumulator")
+    return raw, bits
+
+
 def _sum_dtype(need: int, *factors: np.ndarray):
     """The float type a shift kernel computes its ``need``-bit sums in.
 
@@ -418,57 +428,20 @@ def _check_out(out_raw: np.ndarray, int_bits: int, frac_bits: int) -> np.ndarray
     return out_raw
 
 
-class QuantizedOperand:
-    """Log wire codes with their config.
-
-    ``table`` is the config's ``lognum.code_table``: the kernels read the
-    codes through it, on the config's own exponent grid and at its own full
-    scale, and ``esteps`` is a gather from it.  An operand carries no word
-    or binary point; a product's word comes from its ``Arithmetic``.
-    """
-
-    def __init__(self, codes: np.ndarray, cfg: QuantizerConfig):
-        if cfg.kind != KIND_LOG:
-            raise ConfigError("quantized matmul operands must be log codes")
-        self.codes = np.asarray(codes)
-        self.cfg = cfg
-        self.table = code_table(cfg)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.codes.shape
-
-    @property
-    def esteps(self) -> np.ndarray:
-        return self.table.esteps[self.codes]
-
-    @property
-    def values(self) -> np.ndarray:
-        """Float64 values of the codes, dequantized on each access."""
-        return dequantize_array(self.codes, self.cfg)
-
-    @property
-    def T(self) -> "QuantizedOperand":
-        """The transpose, over a view of the codes: its values gather in the
-        transposed layout, so a float64 product with them sums in the same
-        order as with the transposed values of ``self``."""
-        return QuantizedOperand(self.codes.T, self.cfg)
-
-    def present(self) -> np.ndarray:
-        """Which wire codes occur in the operand, indexed by the code."""
-        return np.bincount(self.codes.ravel(), minlength=self.table.sign.size) > 0
+# the name ``benchmarks/spans.py`` times operand construction under
+QuantizedOperand = Tensor
 
 
 def quantize_operand(x: np.ndarray, cfg: QuantizerConfig):
     """``x`` quantized by ``cfg``, as the walker computes with it.
 
-    Log codes become a ``QuantizedOperand`` on their own grid.  Linear codes
+    Log codes become a coded ``Tensor`` on their own grid.  Linear codes
     come back as their float64 values: a product with them needs
     multipliers, so they enter every product as a real operand.
     """
     codes = quantize_array(x, cfg)
     if cfg.kind == KIND_LOG:
-        return QuantizedOperand(codes, cfg)
+        return Tensor(codes, cfg)
     return dequantize_array(codes, cfg)
 
 
@@ -476,10 +449,10 @@ def lift_grid(cfg_a: QuantizerConfig, cfg_b: QuantizerConfig) -> int:
     return max(cfg_a.base_frac_bits, cfg_b.base_frac_bits)
 
 
-def _lifted_esteps(op: QuantizedOperand, fb: int) -> np.ndarray:
+def _lifted_esteps(op: Tensor, fb: int) -> np.ndarray:
     """The exponents of the operand's codes on the grid of ``fb`` fractional
     bits, indexed by the code."""
-    return op.table.esteps << (fb - op.cfg.base_frac_bits)
+    return op.table.esteps << (fb - op.qconfig.base_frac_bits)
 
 
 # bytes in one one-hot block and in one block of term tables: a block fits
@@ -527,7 +500,7 @@ def _code_table_matmul(codes: np.ndarray, exact_val: np.ndarray,
     return out.astype(np.float64, copy=False)
 
 
-def method2_matmul(x: QuantizedOperand, w: QuantizedOperand,
+def method2_matmul(x: Tensor, w: Tensor,
                    int_bits: int = 32, frac_bits: int = 8) -> np.ndarray:
     """Raw accumulator values of x @ w with both operands log-coded.
 
@@ -557,10 +530,10 @@ def method2_matmul(x: QuantizedOperand, w: QuantizedOperand,
     n, k = x.shape
     o = w.shape[1]
     need = _check_exact_range(
-        max_term_bits=x.cfg.fsr + w.cfg.fsr + frac_bits + 1,
+        max_term_bits=x.qconfig.fsr + w.qconfig.fsr + frac_bits + 1,
         n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
     xt, wt = x.table, w.table
-    fb = lift_grid(x.cfg, w.cfg)
+    fb = lift_grid(x.qconfig, w.qconfig)
     xe, we = _lifted_esteps(x, fb), _lifted_esteps(w, fb)
     w_levels = we[w.present() & wt.nonzero]
     if not w_levels.size:
@@ -578,14 +551,14 @@ def method2_matmul(x: QuantizedOperand, w: QuantizedOperand,
         xe[trunc, None] + we, fb, frac_bits)
 
     def term_tables(ks):
-        return np.take(terms, w.codes[ks], axis=1).transpose(1, 0, 2)
+        return np.take(terms, w.data[ks], axis=1).transpose(1, 0, 2)
 
-    out = _code_table_matmul(x.codes, exact_val, w_val[w.codes], trunc, term_tables,
+    out = _code_table_matmul(x.data, exact_val, w_val[w.data], trunc, term_tables,
                              o, dtype)
     return _check_out(out, int_bits, frac_bits)
 
 
-def method1_matmul(x: QuantizedOperand, w_real: np.ndarray,
+def method1_matmul(x: Tensor, w_real: np.ndarray,
                    int_bits: int = 32, frac_bits: int = 8) -> np.ndarray:
     """Raw accumulator values with real weights and log-coded activations.
 
@@ -601,16 +574,15 @@ def method1_matmul(x: QuantizedOperand, w_real: np.ndarray,
     factors 2**e and the weight words are normal float32 numbers
     (``_sum_dtype``).
     """
-    if x.cfg.base_frac_bits != 0:
+    if x.qconfig.base_frac_bits != 0:
         raise ConfigError("integer shifts require the base-2 exponent grid")
     xt = x.table
-    if x.cfg.signed and (xt.nonzero & (xt.sign < 0))[x.codes].any():
+    if x.qconfig.signed and (xt.nonzero & (xt.sign < 0))[x.data].any():
         raise ConfigError("activation codes must be unsigned")
     n, k = x.shape
-    w_raw = np.rint(np.ldexp(w_real, frac_bits))
-    wbits = int(np.abs(w_raw).max()) if w_raw.size else 0
+    w_raw, wbits = _words(w_real, "a weight", int_bits, frac_bits)
     need = _check_exact_range(
-        max_term_bits=wbits.bit_length() + max(x.cfg.fsr, 0),
+        max_term_bits=wbits + max(x.qconfig.fsr, 0),
         n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
     exact_val = np.where(xt.nonzero & (xt.esteps >= 0), np.ldexp(1.0, xt.esteps), 0.0)
     trunc = np.flatnonzero(xt.nonzero & (xt.esteps < 0))
@@ -619,12 +591,12 @@ def method1_matmul(x: QuantizedOperand, w_real: np.ndarray,
     def term_tables(ks):
         return np.floor(np.ldexp(w_raw[ks, None, :], t_exp))
 
-    out = _code_table_matmul(x.codes, exact_val, w_raw, trunc, term_tables,
+    out = _code_table_matmul(x.data, exact_val, w_raw, trunc, term_tables,
                              w_real.shape[1], _sum_dtype(need, exact_val, w_raw))
     return _check_out(out, int_bits, frac_bits)
 
 
-def shifted_input_matmul(x_real: np.ndarray, w: QuantizedOperand,
+def shifted_input_matmul(x_real: np.ndarray, w: Tensor,
                          int_bits: int = 32, frac_bits: int = 8) -> np.ndarray:
     """Raw accumulator values of real inputs against log-coded weights.
 
@@ -639,19 +611,18 @@ def shifted_input_matmul(x_real: np.ndarray, w: QuantizedOperand,
     factor is a normal float32 number (``_sum_dtype``).
     """
     n, k = x_real.shape
-    x_raw = np.rint(np.ldexp(x_real, frac_bits))
-    xbits = int(np.abs(x_raw).max()) if x_raw.size else 0
+    x_raw, xbits = _words(x_real, "an input", int_bits, frac_bits)
     need = _check_exact_range(
-        max_term_bits=xbits.bit_length() + max(w.cfg.fsr, 0) + 1,
+        max_term_bits=xbits + max(w.qconfig.fsr, 0) + 1,
         n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
     wt = w.table
     levels = np.unique(wt.esteps[w.present() & wt.nonzero])
-    factors = _pow2_steps(levels, w.cfg.base_frac_bits)
+    factors = _pow2_steps(levels, w.qconfig.base_frac_bits)
     dtype = _sum_dtype(need, factors)
     x_raw = x_raw.astype(dtype, copy=False)
     out = np.zeros((n, w.shape[1]), dtype)
     for e, factor in zip(levels, factors):
-        ind = np.where(wt.nonzero & (wt.esteps == e), wt.sign, 0).astype(dtype)[w.codes]
+        ind = np.where(wt.nonzero & (wt.esteps == e), wt.sign, 0).astype(dtype)[w.data]
         # x_raw times the shift-add factor in one multiply: the factor is a
         # normal number and so is every nonzero product, so nothing rounds
         # that the shift-add and the shift would not; as a Python float it
@@ -691,7 +662,7 @@ def _log_step(s: np.ndarray, p: np.ndarray, hi: np.ndarray, f: int) -> None:
 _LOG_BLOCK = 1 << 16
 
 
-def _level_span(op: QuantizedOperand, f: int) -> tuple[np.ndarray, int, int]:
+def _level_span(op: Tensor, f: int) -> tuple[np.ndarray, int, int]:
     """Raw exponents of the operand's levels at exponent word f, its lowest
     nonzero level and the span from that level to its highest."""
     e = _lifted_esteps(op, f).astype(np.int64)
@@ -717,7 +688,7 @@ def _walk_range(p_max: int, f: int) -> tuple[int, int]:
     return lo, max(p_max + cap, -(lo >> f))
 
 
-def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
+def method2_matmul_logaccum(x: Tensor, w: Tensor,
                             int_bits: int = 32, frac_bits: int = 8,
                             exp_frac_bits: int = 4) -> np.ndarray:
     """Like ``method2_matmul`` but accumulating in the log domain.
@@ -769,7 +740,7 @@ def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
     by s + cap in [0, P + 2 cap], below 2P + 5 cap.
     """
     f = exp_frac_bits
-    if f < lift_grid(x.cfg, w.cfg):
+    if f < lift_grid(x.qconfig, w.qconfig):
         raise ConfigError("exponent word cannot hold the grid step")
     n, o = x.shape[0], w.shape[1]
     cap = (f + 1) << f
@@ -784,11 +755,11 @@ def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
     xt, wt = x.table, w.table
     x_pos = np.where(xt.nonzero & (xt.sign > 0), xe - x_lo, x_zero).astype(dtype)
     x_neg = np.where(xt.nonzero & (xt.sign < 0), xe - x_lo, x_zero).astype(dtype)
-    signed = bool(x.cfg.signed and (x.present() & xt.nonzero & (xt.sign < 0)).any())
+    signed = bool(x.qconfig.signed and (x.present() & xt.nonzero & (xt.sign < 0)).any())
 
     # sums [0, o) take the positive terms, [o, 2o) the negative ones; "on"
     # terms come from positive activations, "off" terms from negative ones
-    w_sign = np.where(wt.nonzero, wt.sign, 0)[w.codes].T
+    w_sign = np.where(wt.nonzero, wt.sign, 0)[w.data].T
     on = np.concatenate([w_sign > 0, w_sign < 0])
     off = np.concatenate([w_sign < 0, w_sign > 0])
     listed = on | off if signed else on
@@ -797,7 +768,7 @@ def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
     # "on" nor "off", a pad's weight enters as a zero term
     order = np.argsort(~listed, axis=1, kind="stable")[:, :steps]
     ks = np.ascontiguousarray(order.T)
-    w_rel = np.tile((we - w_lo)[w.codes].T, (2, 1))
+    w_rel = np.tile((we - w_lo)[w.data].T, (2, 1))
 
     def step_weights(mask):
         # (steps, 2o, 1): each step's weight exponents
@@ -810,7 +781,7 @@ def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
     rows = max(1, _LOG_BLOCK // max(2 * o, 1))
     for lo in range(0, n, rows):
         # the steps gather whole k rows of the block, so it is made k-major
-        block = np.ascontiguousarray(x.codes[lo:lo + rows].T)
+        block = np.ascontiguousarray(x.data[lo:lo + rows].T)
         xp = np.take(x_pos, block)
         xn = np.take(x_neg, block) if signed else None
         s = np.full((2 * o, block.shape[1]), empty, dtype=dtype)
@@ -843,13 +814,13 @@ def method2_matmul_logaccum(x: QuantizedOperand, w: QuantizedOperand,
 
 def _real(a):
     """The float64 values of an activation or operand, coded or not."""
-    return a.values if isinstance(a, QuantizedOperand) else a
+    return a.real() if isinstance(a, Tensor) else a
 
 
 def _nchw(a):
     """A channel-last rank-4 activation, coded or not, as an NCHW view."""
-    if isinstance(a, QuantizedOperand):
-        return QuantizedOperand(a.codes.transpose(0, 3, 1, 2), a.cfg)
+    if isinstance(a, Tensor):
+        return Tensor(a.data.transpose(0, 3, 1, 2), a.qconfig)
     return a.transpose(0, 3, 1, 2)
 
 
@@ -858,9 +829,10 @@ class Arithmetic:
     """How the conv/fc products of a walk compute.
 
     ``int_bits``/``frac_bits`` size the accumulator word and ``accum``
-    selects linear or log-domain accumulation.  Every kernel has one
-    binary-point rule: its raw values count units of its word's last
-    fractional bit.
+    selects linear or log-domain accumulation.  A coded operand is a
+    log-coded ``Tensor``, read through its ``data`` and ``qconfig``; a real
+    one is a float64 array.  Every kernel has one binary-point rule: its
+    raw values count units of its word's last fractional bit.
 
     * without ``block_bias`` (inference) every product with a coded operand
       runs its shift kernel on the word: coded activations against coded
@@ -886,14 +858,14 @@ class Arithmetic:
     block_bias: bool = False
 
     def dot(self, x, w) -> np.ndarray:
-        """x (n, k) times w (k, o); either is float64 or a ``QuantizedOperand``."""
+        """x (n, k) times w (k, o); either is float64 or a log-coded ``Tensor``."""
         ib, fb = self.int_bits, self.frac_bits
-        coded_x = isinstance(x, QuantizedOperand)
-        coded_w = isinstance(w, QuantizedOperand)
+        coded_x = isinstance(x, Tensor)
+        coded_w = isinstance(w, Tensor)
         if coded_x and coded_w:
             kernel = method2_matmul_logaccum if self.accum == ACCUM_LOG else method2_matmul
             # the block-biased word moves by the operands' full scales
-            s = x.cfg.fsr + w.cfg.fsr if self.block_bias else 0
+            s = x.qconfig.fsr + w.qconfig.fsr if self.block_bias else 0
             return np.ldexp(kernel(x, w, ib + s, fb - s), s - fb)
         if self.block_bias or not (coded_x or coded_w):
             return _real(x) @ _real(w)
@@ -911,8 +883,8 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, quantize: bool,
     Returns the last layer's output.  A rank-4 ``x`` is NCHW; the walk
     transposes it to channel-last once on entry and a rank-4 output back to
     NCHW on exit.  An activation is a float64 array or, after a log
-    quantizer, a ``QuantizedOperand``; maxpool pools such an activation on
-    its codes (``_maxpool_codes``) without dequantizing it.
+    quantizer, a coded ``Tensor``; im2col lowers its codes, and maxpool
+    pools them (``_maxpool_codes``), without dequantizing it.
 
     * ``weights[i]``: conv/fc layer i's weight operand from
       ``weight_operands``.
@@ -936,8 +908,8 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, quantize: bool,
         if kind in (CONV, FC):
             # the left operand is (rows, k): a conv lowers with im2col (codes
             # pad with the zero code) and its rows are the output positions
-            coded = isinstance(act, QuantizedOperand)
-            a = act.codes if coded else act
+            coded = isinstance(act, Tensor)
+            a = act.data if coded else act
             if kind == CONV:
                 rows, oh, ow = im2col_array(a, (layer.kernel,) * 2, layer.stride, layer.pad)
             else:
@@ -946,7 +918,7 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, quantize: bool,
                 rows = (a.transpose(0, 3, 1, 2) if a.ndim == 4 else a).reshape(
                     a.shape[0], math.prod(a.shape[1:]))
             if coded:
-                rows = QuantizedOperand(rows, act.cfg)
+                rows = Tensor(rows, act.qconfig)
             out = arith.dot(rows, weights[i].T)
             if cache is not None:
                 cache[i] = {"x": rows, "w": weights[i], "in_shape": a.shape}
@@ -957,7 +929,7 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, quantize: bool,
                 cache[i] = {"mask": v > 0}
             act = relu_array(v)
         elif kind == MAXPOOL:
-            pool = _maxpool_codes if isinstance(act, QuantizedOperand) else maxpool_array
+            pool = _maxpool_codes if isinstance(act, Tensor) else maxpool_array
             pooled, idx = pool(act, layer.pool, layer.stride, cache is not None)
             if cache is not None:
                 cache[i] = {"idx": idx, "in_shape": act.shape}

@@ -1,4 +1,5 @@
-"""Dense shaped arrays holding real values or quantized codes.
+"""Dense shaped arrays holding real values or quantized codes: the stored
+weights of a model and every coded operand of the layer walk.
 
 Layout is row-major (OutC, InC, Kh, Kw) for conv weights and (Out, In) for
 fully connected weights.  Activations are NCHW at the file and API boundary
@@ -16,16 +17,18 @@ from typing import Optional
 
 import numpy as np
 
-from .lognum import ConfigError, DomainError, QuantizerConfig, dequantize_array, quantize_array
+from .lognum import (KIND_LOG, CodeTable, ConfigError, DomainError, QuantizerConfig, code_table,
+                     dequantize_array, quantize_array)
 
 
 @dataclass(frozen=True)
 class Tensor:
-    """Immutable shaped array.
+    """Immutable shaped array: a stored weight or a coded walk operand.
 
     Real tensors store float32 data and no quantizer config; quantized
-    tensors store uint8 wire codes, each below 2**bitwidth, plus exactly
-    one config.
+    tensors store uint8 wire codes plus exactly one config.  ``from_codes``
+    refuses codes at or above 2**bitwidth; walk operands, in range by
+    construction, may be views such as a transpose.
     """
 
     data: np.ndarray
@@ -37,11 +40,6 @@ class Tensor:
                 raise ConfigError(f"real tensors use float32, got {self.data.dtype}")
         elif self.data.dtype != np.uint8:
             raise ConfigError(f"quantized tensors use uint8 codes, got {self.data.dtype}")
-        elif self.data.size and int(self.data.max()) >= 1 << self.qconfig.bitwidth:
-            raise ConfigError(f"wire code {int(self.data.max())} overflows "
-                              f"{self.qconfig.bitwidth} bits")
-        if not self.data.flags["C_CONTIGUOUS"]:
-            raise ConfigError("tensor payload must be contiguous row-major")
         self.data.setflags(write=False)
 
     @property
@@ -58,13 +56,38 @@ class Tensor:
 
     @staticmethod
     def from_codes(codes: np.ndarray, cfg: QuantizerConfig) -> "Tensor":
-        return Tensor(np.ascontiguousarray(codes, dtype=np.uint8), cfg)
+        codes = np.ascontiguousarray(codes, dtype=np.uint8)
+        if codes.size and int(codes.max()) >= 1 << cfg.bitwidth:
+            raise ConfigError(f"wire code {int(codes.max())} overflows {cfg.bitwidth} bits")
+        return Tensor(codes, cfg)
 
     def real(self) -> np.ndarray:
-        """Float64 view of the dequantized (or raw real) values."""
+        """Float64 values: the dequantized codes, or the raw real data."""
         if self.qconfig is None:
             return self.data.astype(np.float64)
         return dequantize_array(self.data, self.qconfig)
+
+    @property
+    def table(self) -> CodeTable:
+        """What each wire code means (``lognum.code_table``), for log codes."""
+        if self.qconfig is None or self.qconfig.kind != KIND_LOG:
+            raise ConfigError("quantized matmul operands must be log codes")
+        return code_table(self.qconfig)
+
+    @property
+    def esteps(self) -> np.ndarray:
+        return self.table.esteps[self.data]
+
+    @property
+    def T(self) -> "Tensor":
+        """The transpose, over a view of the data: coded values gather in the
+        transposed layout, so a float64 product with them sums in the same
+        order as with the transposed values of ``self``."""
+        return Tensor(self.data.T, self.qconfig)
+
+    def present(self) -> np.ndarray:
+        """Which wire codes occur in the tensor, indexed by the code."""
+        return np.bincount(self.data.ravel(), minlength=self.table.sign.size) > 0
 
 
 def quantize_tensor(t: Tensor, cfg: QuantizerConfig) -> Tensor:

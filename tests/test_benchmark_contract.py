@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from lognet import QuantizerConfig, cli, io, nn, train
+from lognet import QuantizerConfig, Tensor, cli, io, nn, train
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks"))
 import spans  # noqa: E402
@@ -21,6 +21,12 @@ import spans  # noqa: E402
 def test_traced_names_resolve():
     for mod, attr in (*spans.TRACED, *spans.TRACED_INIT):
         assert callable(getattr(spans.MODULES[mod], attr, None)), f"{mod}.{attr}"
+
+
+def test_traced_operand_type_is_the_one_coded_type():
+    # the operand span times the construction of every coded Tensor: stored
+    # weights and walk operands alike
+    assert nn.QuantizedOperand is Tensor
 
 
 def test_count_functions_on_walker_operands(tmp_path):

@@ -1,6 +1,7 @@
 """File formats and command-line behavior."""
 
 import argparse
+import itertools
 import os
 import re
 import warnings
@@ -12,8 +13,9 @@ import pytest
 from lognet import QuantizerConfig, Tensor, quantize_tensor
 from lognet import calib, nn
 from lognet import io as lio
-from lognet.cli import _parser, ensure_weight_qconfigs, main, parse_train_config, predict_scores
-from lognet.lognum import ConfigError, DomainError
+from lognet.cli import (_attach_weight_qconfig, _parser, ensure_weight_qconfigs, main,
+                        parse_train_config, predict_scores)
+from lognet.lognum import ROUND_FLOOR, ROUND_NEAREST, ConfigError, DomainError
 from lognet.nn import (LOGQUANT, LayerSpec, ModelGraph, act_quant_layer, batchnorm_layer, conv, fc,
                        maxpool_layer, relu_layer)
 
@@ -439,6 +441,28 @@ def test_infer_refuses_scores_past_float32_range(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_infer_method1_refuses_a_weight_word_past_the_accumulator(tmp_path, monkeypatch,
+                                                                   capsys):
+    # a finite weight of 1e30 in the second conv is no 32+8 bit word: method1
+    # refuses it as lognum.dot_method1 does (AccumulatorWord.from_value), an
+    # arithmetic failure with exit 1, not a usage error
+    monkeypatch.setenv("LOGNET_THREADS", "1")
+    g = lio.read_model(REF_MODEL)
+    i = [j for j, layer in enumerate(g.layers) if layer.kind == "conv"][1]
+    w = g.weights[i].data.copy()
+    w.flat[0] = 1e30
+    g.weights[i] = Tensor.from_real(w)
+    model, x, out = tmp_path / "huge.lgn", tmp_path / "x.idx", tmp_path / "p.csv"
+    lio.write_model(model, g)
+    lio.write_idx(x, np.random.default_rng(23).uniform(0, 1, size=(2, 1, 12, 12))
+                  .astype(np.float32))
+    rc = main(["infer", str(model), str(x), "--mode", "method1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert "a weight word spans 108 raw bits, more than the 32+8 bit accumulator" in err, err
+    assert not out.exists()
+
+
 def test_cli_calibrate(workspace, tmp_path):
     root, data, _ = workspace
     out_model = tmp_path / "cal.lgn"
@@ -528,6 +552,26 @@ def test_cli_pack_compression(workspace, tmp_path):
     g = lio.read_model(out)
     assert g.weights[0].is_quantized
     assert os.path.getsize(out) < os.path.getsize(root / "model.lgn")
+
+
+def test_packed_weights_are_the_walks_weight_operands():
+    # pack's weight codes (cli._attach_weight_qconfig, then quantize_tensor)
+    # are what nn.weight_operands rebuilds from the stored weights at the
+    # layer's own grid: the same type and config, and the stored codes
+    # reshaped to (out, in), so a stored weight quantizer runs as stored
+    for bits, grid, rounding in itertools.product((3, 4, 5), (0, 1), (ROUND_NEAREST, ROUND_FLOOR)):
+        graph = lio.read_model(REF_MODEL.parent / "float.lgn")
+        template = QuantizerConfig("log", bits, True, 0, grid, rounding)
+        layers = [i for i, layer in enumerate(graph.layers) if layer.kind in ("conv", "fc")]
+        for i in layers:
+            graph.weights[i] = quantize_tensor(graph.weights[i],
+                                               _attach_weight_qconfig(graph, i, template))
+        rebuilt = nn.weight_operands(graph, {i: graph.weight_array(i) for i in layers}, grid)
+        for i in layers:
+            stored, op = graph.weights[i], rebuilt[i]
+            assert type(op) is type(stored) and op.qconfig == stored.qconfig == graph.layers[i].qconfig
+            assert op.shape == (stored.shape[0], stored.data[0].size)
+            assert op.data.tobytes() == stored.data.tobytes(), (bits, grid, rounding, i)
 
 
 def test_cli_quant_analyze(workspace, tmp_path, capsys):

@@ -18,7 +18,6 @@ from lognet.nn import (
     ACCUM_LOG,
     Arithmetic,
     ModelGraph,
-    QuantizedOperand,
     act_quant_layer,
     batchnorm_array,
     batchnorm_layer,
@@ -136,10 +135,10 @@ def test_maxpool_matches_scalar_oracle():
                 g, want_pos, a.shape, k, stride).tobytes(), (k, stride)
         # signed codes pool by value: the codes pooled are those of the
         # values pooled, at the same routes
-        op = QuantizedOperand(codes, s4)
+        op = Tensor(codes, s4)
         pooled, idx = nn._maxpool_codes(op, k, stride, True)
-        want, want_pos = _maxpool_oracle(op.values, k, stride)
-        assert np.array_equal(pooled.values, want) and np.array_equal(idx, want_pos)
+        want, want_pos = _maxpool_oracle(op.real(), k, stride)
+        assert np.array_equal(pooled.real(), want) and np.array_equal(idx, want_pos)
 
 
 def test_maxpool_keeps_codes():
@@ -148,9 +147,9 @@ def test_maxpool_keeps_codes():
     g = ModelGraph(layers=[act_quant_layer("log", 4), maxpool_layer(2, 1)], fsr=5)
     assert g.act_config(g.layers[0]) == ACT4
     pooled = walk(g, vals, {}, True, {}, Arithmetic())
-    assert isinstance(pooled, QuantizedOperand) and pooled.cfg == ACT4
-    assert np.array_equal(pooled.codes, codes_from([[[[16.0, 8.0], [16.0, 8.0]]]], ACT4))
-    assert np.array_equal(pooled.values, [[[[16.0, 8.0], [16.0, 8.0]]]])
+    assert isinstance(pooled, Tensor) and pooled.qconfig == ACT4
+    assert np.array_equal(pooled.data, codes_from([[[[16.0, 8.0], [16.0, 8.0]]]], ACT4))
+    assert np.array_equal(pooled.real(), [[[[16.0, 8.0], [16.0, 8.0]]]])
 
     # signed codes pool as their values would: windows of negatives, zeros
     # and positives, with ties kept at the first index
@@ -168,12 +167,12 @@ def test_maxpool_keeps_codes():
     want, want_idx = maxpool_array(dequantize_array(logquant_array(nhwc, s4), s4), 2, 2)
     assert want_idx.ravel().tolist() == [3, 1, 2, 0, 1, 1]
     want = want.transpose(0, 3, 1, 2)
-    assert pooled.cfg == s4 and np.array_equal(pooled.codes, logquant_array(want, s4))
-    assert np.array_equal(pooled.values, want)
+    assert pooled.qconfig == s4 and np.array_equal(pooled.data, logquant_array(want, s4))
+    assert np.array_equal(pooled.real(), want)
     assert np.array_equal(cache[1]["idx"], want_idx)
     # the walk without a cache pools without the argmax, to the same codes
     uncached = walk(g, vals, {}, True, {}, Arithmetic())
-    assert np.array_equal(uncached.codes, pooled.codes)
+    assert np.array_equal(uncached.data, pooled.data)
 
 
 def test_batchnorm_examples():
@@ -286,7 +285,7 @@ def test_sum_dtype_rule():
     for word_bits, want in ((22, np.float32), (23, np.float64)):
         top_w = (2.0 ** word_bits - 1) / 2 ** 8
         w = np.array([[top_w, -3.0], [1.5, -top_w]])
-        raw, dtype = _run_recording_dtype(method1_matmul, QuantizedOperand(xc, cx), w)
+        raw, dtype = _run_recording_dtype(method1_matmul, Tensor(xc, cx), w)
         assert dtype is want
         for i in range(3):
             for j in range(2):
@@ -294,8 +293,8 @@ def test_sum_dtype_rule():
 
 
 # operand layouts the kernels meet: C-ordered, and the Fortran-ordered views
-# of transposed operands (``weights[i].T`` in the walk, ``QuantizedOperand.T``
-# in the backward products)
+# of transposed operands (``weights[i].T`` in the walk, ``Tensor.T`` in the
+# backward products)
 LAYOUTS = (np.ascontiguousarray, lambda a: np.ascontiguousarray(a.T).T)
 
 
@@ -329,8 +328,8 @@ def _check_method2_matmul(laid):
         w = rng.normal(0, 1.5, size=(k, o))
         xc = codes_from(x, ACT4)
         wc = codes_from(w, W5)
-        xo = QuantizedOperand(laid(xc), ACT4)
-        wo = QuantizedOperand(laid(wc), W5)
+        xo = Tensor(laid(xc), ACT4)
+        wo = Tensor(laid(wc), W5)
         raw = method2_matmul(xo, wo)
         for i in range(n):
             for j in range(o):
@@ -360,7 +359,7 @@ def _check_method2_matmul(laid):
         cases = [(0, cx, cw, 32, 8), (0, cx, cw, 24, 28), (0, cx, cw, 32, 3),
                  (cx.fsr + cw.fsr, replace(cx, fsr=0), replace(cw, fsr=0), 24, 28)]
         for shift, ocx, ocw, ib, frac in cases:
-            xo, wo = QuantizedOperand(laid(xc), cx), QuantizedOperand(laid(wc), cw)
+            xo, wo = Tensor(laid(xc), cx), Tensor(laid(wc), cw)
             if fb == 0 and (shift, frac) == (0, 8):
                 assert min(_code_classes(xo, wo, frac)) > 0
             raw = method2_matmul(xo, wo, ib + shift, frac - shift)
@@ -369,8 +368,8 @@ def _check_method2_matmul(laid):
                 for j in range(o):
                     want = _scalar_linear(xc, wc, ocx, ocw, i, j, ib, frac)
                     assert raw[i, j] == want, (cx, cw, shift, frac, i, j)
-        zero_w = QuantizedOperand(laid(np.zeros_like(wc)), cw)
-        assert (method2_matmul(QuantizedOperand(laid(xc), cx), zero_w) == 0).all()
+        zero_w = Tensor(laid(np.zeros_like(wc)), cw)
+        assert (method2_matmul(Tensor(laid(xc), cx), zero_w) == 0).all()
 
     # 14 truncating codes against 40 outputs need more than one k block of
     # term tables and several row blocks of the one-hot matrix
@@ -381,7 +380,7 @@ def _check_method2_matmul(laid):
     x[rng.random((n, k)) < 0.2] = 0.0
     w = rng.choice([-1.0, 1.0], size=(k, o)) * 2.0 ** rng.uniform(-12, 3, size=(k, o))
     xc, wc = codes_from(x, cx), codes_from(w, cw)
-    xo, wo = QuantizedOperand(laid(xc), cx), QuantizedOperand(laid(wc), cw)
+    xo, wo = Tensor(laid(xc), cx), Tensor(laid(wc), cw)
     n_exact, n_dead, n_trunc = _code_classes(xo, wo, frac)
     assert min(n_exact, n_dead) > 0 and n_trunc == 14
     k_step = _block_elems(np.float64) // (n_trunc * o)
@@ -401,7 +400,7 @@ def _check_method2_matmul(laid):
     x[rng.random((n, k)) < 0.2] = 0.0
     w = rng.choice([-1.0, 1.0], size=(k, o)) * 2.0 ** rng.uniform(-11, 0, size=(k, o))
     xc, wc = codes_from(x, cx), codes_from(w, cw)
-    xo, wo = QuantizedOperand(laid(xc), cx), QuantizedOperand(laid(wc), cw)
+    xo, wo = Tensor(laid(xc), cx), Tensor(laid(wc), cw)
     n_exact, n_dead, n_trunc = _code_classes(xo, wo, frac)
     assert (n_exact, n_trunc) == (2, 10) and n_dead > 0
     k_step = _block_elems(np.float32) // (n_trunc * o)
@@ -424,7 +423,7 @@ def test_method2_matmul_sums_out_of_float32_range_factors_in_float64():
     x[rng.random((n, k)) < 0.2] = 0.0
     w = rng.choice([-1.0, 1.0], size=(k, o)) * 2.0 ** rng.uniform(-143, -138, size=(k, o))
     xc, wc = codes_from(x, cx), codes_from(w, cw)
-    xo, wo = QuantizedOperand(xc, cx), QuantizedOperand(wc, cw)
+    xo, wo = Tensor(xc, cx), Tensor(wc, cw)
     assert min(_code_classes(xo, wo, 8)) > 0
     raw, dtype = _run_recording_dtype(method2_matmul, xo, wo)
     assert dtype is np.float64 and (raw != 0).any()
@@ -441,8 +440,8 @@ def _scalar_logaccum(xc, wc, cx, cw, i, j, int_bits=32, frac_bits=8, f=4):
 
 def _check_logaccum(xc, wc, cx, cw, f=4, rows=None, cols=None, int_bits=32, frac_bits=8,
                     laid=np.ascontiguousarray):
-    raw = method2_matmul_logaccum(QuantizedOperand(laid(xc), cx),
-                                  QuantizedOperand(laid(wc), cw),
+    raw = method2_matmul_logaccum(Tensor(laid(xc), cx),
+                                  Tensor(laid(wc), cw),
                                   int_bits, frac_bits, exp_frac_bits=f)
     assert raw.shape == (xc.shape[0], wc.shape[1])
     for i in range(xc.shape[0]) if rows is None else rows:
@@ -702,8 +701,8 @@ def test_method2_logaccum_range_checks_each_sign_plane():
     with pytest.raises(AccumulatorOverflow):
         _scalar_logaccum(xc, wc, cx, cw, 0, 0, int_bits=3, frac_bits=8)
     with pytest.raises(AccumulatorOverflow):
-        method2_matmul_logaccum(QuantizedOperand(xc, cx),
-                                QuantizedOperand(wc, cw), 3, 8)
+        method2_matmul_logaccum(Tensor(xc, cx),
+                                Tensor(wc, cw), 3, 8)
 
 
 def test_method2_logaccum_refuses_planes_past_exact_float64():
@@ -714,7 +713,7 @@ def test_method2_logaccum_refuses_planes_past_exact_float64():
     xc = codes_from([[2.0 ** 50, 2.0 ** -8]], cx)
     wc = codes_from([[1.0], [-1.0]], cw)
     assert _scalar_logaccum(xc, wc, cx, cw, 0, 0, 60, 8) == 2 ** 58 - 1
-    xo, wo = QuantizedOperand(xc, cx), QuantizedOperand(wc, cw)
+    xo, wo = Tensor(xc, cx), Tensor(wc, cw)
     with pytest.raises(ConfigError):
         method2_matmul_logaccum(xo, wo, 60, 8)
     with pytest.raises(ConfigError):
@@ -740,7 +739,7 @@ def _check_method1_matmul(laid):
         x = rng.uniform(0, 40, size=(3, k))
         w = rng.normal(0, 2.0, size=(k, 2))
         xc = codes_from(x, ACT4)
-        raw = method1_matmul(QuantizedOperand(laid(xc), ACT4), laid(w))
+        raw = method1_matmul(Tensor(laid(xc), ACT4), laid(w))
         for i in range(3):
             for j in range(2):
                 assert raw[i, j] == _scalar_method1(xc, w, ACT4, i, j)
@@ -758,7 +757,7 @@ def _check_method1_matmul(laid):
     w = rng.normal(0, 2.0, size=(k, o))
     w[:, 2] = 0.0
     xc = codes_from(x, cx)
-    xo = QuantizedOperand(laid(xc), cx)
+    xo = Tensor(laid(xc), cx)
     lv = np.unique(xo.table.esteps[xo.present() & xo.table.nonzero])
     n_trunc = int((lv < 0).sum())
     assert (lv >= 0).any() and n_trunc > 50
@@ -794,11 +793,11 @@ def test_method1_matmul_refusals():
     w = np.array([[1.0], [-2.0], [3.0]])
     sqrt2 = QuantizerConfig("log", 4, False, 3, 1)
     with pytest.raises(ConfigError):
-        method1_matmul(QuantizedOperand(codes_from(x, sqrt2), sqrt2), w)
+        method1_matmul(Tensor(codes_from(x, sqrt2), sqrt2), w)
     signed = QuantizerConfig("log", 5, True, 3)
     with pytest.raises(ConfigError):
-        method1_matmul(QuantizedOperand(codes_from(-x, signed), signed), w)
-    raw = method1_matmul(QuantizedOperand(codes_from(x, signed), signed), w)
+        method1_matmul(Tensor(codes_from(-x, signed), signed), w)
+    raw = method1_matmul(Tensor(codes_from(x, signed), signed), w)
     # the scalar op takes unsigned configs only; 4 magnitude bits either way
     unsigned = QuantizerConfig("log", 4, False, 3)
     assert raw[0, 0] == _scalar_method1(codes_from(x, unsigned), w, unsigned, 0, 0) == -7 * 2 ** 8
@@ -818,7 +817,7 @@ def test_shifted_input_matmul_base2_and_sqrt2():
     for fb in (0, 1):
         cfg = QuantizerConfig("log", 5, True, 1, base_frac_bits=fb)
         wc = logquant_array(w, cfg)
-        op = QuantizedOperand(wc, cfg)
+        op = Tensor(wc, cfg)
         raw = shifted_input_matmul(x, op)
         # reference weight factors use the same shift-add mantissa (1.5 for
         # half-step exponents); truncation then spans <= one raw unit per term
@@ -841,7 +840,7 @@ def test_shifted_input_matmul_base2_and_sqrt2():
             wc = logquant_array(w, cfg)
             for ib, frac, want in ((32, 8, np.float32), (24, 20, np.float64)):
                 raw, dtype = _run_recording_dtype(
-                    shifted_input_matmul, laid(x), QuantizedOperand(laid(wc), cfg), ib, frac)
+                    shifted_input_matmul, laid(x), Tensor(laid(wc), cfg), ib, frac)
                 assert dtype is want
                 for i in range(x.shape[0]):
                     for j in range(w.shape[1]):
@@ -853,7 +852,7 @@ def test_shifted_input_matmul_base2_and_sqrt2():
     cfg = QuantizerConfig("log", 5, True, -140)
     w = rng.choice([-1.0, 1.0], size=(10, 3)) * 2.0 ** rng.uniform(-156, -140, size=(10, 3))
     wc = logquant_array(w, cfg)
-    raw, dtype = _run_recording_dtype(shifted_input_matmul, x, QuantizedOperand(wc, cfg))
+    raw, dtype = _run_recording_dtype(shifted_input_matmul, x, Tensor(wc, cfg))
     assert dtype is np.float64 and (raw != 0).any()
     for i in range(x.shape[0]):
         for j in range(w.shape[1]):
@@ -893,7 +892,7 @@ def _block_biased_operands(draw):
         # every wire code but negative zero, which no quantizer writes
         valid = [c for c in range(1 << cfg.bitwidth) if not signed or c != 1 << cfg.bitwidth_mag]
         codes = draw(arrays(np.uint8, shape, elements=st.sampled_from(valid)))
-        return QuantizedOperand(codes, cfg)
+        return Tensor(codes, cfg)
 
     return operand(draw(st.booleans()), (n, k)), operand(True, (k, o))
 
@@ -911,13 +910,13 @@ def test_block_biased_dot_is_the_scalar_dot_at_zero_full_scale(ops, f):
             mp.setattr(nn, "method2_matmul_logaccum",
                        functools.partial(method2_matmul_logaccum, exp_frac_bits=f))
         got = Arithmetic(24, 28, accum, block_bias=True).dot(x, w)
-    cx0, cw0 = replace(x.cfg, fsr=0), replace(w.cfg, fsr=0)
+    cx0, cw0 = replace(x.qconfig, fsr=0), replace(w.qconfig, fsr=0)
     for i in range(x.shape[0]):
-        xs = [LogCode.from_wire(int(c), cx0) for c in x.codes[i]]
+        xs = [LogCode.from_wire(int(c), cx0) for c in x.data[i]]
         for j in range(w.shape[1]):
-            ws = [LogCode.from_wire(int(c), cw0) for c in w.codes[:, j]]
+            ws = [LogCode.from_wire(int(c), cw0) for c in w.data[:, j]]
             raw = dot_method2(ws, xs, cw0, cx0, accum, 24, 28, f or 4).raw
-            assert got[i, j] == math.ldexp(raw, x.cfg.fsr + w.cfg.fsr - 28), (i, j)
+            assert got[i, j] == math.ldexp(raw, x.qconfig.fsr + w.qconfig.fsr - 28), (i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -995,7 +994,7 @@ def test_forward_pipeline_matches_manual_kernel_walk():
     # conv1 on real input: shifted-input kernel against the quantized weights
     w0 = logquant_array(g.weight_array(0).reshape(4, -1).T, wq)
     cols, oh, ow = im2col_array(value.transpose(0, 2, 3, 1), (3, 3), 1, 1)
-    raw = shifted_input_matmul(cols, QuantizedOperand(w0, wq))
+    raw = shifted_input_matmul(cols, Tensor(w0, wq))
     value = np.ldexp(raw, -8).reshape(n, oh, ow, 4).transpose(0, 3, 1, 2)
     value = np.maximum(value, 0)
     acfg = rep(layers[2].qconfig, fsr=g.fsr + 2)
@@ -1003,13 +1002,13 @@ def test_forward_pipeline_matches_manual_kernel_walk():
     # conv2 on coded input
     w3 = logquant_array(g.weight_array(3).reshape(3, -1).T, wq)
     ccols, oh, ow = im2col_array(codes.transpose(0, 2, 3, 1), (3, 3), 1, 1)
-    raw = method2_matmul(QuantizedOperand(ccols, acfg), QuantizedOperand(w3, wq))
+    raw = method2_matmul(Tensor(ccols, acfg), Tensor(w3, wq))
     value = np.ldexp(raw, -8).reshape(n, oh, ow, 3).transpose(0, 3, 1, 2)
     value = np.maximum(value, 0)
     codes = logquant_array(value, acfg).reshape(n, -1)
     # final fc
     w6 = logquant_array(g.weight_array(6).T, wq)
-    raw = method2_matmul(QuantizedOperand(codes, acfg), QuantizedOperand(w6, wq))
+    raw = method2_matmul(Tensor(codes, acfg), Tensor(w6, wq))
     want = np.ldexp(raw, -8)
     assert np.array_equal(got, want.astype(np.float32).astype(np.float64))
 
@@ -1044,7 +1043,7 @@ def test_forward_linear_activation_layer_matches_manual_kernel_walk():
     for i, cout in ((0, 3), (3, 2)):
         wc = logquant_array(g.weight_array(i).reshape(cout, -1).T, wq)
         cols, oh, ow = im2col_array(value.transpose(0, 2, 3, 1), (3, 3), 1, 1)
-        raw = shifted_input_matmul(cols, QuantizedOperand(wc, wq))
+        raw = shifted_input_matmul(cols, Tensor(wc, wq))
         value = np.maximum(np.ldexp(raw, -8).reshape(n, oh, ow, cout).transpose(0, 3, 1, 2), 0)
         if i == 0:
             lcfg = QuantizerConfig("linear", 4, False, 3)
@@ -1053,7 +1052,7 @@ def test_forward_linear_activation_layer_matches_manual_kernel_walk():
     acfg = g.act_config(layers[5])
     codes = logquant_array(value, acfg).reshape(n, -1)
     w6 = logquant_array(g.weight_array(6).T, wq)
-    raw = method2_matmul(QuantizedOperand(codes, acfg), QuantizedOperand(w6, wq))
+    raw = method2_matmul(Tensor(codes, acfg), Tensor(w6, wq))
     want = np.ldexp(raw, -8)
     assert np.array_equal(got, want.astype(np.float32).astype(np.float64))
 
@@ -1088,7 +1087,7 @@ def test_forward_linear_weight_quantizer_matches_manual_kernel_walk():
     value = (cols @ linear_weights(0, 3)).reshape(3, oh, ow, 3).transpose(0, 3, 1, 2)
     acfg = g.act_config(layers[2])
     codes = logquant_array(np.maximum(value, 0), acfg).reshape(3, -1)
-    raw = method1_matmul(QuantizedOperand(codes, acfg), linear_weights(3, 4))
+    raw = method1_matmul(Tensor(codes, acfg), linear_weights(3, 4))
     want = np.ldexp(raw, -8)
     assert np.array_equal(got, want.astype(np.float32).astype(np.float64))
 
@@ -1238,7 +1237,7 @@ def test_a_term_wider_than_the_word_overflows(kernel):
     # than the 32+8 word: fsr_x + fsr_w >= int_bits for coded x coded
     def code(fsr, signed):  # the top positive code, at 2**fsr
         cfg = QuantizerConfig("log", 5, signed, fsr)
-        return QuantizedOperand(np.full((1, 1), cfg.max_code), cfg)
+        return Tensor(np.full((1, 1), cfg.max_code, np.uint8), cfg)
 
     with pytest.raises(AccumulatorOverflow, match="a single term can span"):
         if kernel == "method2":
@@ -1247,6 +1246,52 @@ def test_a_term_wider_than_the_word_overflows(kernel):
             method1_matmul(code(32, False), np.ones((1, 1)))
         else:
             shifted_input_matmul(np.ones((1, 1)), code(31, True))
+
+
+@pytest.mark.parametrize("kernel", ["method1", "shifted_input"])
+def test_a_real_word_past_the_accumulator_overflows(kernel):
+    # the real operand becomes 32+8 words as AccumulatorWord.from_value
+    # makes them, and a word the word cannot hold is refused as there, with
+    # AccumulatorOverflow, before the float64 range check can refuse its sum
+    one = QuantizerConfig("log", 4, False, 1)  # the top code is 2**(fsr - 1) = 1
+    x = Tensor(np.full((1, 1), one.max_code, np.uint8), one)
+    top = 2.0 ** 32
+    for value in (1.0, top / 4 - 2.0 ** -8, -(top / 4 - 2.0 ** -8),
+                  top - 2.0 ** -9, top, -top, 1e30, -1e30):
+        try:
+            AccumulatorWord.from_value(value)
+            refused = False
+        except AccumulatorOverflow:
+            refused = True
+        real = np.array([[value]])
+        if kernel == "method1":
+            run = functools.partial(method1_matmul, x, real)
+        else:
+            run = functools.partial(shifted_input_matmul, real, x)
+        if not refused:
+            assert run()[0, 0] == value * 2 ** 8, value
+            continue
+        operand = "a weight" if kernel == "method1" else "an input"
+        with pytest.raises(AccumulatorOverflow,
+                           match=f"^{operand} word spans .* the 32\\+8 bit accumulator$"):
+            run()
+    assert refused  # the last value is no word
+
+
+def test_kernels_refuse_linear_codes():
+    # a linear-coded Tensor is a valid stored weight, but no kernel operand:
+    # its codes carry no exponent to shift by
+    lin = QuantizerConfig("linear", 4, True, 0)
+    log = QuantizerConfig("log", 4, True, 0)
+    codes = np.array([[1, 2], [3, 9]], np.uint8)
+    coded_lin, coded_log, real = Tensor.from_codes(codes, lin), Tensor(codes, log), np.ones((2, 2))
+    assert np.array_equal(coded_lin.real(), dequantize_array(codes, lin))
+    calls = [(method1_matmul, coded_lin, real), (shifted_input_matmul, real, coded_lin)]
+    for kernel in (method2_matmul, method2_matmul_logaccum):
+        calls += [(kernel, coded_lin, coded_log), (kernel, coded_log, coded_lin)]
+    for kernel, *operands in calls:
+        with pytest.raises(ConfigError, match="quantized matmul operands must be log codes"):
+            kernel(*operands)
 
 
 def test_forward_runs_a_softmax_tail():

@@ -10,10 +10,10 @@ import pytest
 from lognet import QuantizerConfig, nn, train
 from lognet import io as lio
 from lognet.lognum import LogCode, dot_method2, logquant_array
-from lognet.nn import (LINQUANT, LOGQUANT, LayerSpec, ModelGraph, QuantizedOperand, batchnorm_layer,
+from lognet.nn import (LINQUANT, LOGQUANT, LayerSpec, ModelGraph, batchnorm_layer,
                        conv, fc, maxpool_layer, quantize_operand, relu_layer, walk)
 from lognet.nn import BN_EPS, act_quant_layer, batchnorm_batch
-from lognet.tensor import im2col_array
+from lognet.tensor import Tensor, im2col_array
 from lognet.train import (
     OptimizerSpec,
     TrainConfig,
@@ -624,7 +624,7 @@ def test_qdot_block_biased_product_matches_scalar_dot():
 
     def coded(a, q, fsr):
         c = replace(q, fsr=fsr)
-        return QuantizedOperand(logquant_array(a, c), c)
+        return Tensor(logquant_array(a, c), c)
 
     acts = np.maximum(rng.normal(0, 2.0, size=(40, 36)), 0.0)
     weights = rng.normal(0, 0.3, size=(36, 8))
@@ -632,11 +632,11 @@ def test_qdot_block_biased_product_matches_scalar_dot():
     for x, w in ((coded(acts, A4, 3), coded(weights, W5, 0)),
                  (coded(grads, G5, -9), coded(acts, A4, 3))):
         got = ARITHMETIC.dot(x, w)
-        cx0, cw0 = replace(x.cfg, fsr=0), replace(w.cfg, fsr=0)
-        for i in (0, *rng.integers(0, x.codes.shape[0], size=3)):
-            for j in range(w.codes.shape[1]):
-                raw = dot_method2([LogCode.from_wire(int(c), cw0) for c in w.codes[:, j]],
-                                  [LogCode.from_wire(int(c), cx0) for c in x.codes[i]],
+        cx0, cw0 = replace(x.qconfig, fsr=0), replace(w.qconfig, fsr=0)
+        for i in (0, *rng.integers(0, x.data.shape[0], size=3)):
+            for j in range(w.data.shape[1]):
+                raw = dot_method2([LogCode.from_wire(int(c), cw0) for c in w.data[:, j]],
+                                  [LogCode.from_wire(int(c), cx0) for c in x.data[i]],
                                   cw0, cx0, "linear", ib, fb).raw
-                want = math.ldexp(raw, x.cfg.fsr + w.cfg.fsr - fb)
+                want = math.ldexp(raw, x.qconfig.fsr + w.qconfig.fsr - fb)
                 assert got[i, j] == want
