@@ -1235,7 +1235,7 @@ def test_forward_and_capture_take_an_empty_batch(mode, accum):
 def test_a_term_wider_than_the_word_overflows(kernel):
     # k = 1 and every sum fits float64, but the one term spans more bits
     # than the 32+8 word: fsr_x + fsr_w >= int_bits for coded x coded
-    def code(fsr, signed):  # the top positive code, at 2**fsr
+    def code(fsr, signed):  # the top positive code, at 2**(fsr - 1)
         cfg = QuantizerConfig("log", 5, signed, fsr)
         return Tensor(np.full((1, 1), cfg.max_code, np.uint8), cfg)
 
