@@ -5,7 +5,7 @@ for bit.
 
 Run it in two checkouts (the script may be copied into the older one) and
 compare the lines: one digest per part, then one over all of them.  It
-takes no flags.  BLAS and ``LOGNET_THREADS`` run on one thread.  The parts:
+takes no flags.  BLAS runs on one thread.  The parts:
 
 * ``forward/<net>/<mode>/<accum>``: ``nn.forward`` class scores of both
   ``benchmarks/ref/*.lgn`` (5-bit base-2 weight quantizers attached, as
@@ -19,6 +19,11 @@ takes no flags.  BLAS and ``LOGNET_THREADS`` run on one thread.  The parts:
 * ``cli/<command>``: ``lognet calibrate`` (nearest and floor rounding),
   ``quant-analyze`` and ``pack`` (5b base 2 and 4b sqrt2) on
   ``ref/float.lgn``: output files and stdout;
+* ``cli/infer/<mode>/<accum>``: the predictions CSV of ``lognet infer`` on
+  ``ref/calibrated.lgn`` over 600 images (three evaluation slices, the
+  last one partial) in every mode/accumulation pair, and ``cli/sweep``:
+  the CSV of one method2_base2 ``lognet sweep`` of that net over 3 and 4
+  bits and three fsrs (stdout, which carries timings, left out);
 * ``data/<case>``: ``make_pattern_dataset`` images and labels of the four
   draws one ``infer`` benchmark run at seed 1 makes (``infer``, ``train``,
   ``eval`` and ``calibrate``), and the files and stdout of ``lognet
@@ -41,7 +46,7 @@ import os
 import sys
 import tempfile
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "LOGNET_THREADS"):
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -180,6 +185,20 @@ def cli_parts(parts: dict, tmp: str) -> None:
     }
     for name, (argv, outputs) in runs.items():
         parts[f"cli/{name}"] = digest(lambda: cli_outputs(argv, outputs, tmp))
+    calibrated = os.path.join(REF_DIR, "calibrated.lgn")
+    x, y = dataset(600, 51)
+    io.write_idx(os.path.join(tmp, "x600.idx"), x)
+    io.write_idx(os.path.join(tmp, "y600.idx"), y.astype(np.uint8))
+    evaluations = {f"infer/{mode}/{accum}": ["infer", calibrated, "x600.idx", "--mode", mode,
+                                             "--accum", accum]
+                   for mode, accum in PAIRS}
+    evaluations["sweep"] = ["sweep", calibrated, "x600.idx", "y600.idx", "--mode",
+                            "method2_base2", "--fsr-range", "2:4"]
+    for name, argv in evaluations.items():
+        out = name.replace("/", "-") + ".csv"
+        parts[f"cli/{name}"] = digest(lambda: {  # stdout carries timings
+            k: v for k, v in cli_outputs(argv + ["--out", out], [out], tmp).items()
+            if k != "stdout"})
 
 
 # benchmarks/run.py's draws for one infer-workload run at seed 1:

@@ -13,7 +13,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import lru_cache
 
@@ -32,16 +31,6 @@ from .lognum import (
 )
 from .nn import CONV, FC, LINQUANT, LOGQUANT, ModelGraph, forward
 from .tensor import quantize_tensor
-
-
-def worker_threads() -> int:
-    env = os.environ.get("LOGNET_THREADS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as e:
-            raise ConfigError(f"LOGNET_THREADS must be an integer, got {env!r}") from e
-    return min(4, os.cpu_count() or 1)
 
 
 def _fmt(value) -> str:
@@ -95,24 +84,14 @@ def _usage_fail(message: str) -> int:
 
 def predict_scores(graph: ModelGraph, images: np.ndarray, mode: str, accum: str,
                    batch_size: int = 256) -> np.ndarray:
-    """Forward over batches, fanned out to ``worker_threads()`` threads,
-    ordered by index."""
-    if len(images) == 0:
-        return np.zeros((0, 0), dtype=np.float32)
-    spans = [(lo, min(lo + batch_size, len(images)))
-             for lo in range(0, len(images), batch_size)]
-
-    def run(span):
-        lo, hi = span
-        return forward(graph, images[lo:hi], mode, accum)
-
-    n_workers = worker_threads()
-    if n_workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            chunks = list(pool.map(run, spans))
-    else:
-        chunks = [run(s) for s in spans]
-    return np.concatenate(chunks, axis=0)
+    """``forward`` on slices of ``batch_size`` images, in order, joined into
+    one (samples, classes) array; zero images make one call on the empty
+    slice.  A net whose output is not class scores raises ``ConfigError``."""
+    scores = np.concatenate([forward(graph, images[lo:lo + batch_size], mode, accum)
+                             for lo in range(0, max(len(images), 1), batch_size)])
+    if scores.ndim != 2:
+        raise ConfigError(f"the net outputs {scores.shape[1:]} per image, not class scores")
+    return scores
 
 
 def topk_accuracy(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
@@ -256,8 +235,7 @@ def cmd_infer(args) -> int:
     t0 = time.perf_counter()
     scores = predict_scores(graph, images, args.mode, args.accum)
     timings = {args.mode: time.perf_counter() - t0}
-    preds = scores.argmax(axis=1) if scores.size else np.zeros(0, dtype=np.int64)
-    write_csv(args.out, ["index", "prediction"], list(enumerate(preds)))
+    write_csv(args.out, ["index", "prediction"], list(enumerate(scores.argmax(axis=1))))
     if args.mode != "float32":
         # a float32 reference timing; its failure does not fail the command
         t0 = time.perf_counter()

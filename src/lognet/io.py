@@ -216,6 +216,8 @@ def read_model(path) -> ModelGraph:
                                       ROUND_FLOOR if rounding == 0 else ROUND_NEAREST)
             except ConfigError as e:
                 raise FileFormatError(at, f"invalid quantizer block: {e}") from e
+        elif kind in (LOGQUANT, LINQUANT):
+            raise FileFormatError(at, f"layer {i}: quantizer layer without a config")
         layer = LayerSpec(kind, qconfig=cfg, fsr_offset=fsr_offset, **geom)
         graph.layers.append(layer)
         _read_payload(r, i, layer, graph)

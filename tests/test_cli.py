@@ -366,8 +366,58 @@ def test_model_rejects_zero_geometry_at_its_offset(tmp_path, capsys):
         assert f"byte {off}:" in err, (off, name, err)
 
 
+ZEROED_BLOCK_COMMANDS = {
+    "infer_float32": ["infer", "--mode", "float32"],
+    "infer_method1": ["infer", "--mode", "method1"],
+    "infer_method2_base2": ["infer", "--mode", "method2_base2"],
+    "calibrate": ["calibrate", "--report", "r.csv"],
+    "quant-analyze": ["quant-analyze"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZEROED_BLOCK_COMMANDS))
+def test_quantizer_layer_without_a_config_is_refused_at_its_block(case, tmp_path, monkeypatch,
+                                                                  capsys):
+    # layer 3 of the reference net is a log quantizer whose 7-byte quantizer
+    # block starts at byte 478; zeroed, it holds no config, and every
+    # command refuses the file there
+    assert lio.read_model(REF_MODEL).layers[3].kind == LOGQUANT
+    raw = bytearray(REF_MODEL.read_bytes())
+    assert raw[478] == lio._QKIND_TAGS["log"]
+    raw[478:485] = bytes(7)
+    model, x = tmp_path / "m.lgn", tmp_path / "x.idx"
+    model.write_bytes(bytes(raw))
+    lio.write_idx(x, np.zeros((2, 1, 12, 12), dtype=np.float32))
+    command, *flags = ZEROED_BLOCK_COMMANDS[case]
+    monkeypatch.chdir(tmp_path)
+    assert main([command, str(model), str(x), *flags, "--out", "o"]) == 2
+    assert "byte 478: layer 3: quantizer layer without a config" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("layers", [[], [conv(2, 1, 3, pad=1)]], ids=["no_layers", "conv_tail"])
+@pytest.mark.parametrize("command", ["infer", "sweep"])
+def test_a_net_without_class_scores_is_refused(command, layers, tmp_path, capsys):
+    # a net whose output is not (samples, classes) has no predictions or
+    # accuracies to give: both commands exit 2 and write no CSV
+    g = ModelGraph(layers=layers, fsr=0)
+    if layers:
+        g.weights[0] = Tensor.from_real(np.ones((2, 1, 3, 3)))
+    model, x, y, out = (tmp_path / n for n in ("m.lgn", "x.idx", "y.idx", "o.csv"))
+    lio.write_model(model, g)
+    lio.write_idx(x, np.zeros((3, 1, 6, 6), dtype=np.float32))
+    lio.write_idx(y, np.zeros(3, dtype=np.uint8))
+    argv = {"infer": ["infer", str(model), str(x)],
+            "sweep": ["sweep", str(model), str(x), str(y), "--fsr-range", "0:0"]}[command]
+    assert main(argv + ["--mode", "float32", "--out", str(out)]) == 2
+    channels = len(layers) + 1
+    assert (f"the net outputs ({channels}, 6, 6) per image, not class scores"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["float32", "method2_base2"])
-def test_model_byte_mutations_exit_0_or_2(mode, tmp_path, monkeypatch, capsys):
+def test_model_byte_mutations_exit_0_or_2(mode, tmp_path, capsys):
     # every one of the first 120 bytes of the reference model set to 0, 1,
     # 0x7f and 0xff: each file is either run or refused with exit 2, in a
     # float and a shift-kernel mode; nothing escapes as a traceback.  The
@@ -378,7 +428,6 @@ def test_model_byte_mutations_exit_0_or_2(mode, tmp_path, monkeypatch, capsys):
     # naming the overflow; in method2_base2 mode the requested scores are
     # finite, so it writes the predictions, exits 0 and reports the failed
     # float32 timing pass on its own line
-    monkeypatch.setenv("LOGNET_THREADS", "1")
     raw = REF_MODEL.read_bytes()
     assert lio.read_model(REF_MODEL).layers[0].kind == "conv"
     # magic, version, fsr, layer count; kind tag, geometry, quantizer block,
@@ -419,11 +468,10 @@ def test_model_byte_mutations_exit_0_or_2(mode, tmp_path, monkeypatch, capsys):
     assert non_finite > 0 and overflows > 0
 
 
-def test_infer_refuses_scores_past_float32_range(tmp_path, monkeypatch, capsys):
+def test_infer_refuses_scores_past_float32_range(tmp_path, capsys):
     # a finite float32 weight of 3e38 in the first conv gives class scores
     # beyond float32's range: infer exits 1 naming the largest |score|
     # instead of predicting from infinite scores
-    monkeypatch.setenv("LOGNET_THREADS", "1")
     g = lio.read_model(REF_MODEL)
     w = g.weights[0].data.copy()
     w.flat[0] = 3e38
@@ -441,12 +489,10 @@ def test_infer_refuses_scores_past_float32_range(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_infer_method1_refuses_a_weight_word_past_the_accumulator(tmp_path, monkeypatch,
-                                                                   capsys):
+def test_infer_method1_refuses_a_weight_word_past_the_accumulator(tmp_path, capsys):
     # a finite weight of 1e30 in the second conv is no 32+8 bit word: method1
     # refuses it as lognum.dot_method1 does (AccumulatorWord.from_value), an
     # arithmetic failure with exit 1, not a usage error
-    monkeypatch.setenv("LOGNET_THREADS", "1")
     g = lio.read_model(REF_MODEL)
     i = [j for j, layer in enumerate(g.layers) if layer.kind == "conv"][1]
     w = g.weights[i].data.copy()
@@ -701,27 +747,26 @@ def test_cli_quant_analyze_linear_layer_compares_log_with_linear(tmp_path, capsy
     assert [int(r.split(",")[3]) for r in rows] == counts.tolist()
 
 
-def test_predict_scores_threads_match_one_thread(monkeypatch):
-    # batches fanned out to two threads come back bit-identical to one
-    # thread's, in index order, in every mode/accumulation pair
+def test_predict_scores_slices_equal_one_forward():
+    # 600 images evaluate as three slices, the last one partial: the joined
+    # scores are byte for byte those of one forward call on all 600, in
+    # every mode/accumulation pair; zero images give (0, classes) scores
     g = lio.read_model(REF_MODEL)
     ensure_weight_qconfigs(g, 5, 0, "nearest_sqrt2")
     x = np.random.default_rng(29).uniform(0, 1, size=(600, 1, 12, 12)).astype(np.float32)
     for mode, accum in (("float32", "linear"), ("method1", "linear"),
                         ("method2_base2", "linear"), ("method2_sqrt2", "linear"),
                         ("method2_base2", "log")):
-        scores = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("LOGNET_THREADS", threads)
-            scores[threads] = predict_scores(g, x, mode, accum)
-        assert scores["1"].shape == (600, 10)
-        assert scores["1"].tobytes() == scores["2"].tobytes(), (mode, accum)
+        scores = predict_scores(g, x, mode, accum)
+        assert scores.shape == (600, 10)
+        assert scores.tobytes() == nn.forward(g, x, mode, accum).tobytes(), (mode, accum)
+        empty = predict_scores(g, x[:0], mode, accum)
+        assert empty.shape == (0, 10) and empty.dtype == np.float32
 
 
-def test_cli_infer_reads_uint8_rank3_images_as_float(tmp_path, monkeypatch):
+def test_cli_infer_reads_uint8_rank3_images_as_float(tmp_path):
     # a uint8 (N, H, W) IDX file, MNIST's layout, predicts as the float32
     # (N, 1, H, W) file of its values over 255
-    monkeypatch.setenv("LOGNET_THREADS", "1")
     u8 = np.random.default_rng(31).integers(0, 256, size=(40, 12, 12)).astype(np.uint8)
     lio.write_idx(tmp_path / "u8.idx", u8)
     lio.write_idx(tmp_path / "f32.idx", u8.astype(np.float32)[:, None] / 255)
@@ -871,20 +916,14 @@ def _train_config(tmp_path, lines: list[str], drop: str = "") -> list[str]:
     return ["train", str(cfg)]
 
 
-def _threads_two(tmp_path, monkeypatch):
-    monkeypatch.setenv("LOGNET_THREADS", "two")
-    model, data = _small_net(tmp_path, [], fsr=0)
-    return ["infer", str(model), str(data), "--mode", "float32", "--out", str(tmp_path / "p")]
-
-
-def _rank2_images(tmp_path, monkeypatch):
+def _rank2_images(tmp_path):
     model, _ = _small_net(tmp_path, [], fsr=0)
     lio.write_idx(tmp_path / "flat.idx", np.zeros((4, 36), dtype=np.float32))
     return ["infer", str(model), str(tmp_path / "flat.idx"), "--out", str(tmp_path / "p")]
 
 
 def _sweep_labels(labels):
-    def argv(tmp_path, monkeypatch):
+    def argv(tmp_path):
         model, data = _small_net(tmp_path, [], fsr=0)
         lio.write_idx(tmp_path / "l.idx", labels)
         return ["sweep", str(model), str(data), str(tmp_path / "l.idx"), "--mode", "float32",
@@ -893,15 +932,14 @@ def _sweep_labels(labels):
 
 
 def _train_lines(lines, drop=""):
-    return lambda tmp_path, monkeypatch: _train_config(tmp_path, lines, drop)
+    return lambda tmp_path: _train_config(tmp_path, lines, drop)
 
 
 def _gen_data(*flags):
-    return lambda tmp_path, monkeypatch: ["gen-data", "--out", str(tmp_path / "d"), *flags]
+    return lambda tmp_path: ["gen-data", "--out", str(tmp_path / "d"), *flags]
 
 
 CLI_REFUSALS = {
-    "threads_not_an_integer": (_threads_two, "LOGNET_THREADS must be an integer"),
     "rank2_images": (_rank2_images, "expected rank 3 or 4 image data, got rank 2"),
     "rank2_labels": (_sweep_labels(np.zeros((20, 1), np.uint8)), "labels must be rank 1"),
     "label_count": (_sweep_labels(np.zeros(19, np.uint8)), "19 labels for 20 samples"),
@@ -941,9 +979,9 @@ CLI_REFUSALS = {
 
 
 @pytest.mark.parametrize("case", sorted(CLI_REFUSALS))
-def test_cli_refusals_exit_2(case, tmp_path, monkeypatch, capsys):
+def test_cli_refusals_exit_2(case, tmp_path, capsys):
     make_argv, message = CLI_REFUSALS[case]
-    assert main(make_argv(tmp_path, monkeypatch)) == 2
+    assert main(make_argv(tmp_path)) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "d").exists() and not (tmp_path / "m.lgn").exists()
 
