@@ -7,7 +7,7 @@ histograms use signed errors Q(x) - x over symmetric uniform bins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -49,6 +49,13 @@ def counterpart(cfg: QuantizerConfig) -> QuantizerConfig:
     comparison holds ``cfg`` against."""
     other = KIND_LINEAR if cfg.kind == KIND_LOG else KIND_LOG
     return QuantizerConfig(other, cfg.bitwidth, cfg.signed, cfg.fsr)
+
+
+def log_linear_l1(x, cfg: QuantizerConfig, own_l1: float) -> tuple[float, float]:
+    """The (log, linear) pair of mean L1 errors on ``x``: ``own_l1``, the
+    error ``cfg`` leaves, and the error of its ``counterpart``."""
+    other = quant_error_l1(x, counterpart(cfg))
+    return (own_l1, other) if cfg.kind == KIND_LOG else (other, own_l1)
 
 
 def fsr_error_profile(x, cfg_template: QuantizerConfig,
@@ -132,56 +139,25 @@ class LayerCalibration:
     profile: list[tuple[int, float]]
 
 
-@dataclass
-class CalibrationReport:
-    """Per-layer chosen offsets plus the evidence they were chosen from."""
-
-    global_fsr: int
-    layers: list[LayerCalibration] = field(default_factory=list)
-
-    def csv_rows(self) -> list[tuple]:
-        rows = []
-        for lc in self.layers:
-            for f, err in lc.profile:
-                rows.append((lc.layer_index, f, err, int(f == lc.chosen_fsr)))
-        return rows
-
-    def summary(self) -> str:
-        lines = [f"global fsr: {self.global_fsr}"]
-        for lc in self.layers:
-            lines.append(
-                f"layer {lc.layer_index}: fsr {lc.chosen_fsr} "
-                f"(offset {lc.fsr_offset:+d}), L1 log {lc.l1_log:.6g}, "
-                f"L1 linear {lc.l1_linear:.6g}"
-            )
-        return "\n".join(lines)
-
-
-def calibrate_layers(samples: dict[int, np.ndarray], cfg_template: QuantizerConfig,
+def calibrate_layers(samples: dict[int, np.ndarray], configs: dict[int, QuantizerConfig],
                      global_fsr: int,
-                     fsr_grid: Iterable[int] = DEFAULT_FSR_GRID) -> CalibrationReport:
-    """Calibrate every captured quantizer input and report offsets.
+                     fsr_grid: Iterable[int] = DEFAULT_FSR_GRID) -> list[LayerCalibration]:
+    """Calibrate every captured quantizer input under its own quantizer.
 
     ``samples`` maps layer index to the activations seen entering that
-    quantizer (from a float reference forward over calibration images).
-    The template kind's L1 error at the chosen fsr is that fsr's profile
-    entry; only the other kind quantizes the sample again.
+    quantizer (from a float reference forward over calibration images), and
+    ``configs`` maps it to the layer's quantizer; its fsr is the one thing
+    calibration sets.  Returns one ``LayerCalibration`` per layer, in layer
+    order.  A config's own L1 error at the chosen fsr is that fsr's profile
+    entry; only its counterpart quantizes the sample again.
     """
-    report = CalibrationReport(global_fsr=global_fsr)
     grid = sorted(fsr_grid)
+    layers = []
     for idx in sorted(samples):
-        acts = samples[idx]
-        profile = fsr_error_profile(acts, cfg_template, grid)
+        profile = fsr_error_profile(samples[idx], configs[idx], grid)
         chosen = _best_fsr(profile)
-        other = counterpart(replace(cfg_template, fsr=chosen))
-        l1 = {cfg_template.kind: dict(profile)[chosen],
-              other.kind: quant_error_l1(acts, other)}
-        report.layers.append(LayerCalibration(
-            layer_index=idx,
-            chosen_fsr=chosen,
-            fsr_offset=chosen - global_fsr,
-            l1_log=l1[KIND_LOG],
-            l1_linear=l1[KIND_LINEAR],
-            profile=profile,
-        ))
-    return report
+        l1_log, l1_linear = log_linear_l1(samples[idx], replace(configs[idx], fsr=chosen),
+                                          dict(profile)[chosen])
+        layers.append(LayerCalibration(idx, chosen, chosen - global_fsr,
+                                       l1_log, l1_linear, profile))
+    return layers

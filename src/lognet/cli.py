@@ -153,9 +153,12 @@ def _non_negative_float(text: str) -> float:
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",") if p]
+        values = [int(p) for p in text.split(",") if p]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -180,26 +183,37 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_calibrate(args) -> int:
+def _capture(args, what: str) -> tuple[ModelGraph, dict[int, np.ndarray]]:
+    """The model ``args`` names and its quantizer layers' inputs over the
+    first ``args.samples`` images; refuses an empty sample and a net without
+    quantizer layers, each message naming the command's work, ``what``."""
     graph = io.read_model(args.model)
     images = load_images(args.data)
     if len(images) < 1:
-        return _usage_fail("calibration needs at least one sample")
-    sample = images[:args.samples]
-    captured = nn.collect_quantizer_inputs(graph, sample)
+        raise DomainError(f"cannot {what} an empty sample")
+    captured = nn.collect_quantizer_inputs(graph, images[:args.samples])
     if not captured:
-        return _usage_fail("model has no quantizer layers to calibrate")
+        raise ConfigError(f"model has no quantizer layers to {what}")
+    return graph, captured
+
+
+def cmd_calibrate(args) -> int:
+    graph, captured = _capture(args, "calibrate")
     # calibrate each layer under its own quantizer at the requested width
-    report = calib.CalibrationReport(global_fsr=graph.fsr)
-    for i in sorted(captured):
-        layer = graph.layers[i]
-        cfg = replace(layer.qconfig, bitwidth=args.bitwidth, rounding=args.rounding)
-        lc, = calib.calibrate_layers({i: captured[i]}, cfg, graph.fsr, args.fsr_grid).layers
-        report.layers.append(lc)
-        graph.layers[i] = replace(layer, qconfig=cfg, fsr_offset=lc.fsr_offset)
+    configs = {i: replace(graph.layers[i].qconfig, bitwidth=args.bitwidth,
+                          rounding=args.rounding) for i in sorted(captured)}
+    layers = calib.calibrate_layers(captured, configs, graph.fsr, args.fsr_grid)
+    for lc in layers:
+        i = lc.layer_index
+        graph.layers[i] = replace(graph.layers[i], qconfig=configs[i], fsr_offset=lc.fsr_offset)
     io.write_model(args.out, graph)
-    write_csv(args.report, ["layer", "fsr", "l1_error", "chosen"], report.csv_rows())
-    print(report.summary())
+    write_csv(args.report, ["layer", "fsr", "l1_error", "chosen"],
+              [(lc.layer_index, f, err, int(f == lc.chosen_fsr))
+               for lc in layers for f, err in lc.profile])
+    print(f"global fsr: {graph.fsr}")
+    for lc in layers:
+        print(f"layer {lc.layer_index}: fsr {lc.chosen_fsr} (offset {lc.fsr_offset:+d}), "
+              f"L1 log {lc.l1_log:.6g}, L1 linear {lc.l1_linear:.6g}")
     print(f"calibrated model -> {args.out}; report -> {args.report}")
     return 0
 
@@ -252,22 +266,15 @@ def cmd_infer(args) -> int:
 
 
 def cmd_quant_analyze(args) -> int:
-    graph = io.read_model(args.model)
-    images = load_images(args.data)
-    if len(images) < 1:
-        return _usage_fail("cannot analyze an empty sample")
-    captured = nn.collect_quantizer_inputs(graph, images[:args.samples])
-    if not captured:
-        return _usage_fail("model has no quantizer layers to analyze")
+    graph, captured = _capture(args, "analyze")
     rows = []
     for idx in sorted(captured):
         cfg = replace(graph.act_config(graph.layers[idx]), bitwidth=args.bitwidth)
         errs = calib.quant_errors(captured[idx], cfg)
         edges, counts = calib.signed_error_histogram(errs, args.bins)
         edges = edges.tolist()
-        own = float(np.abs(errs).mean())  # calib.quant_error_l1 of the sample
-        other = calib.quant_error_l1(captured[idx], calib.counterpart(cfg))
-        l1_log, l1_lin = (own, other) if cfg.kind == KIND_LOG else (other, own)
+        # float(np.abs(errs).mean()) is calib.quant_error_l1 of the sample
+        l1_log, l1_lin = calib.log_linear_l1(captured[idx], cfg, float(np.abs(errs).mean()))
         print(f"layer {idx}: L1 log {l1_log:.6g} vs linear {l1_lin:.6g} at fsr {cfg.fsr}")
         for b in range(len(counts)):
             rows.append((idx, edges[b], edges[b + 1], int(counts[b])))
@@ -354,9 +361,12 @@ def _cfg_positive_int(raw, key, value: int | None = None) -> int:
 
 def _cfg_float(raw, key) -> float:
     try:
-        return float(raw[key])
+        value = float(raw[key])
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise ConfigError(f"key '{key}': expected a number, got {raw[key]!r}")
+    return value
 
 
 def _cfg_choice(raw, key, choices) -> str:

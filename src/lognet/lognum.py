@@ -55,8 +55,9 @@ class AccumulatorOverflow(OverflowError):
 
 @dataclass(frozen=True)
 class QuantizerConfig:
-    """Full description of a quantizer; two values quantize identically iff
-    their configs compare equal.
+    """Full description of a quantizer; two values quantize identically if
+    their configs compare equal (linear configs that differ only in
+    ``rounding`` quantize identically too: linear rounding is fixed).
 
     ``fsr`` is the full-scale exponent: the top of the representable range in
     the linear domain is 2**fsr.  ``base_frac_bits`` selects the exponent
@@ -620,11 +621,6 @@ class ExponentWord:
 
     def frac_raw(self) -> int:
         return self.raw & ((1 << self.frac_bits) - 1)
-
-    def add(self, other: "ExponentWord") -> "ExponentWord":
-        if other.frac_bits != self.frac_bits:
-            raise ConfigError("exponent words must share a fixed-point format")
-        return ExponentWord(self.raw + other.raw, self.frac_bits)
 
 
 @dataclass(frozen=True)

@@ -529,12 +529,14 @@ def method2_matmul(x: Tensor, w: Tensor,
     """
     n, k = x.shape
     o = w.shape[1]
-    need = _check_exact_range(
-        max_term_bits=x.qconfig.fsr + w.qconfig.fsr + frac_bits + 1,
-        n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
     xt, wt = x.table, w.table
     fb = lift_grid(x.qconfig, w.qconfig)
     xe, we = _lifted_esteps(x, fb), _lifted_esteps(w, fb)
+    # no term exceeds the two top levels' floor(2**(e_x + e_w) * 2**frac_bits),
+    # which is below 2**(((e_x + e_w) >> fb) + frac_bits + 1)
+    need = _check_exact_range(
+        max_term_bits=((int(xe.max()) + int(we.max())) >> fb) + frac_bits + 1,
+        n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
     w_levels = we[w.present() & wt.nonzero]
     if not w_levels.size:
         return np.zeros((n, o))
@@ -582,7 +584,7 @@ def method1_matmul(x: Tensor, w_real: np.ndarray,
     n, k = x.shape
     w_raw, wbits = _words(w_real, "a weight", int_bits, frac_bits)
     need = _check_exact_range(
-        max_term_bits=wbits + max(x.qconfig.fsr, 0),
+        max_term_bits=wbits + max(int(xt.esteps.max()), 0),
         n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
     exact_val = np.where(xt.nonzero & (xt.esteps >= 0), np.ldexp(1.0, xt.esteps), 0.0)
     trunc = np.flatnonzero(xt.nonzero & (xt.esteps < 0))
@@ -612,10 +614,11 @@ def shifted_input_matmul(x_real: np.ndarray, w: Tensor,
     """
     n, k = x_real.shape
     x_raw, xbits = _words(x_real, "an input", int_bits, frac_bits)
-    need = _check_exact_range(
-        max_term_bits=xbits + max(w.qconfig.fsr, 0) + 1,
-        n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
     wt = w.table
+    # no factor exceeds the top level's, which is at most 2**ceil(e / 2**fb)
+    need = _check_exact_range(
+        max_term_bits=xbits + max(-(-int(wt.esteps.max()) >> w.qconfig.base_frac_bits), 0),
+        n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
     levels = np.unique(wt.esteps[w.present() & wt.nonzero])
     factors = _pow2_steps(levels, w.qconfig.base_frac_bits)
     dtype = _sum_dtype(need, factors)
@@ -667,8 +670,6 @@ def _level_span(op: Tensor, f: int) -> tuple[np.ndarray, int, int]:
     nonzero level and the span from that level to its highest."""
     e = _lifted_esteps(op, f).astype(np.int64)
     live = e[op.table.nonzero]
-    if live.size == 0:
-        return e, 0, 0
     return e, int(live.min()), int(live.max() - live.min())
 
 

@@ -92,6 +92,9 @@ class OptimizerSpec:
             raise ConfigError(f"unknown optimizer {self.kind!r}")
         if self.lr_decay_epochs < 0:
             raise ConfigError("lr_decay_epochs must be non-negative")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
 
     def lr_at(self, epoch: int) -> float:
         if not self.lr_decay_epochs:

@@ -780,13 +780,14 @@ def test_cli_infer_reads_uint8_rank3_images_as_float(tmp_path):
 
 
 def test_cli_train_divergence_keeps_last_good_checkpoint(workspace, tmp_path, capsys):
-    # a learning rate that turns infinite in the second epoch: training
-    # exits 1, the metrics hold the first epoch's row, and the checkpoint is
-    # the one a one-epoch run writes
+    # a learning rate that grows 1e300-fold in the second epoch, so the
+    # gradients' fsr leaves the exponent grid's range: training exits 1, the
+    # metrics hold the first epoch's row, and the checkpoint is the one a
+    # one-epoch run writes
     root, _, cfgfile = workspace
     runs = {}
     for name, epochs, extra in (("one", 1, ""),
-                                ("diverge", 3, "lr_decay_epochs = 1\nlr_decay_factor = inf\n")):
+                                ("diverge", 3, "lr_decay_epochs = 1\nlr_decay_factor = 1e300\n")):
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(cfgfile.read_text()
                        .replace(f"{root}/model.lgn", f"{tmp_path}/{name}.lgn")
@@ -795,7 +796,7 @@ def test_cli_train_divergence_keeps_last_good_checkpoint(workspace, tmp_path, ca
         runs[name] = main(["train", str(cfg)])
     assert runs == {"one": 0, "diverge": 1}
     err = capsys.readouterr().err
-    assert "non-finite" in err and "last good checkpoint kept" in err
+    assert "outside float64 range" in err and "last good checkpoint kept" in err
     metrics = (tmp_path / "diverge.csv").read_bytes()
     assert metrics == (tmp_path / "one.csv").read_bytes()
     assert len(metrics.split(b"\r\n")) == 3  # header, one row, the final line end
@@ -903,6 +904,106 @@ def test_cli_quant_analyze_empty_sample_exits_2(tmp_path, capsys):
     assert "cannot analyze an empty sample" in capsys.readouterr().err
 
 
+# (command, whether its images are empty, the middle layers of its net, its
+# flags, the message): calibrate and quant-analyze share one front that
+# reads the model and images, refuses an empty sample and captures the
+# quantizer inputs, refusing a net without quantizer layers
+CAPTURE_REFUSALS = {
+    "calibrate_empty_sample": ("calibrate", True, [relu_layer(), act_quant_layer("log", 4)], [],
+                               "cannot calibrate an empty sample"),
+    "calibrate_no_quantizer_layers": ("calibrate", False, [relu_layer()], [],
+                                      "model has no quantizer layers to calibrate"),
+    "quant_analyze_no_quantizer_layers": ("quant-analyze", False, [relu_layer()], [],
+                                          "model has no quantizer layers to analyze"),
+    "quant_analyze_zero_bins": ("quant-analyze", False, [relu_layer(), act_quant_layer("log", 4)],
+                                ["--bins", "0"], "need at least one histogram bin"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CAPTURE_REFUSALS))
+def test_calibrate_and_quant_analyze_refusals_exit_2(case, tmp_path, capsys):
+    command, empty, middle, flags, message = CAPTURE_REFUSALS[case]
+    model, data = _small_net(tmp_path, middle, fsr=0)
+    if empty:
+        lio.write_idx(data, np.zeros((0, 1, 6, 6), dtype=np.float32))
+    out, report = tmp_path / "o", tmp_path / "r.csv"
+    argv = [command, str(model), str(data), *flags, "--out", str(out)]
+    assert main(argv + (["--report", str(report)] if command == "calibrate" else [])) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists() and not report.exists()
+
+
+def test_cli_calibrate_prints_each_layers_choice(tmp_path, capsys):
+    # the summary names the global fsr, then each quantizer layer's chosen
+    # fsr, its offset and the L1 errors of log and linear quantizers there;
+    # the report marks that fsr as chosen
+    middle = [relu_layer(), act_quant_layer("log", 4), act_quant_layer("linear", 4, -1)]
+    model, data = _small_net(tmp_path, middle, fsr=1)
+    report = tmp_path / "r.csv"
+    assert main(["calibrate", str(model), str(data), "--fsr-grid=-4:6",
+                 "--out", str(tmp_path / "cal.lgn"), "--report", str(report)]) == 0
+    captured = nn.collect_quantizer_inputs(lio.read_model(model), lio.read_idx(data))
+    lines = ["global fsr: 1"]
+    chosen_rows = []
+    for i, kind in ((2, "log"), (3, "linear")):
+        cfg = QuantizerConfig(kind, 4, False, 0)
+        fsr = calib.calibrate_fsr(captured[i], cfg, range(-4, 7))
+        l1 = {k: calib.quant_error_l1(captured[i], QuantizerConfig(k, 4, False, fsr))
+              for k in ("log", "linear")}
+        lines.append(f"layer {i}: fsr {fsr} (offset {fsr - 1:+d}), "
+                     f"L1 log {l1['log']:.6g}, L1 linear {l1['linear']:.6g}")
+        chosen_rows.append(f"{i},{fsr}")
+    assert capsys.readouterr().out.splitlines()[:3] == lines
+    rows = report.read_text().strip().splitlines()[1:]
+    assert [r.rsplit(",", 2)[0] for r in rows if r.endswith(",1")] == chosen_rows
+
+
+@pytest.mark.parametrize("case", ["batchnorm_channels", "maxpool_after_fc"])
+def test_a_net_whose_layers_do_not_chain_is_refused(case, tmp_path, capsys):
+    # a file can hold layers whose shapes do not chain; the walk refuses the
+    # first layer that cannot take its input, and infer exits 2 writing nothing
+    if case == "batchnorm_channels":
+        g = ModelGraph(layers=[conv(2, 1, 3, pad=1), batchnorm_layer(3)], fsr=0)
+        g.weights[0] = Tensor.from_real(np.ones((2, 1, 3, 3)))
+        g.weights[1] = Tensor.from_real(np.ones((4, 3)))
+        message = "layer 1: batchnorm over 3 channels, got 2"
+    else:
+        g = ModelGraph(layers=[fc(3, 36), maxpool_layer(2)], fsr=0)
+        g.weights[0] = Tensor.from_real(np.ones((3, 36)))
+        message = "layer 1: maxpool expects rank-4 input, got (3, 3)"
+    model, x, out = tmp_path / "m.lgn", tmp_path / "x.idx", tmp_path / "p.csv"
+    lio.write_model(model, g)
+    lio.write_idx(x, np.zeros((3, 1, 6, 6), dtype=np.float32))
+    assert main(["infer", str(model), str(x), "--mode", "float32", "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_sweep_over_zero_images_leaves_accuracies_empty(tmp_path):
+    # no image means no accuracy: each grid point's top1 and top5 are NaN,
+    # written as empty fields
+    model, _ = _small_net(tmp_path, [relu_layer(), act_quant_layer("log", 4)], fsr=0)
+    x, y, out = tmp_path / "e.idx", tmp_path / "y.idx", tmp_path / "s.csv"
+    lio.write_idx(x, np.zeros((0, 1, 6, 6), dtype=np.float32))
+    lio.write_idx(y, np.zeros(0, dtype=np.uint8))
+    assert main(["sweep", str(model), str(x), str(y), "--mode", "method1",
+                 "--fsr-range", "0:1", "--out", str(out)]) == 0
+    assert out.read_bytes() == (b"bitwidth,fsr,top1,top5\r\n3,0,,\r\n3,1,,\r\n"
+                                b"4,0,,\r\n4,1,,\r\n")
+
+
+def test_train_config_with_blank_and_comment_lines(tmp_path):
+    # as in the README's example: blank lines, comment-only lines and
+    # comments after a value are skipped
+    argv = _train_config(tmp_path, ["", "# a comment-only line", "   ",
+                                    "epochs = 0         # no epoch", "lr = 0.05", "",
+                                    "# conv_channels = 1,1 stays a comment"])
+    raw = parse_train_config(argv[1])
+    assert (raw["epochs"], raw["lr"], raw["conv_channels"]) == ("0", "0.05", "8,16")
+    assert main(argv) == 0
+    assert lio.read_model(tmp_path / "m.lgn").layers[0].kind == "conv"
+
+
 def _train_config(tmp_path, lines: list[str], drop: str = "") -> list[str]:
     """``lognet train`` argv for a config of ``lines`` after the required
     keys (``drop`` left out), over a 20-image set."""
@@ -922,12 +1023,12 @@ def _rank2_images(tmp_path):
     return ["infer", str(model), str(tmp_path / "flat.idx"), "--out", str(tmp_path / "p")]
 
 
-def _sweep_labels(labels):
+def _sweep_labels(labels, *flags):
     def argv(tmp_path):
         model, data = _small_net(tmp_path, [], fsr=0)
         lio.write_idx(tmp_path / "l.idx", labels)
         return ["sweep", str(model), str(data), str(tmp_path / "l.idx"), "--mode", "float32",
-                "--fsr-range", "0:0", "--out", str(tmp_path / "s.csv")]
+                "--fsr-range", "0:0", *flags, "--out", str(tmp_path / "s.csv")]
     return argv
 
 
@@ -943,11 +1044,26 @@ CLI_REFUSALS = {
     "rank2_images": (_rank2_images, "expected rank 3 or 4 image data, got rank 2"),
     "rank2_labels": (_sweep_labels(np.zeros((20, 1), np.uint8)), "labels must be rank 1"),
     "label_count": (_sweep_labels(np.zeros(19, np.uint8)), "19 labels for 20 samples"),
+    "sweep_empty_bitwidths": (_sweep_labels(np.zeros(20, np.uint8), "--bitwidths", ","),
+                              "argument --bitwidths: expected comma-separated integers, "
+                              "got ','"),
+    "sweep_non_integer_fsr_range": (_sweep_labels(np.zeros(20, np.uint8), "--fsr-range", "a:b"),
+                                    "argument --fsr-range: expected lo:hi, got 'a:b'"),
     "line_without_equals": (_train_lines(["epochs 3"]), "line 1: expected key=value"),
     "missing_key": (_train_lines([], drop="out_metrics"),
                     "missing required config key 'out_metrics'"),
     "non_integer": (_train_lines(["epochs = many"]), "key 'epochs': expected an integer"),
     "non_number": (_train_lines(["lr = fast"]), "key 'lr': expected a number"),
+    "nan_rate": (_train_lines(["lr = nan"]), "key 'lr': expected a number, got 'nan'"),
+    "infinite_rate": (_train_lines(["lr = inf"]), "key 'lr': expected a number, got 'inf'"),
+    "nan_momentum": (_train_lines(["momentum = nan"]),
+                     "key 'momentum': expected a number, got 'nan'"),
+    "nan_decay_factor": (_train_lines(["lr_decay_factor = nan"]),
+                         "key 'lr_decay_factor': expected a number, got 'nan'"),
+    "adam_beta1_one": (_train_lines(["optimizer = adam", "beta1 = 1"]),
+                       "beta1 must be in [0, 1), got 1.0"),
+    "adam_beta2_negative": (_train_lines(["optimizer = adam", "beta2 = -0.5"]),
+                            "beta2 must be in [0, 1), got -0.5"),
     "unknown_choice": (_train_lines(["optimizer = rmsprop"]),
                        "key 'optimizer': expected one of"),
     "one_channel": (_train_lines(["conv_channels = 8"]),
@@ -975,6 +1091,8 @@ CLI_REFUSALS = {
                                 "argument --noise: expected a finite number >= 0, got '-1'"),
     "gen_data_nan_noise": (_gen_data("--noise", "nan"),
                            "argument --noise: expected a finite number >= 0, got 'nan'"),
+    "gen_data_non_number_noise": (_gen_data("--noise", "abc"),
+                                  "argument --noise: expected a finite number >= 0, got 'abc'"),
 }
 
 

@@ -763,9 +763,11 @@ def _check_method1_matmul(laid):
     assert (lv >= 0).any() and n_trunc > 50
     k_step = _block_elems(np.float64) // (n_trunc * o)
     assert k > k_step and n > 2 * (_block_elems(np.float64) // (k_step * n_trunc))
-    for ib, frac in ((32, 8), (24, 20)):
+    # weight words below 2**11 (2**23) at 32+8 (24+20) and the top level 2**4
+    # give 23-bit (35-bit) partial sums over k = 200 terms
+    for ib, frac, want in ((32, 8, np.float32), (24, 20, np.float64)):
         raw, dtype = _run_recording_dtype(method1_matmul, xo, laid(w), ib, frac)
-        assert dtype is np.float64
+        assert dtype is want
         assert (raw[3] == 0).all() and (raw[:, 2] == 0).all()
         for i in (0, 3, 40, n - 1, *rng.integers(0, n, size=2)):
             for j in (0, 2, o - 1, int(rng.integers(0, o))):
@@ -1233,19 +1235,46 @@ def test_forward_and_capture_take_an_empty_batch(mode, accum):
 
 @pytest.mark.parametrize("kernel", ["method2", "method1", "shifted_input"])
 def test_a_term_wider_than_the_word_overflows(kernel):
-    # k = 1 and every sum fits float64, but the one term spans more bits
-    # than the 32+8 word: fsr_x + fsr_w >= int_bits for coded x coded
-    def code(fsr, signed):  # the top positive code, at 2**(fsr - 1)
+    # k = 1 and every sum fits float64: a 5-bit top code, at 2**(fsr - 1),
+    # against a unit operand.  The kernels bound the one term by each
+    # operand's top level, so they compute it exactly wherever the scalar
+    # oracle's 32+8 word holds it, and refuse it one fsr higher, where the
+    # oracle's word overflows too
+    def code(fsr, signed):
         cfg = QuantizerConfig("log", 5, signed, fsr)
         return Tensor(np.full((1, 1), cfg.max_code, np.uint8), cfg)
 
-    with pytest.raises(AccumulatorOverflow, match="a single term can span"):
-        if kernel == "method2":
-            method2_matmul(code(20, False), code(12, True))
-        elif kernel == "method1":
-            method1_matmul(code(32, False), np.ones((1, 1)))
-        else:
-            shifted_input_matmul(np.ones((1, 1)), code(31, True))
+    one = np.ones((1, 1))
+    if kernel == "method2":
+        w = code(12, True)
+        fitting, over = {20: 1 << 38, 21: 1 << 39}, 22
+
+        def both(fsr):
+            x = code(fsr, False)
+            return (lambda: method2_matmul(x, w),
+                    lambda: _scalar_linear(x.data, w.data, x.qconfig, w.qconfig, 0, 0))
+    elif kernel == "method1":
+        fitting, over = {31: 1 << 38, 32: 1 << 39}, 33
+
+        def both(fsr):
+            x = code(fsr, False)
+            return (lambda: method1_matmul(x, one),
+                    lambda: _scalar_method1(x.data, one, x.qconfig, 0, 0))
+    else:
+        fitting, over = {31: 1 << 38, 32: 1 << 39}, 33
+
+        def both(fsr):
+            w = code(fsr, True)
+            return (lambda: shifted_input_matmul(one, w),
+                    lambda: _scalar_shifted(one, w.data, w.qconfig, 0, 0))
+    for fsr, raw in fitting.items():
+        run, scalar = both(fsr)
+        assert run()[0, 0] == scalar() == raw, fsr
+    run, scalar = both(over)
+    with pytest.raises(AccumulatorOverflow):
+        scalar()
+    with pytest.raises(AccumulatorOverflow, match="a single term can span 41 raw bits"):
+        run()
 
 
 @pytest.mark.parametrize("kernel", ["method1", "shifted_input"])
