@@ -1244,33 +1244,25 @@ def test_a_term_wider_than_the_word_overflows(kernel):
         cfg = QuantizerConfig("log", 5, signed, fsr)
         return Tensor(np.full((1, 1), cfg.max_code, np.uint8), cfg)
 
-    one = np.ones((1, 1))
-    if kernel == "method2":
-        w = code(12, True)
-        fitting, over = {20: 1 << 38, 21: 1 << 39}, 22
+    one, w12 = np.ones((1, 1)), code(12, True)
 
-        def both(fsr):
-            x = code(fsr, False)
-            return (lambda: method2_matmul(x, w),
-                    lambda: _scalar_linear(x.data, w.data, x.qconfig, w.qconfig, 0, 0))
-    elif kernel == "method1":
-        fitting, over = {31: 1 << 38, 32: 1 << 39}, 33
-
-        def both(fsr):
-            x = code(fsr, False)
-            return (lambda: method1_matmul(x, one),
-                    lambda: _scalar_method1(x.data, one, x.qconfig, 0, 0))
-    else:
-        fitting, over = {31: 1 << 38, 32: 1 << 39}, 33
-
-        def both(fsr):
+    def both(fsr):  # the kernel and its scalar oracle on the top code at fsr
+        if kernel == "shifted_input":
             w = code(fsr, True)
             return (lambda: shifted_input_matmul(one, w),
                     lambda: _scalar_shifted(one, w.data, w.qconfig, 0, 0))
-    for fsr, raw in fitting.items():
+        x = code(fsr, False)
+        if kernel == "method1":
+            return (lambda: method1_matmul(x, one),
+                    lambda: _scalar_method1(x.data, one, x.qconfig, 0, 0))
+        return (lambda: method2_matmul(x, w12),
+                lambda: _scalar_linear(x.data, w12.data, x.qconfig, w12.qconfig, 0, 0))
+
+    lo = 20 if kernel == "method2" else 31  # a 39-bit term: 2**30 at 32+8
+    for fsr, raw in ((lo, 1 << 38), (lo + 1, 1 << 39)):
         run, scalar = both(fsr)
         assert run()[0, 0] == scalar() == raw, fsr
-    run, scalar = both(over)
+    run, scalar = both(lo + 2)
     with pytest.raises(AccumulatorOverflow):
         scalar()
     with pytest.raises(AccumulatorOverflow, match="a single term can span 41 raw bits"):
