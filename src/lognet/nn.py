@@ -7,7 +7,7 @@ when the walk quantizes, and ``weight_operands`` quantizes each conv/fc
 layer's weights by that layer's config, if it has one.  The three entries
 differ only in that switch, in whether and on which grid the weights are
 quantized, in the batchnorm rows (and whether batch statistics replace
-them), the ``Arithmetic`` of the products, and an optional backward cache
+them), the arithmetic of the products, and an optional backward cache
 or capture of the quantizer inputs.  Each batchnorm layer's parameters are
 the float64 (4, C) gamma/beta/mean/var rows its stored payload holds.  A
 log-coded tensor, activation or weight, is a ``tensor.Tensor``, the type
@@ -40,9 +40,15 @@ these kernels:
 ``Arithmetic`` holds the accumulator word, and a kernel's binary point is
 absolute: its last fractional bit is 2**-frac_bits of the word it is
 given.  Inference runs every product with a coded operand through its
-shift kernel on the word.  Training (``block_bias``) moves the word of each
-coded x coded product by its operands' full scales, and takes products with
-a real operand as exact float64 products of the values.
+shift kernel on the word (``Arithmetic.dot``).  Training runs every product
+as one float64 GEMM of the values the shift kernels read, half steps at
+1.5 (``exact_dot``).  Two coded operands make each term an integer multiple
+of the product's lowest unit, so float64 sums them exactly in any order
+while the bound ``_check_exact_sum`` checks holds: 53 bits over both
+operands' level spans, mantissas and the term count, in float64's normal
+range.  Past it the product raises ``ConfigError``: on base 2, two 6-bit
+log configs at any term count, and a 6-bit signed config against a 4- or
+5-bit one past 256 terms.
 
 The quantized kernels reproduce the scalar fixed-point semantics bit for
 bit: term magnitudes are truncated to the accumulator's fractional
@@ -81,6 +87,7 @@ from .lognum import (
     AccumulatorOverflow,
     ConfigError,
     QuantizerConfig,
+    code_table,
     dequantize_array,
     quantize_array,
 )
@@ -112,6 +119,7 @@ BN_EPS = 1e-5
 _EXACT_RAW_BITS = 52
 _EXACT_RAW_BITS_F32 = 23
 _F32 = np.finfo(np.float32)
+_F64 = np.finfo(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +399,14 @@ def _check_exact_range(max_term_bits: int, n_terms: int,
 
 def _words(real: np.ndarray, what: str, int_bits: int, frac_bits: int) -> tuple[np.ndarray, int]:
     """``real`` as raw words of the accumulator, rounded half-even as by
-    ``lognum.AccumulatorWord.from_value``, and the bits the largest spans;
-    like it, refuses a word the accumulator cannot hold."""
+    ``lognum.AccumulatorWord.from_value``, and the largest |word|; like it,
+    refuses a word the accumulator cannot hold."""
     raw = np.rint(np.ldexp(real, frac_bits))
-    bits = int(np.abs(raw).max()).bit_length() if raw.size else 0
-    if bits > int_bits + frac_bits:
-        raise AccumulatorOverflow(f"{what} word spans {bits} raw bits, more than the "
-                                  f"{int_bits}+{frac_bits} bit accumulator")
-    return raw, bits
+    peak = int(np.abs(raw).max(initial=0.0))
+    if peak.bit_length() > int_bits + frac_bits:
+        raise AccumulatorOverflow(f"{what} word spans {peak.bit_length()} raw bits, more "
+                                  f"than the {int_bits}+{frac_bits} bit accumulator")
+    return raw, peak
 
 
 def _sum_dtype(need: int, *factors: np.ndarray):
@@ -582,9 +590,9 @@ def method1_matmul(x: Tensor, w_real: np.ndarray,
     if x.qconfig.signed and (xt.nonzero & (xt.sign < 0))[x.data].any():
         raise ConfigError("activation codes must be unsigned")
     n, k = x.shape
-    w_raw, wbits = _words(w_real, "a weight", int_bits, frac_bits)
+    w_raw, w_peak = _words(w_real, "a weight", int_bits, frac_bits)
     need = _check_exact_range(
-        max_term_bits=wbits + max(int(xt.esteps.max()), 0),
+        max_term_bits=w_peak.bit_length() + max(int(xt.esteps.max()), 0),
         n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
     exact_val = np.where(xt.nonzero & (xt.esteps >= 0), np.ldexp(1.0, xt.esteps), 0.0)
     trunc = np.flatnonzero(xt.nonzero & (xt.esteps < 0))
@@ -613,14 +621,16 @@ def shifted_input_matmul(x_real: np.ndarray, w: Tensor,
     factor is a normal float32 number (``_sum_dtype``).
     """
     n, k = x_real.shape
-    x_raw, xbits = _words(x_real, "an input", int_bits, frac_bits)
+    x_raw, x_peak = _words(x_real, "an input", int_bits, frac_bits)
     wt = w.table
-    # no factor exceeds the top level's, which is at most 2**ceil(e / 2**fb)
-    need = _check_exact_range(
-        max_term_bits=xbits + max(-(-int(wt.esteps.max()) >> w.qconfig.base_frac_bits), 0),
-        n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
+    fb = w.qconfig.base_frac_bits
+    # no term is wider than the largest word times the top level's factor
+    # (two bits of mantissa, so the product is exact wherever the sum is)
+    top = float(_pow2_steps(wt.esteps.max(), fb))
+    need = _check_exact_range(max_term_bits=math.ceil(x_peak * top).bit_length(),
+                              n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
     levels = np.unique(wt.esteps[w.present() & wt.nonzero])
-    factors = _pow2_steps(levels, w.qconfig.base_frac_bits)
+    factors = _pow2_steps(levels, fb)
     dtype = _sum_dtype(need, factors)
     x_raw = x_raw.astype(dtype, copy=False)
     out = np.zeros((n, w.shape[1]), dtype)
@@ -827,36 +837,22 @@ def _nchw(a):
 
 @dataclass(frozen=True)
 class Arithmetic:
-    """How the conv/fc products of a walk compute.
+    """How inference's conv/fc products compute, on one accumulator word.
 
-    ``int_bits``/``frac_bits`` size the accumulator word and ``accum``
-    selects linear or log-domain accumulation.  A coded operand is a
-    log-coded ``Tensor``, read through its ``data`` and ``qconfig``; a real
-    one is a float64 array.  Every kernel has one binary-point rule: its
-    raw values count units of its word's last fractional bit.
-
-    * without ``block_bias`` (inference) every product with a coded operand
-      runs its shift kernel on the word: coded activations against coded
-      weights through ``method2_matmul`` (or ``method2_matmul_logaccum``),
-      against real weights through ``method1_matmul``, and real inputs
-      against coded weights through ``shifted_input_matmul``.
-    * with ``block_bias`` (training) a coded x coded product runs on the
-      word moved by its operands' full scales: with s = fsr_x + fsr_w, on
-      (int_bits + s, frac_bits - s), whose last bit 2**(s - frac_bits)
-      follows the operands, so gradient tensors with very negative
-      exponents keep their significant terms.  Each term is
-      floor(2**(e_x + e_w) * 2**(frac_bits - s)), and every range check
-      sees the word's unchanged width.  A product with a real operand is
-      the float64 product of the values: the coded side is a dyadic value
-      set, so that is the exact wide-accumulator sum, and truncating at the
-      fractional width would only drop bits far below the smallest
-      representable operand product.
+    ``int_bits``/``frac_bits`` size the word and ``accum`` selects linear
+    or log-domain accumulation.  A coded operand is a log-coded ``Tensor``,
+    read through its ``data`` and ``qconfig``; a real one is a float64
+    array.  Every product with a coded operand runs its shift kernel on the
+    word, whose raw values count units of its last fractional bit: coded
+    activations against coded weights through ``method2_matmul`` (or
+    ``method2_matmul_logaccum``), against real weights through
+    ``method1_matmul``, and real inputs against coded weights through
+    ``shifted_input_matmul``.  Training computes with ``exact_dot`` instead.
     """
 
     int_bits: int = 32
     frac_bits: int = 8
     accum: str = ACCUM_LINEAR
-    block_bias: bool = False
 
     def dot(self, x, w) -> np.ndarray:
         """x (n, k) times w (k, o); either is float64 or a log-coded ``Tensor``."""
@@ -865,18 +861,73 @@ class Arithmetic:
         coded_w = isinstance(w, Tensor)
         if coded_x and coded_w:
             kernel = method2_matmul_logaccum if self.accum == ACCUM_LOG else method2_matmul
-            # the block-biased word moves by the operands' full scales
-            s = x.qconfig.fsr + w.qconfig.fsr if self.block_bias else 0
-            return np.ldexp(kernel(x, w, ib + s, fb - s), s - fb)
-        if self.block_bias or not (coded_x or coded_w):
-            return _real(x) @ _real(w)
+            return np.ldexp(kernel(x, w, ib, fb), -fb)
         if coded_x:
             return np.ldexp(method1_matmul(x, w, ib, fb), -fb)
-        return np.ldexp(shifted_input_matmul(x, w, ib, fb), -fb)
+        if coded_w:
+            return np.ldexp(shifted_input_matmul(x, w, ib, fb), -fb)
+        return x @ w
+
+
+def _dyadic(a) -> np.ndarray:
+    """The float64 values of a product's operand: a log-coded ``Tensor``'s
+    codes as the shift kernels read them, sign * 2**(esteps / 2**fb) by
+    shift-add (1.5 * 2**n on a half step, where ``Tensor.real`` reads
+    sqrt(2) * 2**n), or a real array as it is."""
+    if not isinstance(a, Tensor):
+        return a
+    t = a.table
+    return np.where(t.nonzero, t.sign * _pow2_steps(t.esteps, a.qconfig.base_frac_bits),
+                    0.0)[a.data]
+
+
+def _dyadic_span(cfg: QuantizerConfig) -> tuple[int, int]:
+    """(u, m): every value of a log config is an integer multiple of 2**u,
+    at most m of them in magnitude."""
+    t = code_table(cfg)
+    fb = cfg.base_frac_bits
+    levels = t.esteps[t.nonzero]
+    lo, hi = int(levels.min()), int(levels.max())
+    u = (lo >> fb) - fb
+    return u, int(_pow2_steps(np.int64(hi), fb, -u))
+
+
+def _check_exact_sum(cx: QuantizerConfig, cw: QuantizerConfig, k: int) -> None:
+    """Refuse a product of two coded operands of ``k`` terms that float64
+    might not sum exactly in every order.
+
+    Each term is an integer multiple of 2**(ux + uw), at most mx * mw of
+    them (``_dyadic_span``), so every partial sum is such a multiple below
+    2**need, need = bits(mx * mw) + bits(k - 1).  float64 holds all of them
+    when need <= 53 and every nonzero one is normal: 2**(ux + uw) at least
+    the smallest normal number and 2**(ux + uw + need) at most 2**1024.
+    """
+    (ux, mx), (uw, mw) = _dyadic_span(cx), _dyadic_span(cw)
+    need = (mx * mw).bit_length() + max(k - 1, 0).bit_length()
+    lo = ux + uw
+    if need > _F64.nmant + 1 or lo < _F64.minexp or lo + need > _F64.maxexp:
+        raise ConfigError(
+            f"{cx.bitwidth}-bit x {cw.bitwidth}-bit log codes over {k} terms need {need} "
+            f"bits from 2**{lo}; float64 sums exactly only {_F64.nmant + 1} bits between "
+            f"2**{_F64.minexp} and 2**{_F64.maxexp}")
+
+
+def exact_dot(x, w) -> np.ndarray:
+    """x (n, k) times w (k, o) as one float64 GEMM of the operands' values
+    as ``_dyadic`` reads them; either is float64 or a log-coded ``Tensor``.
+
+    With both coded, the sum is exact in any BLAS order, as a wide
+    accumulator would compute it, and a pair of configs past the bound of
+    ``_check_exact_sum`` raises ``ConfigError``.  With a real operand it is
+    the float64 product of the values.
+    """
+    if isinstance(x, Tensor) and isinstance(w, Tensor):
+        _check_exact_sum(x.qconfig, w.qconfig, x.shape[1])
+    return _dyadic(x) @ _dyadic(w)
 
 
 def walk(graph: ModelGraph, x: np.ndarray, weights: dict, quantize: bool,
-         bn: dict[int, np.ndarray], arith: Arithmetic,
+         bn: dict[int, np.ndarray], arith,
          batch_stats: Optional[dict] = None, cache: Optional[dict] = None,
          capture: Optional[dict] = None):
     """Run every layer of ``graph`` on the float64 input ``x``.
@@ -893,7 +944,9 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, quantize: bool,
       (``ModelGraph.act_config``); when False they pass their input through.
     * ``bn[i]``: batchnorm layer i's float64 (4, C) gamma/beta/mean/var
       rows, the layout of its stored payload.
-    * ``arith``: the arithmetic of every conv/fc product.
+    * ``arith``: every conv/fc product, a function of its (rows, k) input
+      and its (k, o) weight operand: ``Arithmetic(...).dot`` for inference,
+      ``exact_dot`` for training.
     * ``batch_stats``: when given, batchnorm normalizes with each batch's
       moments (``batchnorm_batch``) and records them here as
       {i: (mean, var)}.
@@ -920,7 +973,7 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, quantize: bool,
                     a.shape[0], math.prod(a.shape[1:]))
             if coded:
                 rows = Tensor(rows, act.qconfig)
-            out = arith.dot(rows, weights[i].T)
+            out = arith(rows, weights[i].T)
             if cache is not None:
                 cache[i] = {"x": rows, "w": weights[i], "in_shape": a.shape}
             act = out.reshape(a.shape[0], oh, ow, layer.out_channels) if kind == CONV else out
@@ -1020,7 +1073,7 @@ def forward(graph: ModelGraph, x: np.ndarray, mode: str = MODE_FLOAT,
     x = _input(x)
     graph.output_shapes(x.shape)
     weights, bn = _stored_operands(graph, mode)
-    out = _real(walk(graph, x, weights, mode != MODE_FLOAT, bn, Arithmetic(accum=accum)))
+    out = _real(walk(graph, x, weights, mode != MODE_FLOAT, bn, Arithmetic(accum=accum).dot))
     with np.errstate(over="ignore"):
         scores = np.ascontiguousarray(out, dtype=np.float32)
     if not np.isfinite(scores).all():
@@ -1037,5 +1090,5 @@ def collect_quantizer_inputs(graph: ModelGraph, x: np.ndarray) -> dict[int, np.n
     """
     captured: dict[int, np.ndarray] = {}
     weights, bn = _stored_operands(graph, MODE_FLOAT)
-    walk(graph, _input(x), weights, False, bn, Arithmetic(), capture=captured)
+    walk(graph, _input(x), weights, False, bn, Arithmetic().dot, capture=captured)
     return captured

@@ -34,11 +34,11 @@ from .nn import (
     MAXPOOL,
     RELU,
     SOFTMAX,
-    Arithmetic,
     ModelGraph,
     act_quant_layer,
     batchnorm_layer,
     conv,
+    exact_dot,
     fc,
     maxpool_layer,
     pool_slices,
@@ -55,10 +55,6 @@ class TrainingDiverged(ArithmeticError):
     """Loss or gradients left the finite range."""
 
 
-# every training product runs on a 24+28-bit word; a coded x coded product
-# moves it by its operands' full scales, so its last fractional bit is
-# 2**(fsr_x + fsr_w - 28)
-ARITHMETIC = Arithmetic(24, 28, block_bias=True)
 # training batches a batchnorm re-estimate averages over
 BN_REESTIMATE_BATCHES = 8
 
@@ -72,8 +68,8 @@ BN_REESTIMATE_BATCHES = 8
 class OptimizerSpec:
     """Update rule plus an optional step-decay schedule.
 
-    ``lr_decay_epochs = k`` scales the rate by ``lr_decay_factor`` after
-    every k epochs (0 keeps it constant).  Quantized gradients carry
+    ``lr_decay_epochs = k`` scales the rate by ``lr_decay_factor``, in
+    [0, 1], after every k epochs (0 keeps it constant).  Quantized gradients carry
     scale-pinned noise, so decaying the rate once converged is what keeps
     the net at its optimum instead of slowly unlearning it.
     """
@@ -95,6 +91,10 @@ class OptimizerSpec:
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
+        if not 0.0 <= self.lr_decay_factor <= 1.0:
+            raise ConfigError(f"lr_decay_factor must be in [0, 1], got {self.lr_decay_factor!r}")
+        if self.kind == "adam" and not self.eps > 0.0:
+            raise ConfigError(f"adam's eps must be positive, got {self.eps!r}")
 
     def lr_at(self, epoch: int) -> float:
         if not self.lr_decay_epochs:
@@ -112,8 +112,11 @@ class TrainConfig:
     write ``activation_q`` and ``weight_q`` into the graph, which the walk
     reads.  Weight and gradient full-scale ranges are chosen dynamically (per
     epoch from max |W|, per tensor from max |g|), so the fsr fields of those
-    configs are ignored.  Every product runs on the fixed 24+28-bit
-    block-biased word ``ARITHMETIC``.
+    configs are ignored.  Every product is ``nn.exact_dot``: one float64
+    GEMM of the values the shift kernels read, exact when both operands are
+    coded.  Log configs too wide for that exact sum are refused at step 0
+    with ``ConfigError`` (on base 2, two 6-bit signed operands; see
+    ``nn._check_exact_sum``).
     """
 
     weight_q: Optional[QuantizerConfig] = None
@@ -326,7 +329,7 @@ def _walk(state: TrainState, x: np.ndarray, cfg: TrainConfig, weights: dict,
           batch_stats: Optional[dict] = None, cache: Optional[dict] = None) -> np.ndarray:
     """The trainer's walk of ``x`` with the weight operands ``weights``."""
     return walk(state.graph, x.astype(np.float64), weights, cfg.activation_q is not None,
-                state.bn, ARITHMETIC, batch_stats=batch_stats, cache=cache)
+                state.bn, exact_dot, batch_stats=batch_stats, cache=cache)
 
 
 def _forward_train(state: TrainState, x: np.ndarray, cfg: TrainConfig,
@@ -372,10 +375,10 @@ def _backward_train(state: TrainState, caches: dict, g_out: np.ndarray,
             # with quantized operands
             cache = caches[i]
             gq = _quantize_grad(gt.reshape(-1, gt.shape[-1]), cfg)
-            grads[i] = ARITHMETIC.dot(gq.T, cache["x"]).reshape(state.params[i].shape)
+            grads[i] = exact_dot(gq.T, cache["x"]).reshape(state.params[i].shape)
             if i == first:
                 continue
-            g_rows = ARITHMETIC.dot(gq, cache["w"])
+            g_rows = exact_dot(gq, cache["w"])
             shape = cache["in_shape"]
             if kind == CONV:
                 gt = col2im_array(g_rows, shape, layer.kernel, layer.stride, layer.pad)

@@ -780,14 +780,15 @@ def test_cli_infer_reads_uint8_rank3_images_as_float(tmp_path):
 
 
 def test_cli_train_divergence_keeps_last_good_checkpoint(workspace, tmp_path, capsys):
-    # a learning rate that grows 1e300-fold in the second epoch, so the
-    # gradients' fsr leaves the exponent grid's range: training exits 1, the
-    # metrics hold the first epoch's row, and the checkpoint is the one a
-    # one-epoch run writes
+    # a momentum that grows the velocity 1e10-fold a step at a rate of
+    # 1e-200: the weights still fit float32 after the first epoch's 24
+    # steps, and in the second the gradients' fsr leaves the exponent grid's
+    # range: training exits 1, the metrics hold the first epoch's row, and
+    # the checkpoint is the one a one-epoch run writes
     root, _, cfgfile = workspace
     runs = {}
-    for name, epochs, extra in (("one", 1, ""),
-                                ("diverge", 3, "lr_decay_epochs = 1\nlr_decay_factor = 1e300\n")):
+    for name, epochs, extra in (("one", 1, "lr = 1e-200\nmomentum = 1e10\n"),
+                                ("diverge", 3, "lr = 1e-200\nmomentum = 1e10\n")):
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(cfgfile.read_text()
                        .replace(f"{root}/model.lgn", f"{tmp_path}/{name}.lgn")
@@ -1064,6 +1065,14 @@ CLI_REFUSALS = {
                        "beta1 must be in [0, 1), got 1.0"),
     "adam_beta2_negative": (_train_lines(["optimizer = adam", "beta2 = -0.5"]),
                             "beta2 must be in [0, 1), got -0.5"),
+    "decay_factor_above_one": (_train_lines(["lr_decay_epochs = 1", "lr_decay_factor = 1e200"]),
+                               "lr_decay_factor must be in [0, 1], got 1e+200"),
+    "decay_factor_negative": (_train_lines(["lr_decay_factor = -0.5"]),
+                              "lr_decay_factor must be in [0, 1], got -0.5"),
+    "adam_eps_zero": (_train_lines(["optimizer = adam", "eps = 0"]),
+                      "adam's eps must be positive, got 0.0"),
+    "adam_eps_negative": (_train_lines(["optimizer = adam", "eps = -1e-8"]),
+                          "adam's eps must be positive, got -1e-08"),
     "unknown_choice": (_train_lines(["optimizer = rmsprop"]),
                        "key 'optimizer': expected one of"),
     "one_channel": (_train_lines(["conv_channels = 8"]),
@@ -1102,6 +1111,23 @@ def test_cli_refusals_exit_2(case, tmp_path, capsys):
     assert main(make_argv(tmp_path)) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "d").exists() and not (tmp_path / "m.lgn").exists()
+
+
+@pytest.mark.parametrize("bits, message", [
+    (["weight_bits = 8"], "4-bit x 8-bit log codes over 72 terms need 148 bits"),
+    (["act_bits = 5"], "5-bit x 5-bit log codes over 320 terms need 54 bits"),
+])
+def test_cli_train_refuses_configs_past_the_exact_sum(bits, message, tmp_path, capsys):
+    # the trainer sums each coded x coded product exactly in float64: 8-bit
+    # weights against 4-bit activations (conv2's forward, k = 8 * 3 * 3),
+    # and 5-bit unsigned activations (31 levels) against 5-bit gradients
+    # (conv2's weight gradient over the 20 images' 4x4 positions) pass 53
+    # bits and exit 2 at step 0, after the initial checkpoint and before
+    # any metrics
+    argv = _train_config(tmp_path, bits + ["epochs = 1"])
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert (tmp_path / "m.lgn").exists() and not (tmp_path / "m.csv").exists()
 
 
 def _fc_model(wq=None, weights=None) -> ModelGraph:

@@ -14,14 +14,13 @@ from lognet.lognum import (AccumulatorWord, bitshift, code_table, dot_method2, l
                            LogCode, dequantize_array, log_accumulate_raw)
 from lognet import nn
 from lognet.nn import (
-    ACCUM_LINEAR,
-    ACCUM_LOG,
     Arithmetic,
     ModelGraph,
     act_quant_layer,
     batchnorm_array,
     batchnorm_layer,
     conv,
+    exact_dot,
     fc,
     forward,
     maxpool_array,
@@ -146,7 +145,7 @@ def test_maxpool_keeps_codes():
     vals = np.array([0.0, 1.0, 4.0, 16.0, 2.0, 8.0, 1.0, 0.5, 0.0]).reshape(1, 1, 3, 3)
     g = ModelGraph(layers=[act_quant_layer("log", 4), maxpool_layer(2, 1)], fsr=5)
     assert g.act_config(g.layers[0]) == ACT4
-    pooled = walk(g, vals, {}, True, {}, Arithmetic())
+    pooled = walk(g, vals, {}, True, {}, Arithmetic().dot)
     assert isinstance(pooled, Tensor) and pooled.qconfig == ACT4
     assert np.array_equal(pooled.data, codes_from([[[[16.0, 8.0], [16.0, 8.0]]]], ACT4))
     assert np.array_equal(pooled.real(), [[[[16.0, 8.0], [16.0, 8.0]]]])
@@ -161,7 +160,7 @@ def test_maxpool_keeps_codes():
     g = ModelGraph(layers=[nn.LayerSpec(nn.LOGQUANT, qconfig=QuantizerConfig("log", 4, True, 0)),
                            maxpool_layer(2)], fsr=4)
     cache: dict = {}
-    pooled = walk(g, vals, {}, True, {}, Arithmetic(), cache=cache)
+    pooled = walk(g, vals, {}, True, {}, Arithmetic().dot, cache=cache)
     # the walk returns NCHW; its cache holds the channel-last routes
     nhwc = vals.transpose(0, 2, 3, 1)
     want, want_idx = maxpool_array(dequantize_array(logquant_array(nhwc, s4), s4), 2, 2)
@@ -171,7 +170,7 @@ def test_maxpool_keeps_codes():
     assert np.array_equal(pooled.real(), want)
     assert np.array_equal(cache[1]["idx"], want_idx)
     # the walk without a cache pools without the argmax, to the same codes
-    uncached = walk(g, vals, {}, True, {}, Arithmetic())
+    uncached = walk(g, vals, {}, True, {}, Arithmetic().dot)
     assert np.array_equal(uncached.data, pooled.data)
 
 
@@ -184,7 +183,7 @@ def test_batchnorm_examples():
     # and reports the moments it used
     g = ModelGraph(layers=[batchnorm_layer(4)])
     stats: dict = {}
-    out = walk(g, x, {}, False, {0: identity}, Arithmetic(), batch_stats=stats)
+    out = walk(g, x, {}, False, {0: identity}, Arithmetic().dot, batch_stats=stats)
     assert np.allclose(out.mean(axis=(0, 2, 3)), 0, atol=1e-6)
     assert np.allclose(out.var(axis=(0, 2, 3)), 1, atol=1e-3)
     # the moments are float64 sums of m terms in an unspecified order; each
@@ -218,7 +217,7 @@ def test_batchnorm_examples():
     p3 = np.array([np.ones(4), np.zeros(4), np.full(4, 1.0), np.full(4, 4.0)])
     want = (x - 1.0) / np.sqrt(4.0 + nn.BN_EPS)
     assert np.allclose(batchnorm_array(x_last, p3), want.transpose(0, 2, 3, 1), atol=1e-6)
-    assert np.allclose(walk(g, x, {}, False, {0: p3}, Arithmetic()), want, atol=1e-6)
+    assert np.allclose(walk(g, x, {}, False, {0: p3}, Arithmetic().dot), want, atol=1e-6)
 
 
 def test_batchnorm_is_its_expression_bit_for_bit():
@@ -338,10 +337,10 @@ def _check_method2_matmul(laid):
     # the code classes of the kernel: activations over more octaves than the
     # weights span, so one call has exact, dead and truncating codes; signed
     # activations (the gradient operand of training); the sqrt2 grid, also
-    # lifted from base 2 activations; the trainer's 24+28 word, also with
-    # its block bias: the word moved by the operands' full scales, whose
-    # oracle is the scalar dot of the same codes under fsr-zeroed configs at
-    # 24+28; all-zero rows and columns, and all-zero weights
+    # lifted from base 2 activations; the 24+28 word, also moved by the
+    # operands' full scales, whose oracle is the scalar dot of the same
+    # codes under fsr-zeroed configs at 24+28; all-zero rows and columns,
+    # and all-zero weights
     act5s = QuantizerConfig("log", 5, True, 2)
     act4_sqrt2 = QuantizerConfig("log", 4, False, 5, 1)
     w5_sqrt2 = QuantizerConfig("log", 5, True, 1, 1)
@@ -882,11 +881,10 @@ def _scalar_shifted(x, wc, cw, i, j, int_bits=32, frac_bits=8):
 
 
 @st.composite
-def _block_biased_operands(draw):
+def _coded_operands(draw):
     """Coded x (n, k) and w (k, o) of 3-5 bits on either grid, x signed or
-    unsigned, at full scales far enough apart that the moved word's
-    fractional and integer parts both go negative."""
-    n, k, o = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    unsigned, at full scales up to 40 octaves either way."""
+    n, k, o = draw(st.integers(1, 4)), draw(st.integers(1, 40)), draw(st.integers(1, 3))
 
     def operand(signed, shape):
         cfg = QuantizerConfig("log", draw(st.integers(3, 5)), signed, draw(st.integers(-40, 40)),
@@ -899,26 +897,53 @@ def _block_biased_operands(draw):
     return operand(draw(st.booleans()), (n, k)), operand(True, (k, o))
 
 
-@given(ops=_block_biased_operands(), f=st.sampled_from([None, 4, 8]))
-def test_block_biased_dot_is_the_scalar_dot_at_zero_full_scale(ops, f):
-    # the trainer's product moves the 24+28 word by the operands' full
-    # scales: it is the scalar dot of the same codes under fsr-zeroed
-    # configs at 24+28, times 2**(fsr_x + fsr_w - 28); linear accumulation
-    # (f None) and log accumulation at exponent words 4 and 8
+def _dyadic_value(word: int, cfg: QuantizerConfig) -> float:
+    """A wire code's value as the shift-add reads it: sign * 2**e, a half
+    step e = n + 1/2 as 1.5 * 2**n."""
+    c = LogCode.from_wire(word, cfg)
+    if c.is_zero:
+        return 0.0
+    e = cfg.level_exponent(c.code)
+    return c.sign * math.ldexp(1.5 if e != math.floor(e) else 1.0, math.floor(e))
+
+
+@given(ops=_coded_operands())
+def test_exact_dot_is_the_exact_sum_of_the_dyadic_terms(ops):
+    # the trainer's coded x coded product: one float64 GEMM whose every
+    # partial sum is exact, so it equals the correctly rounded (here exact)
+    # sum of the scalar terms, bit for bit
     x, w = ops
-    accum = ACCUM_LINEAR if f is None else ACCUM_LOG
-    with pytest.MonkeyPatch.context() as mp:
-        if f is not None:
-            mp.setattr(nn, "method2_matmul_logaccum",
-                       functools.partial(method2_matmul_logaccum, exp_frac_bits=f))
-        got = Arithmetic(24, 28, accum, block_bias=True).dot(x, w)
-    cx0, cw0 = replace(x.qconfig, fsr=0), replace(w.qconfig, fsr=0)
+    got = exact_dot(x, w)
     for i in range(x.shape[0]):
-        xs = [LogCode.from_wire(int(c), cx0) for c in x.data[i]]
+        xs = [_dyadic_value(int(c), x.qconfig) for c in x.data[i]]
         for j in range(w.shape[1]):
-            ws = [LogCode.from_wire(int(c), cw0) for c in w.data[:, j]]
-            raw = dot_method2(ws, xs, cw0, cx0, accum, 24, 28, f or 4).raw
-            assert got[i, j] == math.ldexp(raw, x.qconfig.fsr + w.qconfig.fsr - 28), (i, j)
+            ws = [_dyadic_value(int(c), w.qconfig) for c in w.data[:, j]]
+            assert got[i, j] == math.fsum(a * b for a, b in zip(xs, ws)), (i, j)
+
+
+def test_exact_dot_refuses_sums_float64_cannot_hold():
+    # 8-bit log codes span 127 levels each, so two of them pass 53 bits at
+    # any k; narrower codes pass the bound on k, or near the ends of the
+    # exponent range, where the lowest term falls below float64's normal
+    # numbers or the largest sum past 2**1024
+    def coded(cfg, shape=(2, 3)):
+        return Tensor(np.full(shape, cfg.max_code, np.uint8), cfg)
+
+    w8 = QuantizerConfig("log", 8, True, 0)
+    with pytest.raises(ConfigError, match="8-bit x 8-bit log codes over 3 terms"):
+        exact_dot(coded(QuantizerConfig("log", 8, False, 0)), coded(w8, (3, 2)))
+    w5 = QuantizerConfig("log", 5, True, 0)
+    # 4-bit unsigned x 5-bit signed spans 29 bits, so 2**24 terms fit
+    a4 = QuantizerConfig("log", 4, False, 3)
+    assert nn._check_exact_sum(a4, w5, 1 << 24) is None
+    with pytest.raises(ConfigError, match="need 54 bits"):
+        nn._check_exact_sum(a4, w5, (1 << 24) + 1)
+    # 5-bit x 5-bit over 3 terms: 31 bits from 2**(fsr_x + fsr_w - 30)
+    for fsr_x, fsr_w, past in ((-944, -48, -1), (900, 123, 1)):
+        x = coded(replace(w5, fsr=fsr_x))
+        assert np.isfinite(exact_dot(x, coded(replace(w5, fsr=fsr_w), (3, 2)))).all()
+        with pytest.raises(ConfigError, match="float64 sums exactly only 53 bits"):
+            exact_dot(x, coded(replace(w5, fsr=fsr_w + past), (3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -1267,6 +1292,27 @@ def test_a_term_wider_than_the_word_overflows(kernel):
         scalar()
     with pytest.raises(AccumulatorOverflow, match="a single term can span 41 raw bits"):
         run()
+
+
+def test_a_half_step_term_is_bounded_by_its_own_width():
+    # a unit input (raw 256) against the 5-bit sqrt2 top code at fsr 32,
+    # 2**31.5 shifted in as 1.5 * 2**31: the term is 3 * 2**38, 40 bits,
+    # which the 32+8 word holds; one fsr higher it is 41 bits, and the
+    # kernel and the scalar shifts both overflow
+    one = np.ones((1, 1))
+
+    def top(fsr):
+        cfg = QuantizerConfig("log", 5, True, fsr, base_frac_bits=1)
+        return Tensor(np.full((1, 1), cfg.max_code, np.uint8), cfg)
+
+    w = top(32)
+    assert shifted_input_matmul(one, w)[0, 0] == _scalar_shifted(one, w.data, w.qconfig, 0, 0) \
+        == 3 << 38
+    w = top(33)
+    with pytest.raises(AccumulatorOverflow):
+        _scalar_shifted(one, w.data, w.qconfig, 0, 0)
+    with pytest.raises(AccumulatorOverflow, match="a single term can span 41 raw bits"):
+        shifted_input_matmul(one, w)
 
 
 @pytest.mark.parametrize("kernel", ["method1", "shifted_input"])

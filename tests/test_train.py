@@ -9,7 +9,6 @@ import pytest
 
 from lognet import QuantizerConfig, nn, train
 from lognet import io as lio
-from lognet.lognum import LogCode, dot_method2, logquant_array
 from lognet.nn import (LINQUANT, LOGQUANT, LayerSpec, ModelGraph, batchnorm_layer,
                        conv, fc, maxpool_layer, quantize_operand, relu_layer, walk)
 from lognet.nn import BN_EPS, act_quant_layer, batchnorm_batch
@@ -17,7 +16,6 @@ from lognet.tensor import Tensor, im2col_array
 from lognet.train import (
     OptimizerSpec,
     TrainConfig,
-    ARITHMETIC,
     TrainingDiverged,
     _backward_train,
     _forward_train,
@@ -344,7 +342,7 @@ def test_forward_only_walks_keep_no_cache(monkeypatch):
     outs = []
     for cache in (None, {}):
         stats: dict = {}
-        out = walk(sgraph, xs, wq, True, bn, ARITHMETIC,
+        out = walk(sgraph, xs, wq, True, bn, nn.exact_dot,
                    batch_stats=stats, cache=cache)
         outs.append((out, stats))
     (out, stats), (out_c, stats_c) = outs
@@ -375,7 +373,7 @@ def test_frozen_weight_walks_quantize_the_weights_once(monkeypatch):
     for lo in range(0, 26, 8):
         stats: dict = {}
         walk(state.graph, x[lo:lo + 8], nn.weight_operands(state.graph, state.params), True,
-             state.bn, ARITHMETIC, batch_stats=stats)
+             state.bn, nn.exact_dot, batch_stats=stats)
         for i, moments in stats.items():
             collect.setdefault(i, []).append(moments)
     assert len(next(iter(collect.values()))) == 4
@@ -615,28 +613,16 @@ def test_quantized_training_learns_separable_toyset():
         assert best >= 0.99, f"seed {seed}: {history[-3:]}"
 
 
-def test_qdot_block_biased_product_matches_scalar_dot():
-    # the trainer's product holds the accumulator's binary point at the
-    # operands' full scale: it is the scalar dot of the same codes under
-    # fsr-zeroed configs, rescaled by 2**(fsr_x + fsr_w - frac_bits)
-    ib, fb = ARITHMETIC.int_bits, ARITHMETIC.frac_bits
-    rng = np.random.default_rng(71)
-
-    def coded(a, q, fsr):
-        c = replace(q, fsr=fsr)
-        return Tensor(logquant_array(a, c), c)
-
-    acts = np.maximum(rng.normal(0, 2.0, size=(40, 36)), 0.0)
-    weights = rng.normal(0, 0.3, size=(36, 8))
-    grads = rng.normal(0, 2.0 ** -12, size=(8, 40))
-    for x, w in ((coded(acts, A4, 3), coded(weights, W5, 0)),
-                 (coded(grads, G5, -9), coded(acts, A4, 3))):
-        got = ARITHMETIC.dot(x, w)
-        cx0, cw0 = replace(x.qconfig, fsr=0), replace(w.qconfig, fsr=0)
-        for i in (0, *rng.integers(0, x.data.shape[0], size=3)):
-            for j in range(w.data.shape[1]):
-                raw = dot_method2([LogCode.from_wire(int(c), cw0) for c in w.data[:, j]],
-                                  [LogCode.from_wire(int(c), cx0) for c in x.data[i]],
-                                  cw0, cx0, "linear", ib, fb).raw
-                want = math.ldexp(raw, x.qconfig.fsr + w.qconfig.fsr - fb)
-                assert got[i, j] == want
+def test_a_sqrt2_training_walk_reads_a_half_step_as_one_value():
+    # code 1 of a 5-bit signed sqrt2 config at fsr 0 is level -7.5, which
+    # the shift kernels read as 1.5 * 2**-8 (sqrt(2) * 2**-8 is 0.005524);
+    # a training walk reads it so against a real input and against a coded
+    # unit activation (4-bit unsigned at fsr 1, top code 2**0)
+    w = Tensor(np.ones((1, 1), np.uint8), QuantizerConfig("log", 5, True, 0, base_frac_bits=1))
+    one = np.ones((1, 1))
+    want = 0.005859375
+    assert np.ldexp(nn.shifted_input_matmul(one, w, 24, 28), -28)[0, 0] == want
+    for layers in ([fc(1, 1)], [act_quant_layer("log", 4), fc(1, 1)]):
+        state = train.TrainState(ModelGraph(layers, fsr=1), {}, {})
+        cfg = TrainConfig(activation_q=A4 if len(layers) == 2 else None)
+        assert train._walk(state, one, cfg, {len(layers) - 1: w.T}).tolist() == [[want]]
