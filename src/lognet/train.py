@@ -69,9 +69,9 @@ class OptimizerSpec:
     """Update rule plus an optional step-decay schedule.
 
     ``lr_decay_epochs = k`` scales the rate by ``lr_decay_factor``, in
-    [0, 1], after every k epochs (0 keeps it constant).  Quantized gradients carry
-    scale-pinned noise, so decaying the rate once converged is what keeps
-    the net at its optimum instead of slowly unlearning it.
+    [0, 1], after every k epochs (0 keeps it constant).  Quantized
+    gradients carry scale-pinned noise, so decaying the rate once converged
+    is what keeps the net at its optimum instead of slowly unlearning it.
     """
 
     kind: str = "sgd_momentum"
