@@ -55,15 +55,15 @@ bit: term magnitudes are truncated to the accumulator's fractional
 precision before summation.  The kernels read an operand through its code
 table: a b-bit operand has at most 2**b codes, so every term a code can
 produce against a weight is known up front.  In the linear-accumulation
-kernels, codes whose terms never truncate fold into one matmul; every other
-live code gets a (k, o) table of its truncated integer terms, and one GEMM
-of one-hot code indicators against the stacked tables sums them.  All
-arithmetic stays on integers below 2**53, where float64 is exact in any
-summation order.  Where the range bound keeps every partial sum below 2**24
-and every factor a GEMM reads is a normal float32 number, the sums run in
-float32, which is exact there in any order too (``_sum_dtype``): at the
-32+8 inference word, every linear-accumulation product of the benchmark's
-reference net does.
+kernels, a code is dead when every term it can produce truncates to 0, and
+is skipped; every live code gets a (k, o) table of its truncated integer
+terms, and one GEMM of one-hot code indicators against the stacked tables
+sums them.  All arithmetic stays on integers below 2**53, where float64 is
+exact in any summation order.  Where the range bound keeps every partial
+sum below 2**24 and every factor a GEMM reads is a normal float32 number,
+the sums run in float32, which is exact there in any order too
+(``_sum_dtype``): at the 32+8 inference word, every linear-accumulation
+product of the benchmark's reference net does.
 Log-domain accumulation is order dependent, so its kernel keeps the index
 order within each running sum.  A weight has one sign, so with unsigned
 activations each of the 2o sums (one per output and term sign) gets its own
@@ -470,15 +470,14 @@ def _lifted_esteps(op: Tensor, fb: int) -> np.ndarray:
 _TABLE_BLOCK = 1 << 19
 
 
-def _code_table_matmul(codes: np.ndarray, exact_val: np.ndarray,
-                       w_exact: np.ndarray, trunc_codes: np.ndarray,
-                       term_tables, o: int, dtype) -> np.ndarray:
-    """exact_val[codes] @ w_exact plus the terms of the truncating codes.
+def _code_table_matmul(codes: np.ndarray, live: np.ndarray, term_tables,
+                       o: int, dtype) -> np.ndarray:
+    """The sum over k of each live code's terms, by one-hot GEMMs.
 
-    ``codes`` is (n, k); ``exact_val`` maps every code to its factor in the
-    single matmul (0 for the others).  ``term_tables(ks)`` returns the
-    (len(ks), L, o) terms of the L ``trunc_codes`` against rows ks of the
-    other operand; a one-hot (rows, k*L) block, gathered from an
+    ``codes`` is (n, k) and ``live`` marks the codes that can produce a
+    nonzero term; the others add nothing.  ``term_tables(ks)`` returns the
+    (len(ks), L, o) terms of the L live codes, in code order, against rows
+    ks of the other operand; a one-hot (rows, k*L) block, gathered from an
     identity-like (codes, L) table, picks them in one GEMM.  Rows and k are
     blocked so each one-hot and term block holds about ``_TABLE_BLOCK``
     bytes.  Everything is summed in ``dtype`` (``_sum_dtype``); the result
@@ -486,13 +485,12 @@ def _code_table_matmul(codes: np.ndarray, exact_val: np.ndarray,
     """
     n, k = codes.shape
     out = np.zeros((n, o), dtype)
-    if exact_val.any():
-        out += exact_val.astype(dtype)[codes] @ w_exact.astype(dtype, copy=False)
-    n_t = trunc_codes.size
+    live_codes = np.flatnonzero(live)
+    n_t = live_codes.size
     if n_t == 0 or o == 0:
         return out.astype(np.float64, copy=False)
-    onehot = np.zeros((exact_val.size, n_t), dtype)
-    onehot[trunc_codes, np.arange(n_t)] = 1.0
+    onehot = np.zeros((live.size, n_t), dtype)
+    onehot[live_codes, np.arange(n_t)] = 1.0
     block = _TABLE_BLOCK // onehot.itemsize
     k_step = max(1, min(k, block // (n_t * o)))
     rows = max(1, min(n, block // (k_step * n_t)))
@@ -513,27 +511,20 @@ def method2_matmul(x: Tensor, w: Tensor,
     """Raw accumulator values of x @ w with both operands log-coded.
 
     x has shape (n, k), w has shape (k, o).  Both operands are read through
-    their code tables.  Each nonzero x code c, at exponent e_c in lifted
-    grid steps, falls into one of three classes, decided from w's lowest
-    and highest levels:
+    their code tables.  A nonzero x code c, at exponent e_c in lifted grid
+    steps, is dead when every term truncates to 0, even against w's top
+    level; dead codes are skipped.  Every other nonzero code is live and
+    gets a (k, o) table of its truncated integer terms, sign_c * sign_w *
+    floor(2**(e_c + e_w) * 2**frac_bits), gathered by w's codes from the
+    code's terms against every w code; one one-hot GEMM over all of them
+    sums them.  A term that never truncates is the integer
+    2**(e_c + e_w) * 2**frac_bits itself.
 
-    * exact: e_c is on the base-2 grid and every term 2**(e_c + e_w) clears
-      the accumulator's last fractional bit (a 1.5 mantissa one bit
-      above it), so no term truncates.  All exact codes fold into one
-      matmul of per-code powers of two against w's values.
-    * dead: every term truncates to 0, even against w's top level; these
-      codes are skipped.
-    * truncating: the rest.  Each gets a (k, o) table of its exact
-      truncated integer terms, sign_c * sign_w * floor(2**(e_c + e_w)
-      * 2**frac_bits), gathered by w's codes from the code's terms against
-      every w code; one one-hot GEMM over all of them sums them.
-
-    One-hot entries are 0 or 1 and every table entry and every exact-class
-    product is an integer term, so under the ``_check_exact_range`` bound
-    every partial sum, in any BLAS order, is an integer below 2**53: the
-    result equals the scalar ``lognum.dot_method2`` bit for bit.  The sums
-    run in float32 where that bound is 2**24 and the per-code factors of
-    the exact class and of w are normal float32 numbers (``_sum_dtype``).
+    One-hot entries are 0 or 1 and every table entry is an integer term, so
+    under the ``_check_exact_range`` bound every partial sum, in any BLAS
+    order, is an integer below 2**53: the result equals the scalar
+    ``lognum.dot_method2`` bit for bit.  The sums run in float32 where that
+    bound is 2**24 (``_sum_dtype``).
     """
     n, k = x.shape
     o = w.shape[1]
@@ -548,23 +539,16 @@ def method2_matmul(x: Tensor, w: Tensor,
     w_levels = we[w.present() & wt.nonzero]
     if not w_levels.size:
         return np.zeros((n, o))
-    w_low, w_high = int(w_levels.min()), int(w_levels.max())
-    live = xt.nonzero & (((xe + w_high) >> fb) + frac_bits >= 0)
-    exact = (live & ((xe & ((1 << fb) - 1)) == 0)
-             & ((xe >> fb) + (w_low >> fb) + frac_bits >= fb))
-    exact_val = np.where(exact, xt.sign * _pow2_steps(xe, fb, frac_bits), 0.0)
-    w_val = np.where(wt.nonzero, wt.sign * _pow2_steps(we, fb), 0.0)
-    dtype = _sum_dtype(need, exact_val, w_val)
-    trunc = np.flatnonzero(live & ~exact)
-    # terms[l, v]: truncating x code trunc[l] against w code v
-    terms = np.where(wt.nonzero, xt.sign[trunc, None] * wt.sign, 0) * _trunc_pow2_raw(
-        xe[trunc, None] + we, fb, frac_bits)
+    live = xt.nonzero & (((xe + int(w_levels.max())) >> fb) + frac_bits >= 0)
+    # terms[l, v]: live x code live_codes[l] against w code v
+    live_codes = np.flatnonzero(live)
+    terms = np.where(wt.nonzero, xt.sign[live_codes, None] * wt.sign, 0) * _trunc_pow2_raw(
+        xe[live_codes, None] + we, fb, frac_bits)
 
     def term_tables(ks):
         return np.take(terms, w.data[ks], axis=1).transpose(1, 0, 2)
 
-    out = _code_table_matmul(x.data, exact_val, w_val[w.data], trunc, term_tables,
-                             o, dtype)
+    out = _code_table_matmul(x.data, live, term_tables, o, _sum_dtype(need))
     return _check_out(out, int_bits, frac_bits)
 
 
@@ -575,34 +559,29 @@ def method1_matmul(x: Tensor, w_real: np.ndarray,
     Each term is a bitshift of the fixed-point weight word by the
     activation exponent, truncating toward minus infinity like a two's
     complement shifter.  As in ``method2_matmul``, the kernel works per
-    activation code: codes with e >= 0 shift left, never truncate, and fold
-    into one matmul of 2**e against the weight words; each code with e < 0
-    gets a (k, o) table floor(w_raw * 2**e) summed by one one-hot GEMM.
-    Every entry is an integer and ``_check_exact_range`` keeps every partial
-    sum below 2**53, so the result equals the scalar ``lognum.dot_method1``
-    bit for bit.  The sums run in float32 where the bound is 2**24 and the
-    factors 2**e and the weight words are normal float32 numbers
-    (``_sum_dtype``).
+    activation code: each nonzero code e gets a (k, o) table
+    floor(w_raw * 2**e), the shifted words themselves where e >= 0, and one
+    one-hot GEMM sums them.  Every entry is an integer and
+    ``_check_exact_range`` keeps every partial sum below 2**53, so the
+    result equals the scalar ``lognum.dot_method1`` bit for bit.  The sums
+    run in float32 where the bound is 2**24 (``_sum_dtype``).
     """
     if x.qconfig.base_frac_bits != 0:
         raise ConfigError("integer shifts require the base-2 exponent grid")
     xt = x.table
     if x.qconfig.signed and (xt.nonzero & (xt.sign < 0))[x.data].any():
         raise ConfigError("activation codes must be unsigned")
-    n, k = x.shape
     w_raw, w_peak = _words(w_real, "a weight", int_bits, frac_bits)
     need = _check_exact_range(
         max_term_bits=w_peak.bit_length() + max(int(xt.esteps.max()), 0),
-        n_terms=k, int_bits=int_bits, frac_bits=frac_bits)
-    exact_val = np.where(xt.nonzero & (xt.esteps >= 0), np.ldexp(1.0, xt.esteps), 0.0)
-    trunc = np.flatnonzero(xt.nonzero & (xt.esteps < 0))
-    t_exp = xt.esteps[trunc, None].astype(np.intc)  # numpy's native ldexp loop
+        n_terms=x.shape[1], int_bits=int_bits, frac_bits=frac_bits)
+    t_exp = xt.esteps[xt.nonzero, None].astype(np.intc)  # numpy's native ldexp loop
 
     def term_tables(ks):
         return np.floor(np.ldexp(w_raw[ks, None, :], t_exp))
 
-    out = _code_table_matmul(x.data, exact_val, w_raw, trunc, term_tables,
-                             w_real.shape[1], _sum_dtype(need, exact_val, w_raw))
+    out = _code_table_matmul(x.data, xt.nonzero, term_tables, w_real.shape[1],
+                             _sum_dtype(need))
     return _check_out(out, int_bits, frac_bits)
 
 

@@ -304,14 +304,13 @@ def _scalar_linear(xc, wc, cx, cw, i, j, int_bits=32, frac_bits=8):
 
 
 def _code_classes(xo, wo, frac_bits):
-    """Counts of the x levels that are exact, dead and truncating (base 2)."""
+    """Counts of x's nonzero codes that are live and dead (base 2), as
+    ``method2_matmul`` sorts them: a dead code's terms all truncate to 0,
+    even against w's top level; every live code gets its own term table."""
     xt, wt = xo.table, wo.table
-    lv = np.unique(xt.esteps[xo.present() & xt.nonzero])
-    w_levels = wt.esteps[wo.present() & wt.nonzero]
-    w_lo, w_hi = w_levels.min(), w_levels.max()
-    dead = lv + w_hi + frac_bits < 0
-    exact = lv + w_lo + frac_bits >= 0
-    return int(exact.sum()), int(dead.sum()), int((~dead & ~exact).sum())
+    w_hi = wt.esteps[wo.present() & wt.nonzero].max()
+    dead = xt.esteps[xt.nonzero] + w_hi + frac_bits < 0
+    return int((~dead).sum()), int(dead.sum())
 
 
 def test_method2_matmul_matches_scalar_dot():
@@ -335,7 +334,7 @@ def _check_method2_matmul(laid):
                 assert raw[i, j] == _scalar_linear(xc, wc, ACT4, W5, i, j)
 
     # the code classes of the kernel: activations over more octaves than the
-    # weights span, so one call has exact, dead and truncating codes; signed
+    # weights span, so one call has live and dead codes; signed
     # activations (the gradient operand of training); the sqrt2 grid, also
     # lifted from base 2 activations; the 24+28 word, also moved by the
     # operands' full scales, whose oracle is the scalar dot of the same
@@ -370,8 +369,8 @@ def _check_method2_matmul(laid):
         zero_w = Tensor(laid(np.zeros_like(wc)), cw)
         assert (method2_matmul(Tensor(laid(xc), cx), zero_w) == 0).all()
 
-    # 14 truncating codes against 40 outputs need more than one k block of
-    # term tables and several row blocks of the one-hot matrix
+    # 35 live codes against 40 outputs need more than one k block of term
+    # tables and several row blocks of the one-hot matrix
     cx = QuantizerConfig("log", 6, False, 5)
     cw = QuantizerConfig("log", 5, True, 3)
     n, k, o, frac = 100, 300, 40, 28
@@ -380,10 +379,10 @@ def _check_method2_matmul(laid):
     w = rng.choice([-1.0, 1.0], size=(k, o)) * 2.0 ** rng.uniform(-12, 3, size=(k, o))
     xc, wc = codes_from(x, cx), codes_from(w, cw)
     xo, wo = Tensor(laid(xc), cx), Tensor(laid(wc), cw)
-    n_exact, n_dead, n_trunc = _code_classes(xo, wo, frac)
-    assert min(n_exact, n_dead) > 0 and n_trunc == 14
-    k_step = _block_elems(np.float64) // (n_trunc * o)
-    assert k > k_step and n > 2 * (_block_elems(np.float64) // (k_step * n_trunc))
+    n_live, n_dead = _code_classes(xo, wo, frac)
+    assert (n_live, n_dead) == (35, 28)
+    k_step = _block_elems(np.float64) // (n_live * o)
+    assert k > k_step and n > 2 * (_block_elems(np.float64) // (k_step * n_live))
     raw, dtype = _run_recording_dtype(method2_matmul, xo, wo, 24, frac)
     assert dtype is np.float64
     for i in (0, 39, 40, 41, n - 1, *rng.integers(0, n, size=2)):
@@ -392,7 +391,7 @@ def _check_method2_matmul(laid):
 
     # the same blocking in float32: the 32+8 word and full scales 2**5 and
     # 2**0 put every partial sum over k = 300 below 2**23, and weights over
-    # 11 octaves leave 2 exact and 10 truncating activation codes
+    # 11 octaves leave 12 live activation codes
     cw = QuantizerConfig("log", 5, True, 0)
     n, k, o, frac = 100, 300, 48, 8
     x = 2.0 ** rng.uniform(-58, 5, size=(n, k))
@@ -400,10 +399,10 @@ def _check_method2_matmul(laid):
     w = rng.choice([-1.0, 1.0], size=(k, o)) * 2.0 ** rng.uniform(-11, 0, size=(k, o))
     xc, wc = codes_from(x, cx), codes_from(w, cw)
     xo, wo = Tensor(laid(xc), cx), Tensor(laid(wc), cw)
-    n_exact, n_dead, n_trunc = _code_classes(xo, wo, frac)
-    assert (n_exact, n_trunc) == (2, 10) and n_dead > 0
-    k_step = _block_elems(np.float32) // (n_trunc * o)
-    assert k > k_step and n > 2 * (_block_elems(np.float32) // (k_step * n_trunc))
+    n_live, n_dead = _code_classes(xo, wo, frac)
+    assert n_live == 12 and n_dead > 0
+    k_step = _block_elems(np.float32) // (n_live * o)
+    assert k > k_step and n > 2 * (_block_elems(np.float32) // (k_step * n_live))
     raw, dtype = _run_recording_dtype(method2_matmul, xo, wo, 32, frac)
     assert dtype is np.float32 and raw.dtype == np.float64
     for i in (0, 47, 48, 49, 96, n - 1, *rng.integers(0, n, size=2)):
@@ -411,9 +410,10 @@ def _check_method2_matmul(laid):
             assert raw[i, j] == _scalar_linear(xc, wc, cx, cw, i, j, 32, frac)
 
 
-def test_method2_matmul_sums_out_of_float32_range_factors_in_float64():
-    # sums far below 2**24, but the exact class's per-code factors reach
-    # 2**147 and the weights' 2**-139 and below: float32 cannot hold either
+def test_method2_matmul_sums_far_full_scales_as_integer_terms():
+    # full scales 2**140 and 2**-138, whose values float32 cannot hold, give
+    # integer terms far below 2**24: the GEMM reads only those and 0/1
+    # indicators, so it sums them in float32
     cx = QuantizerConfig("log", 4, False, 140)
     cw = QuantizerConfig("log", 5, True, -138)
     rng = np.random.default_rng(61)
@@ -425,7 +425,7 @@ def test_method2_matmul_sums_out_of_float32_range_factors_in_float64():
     xo, wo = Tensor(xc, cx), Tensor(wc, cw)
     assert min(_code_classes(xo, wo, 8)) > 0
     raw, dtype = _run_recording_dtype(method2_matmul, xo, wo)
-    assert dtype is np.float64 and (raw != 0).any()
+    assert dtype is np.float32 and (raw != 0).any()
     for i in range(n):
         for j in range(o):
             assert raw[i, j] == _scalar_linear(xc, wc, cx, cw, i, j)
@@ -744,9 +744,9 @@ def _check_method1_matmul(laid):
                 assert raw[i, j] == _scalar_method1(xc, w, ACT4, i, j)
 
     # left shifts (exact) and right shifts (truncating) in one call, several
-    # words, all-zero weights, rows and columns, and enough truncating codes
-    # (levels -57..-1 of a 6-bit activation) to cross the kernel's row and
-    # k blocks
+    # words, all-zero weights, rows and columns, and enough live codes (the
+    # 63 nonzero levels -58..4 of a 6-bit activation) to cross the kernel's
+    # row and k blocks
     cx = QuantizerConfig("log", 6, False, 5)
     n, k, o = 80, 200, 32
     x = 2.0 ** rng.uniform(-58, 5, size=(n, k))
@@ -758,10 +758,10 @@ def _check_method1_matmul(laid):
     xc = codes_from(x, cx)
     xo = Tensor(laid(xc), cx)
     lv = np.unique(xo.table.esteps[xo.present() & xo.table.nonzero])
-    n_trunc = int((lv < 0).sum())
-    assert (lv >= 0).any() and n_trunc > 50
-    k_step = _block_elems(np.float64) // (n_trunc * o)
-    assert k > k_step and n > 2 * (_block_elems(np.float64) // (k_step * n_trunc))
+    assert (lv >= 0).any() and (lv < 0).sum() > 50
+    n_live = int(xo.table.nonzero.sum())
+    k_step = _block_elems(np.float64) // (n_live * o)
+    assert k > k_step and n > 2 * (_block_elems(np.float64) // (k_step * n_live))
     # weight words below 2**11 (2**23) at 32+8 (24+20) and the top level 2**4
     # give 23-bit (35-bit) partial sums over k = 200 terms
     for ib, frac, want in ((32, 8, np.float32), (24, 20, np.float64)):
@@ -777,8 +777,8 @@ def _check_method1_matmul(laid):
     # word keep every partial sum below 2**23
     w = np.clip(rng.normal(0, 1.0, size=(k, o)), -3.99, 3.99)
     w[:, 2] = 0.0
-    k_step = _block_elems(np.float32) // (n_trunc * o)
-    assert k > k_step and n > 2 * (_block_elems(np.float32) // (k_step * n_trunc))
+    k_step = _block_elems(np.float32) // (n_live * o)
+    assert k > k_step and n > 2 * (_block_elems(np.float32) // (k_step * n_live))
     raw, dtype = _run_recording_dtype(method1_matmul, xo, laid(w))
     assert dtype is np.float32 and raw.dtype == np.float64
     assert (raw[3] == 0).all() and (raw[:, 2] == 0).all()
