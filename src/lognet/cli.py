@@ -440,7 +440,12 @@ def cmd_train(args) -> int:
     checkpoint_every = _cfg_positive_int(raw, "checkpoint_every")
     graph, cfg, train_data, test_data = build_train_setup(raw)
     state = train.init_state(graph, cfg)
-    io.write_model(raw["out_model"], train.sync_graph_weights(state, cfg))
+    initial = train.sync_graph_weights(state, cfg)
+    # a net the images cannot pass through is refused before any file is written
+    initial.output_shapes(train_data[0].shape)
+    if test_data:
+        initial.output_shapes(test_data[0].shape)
+    io.write_model(raw["out_model"], initial)
 
     header = ["step", "epoch", "loss", "train_acc", "test_acc"]
     rows: list[tuple] = []

@@ -287,7 +287,12 @@ def read_idx(path) -> np.ndarray:
     dims = [r.unpack(">I", f"IDX dim {k}")[0] for k in range(ndim)]
     n = math.prod(dims)
     dt = _IDX_DTYPES[dtype_tag]
-    raw = r.take(n * dt.itemsize, "IDX payload")
+    at = r.pos
+    data = np.frombuffer(r.take(n * dt.itemsize, "IDX payload"), dtype=dt)
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        raise FileFormatError(at + dt.itemsize * int(bad[0]),
+                              f"IDX value {int(bad[0])} is not finite")
     if r.pos != len(r.buf):
         raise FileFormatError(r.pos, f"{len(r.buf) - r.pos} trailing bytes")
-    return np.frombuffer(raw, dtype=dt).reshape(dims).astype(dt.newbyteorder("="))
+    return data.reshape(dims).astype(dt.newbyteorder("="))

@@ -41,8 +41,9 @@ these kernels:
 absolute: its last fractional bit is 2**-frac_bits of the word it is
 given.  Inference runs every product with a coded operand through its
 shift kernel on the word (``Arithmetic.dot``).  Training runs every product
-as one float64 GEMM of the values the shift kernels read, half steps at
-1.5 (``exact_dot``).  Two coded operands make each term an integer multiple
+as one float64 GEMM of the terms the shift kernels form, a half step at 1.5
+and two half steps adding exponents to a whole one (``exact_dot``).  Two
+coded operands make each term an integer multiple
 of the product's lowest unit, so float64 sums them exactly in any order
 while the bound ``_check_exact_sum`` checks holds: 53 bits over both
 operands' level spans, mantissas and the term count, in float64's normal
@@ -86,6 +87,7 @@ from .lognum import (
     KIND_LOG,
     AccumulatorOverflow,
     ConfigError,
+    DomainError,
     QuantizerConfig,
     code_table,
     dequantize_array,
@@ -891,17 +893,36 @@ def _check_exact_sum(cx: QuantizerConfig, cw: QuantizerConfig, k: int) -> None:
             f"2**{_F64.minexp} and 2**{_F64.maxexp}")
 
 
-def exact_dot(x, w) -> np.ndarray:
-    """x (n, k) times w (k, o) as one float64 GEMM of the operands' values
-    as ``_dyadic`` reads them; either is float64 or a log-coded ``Tensor``.
+def _half_split(a: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """A sqrt2-grid operand as (its whole-step codes' values, sign * 2**n
+    for its half-step codes e = n + 1/2), each 0 at the other codes."""
+    t = a.table
+    half = (t.esteps & 1).astype(bool)
+    v = np.where(t.nonzero, t.sign * np.ldexp(1.0, t.esteps >> 1), 0.0)
+    return np.where(half, 0.0, v)[a.data], np.where(half, v, 0.0)[a.data]
 
-    With both coded, the sum is exact in any BLAS order, as a wide
-    accumulator would compute it, and a pair of configs past the bound of
-    ``_check_exact_sum`` raises ``ConfigError``.  With a real operand it is
+
+def exact_dot(x, w) -> np.ndarray:
+    """x (n, k) times w (k, o) as one float64 GEMM; either is float64 or a
+    log-coded ``Tensor``.
+
+    With both coded, each term is sign * 2**(e_x + e_w) by shift-add, as the
+    shift kernels and ``lognum.dot_method2`` form it from the exponent sum,
+    and the sum is exact in any BLAS order, as a wide accumulator would
+    compute it; a pair of configs past the bound of ``_check_exact_sum``
+    raises ``ConfigError``.  A term is the product of the operands' values
+    as ``_dyadic`` reads them, except that two half steps n + 1/2 and
+    m + 1/2 give 2**(n + m + 1), not 2.25 * 2**(n + m): with both operands
+    on the sqrt2 grid, each is split into whole steps a and half steps h
+    (``_half_split``), and [a, h] stacked along k against [a' + 1.5 h';
+    1.5 a' + 2 h'] gives every term exactly once.  With a real operand it is
     the float64 product of the values.
     """
     if isinstance(x, Tensor) and isinstance(w, Tensor):
         _check_exact_sum(x.qconfig, w.qconfig, x.shape[1])
+        if x.qconfig.base_frac_bits and w.qconfig.base_frac_bits:
+            (xa, xh), (wa, wh) = _half_split(x), _half_split(w)
+            return np.hstack([xa, xh]) @ np.vstack([wa + 1.5 * wh, 1.5 * wa + 2.0 * wh])
     return _dyadic(x) @ _dyadic(w)
 
 
@@ -1027,15 +1048,21 @@ def _stored_operands(graph: ModelGraph, mode: str) -> tuple[dict, dict]:
 
 
 def _input(x: np.ndarray) -> np.ndarray:
-    """Images as a walk reads them: rounded to float32, held in float64."""
-    return np.asarray(x, dtype=np.float32).astype(np.float64, order="C")
+    """Images as a walk reads them: rounded to float32, held in float64;
+    refuses a value that is not finite there."""
+    with np.errstate(over="ignore"):
+        x = np.asarray(x, dtype=np.float32)
+    if not np.isfinite(x).all():
+        raise DomainError("images must hold finite float32 values")
+    return x.astype(np.float64, order="C")
 
 
 def forward(graph: ModelGraph, x: np.ndarray, mode: str = MODE_FLOAT,
             accum: str = ACCUM_LINEAR) -> np.ndarray:
     """Run the layer pipeline on images ``x`` and return float32 class scores.
 
-    ``x`` is read as float32.  ``float32`` bypasses every quantizer.
+    ``x`` is read as float32, and a value that is not finite there raises
+    ``DomainError``.  ``float32`` bypasses every quantizer.
     ``method1`` consumes log-coded activations with real weights; the
     method2 modes quantize weights too (base 2 or sqrt(2)).  ``accum``
     selects linear or log-domain accumulation inside the quantized dot
@@ -1064,8 +1091,8 @@ def forward(graph: ModelGraph, x: np.ndarray, mode: str = MODE_FLOAT,
 def collect_quantizer_inputs(graph: ModelGraph, x: np.ndarray) -> dict[int, np.ndarray]:
     """Float forward capturing the activations entering each quantizer layer.
 
-    Used for FSR calibration: reads ``x`` as ``forward`` does and returns
-    {layer index: float64 activations}.
+    Used for FSR calibration: reads (and refuses) ``x`` as ``forward``
+    does and returns {layer index: float64 activations}.
     """
     captured: dict[int, np.ndarray] = {}
     weights, bn = _stored_operands(graph, MODE_FLOAT)

@@ -113,7 +113,7 @@ class TrainConfig:
     reads.  Weight and gradient full-scale ranges are chosen dynamically (per
     epoch from max |W|, per tensor from max |g|), so the fsr fields of those
     configs are ignored.  Every product is ``nn.exact_dot``: one float64
-    GEMM of the values the shift kernels read, exact when both operands are
+    GEMM of the terms the shift kernels form, exact when both operands are
     coded.  Log configs too wide for that exact sum are refused at step 0
     with ``ConfigError`` (on base 2, two 6-bit signed operands; see
     ``nn._check_exact_sum``).

@@ -395,6 +395,37 @@ def test_quantizer_layer_without_a_config_is_refused_at_its_block(case, tmp_path
     assert not (tmp_path / "o").exists() and not (tmp_path / "r.csv").exists()
 
 
+NAN_PIXEL_COMMANDS = {
+    **{f"infer_{mode}": ["infer", "m.lgn", "x.idx", "--mode", mode, "--out", "o"]
+       for mode in nn.FORWARD_MODES},
+    "infer_method2_log": ["infer", "m.lgn", "x.idx", "--mode", "method2_base2", "--accum", "log",
+                          "--out", "o"],
+    "sweep": ["sweep", "m.lgn", "x.idx", "y.idx", "--mode", "method2_base2", "--fsr-range", "0:1",
+              "--out", "o"],
+    "calibrate": ["calibrate", "m.lgn", "x.idx", "--out", "o", "--report", "r.csv"],
+    "quant-analyze": ["quant-analyze", "m.lgn", "x.idx", "--out", "o"],
+    "train": ["train", "t.cfg"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_PIXEL_COMMANDS))
+def test_a_nan_pixel_is_refused_at_its_byte(case, tmp_path, monkeypatch, capsys):
+    # one NaN in a float32 IDX file, value 2 * 144 + 3 * 12 + 4 = 328 after
+    # the 20-byte header: every command exits 2 at its byte and writes nothing
+    x = np.zeros((4, 1, 12, 12), dtype=np.float32)
+    x[2, 0, 3, 4] = np.nan
+    monkeypatch.chdir(tmp_path)
+    lio.write_idx("x.idx", x)
+    lio.write_idx("y.idx", np.arange(4, dtype=np.uint8) % 2)
+    Path("m.lgn").write_bytes(REF_MODEL.read_bytes())
+    Path("t.cfg").write_text("train_images = x.idx\ntrain_labels = y.idx\n"
+                             "out_model = o\nout_metrics = r.csv\n")
+    before = sorted(os.listdir())
+    assert main(NAN_PIXEL_COMMANDS[case]) == 2
+    assert "byte 1332: IDX value 328 is not finite" in capsys.readouterr().err
+    assert sorted(os.listdir()) == before
+
+
 @pytest.mark.parametrize("layers", [[], [conv(2, 1, 3, pad=1)]], ids=["no_layers", "conv_tail"])
 @pytest.mark.parametrize("command", ["infer", "sweep"])
 def test_a_net_without_class_scores_is_refused(command, layers, tmp_path, capsys):
@@ -1113,6 +1144,22 @@ def test_cli_refusals_exit_2(case, tmp_path, capsys):
     assert not (tmp_path / "d").exists() and not (tmp_path / "m.lgn").exists()
 
 
+def test_cli_train_refuses_images_its_net_cannot_pass_before_writing(tmp_path, capsys):
+    # 10x10 images leave a 5x5 map at the second 2x2 pool, which does not
+    # tile it: train exits 2 with the walk's message and writes no file
+    data = tmp_path / "d"
+    assert main(["gen-data", "--out", str(data), "--n", "20", "--test-n", "0",
+                 "--size", "10"]) == 0
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("\n".join([f"train_images = {data}/train-images.idx",
+                              f"train_labels = {data}/train-labels.idx",
+                              f"out_model = {tmp_path}/m.lgn",
+                              f"out_metrics = {tmp_path}/m.csv", "epochs = 1"]))
+    assert main(["train", str(cfg)]) == 2
+    assert "kernel 2/stride 2/pad 0 does not tile an extent of 5" in capsys.readouterr().err
+    assert not (tmp_path / "m.lgn").exists() and not (tmp_path / "m.csv").exists()
+
+
 @pytest.mark.parametrize("bits, message", [
     (["weight_bits = 8"], "4-bit x 8-bit log codes over 72 terms need 148 bits"),
     (["act_bits = 5"], "5-bit x 5-bit log codes over 320 terms need 54 bits"),
@@ -1205,6 +1252,8 @@ IDX_REFUSALS = {
     "unsupported_dtype": (bytes([0, 0, 0x0B, 1, 0, 0, 0, 1, 0, 7]), 2,
                           "unsupported IDX dtype 0x0b"),
     "trailing_bytes": (bytes([0, 0, 0x08, 1, 0, 0, 0, 1, 7, 8]), 9, "1 trailing bytes"),
+    "non_finite_value": (bytes([0, 0, 0x0D, 1, 0, 0, 0, 2]) + np.array([1, np.nan], ">f4").tobytes(),
+                         12, "IDX value 1 is not finite"),
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lognet import AccumulatorOverflow, ConfigError, QuantizerConfig, Tensor
+from lognet import AccumulatorOverflow, ConfigError, DomainError, QuantizerConfig, Tensor
 from lognet.lognum import (AccumulatorWord, bitshift, code_table, dot_method2, logquant_array,
                            LogCode, dequantize_array, log_accumulate_raw)
 from lognet import nn
@@ -881,13 +881,14 @@ def _scalar_shifted(x, wc, cw, i, j, int_bits=32, frac_bits=8):
 
 
 @st.composite
-def _coded_operands(draw):
+def _coded_operands(draw, fsr=40):
     """Coded x (n, k) and w (k, o) of 3-5 bits on either grid, x signed or
-    unsigned, at full scales up to 40 octaves either way."""
+    unsigned, at full scales up to ``fsr`` octaves either way."""
     n, k, o = draw(st.integers(1, 4)), draw(st.integers(1, 40)), draw(st.integers(1, 3))
 
     def operand(signed, shape):
-        cfg = QuantizerConfig("log", draw(st.integers(3, 5)), signed, draw(st.integers(-40, 40)),
+        cfg = QuantizerConfig("log", draw(st.integers(3, 5)), signed,
+                              draw(st.integers(-fsr, fsr)),
                               base_frac_bits=draw(st.integers(0, 1)))
         # every wire code but negative zero, which no quantizer writes
         valid = [c for c in range(1 << cfg.bitwidth) if not signed or c != 1 << cfg.bitwidth_mag]
@@ -897,14 +898,15 @@ def _coded_operands(draw):
     return operand(draw(st.booleans()), (n, k)), operand(True, (k, o))
 
 
-def _dyadic_value(word: int, cfg: QuantizerConfig) -> float:
-    """A wire code's value as the shift-add reads it: sign * 2**e, a half
-    step e = n + 1/2 as 1.5 * 2**n."""
-    c = LogCode.from_wire(word, cfg)
-    if c.is_zero:
+def _dyadic_term(wx: int, cx: QuantizerConfig, ww: int, cw: QuantizerConfig) -> float:
+    """The term of two wire codes as the shift kernels form it: the sign
+    product times 2**e for the exponent sum e, a half step e = n + 1/2 as
+    1.5 * 2**n."""
+    a, b = LogCode.from_wire(wx, cx), LogCode.from_wire(ww, cw)
+    if a.is_zero or b.is_zero:
         return 0.0
-    e = cfg.level_exponent(c.code)
-    return c.sign * math.ldexp(1.5 if e != math.floor(e) else 1.0, math.floor(e))
+    e = cx.level_exponent(a.code) + cw.level_exponent(b.code)
+    return a.sign * b.sign * math.ldexp(1.5 if e != math.floor(e) else 1.0, math.floor(e))
 
 
 @given(ops=_coded_operands())
@@ -915,10 +917,26 @@ def test_exact_dot_is_the_exact_sum_of_the_dyadic_terms(ops):
     x, w = ops
     got = exact_dot(x, w)
     for i in range(x.shape[0]):
-        xs = [_dyadic_value(int(c), x.qconfig) for c in x.data[i]]
         for j in range(w.shape[1]):
-            ws = [_dyadic_value(int(c), w.qconfig) for c in w.data[:, j]]
-            assert got[i, j] == math.fsum(a * b for a, b in zip(xs, ws)), (i, j)
+            terms = [_dyadic_term(int(a), x.qconfig, int(b), w.qconfig)
+                     for a, b in zip(x.data[i], w.data[:, j])]
+            assert got[i, j] == math.fsum(terms), (i, j)
+
+
+@given(ops=_coded_operands(fsr=4))
+def test_exact_dot_is_the_scalar_dot_on_a_word_that_never_truncates(ops):
+    # at 24+40 no term of these operands truncates, so the scalar linear dot
+    # is the exact sum; two half steps add exponents: code 15 of a 5-bit
+    # sqrt2 config is 2**-0.5, read 1.5 * 2**-1, and against itself 2**-1
+    half = QuantizerConfig("log", 5, True, 0, 1)
+    code15 = Tensor(np.array([[15]], np.uint8), half)
+    assert exact_dot(code15, code15)[0, 0] == 0.5
+    x, w = ops
+    got = exact_dot(x, w)
+    for i in range(x.shape[0]):
+        for j in range(w.shape[1]):
+            want = _scalar_linear(x.data, w.data, x.qconfig, w.qconfig, i, j, 24, 40)
+            assert got[i, j] == math.ldexp(want, -40), (i, j)
 
 
 def test_exact_dot_refuses_sums_float64_cannot_hold():
@@ -1195,6 +1213,21 @@ def test_collect_quantizer_inputs_reads_images_as_float32():
     assert list(got) == list(want) == [3]
     assert got[3].dtype == np.float64
     assert got[3].tobytes() == want[3].tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e39], ids=["nan", "-inf", "past_float32"])
+def test_forward_and_capture_refuse_non_finite_images(bad):
+    # one value that is not finite as float32 is refused in every mode,
+    # before any kernel sees it
+    g, x = _rounding_graph()
+    x[1, 0, 2, 2] = bad
+    for mode, accum in (("float32", "linear"), ("method1", "linear"),
+                        ("method2_base2", "linear"), ("method2_sqrt2", "linear"),
+                        ("method2_base2", "log")):
+        with pytest.raises(DomainError, match="images must hold finite float32 values"):
+            forward(g, x, mode, accum)
+    with pytest.raises(DomainError, match="images must hold finite float32 values"):
+        nn.collect_quantizer_inputs(g, x)
 
 
 def test_forward_mode_validation():
