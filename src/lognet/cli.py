@@ -443,8 +443,6 @@ def cmd_train(args) -> int:
     initial = train.sync_graph_weights(state, cfg)
     # a net the images cannot pass through is refused before any file is written
     initial.output_shapes(train_data[0].shape)
-    if test_data:
-        initial.output_shapes(test_data[0].shape)
     io.write_model(raw["out_model"], initial)
 
     header = ["step", "epoch", "loss", "train_acc", "test_acc"]

@@ -43,13 +43,13 @@ given.  Inference runs every product with a coded operand through its
 shift kernel on the word (``Arithmetic.dot``).  Training runs every product
 as one float64 GEMM of the terms the shift kernels form, a half step at 1.5
 and two half steps adding exponents to a whole one (``exact_dot``).  Two
-coded operands make each term an integer multiple
-of the product's lowest unit, so float64 sums them exactly in any order
-while the bound ``_check_exact_sum`` checks holds: 53 bits over both
-operands' level spans, mantissas and the term count, in float64's normal
-range.  Past it the product raises ``ConfigError``: on base 2, two 6-bit
-log configs at any term count, and a 6-bit signed config against a 4- or
-5-bit one past 256 terms.
+coded operands make each term an integer multiple of the product's lowest
+unit, so float64 sums them exactly in any order while the bound
+``_check_exact_sum`` checks holds: 53 bits over both operands' level spans,
+mantissas and the term count, in float64's normal range.  Past it the
+product raises ``ConfigError``: on base 2, two 6-bit log configs at any
+term count, and a 6-bit signed config against a 4- or 5-bit one past 256
+terms.
 
 The quantized kernels reproduce the scalar fixed-point semantics bit for
 bit: term magnitudes are truncated to the accumulator's fractional
@@ -850,16 +850,15 @@ class Arithmetic:
         return x @ w
 
 
-def _dyadic(a) -> np.ndarray:
-    """The float64 values of a product's operand: a log-coded ``Tensor``'s
-    codes as the shift kernels read them, sign * 2**(esteps / 2**fb) by
-    shift-add (1.5 * 2**n on a half step, where ``Tensor.real`` reads
-    sqrt(2) * 2**n), or a real array as it is."""
+def _dyadic(a, half: float = 1.5) -> np.ndarray:
+    """A product operand's float64 values: a real array as it is, coded
+    ones as the shift kernels read them, sign * 2**n on a whole step n and
+    sign * half * 2**n on a half step n + 1/2 (``Tensor.real`` reads sqrt(2))."""
     if not isinstance(a, Tensor):
         return a
-    t = a.table
-    return np.where(t.nonzero, t.sign * _pow2_steps(t.esteps, a.qconfig.base_frac_bits),
-                    0.0)[a.data]
+    t, fb = a.table, a.qconfig.base_frac_bits
+    mant = np.where(t.esteps & fb, half, 1.0)
+    return np.where(t.nonzero, t.sign * mant * np.ldexp(1.0, t.esteps >> fb), 0.0)[a.data]
 
 
 def _dyadic_span(cfg: QuantizerConfig) -> tuple[int, int]:
@@ -893,36 +892,21 @@ def _check_exact_sum(cx: QuantizerConfig, cw: QuantizerConfig, k: int) -> None:
             f"2**{_F64.minexp} and 2**{_F64.maxexp}")
 
 
-def _half_split(a: Tensor) -> tuple[np.ndarray, np.ndarray]:
-    """A sqrt2-grid operand as (its whole-step codes' values, sign * 2**n
-    for its half-step codes e = n + 1/2), each 0 at the other codes."""
-    t = a.table
-    half = (t.esteps & 1).astype(bool)
-    v = np.where(t.nonzero, t.sign * np.ldexp(1.0, t.esteps >> 1), 0.0)
-    return np.where(half, 0.0, v)[a.data], np.where(half, v, 0.0)[a.data]
-
-
 def exact_dot(x, w) -> np.ndarray:
     """x (n, k) times w (k, o) as one float64 GEMM; either is float64 or a
-    log-coded ``Tensor``.
-
-    With both coded, each term is sign * 2**(e_x + e_w) by shift-add, as the
-    shift kernels and ``lognum.dot_method2`` form it from the exponent sum,
-    and the sum is exact in any BLAS order, as a wide accumulator would
-    compute it; a pair of configs past the bound of ``_check_exact_sum``
-    raises ``ConfigError``.  A term is the product of the operands' values
-    as ``_dyadic`` reads them, except that two half steps n + 1/2 and
-    m + 1/2 give 2**(n + m + 1), not 2.25 * 2**(n + m): with both operands
-    on the sqrt2 grid, each is split into whole steps a and half steps h
-    (``_half_split``), and [a, h] stacked along k against [a' + 1.5 h';
-    1.5 a' + 2 h'] gives every term exactly once.  With a real operand it is
-    the float64 product of the values.
-    """
+    log-coded ``Tensor``, read by ``_dyadic``.  With both coded, the terms
+    are the shift kernels', from exponent sums (half steps n + 1/2 and
+    m + 1/2 give 2**(n + m + 1), not 2.25 * 2**(n + m)), summed exactly in
+    any BLAS order; a pair of configs past ``_check_exact_sum`` raises
+    ``ConfigError``."""
     if isinstance(x, Tensor) and isinstance(w, Tensor):
         _check_exact_sum(x.qconfig, w.qconfig, x.shape[1])
         if x.qconfig.base_frac_bits and w.qconfig.base_frac_bits:
-            (xa, xh), (wa, wh) = _half_split(x), _half_split(w)
-            return np.hstack([xa, xh]) @ np.vstack([wa + 1.5 * wh, 1.5 * wa + 2.0 * wh])
+            # x's whole steps a and half steps h read 2**n, stacked along k
+            # against w's a' + 1.5 h' and 1.5 a' + 2 h'
+            xa, wa = _dyadic(x, 0.0), _dyadic(w, 0.0)
+            return (np.hstack([xa, _dyadic(x, 1.0) - xa])
+                    @ np.vstack([_dyadic(w), _dyadic(w, 2.0) + wa / 2]))
     return _dyadic(x) @ _dyadic(w)
 
 
@@ -1048,8 +1032,7 @@ def _stored_operands(graph: ModelGraph, mode: str) -> tuple[dict, dict]:
 
 
 def _input(x: np.ndarray) -> np.ndarray:
-    """Images as a walk reads them: rounded to float32, held in float64;
-    refuses a value that is not finite there."""
+    """Images as a walk reads them: finite float32 values, held in float64."""
     with np.errstate(over="ignore"):
         x = np.asarray(x, dtype=np.float32)
     if not np.isfinite(x).all():
@@ -1061,8 +1044,8 @@ def forward(graph: ModelGraph, x: np.ndarray, mode: str = MODE_FLOAT,
             accum: str = ACCUM_LINEAR) -> np.ndarray:
     """Run the layer pipeline on images ``x`` and return float32 class scores.
 
-    ``x`` is read as float32, and a value that is not finite there raises
-    ``DomainError``.  ``float32`` bypasses every quantizer.
+    ``x`` is read as float32; a value not finite there raises ``DomainError``.
+    ``float32`` bypasses every quantizer.
     ``method1`` consumes log-coded activations with real weights; the
     method2 modes quantize weights too (base 2 or sqrt(2)).  ``accum``
     selects linear or log-domain accumulation inside the quantized dot

@@ -1252,8 +1252,9 @@ IDX_REFUSALS = {
     "unsupported_dtype": (bytes([0, 0, 0x0B, 1, 0, 0, 0, 1, 0, 7]), 2,
                           "unsupported IDX dtype 0x0b"),
     "trailing_bytes": (bytes([0, 0, 0x08, 1, 0, 0, 0, 1, 7, 8]), 9, "1 trailing bytes"),
-    "non_finite_value": (bytes([0, 0, 0x0D, 1, 0, 0, 0, 2]) + np.array([1, np.nan], ">f4").tobytes(),
-                         12, "IDX value 1 is not finite"),
+    "non_finite_value": (bytes([0, 0, 0x0D, 1, 0, 0, 0, 2])
+                         + np.array([1, np.nan], ">f4").tobytes(), 12,
+                         "IDX value 1 is not finite"),
 }
 
 
