@@ -442,7 +442,8 @@ def cmd_train(args) -> int:
     state = train.init_state(graph, cfg)
     initial = train.sync_graph_weights(state, cfg)
     # a net the images cannot pass through is refused before any file is written
-    initial.output_shapes(train_data[0].shape)
+    for images, _ in filter(None, (train_data, test_data)):
+        initial.output_shapes(images.shape)
     io.write_model(raw["out_model"], initial)
 
     header = ["step", "epoch", "loss", "train_acc", "test_acc"]

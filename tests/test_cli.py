@@ -1144,19 +1144,30 @@ def test_cli_refusals_exit_2(case, tmp_path, capsys):
     assert not (tmp_path / "d").exists() and not (tmp_path / "m.lgn").exists()
 
 
-def test_cli_train_refuses_images_its_net_cannot_pass_before_writing(tmp_path, capsys):
+@pytest.mark.parametrize("train_size, test_size, message", [
+    (10, None, "kernel 2/stride 2/pad 0 does not tile an extent of 5"),
+    (12, 16, "fc expects 144 features, got 256"),
+], ids=["train_images", "test_images"])
+def test_cli_train_refuses_images_its_net_cannot_pass_before_writing(
+        train_size, test_size, message, tmp_path, capsys):
     # 10x10 images leave a 5x5 map at the second 2x2 pool, which does not
-    # tile it: train exits 2 with the walk's message and writes no file
-    data = tmp_path / "d"
+    # tile it; 16x16 test images give the fc of a net built for 12x12 ones
+    # 16 * 4 * 4 features: train exits 2 with the walk's message and writes
+    # no file
+    data, test = tmp_path / "d", tmp_path / "t"
     assert main(["gen-data", "--out", str(data), "--n", "20", "--test-n", "0",
-                 "--size", "10"]) == 0
+                 "--size", str(train_size)]) == 0
+    lines = [f"train_images = {data}/train-images.idx",
+             f"train_labels = {data}/train-labels.idx",
+             f"out_model = {tmp_path}/m.lgn", f"out_metrics = {tmp_path}/m.csv", "epochs = 1"]
+    if test_size:
+        assert main(["gen-data", "--out", str(test), "--n", "0", "--test-n", "10",
+                     "--size", str(test_size)]) == 0
+        lines += [f"test_images = {test}/test-images.idx", f"test_labels = {test}/test-labels.idx"]
     cfg = tmp_path / "t.cfg"
-    cfg.write_text("\n".join([f"train_images = {data}/train-images.idx",
-                              f"train_labels = {data}/train-labels.idx",
-                              f"out_model = {tmp_path}/m.lgn",
-                              f"out_metrics = {tmp_path}/m.csv", "epochs = 1"]))
+    cfg.write_text("\n".join(lines))
     assert main(["train", str(cfg)]) == 2
-    assert "kernel 2/stride 2/pad 0 does not tile an extent of 5" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "m.lgn").exists() and not (tmp_path / "m.csv").exists()
 
 
