@@ -335,7 +335,7 @@ def _check_method2_matmul(laid):
 
     # the code classes of the kernel: activations over more octaves than the
     # weights span, so one call has live and dead codes; signed
-    # activations (the gradient operand of training); the sqrt2 grid, also
+    # activations; the sqrt2 grid, also
     # lifted from base 2 activations; the 24+28 word, also moved by the
     # operands' full scales, whose oracle is the scalar dot of the same
     # codes under fsr-zeroed configs at 24+28; all-zero rows and columns,
