@@ -21,11 +21,13 @@ Layout.  Images, ``forward``'s input, ``output_shapes``, the stored
 (O, C, kh, kw) weights and the activations ``collect_quantizer_inputs``
 captures are NCHW.  Inside ``walk`` activations are channel-last (NHWC): it
 transposes a rank-4 input once on entry and a rank-4 output back on exit,
-so every layer between two products reads or writes one (rows, C) buffer.
-Convolutions are lowered with im2col, in one copy, to row-major (output
-positions, C*kh*kw) rows in the (C, kh, kw) patch order of the stored
-weights, which the products read as they are; a conv's (rows, O) product is
-its channel-last output, and an fc after a conv flattens its input in
+so every layer between two products reads or writes one (rows, C) buffer;
+batchnorm and ReLU write theirs in place when the walk made it.
+Convolutions are lowered with im2col, one strided slice copy per kernel
+tap, to k-major (output positions, C*kh*kw) rows, the transpose of one
+(C*kh*kw, output positions) buffer, in the (C, kh, kw) patch order of the
+stored weights, which the products read as they are; a conv's (rows, O)
+product is its channel-last output, and an fc after a conv flattens its input in
 (C, H, W) order.  Every conv/fc product is rows @ W^T, computed by one of
 these kernels:
 
@@ -257,8 +259,9 @@ class ModelGraph:
 # ---------------------------------------------------------------------------
 
 
-def relu_array(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu_array(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """max(x, 0) into ``out``, which may be ``x`` itself, or a new array."""
+    return np.maximum(x, 0.0, out=out)
 
 
 def pool_slices(k: int, stride: int, oh: int, ow: int):
@@ -320,20 +323,30 @@ def _maxpool_codes(op: Tensor, k: int, stride: int,
     return Tensor(codes, op.qconfig), idx
 
 
-def bn_normalize(x: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+def bn_normalize(x: np.ndarray, mean: np.ndarray, var: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """(x - mean) / sqrt(var + eps) per channel of a channel-last array:
-    batchnorm before its affine map."""
-    out = x - mean
+    batchnorm before its affine map, into ``out`` or a new array."""
+    out = np.subtract(x, mean, out=out)
     out /= np.sqrt(var + BN_EPS)
     return out
 
 
-def batchnorm_array(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+def batchnorm_array(x: np.ndarray, p: np.ndarray,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-channel normalization of a channel-last array by the (4, C)
     gamma/beta/mean/var rows ``p``, in real arithmetic: gamma * (x - mean) /
-    sqrt(var + eps) + beta, in that order, in one buffer."""
+    sqrt(var + eps) + beta, in that order, in one buffer: ``out``, which may
+    be ``x`` itself, or a new array.
+
+    On a rank-4 (N, H, W, C) array the rows are tiled across an image row,
+    (W, C), so on a C-contiguous array every pass runs as over an
+    (N*H, W*C) view, whole image rows at a time instead of C elements.
+    """
+    if x.ndim == 4:
+        p = np.tile(p, x.shape[2]).reshape(4, x.shape[2], -1)
     gamma, beta, mean, var = p
-    out = bn_normalize(x, mean, var)
+    out = bn_normalize(x, mean, var, out)
     out *= gamma
     out += beta
     return out
@@ -772,7 +785,8 @@ def method2_matmul_logaccum(x: Tensor, w: Tensor,
     sums = np.empty((2 * o, n), dtype=dtype)
     rows = max(1, _LOG_BLOCK // max(2 * o, 1))
     for lo in range(0, n, rows):
-        # the steps gather whole k rows of the block, so it is made k-major
+        # the steps gather whole k rows of the block, so it is read k-major:
+        # a view of im2col's k-major rows, a copy of an fc's row-major ones
         block = np.ascontiguousarray(x.data[lo:lo + rows].T)
         xp = np.take(x_pos, block)
         xn = np.take(x_neg, block) if signed else None
@@ -939,8 +953,15 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, quantize: bool,
       (``"x"``) and its weight operand (``"w"``).
     * ``capture``: when given, receives the float64 input of each quantizer
       layer, keyed by layer index, NCHW when rank 4.
+
+    Batchnorm and ReLU write in place into float activations the walk made
+    itself (a product's, batchnorm's or maxpool's output, or dequantized
+    codes), never into ``x`` or an array it captured.
     """
     act = np.ascontiguousarray(x.transpose(0, 2, 3, 1)) if x.ndim == 4 else x
+    # the float activation batchnorm and ReLU must not write: x (or a view of
+    # it) on entry, then the last one captured
+    kept = act if np.may_share_memory(act, x) else None
     for i, layer in enumerate(graph.layers):
         kind = layer.kind
         if kind in (CONV, FC):
@@ -965,7 +986,7 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, quantize: bool,
             v = _real(act)
             if cache is not None:
                 cache[i] = {"mask": v > 0}
-            act = relu_array(v)
+            act = relu_array(v, out=None if v is kept else v)
         elif kind == MAXPOOL:
             pool = _maxpool_codes if isinstance(act, Tensor) else maxpool_array
             pooled, idx = pool(act, layer.pool, layer.stride, cache is not None)
@@ -975,7 +996,7 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, quantize: bool,
         elif kind == BATCHNORM:
             v, p = _real(act), bn[i]
             if batch_stats is None:
-                act = batchnorm_array(v, p)
+                act = batchnorm_array(v, p, out=None if v is kept else v)
                 continue
             act, xhat, mean, var = batchnorm_batch(v, p)
             batch_stats[i] = (mean, var)
@@ -985,6 +1006,7 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, quantize: bool,
             v = _real(act)
             if capture is not None:
                 capture[i] = _nchw(v) if v.ndim == 4 else v
+                kept = v
             if quantize:
                 act = quantize_operand(v, graph.act_config(layer))
         elif kind == SOFTMAX:

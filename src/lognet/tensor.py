@@ -4,8 +4,9 @@ weights of a model and every coded operand of the layer walk.
 Layout is row-major (OutC, InC, Kh, Kw) for conv weights and (Out, In) for
 fully connected weights.  Activations are NCHW at the file and API boundary
 and channel-last (NHWC) inside the layer walk (``nn.walk``), which is what
-``im2col_array`` lowers; its patch order stays (C, kh, kw), the order of
-the stored conv weights.  Quantized payloads keep one wire code per byte in
+``im2col_array`` lowers, to a k-major patch matrix: a row per output
+position, each in (C, kh, kw) patch order, the order of the stored conv
+weights, held as the transpose of one (C*kh*kw, positions) buffer.  Quantized payloads keep one wire code per byte in
 memory; the on-disk format packs them to the true bitwidth (see the cli
 module).
 """
@@ -87,7 +88,8 @@ class Tensor:
 
     def present(self) -> np.ndarray:
         """Which wire codes occur in the tensor, indexed by the code."""
-        return np.bincount(self.data.ravel(), minlength=self.table.sign.size) > 0
+        # in memory order, so a view such as im2col's k-major rows is not copied
+        return np.bincount(self.data.ravel("K"), minlength=self.table.sign.size) > 0
 
 
 def quantize_tensor(t: Tensor, cfg: QuantizerConfig) -> Tensor:
@@ -111,22 +113,39 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
 
 def im2col_array(x: np.ndarray, kernel: tuple[int, int], stride: int = 1,
                  pad: int = 0) -> tuple[np.ndarray, int, int]:
-    """Lower channel-last (N, H, W, C) to a row-major (N*oh*ow, C*kh*kw)
-    patch matrix.
+    """Lower channel-last (N, H, W, C) to an (N*oh*ow, C*kh*kw) patch matrix.
 
     Row j holds the receptive field of output position j, positions in
     (n, oh, ow) order and each field in (C, kh, kw) order, so a convolution
     becomes this matrix times the transposed (OutC, C*kh*kw) weights, and
-    its (N*oh*ow, OutC) result is the channel-last output.  The rows are the
-    one copy made of the window view.  Padded border entries hold 0: 0.0 for
-    values, the zero code for log codes.
+    its (N*oh*ow, OutC) result is the channel-last output.  The matrix is
+    k-major: the transposed view of one zeroed (C, kh, kw, N, oh, ow)
+    buffer, which each tap (i, j) fills with one strided slice copy of the
+    input positions it reads, over the outputs where it reads inside the
+    input.  Padded border entries keep the zeros: 0.0 for values, the zero
+    code for log codes.
     """
     kh, kw = kernel
     n, h, w, c = x.shape
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
-    if pad:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    # (N, oh, ow, C, kh, kw)
-    return win[:, ::stride, ::stride].reshape(n * oh * ow, c * kh * kw), oh, ow
+    buf = np.zeros((c, kh, kw, n, oh, ow), x.dtype)
+    src = x.transpose(3, 0, 1, 2)  # (C, N, H, W)
+    for i in range(kh):
+        ys = _tap_range(i, stride, pad, h, oh)
+        for j in range(kw):
+            xs = _tap_range(j, stride, pad, w, ow)
+            if ys is not None and xs is not None:
+                buf[:, i, j, :, ys[0], xs[0]] = src[:, :, ys[1], xs[1]]
+    return buf.reshape(c * kh * kw, n * oh * ow).T, oh, ow
+
+
+def _tap_range(t: int, stride: int, pad: int, size: int, out: int):
+    """(output slice, input slice) of the outputs o whose tap t reads input
+    o*stride + t - pad inside [0, size), or None when every read is padding."""
+    lo = max(0, -((t - pad) // stride))
+    hi = min(out, (size - 1 + pad - t) // stride + 1)
+    if lo >= hi:
+        return None
+    first = lo * stride + t - pad
+    return slice(lo, hi), slice(first, first + (hi - lo - 1) * stride + 1, stride)

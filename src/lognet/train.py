@@ -503,7 +503,7 @@ def reestimate_bn_stats(state: TrainState, cfg: TrainConfig, inputs: np.ndarray)
     steps would lag what the final weights produce.  The mean of a few
     deterministic forward passes over training data (the first
     ``BN_REESTIMATE_BATCHES``) is what evaluation and checkpoints read;
-    ``fit`` sets it after every epoch.
+    ``fit`` sets it after every epoch whose statistics are read.
     """
     if not state.bn or len(inputs) == 0:
         return
@@ -520,10 +520,16 @@ def reestimate_bn_stats(state: TrainState, cfg: TrainConfig, inputs: np.ndarray)
 def fit(state: TrainState, cfg: TrainConfig, train_data: tuple[np.ndarray, np.ndarray],
         test_data: Optional[tuple[np.ndarray, np.ndarray]] = None,
         on_epoch=None) -> tuple[TrainState, list[dict]]:
-    """Epoch loop: shuffles, recalibrates weight fsr, logs one row per epoch."""
+    """Epoch loop: shuffles, recalibrates weight fsr, logs one row per epoch.
+
+    Batchnorm statistics are re-estimated after the last epoch and after
+    every epoch that ``test_data`` or ``on_epoch`` can read them in; the
+    training walks normalize by batch statistics, so no other epoch reads
+    them.
+    """
     inputs, targets = train_data
     history: list[dict] = []
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         recalibrate_weight_fsr(state, cfg)
         order = state.rng.permutation(len(targets))
         losses, correct, seen = [], 0, 0
@@ -534,7 +540,8 @@ def fit(state: TrainState, cfg: TrainConfig, train_data: tuple[np.ndarray, np.nd
             correct += m["correct"]
             seen += m["count"]
         state.epoch += 1
-        reestimate_bn_stats(state, cfg, inputs)
+        if test_data or on_epoch is not None or epoch == cfg.epochs - 1:
+            reestimate_bn_stats(state, cfg, inputs)
         row = {
             "step": state.step,
             "epoch": state.epoch,

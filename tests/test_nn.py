@@ -239,6 +239,84 @@ def test_batchnorm_is_its_expression_bit_for_bit():
         assert x.tobytes() == x_in.tobytes()
 
 
+def test_batchnorm_into_its_input_is_the_default_bit_for_bit():
+    # the walk normalizes a buffer it made in place, with out=x
+    rng = np.random.default_rng(73)
+    c = 5
+    p = np.array([rng.normal(1.0, 0.5, c), rng.normal(0.0, 1.0, c),
+                  rng.normal(0.0, 1.0, c), rng.uniform(0.0, 4.0, c)])
+    for x in (rng.normal(2.0, 3.0, size=(37, c)), rng.normal(2.0, 3.0, size=(6, 7, 3, c)),
+              rng.normal(2.0, 3.0, size=(6, c, 7, 3)).transpose(0, 2, 3, 1)):
+        want = batchnorm_array(x, p)
+        assert batchnorm_array(x, p, out=x) is x
+        assert x.tobytes() == want.tobytes()
+
+
+# a signed activation quantizer, so that every walk below may quantize
+SQ4 = nn.LayerSpec(nn.LOGQUANT, qconfig=QuantizerConfig("log", 4, True, 0))
+
+# graphs whose batchnorm or ReLU reads the walk's input (a C = 1 image's
+# channel-last view is the caller's array, as is a rank-2 input) or the
+# array a quantizer layer captured; (layers, input shape)
+INPUT_READERS = {
+    "relu_first": ([relu_layer(), conv(2, 1, 3, pad=1), SQ4], (3, 1, 5, 5)),
+    "batchnorm_first": ([batchnorm_layer(1), relu_layer(), conv(2, 1, 3, pad=1)], (3, 1, 5, 5)),
+    "relu_first_rank2": ([relu_layer(), fc(3, 6)], (4, 6)),
+    "batchnorm_first_rank2": ([batchnorm_layer(6), fc(3, 6), relu_layer()], (4, 6)),
+    "relu_after_quantizer": ([SQ4, relu_layer(), conv(2, 1, 3, pad=1)], (3, 1, 5, 5)),
+    "batchnorm_after_quantizer": ([conv(2, 1, 3, pad=1), SQ4, batchnorm_layer(2), relu_layer(),
+                                   SQ4, relu_layer(), fc(3, 50)], (3, 1, 5, 5)),
+    "batchnorm_after_quantizer_rank2": ([SQ4, batchnorm_layer(6), SQ4, relu_layer(),
+                                         fc(3, 6)], (4, 6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_READERS))
+def test_the_walk_writes_only_into_arrays_it_made(case, monkeypatch):
+    # batchnorm and ReLU write in place, but never into the caller's images
+    # or a captured activation: each walk equals, byte for byte, the same
+    # walk with batchnorm and ReLU that always copy
+    layers, shape = INPUT_READERS[case]
+    rng = np.random.default_rng(83)
+    weights = {}
+    for i, layer in enumerate(layers):
+        if layer.kind == nn.BATCHNORM:
+            c = layer.channels
+            weights[i] = [rng.normal(1.0, 0.3, c), rng.normal(0.0, 1.0, c),
+                          rng.normal(0.0, 1.0, c), rng.uniform(0.5, 2.0, c)]
+        elif layer.weight_shape():
+            weights[i] = rng.normal(0.0, 0.5, size=layer.weight_shape())
+    g = simple_graph(weights, layers, fsr=2)
+    operands, bn = nn._stored_operands(g, nn.MODE_FLOAT)
+    x = rng.normal(0.0, 1.5, size=shape)
+    x_in = x.copy()
+
+    def walks():
+        out = []
+        for quantize in (False, True):
+            captured: dict = {}
+            last = walk(g, x, operands, quantize, bn, Arithmetic().dot, capture=captured)
+            out.append((nn._real(last), captured))
+        # a training walk: batch statistics and a backward cache
+        last = walk(g, x, operands, True, bn, exact_dot, batch_stats={}, cache={})
+        out.append((nn._real(last), {}))
+        out.append((None, nn.collect_quantizer_inputs(g, x)))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(nn, "relu_array", lambda v, out=None: np.maximum(v, 0.0))
+        m.setattr(nn, "batchnorm_array", lambda v, p, out=None: batchnorm_array(v, p))
+        want = walks()
+    assert x.tobytes() == x_in.tobytes()
+    got = walks()
+    assert x.tobytes() == x_in.tobytes()
+    for (out, captured), (want_out, want_captured) in zip(got, want):
+        assert (out is None and want_out is None) or out.tobytes() == want_out.tobytes()
+        assert sorted(captured) == sorted(want_captured)
+        for i, a in captured.items():
+            assert a.tobytes() == want_captured[i].tobytes(), i
+
+
 # ---------------------------------------------------------------------------
 # kernels against the scalar ops
 # ---------------------------------------------------------------------------

@@ -108,6 +108,52 @@ def test_im2col_conv_equals_bruteforce():
         assert np.allclose(got, want, atol=1e-12)
 
 
+def _im2col_loop(x, k, stride, pad):
+    """im2col one entry at a time: row (n, y, x), column (c, i, j)."""
+    n, h, w, c = x.shape
+    oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    out = np.zeros((n * oh * ow, c * k * k), x.dtype)
+    for b in range(n):
+        for y in range(oh):
+            for xo in range(ow):
+                for ch in range(c):
+                    for i in range(k):
+                        for j in range(k):
+                            yy, xx = y * stride + i - pad, xo * stride + j - pad
+                            if 0 <= yy < h and 0 <= xx < w:
+                                out[(b * oh + y) * ow + xo, (ch * k + i) * k + j] = x[b, yy, xx, ch]
+    return out
+
+
+def test_im2col_equals_the_entry_by_entry_loop():
+    # every geometry of kernel 1-3, stride 1-2 and pad 0-2 on the two
+    # smallest extents it tiles, values from 1 so that only padding is 0;
+    # the result is the k-major view of one buffer
+    rng = np.random.default_rng(39)
+    padded_taps = 0
+    for k in (1, 2, 3):
+        for stride in (1, 2):
+            for pad in (0, 1, 2):
+                sizes = [e for e in range(1, 9)
+                         if e + 2 * pad >= k and (e + 2 * pad - k) % stride == 0][:2]
+                h, w = sizes[0], sizes[-1]
+                oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+                # a tap row i that reads only padding, at every output row
+                padded_taps += sum(all(not 0 <= y * stride + i - pad < h for y in range(oh))
+                                   for i in range(k))
+                for c in (1, 3):
+                    for dtype in (np.float64, np.uint8):
+                        for n in (0, 2):
+                            x = rng.integers(1, 16, size=(n, h, w, c)).astype(dtype)
+                            cols, oh_, ow_ = im2col_array(x, (k, k), stride, pad)
+                            want = _im2col_loop(x, k, stride, pad)
+                            assert (oh_, ow_) == (oh, ow)
+                            assert cols.dtype == dtype and cols.T.flags["C_CONTIGUOUS"]
+                            assert cols.shape == want.shape
+                            assert np.array_equal(cols, want), (k, stride, pad, c, dtype, n)
+    assert padded_taps > 0
+
+
 def test_im2col_incompatible_geometry():
     x = np.zeros((1, 4, 4, 1))
     with pytest.raises(DomainError):

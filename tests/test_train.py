@@ -261,7 +261,7 @@ def test_col2im_is_the_exact_adjoint_of_im2col():
                         x = rng.integers(0, 16, size=(2, h, w, c)).astype(dtype)
                         cols, oh, ow = im2col_array(x, (k, k), stride, pad)
                         assert cols.shape == (2 * oh * ow, c * k * k)
-                        assert cols.dtype == dtype and cols.flags["C_CONTIGUOUS"]
+                        assert cols.dtype == dtype and cols.T.flags["C_CONTIGUOUS"]
                         g = rng.integers(-5, 6, size=cols.shape).astype(np.float64)
                         back = col2im_array(g, x.shape, k, stride, pad)
                         assert back.shape == x.shape
@@ -448,6 +448,38 @@ def test_checkpoint_batchnorm_rows_are_the_trainers(tmp_path):
         assert ckpt.weights[i].data.tobytes() == want.tobytes()
         assert walked[i].dtype == np.float64
         assert walked[i].tobytes() == want.astype(np.float64).tobytes()
+
+
+def test_fit_reestimates_batchnorm_only_where_it_is_read(monkeypatch):
+    # training walks normalize by batch statistics, so only the last epoch's
+    # re-estimate is read unless test data or on_epoch read each epoch's;
+    # skipping the others leaves the state and the history bit for bit
+    rng = np.random.default_rng(139)
+    x = np.abs(rng.normal(0, 1.0, size=(12, 1, 8, 8)))
+    y = rng.integers(0, 3, size=12)
+    cfg = TrainConfig(weight_q=W5, activation_q=A4, gradient_q=G5,
+                      optimizer=OptimizerSpec(lr=0.05), batch_size=6, epochs=3, seed=5)
+    calls: list[int] = []
+
+    def counted(state, *args):
+        calls.append(state.epoch)
+        reestimate_bn_stats(state, *args)
+
+    monkeypatch.setattr(train, "reestimate_bn_stats", counted)
+    runs = []
+    for kw in ({}, {"on_epoch": lambda row: None}, {"test_data": (x[:5], y[:5])}):
+        calls.clear()
+        graph = train.build_small_cnn((1, 8, 8), (2, 3), 4, 3)
+        state, history = fit(init_state(graph, cfg), cfg, (x, y), **kw)
+        runs.append((list(calls), state, [{k: r[k] for k in r if k != "test_acc"}
+                                          for r in history]))
+    assert [r[0] for r in runs] == [[3], [1, 2, 3], [1, 2, 3]]
+    for _, state, history in runs[1:]:
+        assert history == runs[0][2]
+        for i, w in state.params.items():
+            assert w.tobytes() == runs[0][1].params[i].tobytes()
+        for i, rows in state.bn.items():
+            assert rows.tobytes() == runs[0][1].bn[i].tobytes()
 
 
 def test_init_state_without_weight_q_drops_weight_configs(tmp_path):
