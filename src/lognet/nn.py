@@ -27,9 +27,9 @@ Convolutions are lowered with im2col, one strided slice copy per kernel
 tap, to k-major (output positions, C*kh*kw) rows, the transpose of one
 (C*kh*kw, output positions) buffer, in the (C, kh, kw) patch order of the
 stored weights, which the products read as they are; a conv's (rows, O)
-product is its channel-last output, and an fc after a conv flattens its input in
-(C, H, W) order.  Every conv/fc product is rows @ W^T, computed by one of
-these kernels:
+product is its channel-last output, and an fc after a conv flattens its
+input in (C, H, W) order.  Every conv/fc product is rows @ W^T, computed by
+one of these kernels:
 
 * a plain float64 matmul (reference path, also used for unquantized inputs),
 * shift-weights: real weights held as fixed-point words, each term a single

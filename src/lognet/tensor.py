@@ -6,9 +6,9 @@ fully connected weights.  Activations are NCHW at the file and API boundary
 and channel-last (NHWC) inside the layer walk (``nn.walk``), which is what
 ``im2col_array`` lowers, to a k-major patch matrix: a row per output
 position, each in (C, kh, kw) patch order, the order of the stored conv
-weights, held as the transpose of one (C*kh*kw, positions) buffer.  Quantized payloads keep one wire code per byte in
-memory; the on-disk format packs them to the true bitwidth (see the cli
-module).
+weights, held as the transpose of one (C*kh*kw, positions) buffer.
+Quantized payloads keep one wire code per byte in memory; the on-disk
+format packs them to the true bitwidth (see the cli module).
 """
 
 from __future__ import annotations
@@ -132,20 +132,18 @@ def im2col_array(x: np.ndarray, kernel: tuple[int, int], stride: int = 1,
     buf = np.zeros((c, kh, kw, n, oh, ow), x.dtype)
     src = x.transpose(3, 0, 1, 2)  # (C, N, H, W)
     for i in range(kh):
-        ys = _tap_range(i, stride, pad, h, oh)
+        out_y, in_y = _tap_range(i, stride, pad, h, oh)
         for j in range(kw):
-            xs = _tap_range(j, stride, pad, w, ow)
-            if ys is not None and xs is not None:
-                buf[:, i, j, :, ys[0], xs[0]] = src[:, :, ys[1], xs[1]]
+            out_x, in_x = _tap_range(j, stride, pad, w, ow)
+            buf[:, i, j, :, out_y, out_x] = src[:, :, in_y, in_x]
     return buf.reshape(c * kh * kw, n * oh * ow).T, oh, ow
 
 
 def _tap_range(t: int, stride: int, pad: int, size: int, out: int):
     """(output slice, input slice) of the outputs o whose tap t reads input
-    o*stride + t - pad inside [0, size), or None when every read is padding."""
+    o*stride + t - pad inside [0, size); both are empty when every read is
+    padding."""
     lo = max(0, -((t - pad) // stride))
-    hi = min(out, (size - 1 + pad - t) // stride + 1)
-    if lo >= hi:
-        return None
+    hi = max(lo, min(out, (size - 1 + pad - t) // stride + 1))
     first = lo * stride + t - pad
     return slice(lo, hi), slice(first, first + (hi - lo - 1) * stride + 1, stride)
