@@ -16,6 +16,11 @@ takes no flags.  BLAS runs on one thread.  The parts:
   trainer and a linear-quantizer trainer: master weights, batchnorm state,
   history, ``train.evaluate``, the trainer's inference logits, the
   checkpoint's bytes and the re-read checkpoint's scores in every mode;
+  ``fit/log_base2/no_test_data`` is the base-2 log trainer's fit without
+  test data, which re-estimates batchnorm after the last epoch only;
+* ``kernel/logaccum_signed``: ``nn.method2_matmul_logaccum`` of seeded
+  5-bit signed base-2 activations (some zero) and weights at exponent
+  words 4 and 10, over three row blocks;
 * ``cli/<command>``: ``lognet calibrate`` (nearest and floor rounding),
   ``quant-analyze`` and ``pack`` (5b base 2 and 4b sqrt2) on
   ``ref/float.lgn``: output files and stdout;
@@ -127,7 +132,7 @@ TRAINERS = {
 }
 
 
-def fit_outputs(trainer: str, tmp: str) -> dict:
+def fit_outputs(trainer: str, tmp: str, with_test_data: bool = True) -> dict:
     train_x, train_y = dataset(500, 21)
     test_x, test_y = dataset(256, 22)
     train_x, test_x = train_x.astype(np.float64), test_x.astype(np.float64)
@@ -135,8 +140,8 @@ def fit_outputs(trainer: str, tmp: str) -> dict:
                             batch_size=50, epochs=3, seed=3, **TRAINERS[trainer])
     graph = train.build_small_cnn((1, 12, 12), (8, 16), 64, 10)
     state, history = train.fit(train.init_state(graph, cfg), cfg, (train_x, train_y),
-                               (test_x, test_y))
-    path = os.path.join(tmp, f"{trainer}.lgn")
+                               (test_x, test_y) if with_test_data else None)
+    path = os.path.join(tmp, f"{trainer}-{with_test_data}.lgn")
     io.write_model(path, train.sync_graph_weights(state, cfg))
     with open(path, "rb") as f:
         checkpoint = f.read()
@@ -201,6 +206,21 @@ def cli_parts(parts: dict, tmp: str) -> None:
             if k != "stdout"})
 
 
+def kernel_parts(parts: dict) -> None:
+    rng = np.random.default_rng(29)
+    cfg = QuantizerConfig("log", 5, True, 0)
+    n, k, o = 5000, 72, 16  # a row block holds 2**16 // (2 * o) = 2048 rows
+
+    def operand(shape, zeros):
+        v = rng.choice([-1.0, 1.0], size=shape) * 2.0 ** rng.uniform(-14, 1, size=shape)
+        v[rng.random(shape) < zeros] = 0.0
+        return nn.quantize_operand(v, cfg)
+
+    x, w = operand((n, k), 0.3), operand((k, o), 0.1)
+    parts["kernel/logaccum_signed"] = digest(
+        lambda: [nn.method2_matmul_logaccum(x, w, exp_frac_bits=f) for f in (4, 10)])
+
+
 # benchmarks/run.py's draws for one infer-workload run at seed 1:
 # (images, seed 1000 * 1 + part) of its infer, train, eval and calibrate sets
 BENCH_DRAWS = {"infer": (1024, 1001), "train": (500, 1002), "eval": (512, 1003),
@@ -243,6 +263,8 @@ def main() -> int:
         forward_parts(parts)
         for trainer in TRAINERS:
             parts[f"fit/{trainer}"] = digest(lambda: fit_outputs(trainer, tmp))
+        parts["fit/log_base2/no_test_data"] = digest(lambda: fit_outputs("log_base2", tmp, False))
+        kernel_parts(parts)
         cli_parts(parts, tmp)
         data_parts(parts, tmp)
         fsr_parts(parts)

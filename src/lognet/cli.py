@@ -66,7 +66,13 @@ def load_labels(path, count: int | None = None) -> np.ndarray:
     arr = io.read_idx(path)
     if arr.ndim != 1:
         raise io.FileFormatError(0, f"labels must be rank 1, got rank {arr.ndim}")
-    labels = arr.astype(np.int64)
+    with np.errstate(invalid="ignore"):  # a float32 past int64 casts to a negative
+        labels = arr.astype(np.int64)
+    bad = np.flatnonzero((labels < 0) | (labels != arr))
+    if bad.size:  # rank 1: an 8-byte header
+        i = int(bad[0])
+        raise io.FileFormatError(8 + arr.itemsize * i,
+                                 f"label {i} is {arr[i]!s}, not a whole number >= 0")
     if count is not None and len(labels) != count:
         raise io.FileFormatError(0, f"{len(labels)} labels for {count} samples")
     return labels

@@ -68,13 +68,13 @@ the sums run in float32, which is exact there in any order too
 (``_sum_dtype``): at the 32+8 inference word, every linear-accumulation
 product of the benchmark's reference net does.
 Log-domain accumulation is order dependent, so its kernel keeps the index
-order within each running sum.  A weight has one sign, so with unsigned
-activations each of the 2o sums (one per output and term sign) gets its own
-k-ordered list of the k's it can receive a term at; all sums step through
-their lists together, each step the scalar rule's max, mask, shift and add
-done in place on exponents held relative to the operands' lowest levels, in
-the narrowest of int16, int32 and int64 that provably holds every
-intermediate value, and the finished sums convert through one table.
+order within each running sum.  Each of the 2o sums (one per output and
+term sign) gets its own k-ordered list of the k's it can receive a term at;
+all sums step through their lists together, each step one gather, one add
+and the scalar rule's max, mask, shift and add, in place on exponents held
+relative to the operands' lowest levels, in the narrowest of int16, int32
+and int64 that provably holds every intermediate value, and the finished
+sums convert through one table.
 """
 
 from __future__ import annotations
@@ -706,15 +706,15 @@ def method2_matmul_logaccum(x: Tensor, w: Tensor,
     it reaches 2**53, where the float64 difference of the two could round.
     An empty sum is 0.
 
-    Schedules.  A term reaches the positive sum of output j when the signs
-    of x[i, k] and w[k, j] agree, the negative one when they differ.  With
-    unsigned activations the weight alone decides, so each of the 2o sums
-    gets the k-ordered list of the k's whose weight has its sign.  With
-    signed activations every nonzero-weight k is listed in both sums, and
-    each step takes the larger of the positive- and the negative-activation
-    candidate (the other one is a zero term).  Lists shorter than the
-    longest are padded with zero terms.  Step t gathers, for every sum, the
-    activation row of its t-th k and adds that entry's weight exponent.
+    Schedule.  A term reaches the positive sum of output j when the signs
+    of x[i, k] and w[k, j] agree, the negative one when they differ.  Each
+    of the 2o sums lists, in k order, the k's whose weight has its sign,
+    and those whose weight has the other sign too when a negative
+    activation code occurs; shorter lists are padded with zero terms.  A
+    row block's exponents are gathered once, a (K, rows) block per
+    activation sign that occurs, and step t reads, for every sum, row k of
+    its t-th entry, or row k + K (negative activations) where the weight's
+    sign differs from the sum's, and adds the weight's exponent.
 
     Relative exponents.  The step ``max(s, p) + corr(|s - p|)`` is
     unchanged by a common shift of s and p, so exponents are held relative
@@ -727,10 +727,11 @@ def method2_matmul_logaccum(x: Tensor, w: Tensor,
     walk of terms all P).
 
     Sentinels.  An empty sum is -cap, at least cap below every real term,
-    so its first real term replaces it.  A zero activation enters as
-    -(2 cap + Sw) and a zero or pad weight as -(2 cap + Sx), so every term
-    with either lies in [-(4 cap + P), -2 cap], at least cap below every
-    sum, empty or not, and leaves it unchanged.
+    so its first real term replaces it.  A zero activation, or one in the
+    other sign's table row, enters as -(2 cap + Sw) and a zero or pad
+    weight as -(2 cap + Sx), so every term with either lies in
+    [-(4 cap + P), -2 cap], at least cap below every sum, empty or not,
+    and leaves it unchanged.
 
     The step is ``_log_step``, the integer rule of
     ``lognum.log_accumulate_raw`` done in place: no multiplier and no
@@ -758,9 +759,10 @@ def method2_matmul_logaccum(x: Tensor, w: Tensor,
     w_zero = -(2 * cap + x_span)
 
     xt, wt = x.table, w.table
-    x_pos = np.where(xt.nonzero & (xt.sign > 0), xe - x_lo, x_zero).astype(dtype)
-    x_neg = np.where(xt.nonzero & (xt.sign < 0), xe - x_lo, x_zero).astype(dtype)
     signed = bool(x.qconfig.signed and (x.present() & xt.nonzero & (xt.sign < 0)).any())
+    # one exponent row per activation sign that occurs: positive, then negative
+    x_tab = np.stack([np.where(xt.nonzero & (xt.sign == sign), xe - x_lo, x_zero)
+                      for sign in ((1, -1) if signed else (1,))]).astype(dtype)
 
     # sums [0, o) take the positive terms, [o, 2o) the negative ones; "on"
     # terms come from positive activations, "off" terms from negative ones
@@ -769,37 +771,27 @@ def method2_matmul_logaccum(x: Tensor, w: Tensor,
     off = np.concatenate([w_sign < 0, w_sign > 0])
     listed = on | off if signed else on
     steps = int(listed.sum(axis=1).max(initial=0))
-    # each sum's listed k's in order, then unlisted ones as pads: neither
-    # "on" nor "off", a pad's weight enters as a zero term
+    # each sum's listed k's in order, then unlisted ones as pads, whose
+    # weight enters as a zero term; an "off" entry reads row k + K, the
+    # negative activations' exponents
     order = np.argsort(~listed, axis=1, kind="stable")[:, :steps]
-    ks = np.ascontiguousarray(order.T)
-    w_rel = np.tile((we - w_lo)[w.data].T, (2, 1))
-
-    def step_weights(mask):
-        # (steps, 2o, 1): each step's weight exponents
-        e = np.where(mask, w_rel, w_zero)
-        return np.ascontiguousarray(np.take_along_axis(e, order, axis=1).T, dtype=dtype)[:, :, None]
-
-    w_on = step_weights(on)
-    w_off = step_weights(off) if signed else None
+    ks = (order + x.shape[1] * np.take_along_axis(off & listed, order, axis=1)).T.copy()
+    w_rel = np.where(listed, np.tile((we - w_lo)[w.data].T, (2, 1)), w_zero)
+    # (steps, 2o, 1): each step's weight exponents
+    w_step = np.take_along_axis(w_rel, order, axis=1).T.astype(dtype, order="C")[:, :, None]
     sums = np.empty((2 * o, n), dtype=dtype)
     rows = max(1, _LOG_BLOCK // max(2 * o, 1))
     for lo in range(0, n, rows):
         # the steps gather whole k rows of the block, so it is read k-major:
         # a view of im2col's k-major rows, a copy of an fc's row-major ones
         block = np.ascontiguousarray(x.data[lo:lo + rows].T)
-        xp = np.take(x_pos, block)
-        xn = np.take(x_neg, block) if signed else None
+        xs = np.take(x_tab, block, axis=1).reshape(-1, block.shape[1])
         s = np.full((2 * o, block.shape[1]), empty, dtype=dtype)
         p = np.empty_like(s)
         h = np.empty_like(s)
         for ti in range(steps):
-            np.take(xp, ks[ti], axis=0, out=p, mode="clip")
-            p += w_on[ti]
-            if signed:
-                np.take(xn, ks[ti], axis=0, out=h, mode="clip")
-                h += w_off[ti]
-                np.maximum(p, h, out=p)
+            np.take(xs, ks[ti], axis=0, out=p, mode="clip")
+            p += w_step[ti]
             _log_step(s, p, h, f)
         sums[:, lo:lo + rows] = s
     # every sum lies in [-cap, P + cap]; the empty one converts to 0
@@ -1053,12 +1045,14 @@ def _stored_operands(graph: ModelGraph, mode: str) -> tuple[dict, dict]:
             else arrays), bn
 
 
-def _input(x: np.ndarray) -> np.ndarray:
-    """Images as a walk reads them: finite float32 values, held in float64."""
+def _input(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
+    """Images as a walk of ``graph`` reads them: finite float32 values, held
+    in float64, of a shape its every layer takes (``output_shapes``)."""
     with np.errstate(over="ignore"):
         x = np.asarray(x, dtype=np.float32)
     if not np.isfinite(x).all():
         raise DomainError("images must hold finite float32 values")
+    graph.output_shapes(x.shape)
     return x.astype(np.float64, order="C")
 
 
@@ -1081,8 +1075,7 @@ def forward(graph: ModelGraph, x: np.ndarray, mode: str = MODE_FLOAT,
         raise ConfigError(f"unknown accumulation mode {accum!r}")
     if accum == ACCUM_LOG and mode in (MODE_FLOAT, MODE_METHOD1):
         raise ConfigError("log accumulation applies to the method2 modes")
-    x = _input(x)
-    graph.output_shapes(x.shape)
+    x = _input(graph, x)
     weights, bn = _stored_operands(graph, mode)
     out = _real(walk(graph, x, weights, mode != MODE_FLOAT, bn, Arithmetic(accum=accum).dot))
     with np.errstate(over="ignore"):
@@ -1101,5 +1094,5 @@ def collect_quantizer_inputs(graph: ModelGraph, x: np.ndarray) -> dict[int, np.n
     """
     captured: dict[int, np.ndarray] = {}
     weights, bn = _stored_operands(graph, MODE_FLOAT)
-    walk(graph, _input(x), weights, False, bn, Arithmetic().dot, capture=captured)
+    walk(graph, _input(graph, x), weights, False, bn, Arithmetic().dot, capture=captured)
     return captured

@@ -6,7 +6,8 @@ fully connected weights.  Activations are NCHW at the file and API boundary
 and channel-last (NHWC) inside the layer walk (``nn.walk``), which is what
 ``im2col_array`` lowers, to a k-major patch matrix: a row per output
 position, each in (C, kh, kw) patch order, the order of the stored conv
-weights, held as the transpose of one (C*kh*kw, positions) buffer.
+weights, held as the transpose of one (C*kh*kw, positions) buffer; its
+adjoint, ``col2im_array``, carries the gradient back.
 Quantized payloads keep one wire code per byte in memory; the on-disk
 format packs them to the true bitwidth (see the cli module).
 """
@@ -137,6 +138,29 @@ def im2col_array(x: np.ndarray, kernel: tuple[int, int], stride: int = 1,
             out_x, in_x = _tap_range(j, stride, pad, w, ow)
             buf[:, i, j, :, out_y, out_x] = src[:, :, in_y, in_x]
     return buf.reshape(c * kh * kw, n * oh * ow).T, oh, ow
+
+
+def col2im_array(g_cols: np.ndarray, in_shape: tuple[int, ...], kernel: int,
+                 stride: int, pad: int) -> np.ndarray:
+    """Scatter-add an im2col gradient back onto the channel-last input.
+
+    g_cols: (N*oh*ow, C*kh*kw) ordered like ``im2col_array``'s rows and
+    ``in_shape`` the (N, H, W, C) input's; this is the adjoint of that
+    lowering: each kernel tap (i, j), in row-major order, adds its columns
+    onto the input positions it reads, and what it reads of the padding is
+    dropped.
+    """
+    n, h, w, c = in_shape
+    oh = conv_output_size(h, kernel, stride, pad)
+    ow = conv_output_size(w, kernel, stride, pad)
+    g6 = g_cols.reshape(n, oh, ow, c, kernel, kernel)
+    out = np.zeros((n, h, w, c))
+    for i in range(kernel):
+        out_y, in_y = _tap_range(i, stride, pad, h, oh)
+        for j in range(kernel):
+            out_x, in_x = _tap_range(j, stride, pad, w, ow)
+            out[:, in_y, in_x] += g6[:, out_y, out_x, :, i, j]
+    return out
 
 
 def _tap_range(t: int, stride: int, pad: int, size: int, out: int):

@@ -48,7 +48,7 @@ from .nn import (
     walk,
     weight_operands,
 )
-from .tensor import Tensor, conv_output_size
+from .tensor import Tensor, col2im_array
 
 
 class TrainingDiverged(ArithmeticError):
@@ -292,32 +292,6 @@ def optimizer_step(w: np.ndarray, g: np.ndarray, moments: dict,
     mhat = m / (1 - rule.beta1**t)
     vhat = v / (1 - rule.beta2**t)
     return w - rule.lr * mhat / (np.sqrt(vhat) + rule.eps)
-
-
-# ---------------------------------------------------------------------------
-# quantization helpers for the training pass
-# ---------------------------------------------------------------------------
-
-
-def col2im_array(g_cols: np.ndarray, in_shape: tuple[int, ...], kernel: int,
-                 stride: int, pad: int) -> np.ndarray:
-    """Scatter-add the im2col gradient back onto the channel-last input.
-
-    g_cols: (N*oh*ow, C*kh*kw) ordered like ``im2col_array``'s rows and
-    ``in_shape`` the (N, H, W, C) input's; this is the adjoint of that
-    lowering, adding kernel offsets (i, j) in row-major order.
-    """
-    n, h, w, c = in_shape
-    oh = conv_output_size(h, kernel, stride, pad)
-    ow = conv_output_size(w, kernel, stride, pad)
-    g6 = g_cols.reshape(n, oh, ow, c, kernel, kernel)
-    buf = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
-    for i in range(kernel):
-        for j in range(kernel):
-            buf[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += g6[..., i, j]
-    if pad:
-        buf = buf[:, pad:-pad, pad:-pad]
-    return buf
 
 
 # ---------------------------------------------------------------------------

@@ -1072,6 +1072,40 @@ def _gen_data(*flags):
     return lambda tmp_path: ["gen-data", "--out", str(tmp_path / "d"), *flags]
 
 
+def _train_labels(labels):
+    def argv(tmp_path):
+        argv = _train_config(tmp_path, [])
+        lio.write_idx(tmp_path / "y.idx", labels)
+        return argv
+    return argv
+
+
+def _train_test_labels(labels):
+    def argv(tmp_path):
+        lio.write_idx(tmp_path / "tx.idx", np.zeros((len(labels), 1, 8, 8), np.float32))
+        lio.write_idx(tmp_path / "ty.idx", np.array(labels, np.float32))
+        return _train_config(tmp_path, [f"test_images = {tmp_path / 'tx.idx'}",
+                                        f"test_labels = {tmp_path / 'ty.idx'}"])
+    return argv
+
+
+def _float_labels(bad_at: int, value: float):
+    """20 float32 labels, all whole but ``value`` at ``bad_at``."""
+    labels = (np.arange(20) % 2).astype(np.float32)
+    labels[bad_at] = value
+    return labels
+
+
+def _images_of_16(command, *outputs):
+    # ref/float.lgn takes 12x12 images: at 16x16 its fc gets 16 * 4 * 4
+    # features, as infer and sweep report
+    def argv(tmp_path):
+        lio.write_idx(tmp_path / "x16.idx", np.zeros((4, 1, 16, 16), np.float32))
+        return [command, str(REF_MODEL.with_name("float.lgn")), str(tmp_path / "x16.idx"),
+                *(str(tmp_path / o) if not o.startswith("-") else o for o in outputs)]
+    return argv
+
+
 CLI_REFUSALS = {
     "rank2_images": (_rank2_images, "expected rank 3 or 4 image data, got rank 2"),
     "rank2_labels": (_sweep_labels(np.zeros((20, 1), np.uint8)), "labels must be rank 1"),
@@ -1133,15 +1167,33 @@ CLI_REFUSALS = {
                            "argument --noise: expected a finite number >= 0, got 'nan'"),
     "gen_data_non_number_noise": (_gen_data("--noise", "abc"),
                                   "argument --noise: expected a finite number >= 0, got 'abc'"),
+    "calibrate_images_the_net_cannot_take": (
+        _images_of_16("calibrate", "--out", "m.lgn", "--report", "r.csv"),
+        "layer 10: fc expects 144 features, got 256"),
+    "quant_analyze_images_the_net_cannot_take": (
+        _images_of_16("quant-analyze", "--out", "h.csv"),
+        "layer 10: fc expects 144 features, got 256"),
+    "fractional_label": (_sweep_labels(_float_labels(1, 1.5)),
+                         "byte 12: label 1 is 1.5, not a whole number >= 0"),
+    "negative_label": (_sweep_labels(_float_labels(19, -1.0)),
+                       "byte 84: label 19 is -1.0, not a whole number >= 0"),
+    "label_past_int64": (_sweep_labels(_float_labels(3, 2.0 ** 63)),
+                         "byte 20: label 3 is 9.223372e+18, not a whole number >= 0"),
+    "train_negative_label": (_train_labels(_float_labels(19, -1.0)),
+                             "byte 84: label 19 is -1.0, not a whole number >= 0"),
+    "train_fractional_test_label": (_train_test_labels([0.0, 1.0, 2.9, 1.0]),
+                                    "byte 16: label 2 is 2.9, not a whole number >= 0"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CLI_REFUSALS))
 def test_cli_refusals_exit_2(case, tmp_path, capsys):
     make_argv, message = CLI_REFUSALS[case]
-    assert main(make_argv(tmp_path)) == 2
+    argv = make_argv(tmp_path)
+    inputs = set(tmp_path.rglob("*"))
+    assert main(argv) == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "d").exists() and not (tmp_path / "m.lgn").exists()
+    assert set(tmp_path.rglob("*")) == inputs  # no file written
 
 
 @pytest.mark.parametrize("train_size, test_size, message", [

@@ -608,6 +608,32 @@ def test_method2_logaccum_per_sign_lists():
         assert raw[0, 0] == 2 ** (30 - 24) and raw[0, 1] == -(2 ** (30 - 24))
 
 
+def test_method2_logaccum_walks_only_the_listed_ks(monkeypatch):
+    # a sum steps through the k's it can receive a term at: with no negative
+    # activation code, signed config or not, the k's whose weight has its
+    # sign, so the walk is as long as the longest per-sign list (6, output
+    # 1's negative weights); with one, every nonzero-weight k (8, output 0)
+    steps = []
+    step = nn._log_step
+    monkeypatch.setattr(nn, "_log_step", lambda *a: steps.append(1) or step(*a))
+    rng = np.random.default_rng(71)
+    n, k = 5, 12
+    x = 2.0 ** rng.uniform(-8, 4, size=(n, k))
+    x[rng.random((n, k)) < 0.2] = 0.0
+    w = np.zeros((k, 3))
+    w[:8, 0] = np.r_[np.ones(5), -np.ones(3)] * 2.0 ** rng.uniform(-4, 0, size=8)
+    w[5:, 1] = np.r_[-np.ones(6), 1.0] * 2.0 ** rng.uniform(-4, 0, size=7)
+    act5s = QuantizerConfig("log", 5, True, 4)
+    negative = x.copy()
+    negative[2, 9] = -1.0
+    for cx, xs, want in ((ACT4, x, 6), (act5s, x, 6), (act5s, negative, 8)):
+        xc, wc = codes_from(xs, cx), codes_from(w, W5)
+        assert (code_table(W5).nonzero[wc].sum(axis=0) == (8, 7, 0)).all()
+        steps.clear()
+        _check_logaccum(xc, wc, cx, W5)
+        assert len(steps) == want, (cx, want)
+
+
 def test_method2_logaccum_wide_exponent_words():
     # 8-bit operands covering their whole level span at exp_frac_bits 8 and
     # 10: relative term exponents reach (254 + 126) * 2**f raw, more than an
