@@ -1096,13 +1096,13 @@ def _float_labels(bad_at: int, value: float):
     return labels
 
 
-def _images_of_16(command, *outputs):
+def _images_of_16(command, *flags):
     # ref/float.lgn takes 12x12 images: at 16x16 its fc gets 16 * 4 * 4
     # features, as infer and sweep report
     def argv(tmp_path):
         lio.write_idx(tmp_path / "x16.idx", np.zeros((4, 1, 16, 16), np.float32))
         return [command, str(REF_MODEL.with_name("float.lgn")), str(tmp_path / "x16.idx"),
-                *(str(tmp_path / o) if not o.startswith("-") else o for o in outputs)]
+                *(flag.format(tmp_path) for flag in flags)]
     return argv
 
 
@@ -1168,10 +1168,10 @@ CLI_REFUSALS = {
     "gen_data_non_number_noise": (_gen_data("--noise", "abc"),
                                   "argument --noise: expected a finite number >= 0, got 'abc'"),
     "calibrate_images_the_net_cannot_take": (
-        _images_of_16("calibrate", "--out", "m.lgn", "--report", "r.csv"),
+        _images_of_16("calibrate", "--out", "{}/m.lgn", "--report", "{}/r.csv"),
         "layer 10: fc expects 144 features, got 256"),
     "quant_analyze_images_the_net_cannot_take": (
-        _images_of_16("quant-analyze", "--out", "h.csv"),
+        _images_of_16("quant-analyze", "--out", "{}/h.csv"),
         "layer 10: fc expects 144 features, got 256"),
     "fractional_label": (_sweep_labels(_float_labels(1, 1.5)),
                          "byte 12: label 1 is 1.5, not a whole number >= 0"),
