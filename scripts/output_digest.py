@@ -29,6 +29,10 @@ takes no flags.  BLAS runs on one thread.  The parts:
   last one partial) in every mode/accumulation pair, and ``cli/sweep``:
   the CSV of one method2_base2 ``lognet sweep`` of that net over 3 and 4
   bits and three fsrs (stdout, which carries timings, left out);
+* ``cli/train/<config>``: the checkpoint, metrics CSV, stdout and exit
+  code of ``lognet train`` for 3 epochs at batch 50 on a ``gen-data`` set
+  of 300 training and 100 test images, at the config's defaults and with
+  the variant ``TRAIN_VARIANTS`` names;
 * ``data/<case>``: ``make_pattern_dataset`` images and labels of the four
   draws one ``infer`` benchmark run at seed 1 makes (``infer``, ``train``,
   ``eval`` and ``calibrate``), and the files and stdout of ``lognet
@@ -206,6 +210,26 @@ def cli_parts(parts: dict, tmp: str) -> None:
             if k != "stdout"})
 
 
+TRAIN_VARIANTS = {
+    "defaults": [],
+    "variant": ["base = sqrt2", "optimizer = adam", "rounding = floor", "act_kind = linear",
+                "conv_channels = 4, 8", "fc_units = 16", "checkpoint_every = 2"],
+}
+
+
+def train_parts(parts: dict, tmp: str) -> None:
+    cli_outputs(["gen-data", "--out", "tdata", "--n", "300", "--test-n", "100"], [], tmp)
+    data = [f"{split}_{kind} = tdata/{split}-{kind}.idx"
+            for split in ("train", "test") for kind in ("images", "labels")]
+    for name, lines in TRAIN_VARIANTS.items():
+        config = os.path.join(tmp, f"{name}.cfg")
+        with open(config, "w") as f:
+            f.write("\n".join(data + [f"out_model = {name}.lgn", f"out_metrics = {name}.csv",
+                                      "epochs = 3", "batch_size = 50"] + lines))
+        parts[f"cli/train/{name}"] = digest(
+            lambda: cli_outputs(["train", config], [f"{name}.lgn", f"{name}.csv"], tmp))
+
+
 def kernel_parts(parts: dict) -> None:
     rng = np.random.default_rng(29)
     cfg = QuantizerConfig("log", 5, True, 0)
@@ -266,6 +290,7 @@ def main() -> int:
         parts["fit/log_base2/no_test_data"] = digest(lambda: fit_outputs("log_base2", tmp, False))
         kernel_parts(parts)
         cli_parts(parts, tmp)
+        train_parts(parts, tmp)
         data_parts(parts, tmp)
         fsr_parts(parts)
     overall = hashlib.sha256()

@@ -21,6 +21,7 @@ import numpy as np
 from . import calib, io, nn, train
 from .datasets import make_pattern_dataset
 from .lognum import (
+    KIND_LINEAR,
     KIND_LOG,
     ROUND_FLOOR,
     ROUND_NEAREST,
@@ -33,22 +34,14 @@ from .nn import CONV, FC, LINQUANT, LOGQUANT, ModelGraph, forward
 from .tensor import quantize_tensor
 
 
-def _fmt(value) -> str:
-    """A CSV field: numpy scalars as the Python float or int they hold,
-    floats in their shortest round-trip form and NaN as an empty field."""
-    if isinstance(value, (float, np.floating)):
-        return "" if math.isnan(value) else repr(float(value))
-    if isinstance(value, np.integer):
-        value = int(value)
-    return str(value)
-
-
 def write_csv(path, header: list[str], rows) -> None:
+    """``rows`` under ``header``; the csv module writes a float in its
+    shortest round-trip form, and a NaN is written as an empty field."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)  # RFC 4180 line endings
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerows(["" if isinstance(v, float) and math.isnan(v) else v for v in row]
+                    for row in rows)
 
 
 def load_images(path) -> np.ndarray:
@@ -62,20 +55,31 @@ def load_images(path) -> np.ndarray:
     return arr.astype(np.float32)
 
 
-def load_labels(path, count: int | None = None) -> np.ndarray:
+def load_labels(path, count: int | None = None, limit: float = math.inf) -> np.ndarray:
+    """Rank-1 labels, each a whole number >= 0 below ``limit``; a label
+    that is not is refused at its byte offset."""
     arr = io.read_idx(path)
     if arr.ndim != 1:
         raise io.FileFormatError(0, f"labels must be rank 1, got rank {arr.ndim}")
     with np.errstate(invalid="ignore"):  # a float32 past int64 casts to a negative
         labels = arr.astype(np.int64)
-    bad = np.flatnonzero((labels < 0) | (labels != arr))
-    if bad.size:  # rank 1: an 8-byte header
-        i = int(bad[0])
-        raise io.FileFormatError(8 + arr.itemsize * i,
-                                 f"label {i} is {arr[i]!s}, not a whole number >= 0")
+    for bad, rule in (((labels < 0) | (labels != arr), "a whole number >= 0"),
+                      (labels >= limit, f"a class below {limit}")):
+        if bad.any():  # rank 1: an 8-byte header
+            i = int(np.argmax(bad))
+            raise io.FileFormatError(8 + arr.itemsize * i, f"label {i} is {arr[i]!s}, not {rule}")
     if count is not None and len(labels) != count:
         raise io.FileFormatError(0, f"{len(labels)} labels for {count} samples")
     return labels
+
+
+# gen-data writes labels as uint8, so a dataset holds at most 256 classes;
+# training refuses a label past that, since the largest label sizes the net
+_MAX_CLASSES = 256
+# the names of log bases (as base_frac_bits), rounding modes and kinds
+_BASES = {"2": 0, "sqrt2": 1}
+_ROUNDINGS = {"nearest": ROUND_NEAREST, "floor": ROUND_FLOOR}
+_KINDS = {KIND_LOG: KIND_LOG, KIND_LINEAR: KIND_LINEAR}
 
 
 def _usage_fail(message: str) -> int:
@@ -141,20 +145,43 @@ def _int_at_least(lo: int):
     what = ("non-negative", "positive")[lo]
 
     def parse(text: str) -> int:
-        if not text.isdigit() or int(text) < lo:
+        if not text.isdecimal() or int(text) < lo:
             raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
         return int(text)
     return parse
 
 
-def _non_negative_float(text: str) -> float:
+def _integer(text: str) -> int:
     try:
-        value = float(text)
+        return int(text)
     except ValueError:
-        value = math.nan
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
+def _finite_float(lo: float, what: str):
+    """The argparse type of finite numbers >= ``lo``, ``what`` naming them."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value >= lo):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+_non_negative_float = _finite_float(0.0, "a finite number >= 0")
+_number = _finite_float(-math.inf, "a number")
+
+
+def _one_of(choices: dict):
+    """The argparse type of a key of ``choices``, parsed as its value."""
+    def parse(text: str):
+        if text not in choices:
+            raise argparse.ArgumentTypeError(f"expected one of {sorted(choices)}, got {text!r}")
+        return choices[text]
+    return parse
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -167,15 +194,27 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
+def _conv_widths(text: str) -> tuple[int, ...]:
+    """The type of two comma-separated positive integers; a width below 1
+    is reported with the whole text."""
+    widths = [w.strip() for w in text.split(",")]
+    if len(widths) != 2 or not all(w.removeprefix("-").isdecimal() for w in widths):
+        raise argparse.ArgumentTypeError(f"expected two comma-separated integers, got {text!r}")
+    try:
+        return tuple(map(_int_at_least(1), widths))
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_gen_data(args) -> int:
-    if args.classes > 256:
-        return _usage_fail(f"--classes must be at most 256 (labels are written as uint8), "
-                           f"got {args.classes}")
+    if args.classes > _MAX_CLASSES:
+        return _usage_fail(f"--classes must be at most {_MAX_CLASSES} (labels are written "
+                           f"as uint8), got {args.classes}")
     os.makedirs(args.out, exist_ok=True)
     for split, n, seed in (("train", args.n, args.seed), ("test", args.test_n, args.seed + 1)):
         images, labels = make_pattern_dataset(n, classes=args.classes, size=args.size,
@@ -291,9 +330,8 @@ def cmd_quant_analyze(args) -> int:
 
 def cmd_pack(args) -> int:
     graph = io.read_model(args.model)
-    fb = 1 if args.base == "sqrt2" else 0
-    rounding = ROUND_FLOOR if args.rounding == "floor" else ROUND_NEAREST
-    template = QuantizerConfig(KIND_LOG, args.bits, True, 0, fb, rounding)
+    template = QuantizerConfig(KIND_LOG, args.bits, True, 0, _BASES[args.base],
+                               _ROUNDINGS[args.rounding])
     n_packed = 0
     for i, layer in enumerate(graph.layers):
         if layer.kind in (CONV, FC) and not graph.weights[i].is_quantized:
@@ -312,145 +350,97 @@ def cmd_pack(args) -> int:
 # training
 # ---------------------------------------------------------------------------
 
-_TRAIN_DEFAULTS = {
-    "test_images": "", "test_labels": "",
-    "conv_channels": "8,16", "fc_units": "64",
-    "act_bits": "4", "act_kind": "log", "act_fsr": "3",
-    "weight_bits": "5", "weight_kind": "log",
-    "grad_bits": "5",
-    "base": "2", "rounding": "nearest",
-    "optimizer": "sgd", "lr": "0.02", "momentum": "0.9",
-    "beta1": "0.9", "beta2": "0.999", "eps": "1e-8",
-    "lr_decay_epochs": "0", "lr_decay_factor": "0.1",
-    "batch_size": "100", "epochs": "10", "seed": "0",
-    "grad_fsr_floor": "-20", "checkpoint_every": "1",
+# every train config key: its default text (None: the key is required) and
+# its parser, an argparse type; the config's values are the parsed ones
+_TRAIN_KEYS = {
+    "train_images": (None, str), "train_labels": (None, str),
+    "out_model": (None, str), "out_metrics": (None, str),
+    "test_images": ("", str), "test_labels": ("", str),
+    "conv_channels": ("8,16", _conv_widths), "fc_units": ("64", _int_at_least(1)),
+    "act_bits": ("4", _integer), "act_kind": ("log", _one_of(_KINDS)),
+    "act_fsr": ("3", _integer),
+    "weight_bits": ("5", _integer), "weight_kind": ("log", _one_of(_KINDS)),
+    "grad_bits": ("5", _integer),
+    "base": ("2", _one_of(_BASES)), "rounding": ("nearest", _one_of(_ROUNDINGS)),
+    "optimizer": ("sgd", _one_of({"sgd": "sgd_momentum", "adam": "adam"})),
+    "lr": ("0.02", _number), "momentum": ("0.9", _number),
+    "beta1": ("0.9", _number), "beta2": ("0.999", _number), "eps": ("1e-8", _number),
+    "lr_decay_epochs": ("0", _integer), "lr_decay_factor": ("0.1", _number),
+    "batch_size": ("100", _integer), "epochs": ("10", _integer), "seed": ("0", _integer),
+    "grad_fsr_floor": ("-20", _integer), "checkpoint_every": ("1", _int_at_least(1)),
 }
-_TRAIN_REQUIRED = ("train_images", "train_labels", "out_model", "out_metrics")
 
 
 def parse_train_config(path) -> dict:
-    raw = dict(_TRAIN_DEFAULTS)
+    """Every key's parsed value from the key=value file at ``path``; a bad
+    line, an unknown or missing key and a refused value raise ConfigError."""
+    text = {key: default for key, (default, _) in _TRAIN_KEYS.items()}
     with open(path) as f:
-        lines = f.readlines()
-    for ln, line in enumerate(lines, 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {ln}: expected key=value, got {line!r}")
-        key, value = (p.strip() for p in line.split("=", 1))
-        if key not in _TRAIN_DEFAULTS and key not in _TRAIN_REQUIRED:
-            raise ConfigError(f"unknown config key '{key}'")
-        raw[key] = value
-    for key in _TRAIN_REQUIRED:
-        if key not in raw:
+        for ln, line in enumerate(f, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"line {ln}: expected key=value, got {line!r}")
+            key, value = (p.strip() for p in line.split("=", 1))
+            if key not in _TRAIN_KEYS:
+                raise ConfigError(f"unknown config key '{key}'")
+            text[key] = value
+    values = {}
+    for key, (_, parse) in _TRAIN_KEYS.items():
+        if text[key] is None:
             raise ConfigError(f"missing required config key '{key}'")
-    return raw
+        try:
+            values[key] = parse(text[key])
+        except argparse.ArgumentTypeError as e:
+            raise ConfigError(f"key '{key}': {e}") from None
+    return values
 
 
-def _cfg_int(raw, key) -> int:
-    try:
-        return int(raw[key])
-    except ValueError:
-        raise ConfigError(f"key '{key}': expected an integer, got {raw[key]!r}")
-
-
-def _cfg_positive_int(raw, key, value: int | None = None) -> int:
-    """``raw[key]`` as an integer >= 1; ``value`` is one integer read from
-    a key that holds several."""
-    if value is None:
-        value = _cfg_int(raw, key)
-    if value < 1:
-        raise ConfigError(f"key '{key}': expected a positive integer, got {raw[key]!r}")
-    return value
-
-
-def _cfg_float(raw, key) -> float:
-    try:
-        value = float(raw[key])
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ConfigError(f"key '{key}': expected a number, got {raw[key]!r}")
-    return value
-
-
-def _cfg_choice(raw, key, choices) -> str:
-    if raw[key] not in choices:
-        raise ConfigError(f"key '{key}': expected one of {sorted(choices)}, got {raw[key]!r}")
-    return raw[key]
-
-
-def build_train_setup(raw: dict):
-    """Config dict -> (graph, TrainConfig, datasets)."""
-    fb = {"2": 0, "sqrt2": 1}[_cfg_choice(raw, "base", {"2", "sqrt2"})]
-    rounding = {"nearest": ROUND_NEAREST, "floor": ROUND_FLOOR}[
-        _cfg_choice(raw, "rounding", {"nearest", "floor"})]
-
-    act_bits = _cfg_int(raw, "act_bits")
-    act_kind = _cfg_choice(raw, "act_kind", {"log", "linear"})
-    act_q = None
-    if act_bits:
-        act_q = QuantizerConfig(act_kind, act_bits, False, _cfg_int(raw, "act_fsr"),
+def build_train_setup(conf: dict):
+    """Parsed config -> (graph, TrainConfig, training data, test data or
+    None).  An empty training set is refused, and so is a label of
+    ``_MAX_CLASSES`` or more, since the largest label sizes the net."""
+    fb, rounding = conf["base"], conf["rounding"]
+    act_q = weight_q = grad_q = None
+    if conf["act_bits"]:
+        act_q = QuantizerConfig(conf["act_kind"], conf["act_bits"], False, conf["act_fsr"],
                                 0, rounding)
-    weight_bits = _cfg_int(raw, "weight_bits")
-    weight_kind = _cfg_choice(raw, "weight_kind", {"log", "linear"})
-    weight_q = None
-    if weight_bits:
-        weight_q = QuantizerConfig(weight_kind, weight_bits, True, 0,
-                                   fb if weight_kind == "log" else 0, rounding)
-    grad_bits = _cfg_int(raw, "grad_bits")
-    grad_q = None
-    if grad_bits:
-        grad_q = QuantizerConfig("log", grad_bits, True, 0, fb, rounding)
+    if conf["weight_bits"]:
+        weight_q = QuantizerConfig(conf["weight_kind"], conf["weight_bits"], True, 0,
+                                   fb if conf["weight_kind"] == KIND_LOG else 0, rounding)
+    if conf["grad_bits"]:
+        grad_q = QuantizerConfig(KIND_LOG, conf["grad_bits"], True, 0, fb, rounding)
+    opt = train.OptimizerSpec(kind=conf["optimizer"], **{k: conf[k] for k in (
+        "lr", "momentum", "beta1", "beta2", "eps", "lr_decay_epochs", "lr_decay_factor")})
+    cfg = train.TrainConfig(weight_q=weight_q, activation_q=act_q, gradient_q=grad_q,
+                            optimizer=opt, **{k: conf[k] for k in (
+                                "batch_size", "epochs", "seed", "grad_fsr_floor")})
 
-    opt = train.OptimizerSpec(
-        kind={"sgd": "sgd_momentum", "adam": "adam"}[
-            _cfg_choice(raw, "optimizer", {"sgd", "adam"})],
-        lr=_cfg_float(raw, "lr"), momentum=_cfg_float(raw, "momentum"),
-        beta1=_cfg_float(raw, "beta1"), beta2=_cfg_float(raw, "beta2"),
-        eps=_cfg_float(raw, "eps"),
-        lr_decay_epochs=_cfg_int(raw, "lr_decay_epochs"),
-        lr_decay_factor=_cfg_float(raw, "lr_decay_factor"))
-    cfg = train.TrainConfig(
-        weight_q=weight_q, activation_q=act_q, gradient_q=grad_q, optimizer=opt,
-        batch_size=_cfg_int(raw, "batch_size"), epochs=_cfg_int(raw, "epochs"),
-        seed=_cfg_int(raw, "seed"), grad_fsr_floor=_cfg_int(raw, "grad_fsr_floor"))
-
-    train_x = load_images(raw["train_images"])
-    train_y = load_labels(raw["train_labels"], len(train_x))
+    train_x = load_images(conf["train_images"])
+    train_y = load_labels(conf["train_labels"], len(train_x), _MAX_CLASSES)
+    if len(train_y) == 0:
+        raise DomainError("cannot train on an empty training set")
     test = None
-    if raw["test_images"]:
-        test_x = load_images(raw["test_images"])
-        test = (test_x.astype(np.float64), load_labels(raw["test_labels"], len(test_x)))
-
-    channels = raw["conv_channels"].split(",")
-    if len(channels) != 2:
-        raise ConfigError("key 'conv_channels': expected two comma-separated integers")
-    try:
-        widths = [int(c) for c in channels]
-    except ValueError:
-        raise ConfigError(f"key 'conv_channels': {raw['conv_channels']!r}")
-    c1, c2 = (_cfg_positive_int(raw, "conv_channels", w) for w in widths)
-    classes = int(train_y.max()) + 1
-    in_shape = train_x.shape[1:]
+    if conf["test_images"]:
+        test_x = load_images(conf["test_images"])
+        test = (test_x.astype(np.float64), load_labels(conf["test_labels"], len(test_x)))
     # activations stay on the base-2 grid; the base option applies to the
     # weight/gradient quantizers
-    graph = train.build_small_cnn(in_shape, (c1, c2), _cfg_positive_int(raw, "fc_units"),
-                                  classes, act_bits or 4, rounding)
+    graph = train.build_small_cnn(train_x.shape[1:], conf["conv_channels"], conf["fc_units"],
+                                  int(train_y.max()) + 1, conf["act_bits"] or 4, rounding)
     return graph, cfg, (train_x.astype(np.float64), train_y), test
 
 
 def cmd_train(args) -> int:
-    raw = parse_train_config(args.config)
-    checkpoint_every = _cfg_positive_int(raw, "checkpoint_every")
-    graph, cfg, train_data, test_data = build_train_setup(raw)
+    conf = parse_train_config(args.config)
+    graph, cfg, train_data, test_data = build_train_setup(conf)
     state = train.init_state(graph, cfg)
     initial = train.sync_graph_weights(state, cfg)
     # a net the images cannot pass through is refused before any file is written
     for images, _ in filter(None, (train_data, test_data)):
         initial.output_shapes(images.shape)
-    io.write_model(raw["out_model"], initial)
+    io.write_model(conf["out_model"], initial)
 
     header = ["step", "epoch", "loss", "train_acc", "test_acc"]
     rows: list[tuple] = []
@@ -458,23 +448,23 @@ def cmd_train(args) -> int:
     def on_epoch(row):
         rows.append((row["step"], row["epoch"], row["loss"], row["train_acc"],
                      row["test_acc"]))
-        if row["epoch"] % checkpoint_every == 0:
-            io.write_model(raw["out_model"], train.sync_graph_weights(state, cfg))
+        if row["epoch"] % conf["checkpoint_every"] == 0:
+            io.write_model(conf["out_model"], train.sync_graph_weights(state, cfg))
 
     try:
         train.fit(state, cfg, train_data, test_data, on_epoch=on_epoch)
-        io.write_model(raw["out_model"], train.sync_graph_weights(state, cfg))
+        io.write_model(conf["out_model"], train.sync_graph_weights(state, cfg))
     except train.TrainingDiverged as e:
-        write_csv(raw["out_metrics"], header, rows)
-        print(f"aborted: {e}; last good checkpoint kept at {raw['out_model']}",
+        write_csv(conf["out_metrics"], header, rows)
+        print(f"aborted: {e}; last good checkpoint kept at {conf['out_model']}",
               file=sys.stderr)
         return 1
-    write_csv(raw["out_metrics"], header, rows)
+    write_csv(conf["out_metrics"], header, rows)
     if rows:
         last = rows[-1]
         print(f"epoch {last[1]}: loss {last[2]:.4f} train_acc {last[3]:.4f} "
               + (f"test_acc {last[4]:.4f}" if not math.isnan(last[4]) else ""))
-    print(f"checkpoint -> {raw['out_model']}; metrics -> {raw['out_metrics']}")
+    print(f"checkpoint -> {conf['out_model']}; metrics -> {conf['out_metrics']}")
     return 0
 
 
@@ -548,8 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("pack", help="quantize weights and pack to true bitwidth")
     k.add_argument("model")
     k.add_argument("--bits", type=int, default=4)
-    k.add_argument("--base", choices=["2", "sqrt2"], default="2")
-    k.add_argument("--rounding", choices=["nearest", "floor"], default="nearest")
+    k.add_argument("--base", choices=list(_BASES), default="2")
+    k.add_argument("--rounding", choices=list(_ROUNDINGS), default="nearest")
     k.add_argument("--out", required=True)
     k.set_defaults(fn=cmd_pack)
     return p

@@ -112,11 +112,12 @@ class TrainConfig:
     write ``activation_q`` and ``weight_q`` into the graph, which the walk
     reads.  Weight and gradient full-scale ranges are chosen dynamically (per
     epoch from max |W|, per tensor from max |g|), so the fsr fields of those
-    configs are ignored.  Every product is ``nn.exact_dot``: one float64
-    GEMM of the terms the shift kernels form, exact when both operands are
-    coded.  Log configs too wide for that exact sum are refused at step 0
-    with ``ConfigError`` (on base 2, two 6-bit signed operands; see
-    ``nn._check_exact_sum``).
+    configs are ignored; their least, ``grad_fsr_floor``, must suit both
+    (``ConfigError`` otherwise).  Every product is ``nn.exact_dot``: one
+    float64 GEMM of the terms the shift kernels form, exact when both
+    operands are coded.  Log configs too wide for that exact sum are refused
+    at step 0 with ``ConfigError`` (on base 2, two 6-bit signed operands;
+    see ``nn._check_exact_sum``).
     """
 
     weight_q: Optional[QuantizerConfig] = None
@@ -132,8 +133,15 @@ class TrainConfig:
         if self.activation_q is not None and self.activation_q.signed:
             raise ConfigError("activation quantizer must be unsigned")
         for name, q in (("weight", self.weight_q), ("gradient", self.gradient_q)):
-            if q is not None and not q.signed:
+            if q is None:
+                continue
+            if not q.signed:
                 raise ConfigError(f"{name} quantizer must be signed")
+            try:  # the fsr of an all-zero tensor, and the least one
+                replace(q, fsr=self.grad_fsr_floor)
+            except ConfigError as e:
+                raise ConfigError(f"grad_fsr_floor {self.grad_fsr_floor!r} is outside the "
+                                  f"{name} quantizer's fsr range: {e}") from None
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be positive and epochs non-negative")
 

@@ -907,11 +907,9 @@ def test_cli_sweep_sqrt2_and_log_accum(workspace, tmp_path):
 def test_parse_train_config_errors(tmp_path):
     f = tmp_path / "c.cfg"
     f.write_text("epochs = banana\ntrain_images=x\ntrain_labels=y\nout_model=m\nout_metrics=q\n")
-    raw = parse_train_config(f)
     with pytest.raises(ConfigError) as e:
-        from lognet.cli import _cfg_int
-        _cfg_int(raw, "epochs")
-    assert "epochs" in str(e.value)
+        parse_train_config(f)
+    assert str(e.value) == "key 'epochs': expected an integer, got 'banana'"
 
 
 # ---------------------------------------------------------------------------
@@ -1031,7 +1029,7 @@ def test_train_config_with_blank_and_comment_lines(tmp_path):
                                     "epochs = 0         # no epoch", "lr = 0.05", "",
                                     "# conv_channels = 1,1 stays a comment"])
     raw = parse_train_config(argv[1])
-    assert (raw["epochs"], raw["lr"], raw["conv_channels"]) == ("0", "0.05", "8,16")
+    assert (raw["epochs"], raw["lr"], raw["conv_channels"]) == (0, 0.05, (8, 16))
     assert main(argv) == 0
     assert lio.read_model(tmp_path / "m.lgn").layers[0].kind == "conv"
 
@@ -1076,6 +1074,15 @@ def _train_labels(labels):
     def argv(tmp_path):
         argv = _train_config(tmp_path, [])
         lio.write_idx(tmp_path / "y.idx", labels)
+        return argv
+    return argv
+
+
+def _train_set(n: int):
+    def argv(tmp_path):
+        argv = _train_config(tmp_path, [])
+        lio.write_idx(tmp_path / "x.idx", np.zeros((n, 1, 8, 8), np.float32))
+        lio.write_idx(tmp_path / "y.idx", np.zeros(n, np.uint8))
         return argv
     return argv
 
@@ -1143,7 +1150,8 @@ CLI_REFUSALS = {
     "one_channel": (_train_lines(["conv_channels = 8"]),
                     "key 'conv_channels': expected two comma-separated integers"),
     "non_integer_channels": (_train_lines(["conv_channels = 8,x"]),
-                             "key 'conv_channels': '8,x'"),
+                             "key 'conv_channels': expected two comma-separated integers, "
+                             "got '8,x'"),
     "zero_channels": (_train_lines(["conv_channels = 0,8"]),
                       "key 'conv_channels': expected a positive integer, got '0,8'"),
     "zero_fc_units": (_train_lines(["fc_units = 0"]),
@@ -1183,6 +1191,15 @@ CLI_REFUSALS = {
                              "byte 84: label 19 is -1.0, not a whole number >= 0"),
     "train_fractional_test_label": (_train_test_labels([0.0, 1.0, 2.9, 1.0]),
                                     "byte 16: label 2 is 2.9, not a whole number >= 0"),
+    "train_empty_set": (_train_set(0), "cannot train on an empty training set"),
+    "train_label_past_the_class_limit": (_train_labels(_float_labels(19, 100000.0)),
+                                         "byte 84: label 19 is 100000.0, not a class below 256"),
+    "grad_fsr_floor_above_the_grid": (
+        _train_lines(["grad_fsr_floor = 2000"]),
+        "grad_fsr_floor 2000 is outside the weight quantizer's fsr range"),
+    "grad_fsr_floor_below_the_grid": (
+        _train_lines(["grad_fsr_floor = -2000"]),
+        "grad_fsr_floor -2000 is outside the weight quantizer's fsr range"),
 }
 
 
