@@ -55,16 +55,20 @@ def load_images(path) -> np.ndarray:
     return arr.astype(np.float32)
 
 
-def load_labels(path, count: int | None = None, limit: float = math.inf) -> np.ndarray:
-    """Rank-1 labels, each a whole number >= 0 below ``limit``; a label
-    that is not is refused at its byte offset."""
+# gen-data writes uint8 labels, and the largest training label sizes the net
+_MAX_CLASSES = 256
+
+
+def load_labels(path, count: int | None = None) -> np.ndarray:
+    """Rank-1 labels, each a whole number >= 0 below ``_MAX_CLASSES``; a
+    label that is not is refused at its byte offset."""
     arr = io.read_idx(path)
     if arr.ndim != 1:
         raise io.FileFormatError(0, f"labels must be rank 1, got rank {arr.ndim}")
     with np.errstate(invalid="ignore"):  # a float32 past int64 casts to a negative
         labels = arr.astype(np.int64)
     for bad, rule in (((labels < 0) | (labels != arr), "a whole number >= 0"),
-                      (labels >= limit, f"a class below {limit}")):
+                      (labels >= _MAX_CLASSES, f"a class below {_MAX_CLASSES}")):
         if bad.any():  # rank 1: an 8-byte header
             i = int(np.argmax(bad))
             raise io.FileFormatError(8 + arr.itemsize * i, f"label {i} is {arr[i]!s}, not {rule}")
@@ -73,13 +77,9 @@ def load_labels(path, count: int | None = None, limit: float = math.inf) -> np.n
     return labels
 
 
-# gen-data writes labels as uint8, so a dataset holds at most 256 classes;
-# training refuses a label past that, since the largest label sizes the net
-_MAX_CLASSES = 256
-# the names of log bases (as base_frac_bits), rounding modes and kinds
+# the names of log bases (as base_frac_bits) and rounding modes
 _BASES = {"2": 0, "sqrt2": 1}
 _ROUNDINGS = {"nearest": ROUND_NEAREST, "floor": ROUND_FLOOR}
-_KINDS = {KIND_LOG: KIND_LOG, KIND_LINEAR: KIND_LINEAR}
 
 
 def _usage_fail(message: str) -> int:
@@ -140,8 +140,15 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def _integer(text: str) -> int:
+    """The argparse type of integers: an optional '-', then decimal digits."""
+    if not text.removeprefix("-").isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _int_at_least(lo: int):
-    """The argparse type of decimal integers >= ``lo`` (0 or 1)."""
+    """The argparse type of ``_integer``s >= ``lo`` (0 or 1): digits only."""
     what = ("non-negative", "positive")[lo]
 
     def parse(text: str) -> int:
@@ -149,13 +156,6 @@ def _int_at_least(lo: int):
             raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
         return int(text)
     return parse
-
-
-def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
 def _finite_float(lo: float, what: str):
@@ -175,12 +175,12 @@ _non_negative_float = _finite_float(0.0, "a finite number >= 0")
 _number = _finite_float(-math.inf, "a number")
 
 
-def _one_of(choices: dict):
-    """The argparse type of a key of ``choices``, parsed as its value."""
+def _one_of(choices):
+    """The argparse type of a member of ``choices`` (a dict's key: its value)."""
     def parse(text: str):
         if text not in choices:
             raise argparse.ArgumentTypeError(f"expected one of {sorted(choices)}, got {text!r}")
-        return choices[text]
+        return choices[text] if isinstance(choices, dict) else text
     return parse
 
 
@@ -197,13 +197,15 @@ def _parse_int_list(text: str) -> list[int]:
 def _conv_widths(text: str) -> tuple[int, ...]:
     """The type of two comma-separated positive integers; a width below 1
     is reported with the whole text."""
-    widths = [w.strip() for w in text.split(",")]
-    if len(widths) != 2 or not all(w.removeprefix("-").isdecimal() for w in widths):
-        raise argparse.ArgumentTypeError(f"expected two comma-separated integers, got {text!r}")
     try:
-        return tuple(map(_int_at_least(1), widths))
+        widths = tuple(_integer(w.strip()) for w in text.split(","))
     except argparse.ArgumentTypeError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+        widths = ()
+    if len(widths) != 2:
+        raise argparse.ArgumentTypeError(f"expected two comma-separated integers, got {text!r}")
+    if min(widths) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return widths
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +359,10 @@ _TRAIN_KEYS = {
     "out_model": (None, str), "out_metrics": (None, str),
     "test_images": ("", str), "test_labels": ("", str),
     "conv_channels": ("8,16", _conv_widths), "fc_units": ("64", _int_at_least(1)),
-    "act_bits": ("4", _integer), "act_kind": ("log", _one_of(_KINDS)),
-    "act_fsr": ("3", _integer),
-    "weight_bits": ("5", _integer), "weight_kind": ("log", _one_of(_KINDS)),
-    "grad_bits": ("5", _integer),
+    "act_bits": ("4", _integer), "act_fsr": ("3", _integer),
+    "weight_bits": ("5", _integer), "grad_bits": ("5", _integer),
+    "act_kind": ("log", _one_of((KIND_LOG, KIND_LINEAR))),
+    "weight_kind": ("log", _one_of((KIND_LOG, KIND_LINEAR))),
     "base": ("2", _one_of(_BASES)), "rounding": ("nearest", _one_of(_ROUNDINGS)),
     "optimizer": ("sgd", _one_of({"sgd": "sgd_momentum", "adam": "adam"})),
     "lr": ("0.02", _number), "momentum": ("0.9", _number),
@@ -399,8 +401,7 @@ def parse_train_config(path) -> dict:
 
 def build_train_setup(conf: dict):
     """Parsed config -> (graph, TrainConfig, training data, test data or
-    None).  An empty training set is refused, and so is a label of
-    ``_MAX_CLASSES`` or more, since the largest label sizes the net."""
+    None).  An empty training set is refused."""
     fb, rounding = conf["base"], conf["rounding"]
     act_q = weight_q = grad_q = None
     if conf["act_bits"]:
@@ -418,7 +419,7 @@ def build_train_setup(conf: dict):
                                 "batch_size", "epochs", "seed", "grad_fsr_floor")})
 
     train_x = load_images(conf["train_images"])
-    train_y = load_labels(conf["train_labels"], len(train_x), _MAX_CLASSES)
+    train_y = load_labels(conf["train_labels"], len(train_x))
     if len(train_y) == 0:
         raise DomainError("cannot train on an empty training set")
     test = None

@@ -1191,6 +1191,12 @@ CLI_REFUSALS = {
                              "byte 84: label 19 is -1.0, not a whole number >= 0"),
     "train_fractional_test_label": (_train_test_labels([0.0, 1.0, 2.9, 1.0]),
                                     "byte 16: label 2 is 2.9, not a whole number >= 0"),
+    "sweep_label_past_the_class_limit": (_sweep_labels(_float_labels(5, 256.0)),
+                                         "byte 28: label 5 is 256.0, not a class below 256"),
+    "train_test_label_past_the_class_limit": (_train_test_labels([0.0, 1.0, 300.0, 1.0]),
+                                              "byte 16: label 2 is 300.0, not a class below 256"),
+    "signed_integer": (_train_lines(["batch_size = +5"]),
+                       "key 'batch_size': expected an integer, got '+5'"),
     "train_empty_set": (_train_set(0), "cannot train on an empty training set"),
     "train_label_past_the_class_limit": (_train_labels(_float_labels(19, 100000.0)),
                                          "byte 84: label 19 is 100000.0, not a class below 256"),
